@@ -631,88 +631,50 @@ let moo_bench () =
     wall_on hv_on avoided requested (100.0 *. ratio) agreement
 
 (* ------------------------------------------------------------------ *)
-(* solver shoot-out: dense vs sparse on the reference VCO              *)
+(* solver: the sparse MNA kernel on the reference VCO                  *)
 (* ------------------------------------------------------------------ *)
 
 let solver_bench () =
   let module S = Repro_spice in
-  let module L = Repro_linalg in
   let net = T.ring_vco ~vctl:0.5 T.vco_default in
   let cm = S.Mna.compile net in
   let n = S.Mna.size cm in
-  (* Best-of-reps with the two solvers interleaved rep by rep: the
-     minimum is the standard robust wall-clock estimator (scheduler
-     preemptions and frequency ramps only ever add time), and the
-     interleaving makes load drift hit both solvers equally instead of
-     biasing whichever runs second. *)
-  let time_pair reps fa fb =
-    fa ();
-    fb ();
-    (* warm caches and the symbolic registry *)
-    let ba = ref infinity and bb = ref infinity in
+  (* Best of reps after a warm-up run (caches and the symbolic
+     registry): the minimum is the standard robust wall-clock estimator,
+     since scheduler preemptions and frequency ramps only ever add
+     time. *)
+  let best_of reps f =
+    f ();
+    let best = ref infinity in
     for _ = 1 to reps do
       let t0 = Unix.gettimeofday () in
-      fa ();
-      let t1 = Unix.gettimeofday () in
-      fb ();
-      let t2 = Unix.gettimeofday () in
-      ba := Float.min !ba (t1 -. t0);
-      bb := Float.min !bb (t2 -. t1)
+      f ();
+      best := Float.min !best (Unix.gettimeofday () -. t0)
     done;
-    (!ba, !bb)
+    !best
   in
-  (* DC operating point *)
-  let dcop solver () =
-    match S.Dcop.solve_result ~solver cm with
-    | Ok r -> r
+  let dcop () =
+    match S.Dcop.solve_result cm with
+    | Ok _ -> ()
     | Error e -> failwith (S.Solver_error.to_string e)
   in
-  let dc_dense = dcop E.Config.Dense () in
-  let dc_sparse = dcop E.Config.Sparse () in
-  let dc_diff =
-    L.Vec.max_abs_diff dc_dense.S.Dcop.solution dc_sparse.S.Dcop.solution
-  in
-  let t_dc_dense, t_dc_sparse =
-    time_pair 50
-      (fun () -> ignore (dcop E.Config.Dense ()))
-      (fun () -> ignore (dcop E.Config.Sparse ()))
-  in
+  let t_dc = best_of 50 dcop in
   (* transient at the simulate default scale: 10 ns / 10 ps *)
   let opts = S.Transient.default_options ~t_stop:10e-9 ~dt:10e-12 in
-  let transient solver () =
-    match S.Transient.run_result ~solver cm opts with
-    | Ok r -> r
+  let transient () =
+    match S.Transient.run_result cm opts with
+    | Ok _ -> ()
     | Error e -> failwith (S.Solver_error.to_string e)
   in
-  let tr_dense = transient E.Config.Dense () in
-  let tr_sparse = transient E.Config.Sparse () in
-  let tr_diff =
-    L.Vec.max_abs_diff
-      (S.Transient.final_solution tr_dense)
-      (S.Transient.final_solution tr_sparse)
-  in
-  let t_tr_dense, t_tr_sparse =
-    time_pair 5
-      (fun () -> ignore (transient E.Config.Dense ()))
-      (fun () -> ignore (transient E.Config.Sparse ()))
-  in
-  let dc_speedup = t_dc_dense /. Float.max t_dc_sparse 1e-12 in
-  let tr_speedup = t_tr_dense /. Float.max t_tr_sparse 1e-12 in
-  let hits, misses = L.Sparse_lu.cache_stats () in
+  let t_tr = best_of 5 transient in
+  let hits, misses = Repro_linalg.Sparse_lu.cache_stats () in
   Printf.printf "ring VCO: %d unknowns\n" n;
-  Printf.printf "  dcop      dense %8.3f ms   sparse %8.3f ms   speedup %5.2fx   |dx| %.2e\n"
-    (1e3 *. t_dc_dense) (1e3 *. t_dc_sparse) dc_speedup dc_diff;
-  Printf.printf "  transient dense %8.3f ms   sparse %8.3f ms   speedup %5.2fx   |dx| %.2e\n"
-    (1e3 *. t_tr_dense) (1e3 *. t_tr_sparse) tr_speedup tr_diff;
+  Printf.printf "  dcop      %8.3f ms\n" (1e3 *. t_dc);
+  Printf.printf "  transient %8.3f ms\n" (1e3 *. t_tr);
   Printf.printf "  symbolic registry: %d hits / %d misses\n" hits misses;
   metric "solver" "n" (float_of_int n);
-  metric "solver" "dcop_dense_ms" (1e3 *. t_dc_dense);
-  metric "solver" "dcop_sparse_ms" (1e3 *. t_dc_sparse);
-  metric "solver" "dcop_speedup" dc_speedup;
-  metric "solver" "transient_dense_ms" (1e3 *. t_tr_dense);
-  metric "solver" "transient_sparse_ms" (1e3 *. t_tr_sparse);
-  metric "solver" "transient_speedup" tr_speedup;
-  metric "solver" "dense_sparse_max_diff" (Float.max dc_diff tr_diff)
+  metric "solver" "dcop_sparse_ms" (1e3 *. t_dc);
+  metric "solver" "transient_sparse_ms" (1e3 *. t_tr)
 
 let run_experiments ~scale ~spec () =
   let cfg = H.Hierarchy.make_config ~scale ?spec ~model_dir:"hieropt_model" () in
@@ -779,7 +741,7 @@ let run_experiments ~scale ~spec () =
   section "Moo — optimiser portfolio + surrogate pre-screen";
   moo_bench ();
   telemetry_line ();
-  section "Solver — dense vs sparse MNA kernels (reference VCO)";
+  section "Solver — sparse MNA kernel (reference VCO)";
   solver_bench ();
   telemetry_line ();
   section "Engine — deterministic parallel evaluation + cache";

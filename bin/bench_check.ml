@@ -24,8 +24,6 @@ let watched =
   [
     ("solver/transient_sparse_ms", Lower_is_better);
     ("solver/dcop_sparse_ms", Lower_is_better);
-    ("solver/transient_speedup", Higher_is_better);
-    ("solver/dense_sparse_max_diff", Bound 1e-9);
     ("engine/cache_speedup", Higher_is_better);
     ("engine/mc_speedup", Higher_is_better);
     ("serve/qps_r1", Higher_is_better);

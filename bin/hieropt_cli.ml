@@ -110,27 +110,6 @@ let jobs_t =
 
 let setup_jobs jobs = Option.iter Repro_engine.Config.set_jobs jobs
 
-let solver_t =
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("dense", Repro_engine.Config.Dense);
-                ("sparse", Repro_engine.Config.Sparse);
-                ("auto", Repro_engine.Config.Auto);
-              ]))
-        None
-    & info [ "solver" ] ~docv:"KIND"
-        ~doc:
-          "Linear solver for the MNA Newton kernels: $(b,dense), \
-           $(b,sparse) (symbolic factorisation reused across \
-           iterations/timesteps/samples) or $(b,auto) (sparse above a \
-           small-n threshold).  Defaults to HIEROPT_SOLVER, else auto.")
-
-let setup_solver solver = Repro_engine.Config.set_solver solver
-
 (* ---- optimiser-portfolio flags ---- *)
 
 let optimiser_t =
@@ -274,9 +253,8 @@ let simulate_cmd =
       & opt_all string []
       & info [ "probe" ] ~docv:"NODE" ~doc:"Node(s) to report (repeatable).")
   in
-  let run deck tstop dt probes solver verbose =
+  let run deck tstop dt probes verbose =
     setup_logging verbose;
-    setup_solver solver;
     let net =
       with_netlist_errors (fun () -> Repro_netlist.Elab.netlist_of_file deck)
     in
@@ -289,9 +267,8 @@ let simulate_cmd =
           (Repro_spice.Solver_error.to_string e);
         exit exit_solver
     in
-    Fmt.pr "DC operating point (%s, %d iterations, %s solver)@."
-      dc.Repro_spice.Dcop.strategy dc.Repro_spice.Dcop.iterations
-      dc.Repro_spice.Dcop.solver;
+    Fmt.pr "DC operating point (%s, %d iterations)@."
+      dc.Repro_spice.Dcop.strategy dc.Repro_spice.Dcop.iterations;
     let t_stop = Repro_util.Si.parse tstop and dt = Repro_util.Si.parse dt in
     let res =
       match
@@ -328,7 +305,7 @@ let simulate_cmd =
     Cmd.info "simulate" ~doc:"Simulate a SPICE-like deck (DC + transient)."
   in
   Cmd.v info
-    Term.(const run $ deck_t $ tstop_t $ dt_t $ node_t $ solver_t $ verbose_t)
+    Term.(const run $ deck_t $ tstop_t $ dt_t $ node_t $ verbose_t)
 
 (* ---- characterise ---- *)
 
@@ -343,9 +320,8 @@ let characterise_cmd =
       & opt (some string) None
       & info [ "sizing" ] ~docv:"W/L LIST" ~doc)
   in
-  let run sizing solver verbose =
+  let run sizing verbose =
     setup_logging verbose;
-    setup_solver solver;
     let params =
       match sizing with
       | None -> Repro_circuit.Topologies.vco_default
@@ -367,7 +343,7 @@ let characterise_cmd =
     Cmd.info "characterise"
       ~doc:"Measure a ring-VCO sizing at transistor level (kvco, ivco, jvco, fmin, fmax)."
   in
-  Cmd.v info Term.(const run $ params_t $ solver_t $ verbose_t)
+  Cmd.v info Term.(const run $ params_t $ verbose_t)
 
 (* ---- flow ---- *)
 
@@ -452,7 +428,7 @@ let workers_t =
         ~doc:
           "Distribute evaluation batches over running $(b,hieropt \
            worker) instances (comma-separated endpoints).  Workers must \
-           be started with the same scale/spec/solver options (checked \
+           be started with the same scale/spec options (checked \
            via the config salt).  Results are byte-identical to a local \
            run for any worker count; a worker dying mid-run only costs \
            re-evaluating its last chunk.")
@@ -490,11 +466,10 @@ let flow_cmd =
              (the method of the paper's reference [10]); for the ablation \
              comparison.")
   in
-  let run seed full scale jobs solver nominal_only optimiser surrogate netlist
+  let run seed full scale jobs nominal_only optimiser surrogate netlist
       model_dir workers checkpoint_every resume interrupt_after trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
-    setup_solver solver;
     let scale, spec = resolve_scale full scale in
     let make ?circuit () =
       Hieropt.Hierarchy.make_config ~seed ~scale ?spec
@@ -547,7 +522,7 @@ let flow_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ seed_t $ full_t $ scale_t $ jobs_t $ solver_t $ ablation_t
+      const run $ seed_t $ full_t $ scale_t $ jobs_t $ ablation_t
       $ optimiser_t $ surrogate_t $ netlist_t $ model_dir_t $ workers_t
       $ checkpoint_every_t $ resume_t $ interrupt_after_t $ trace_t
       $ verbose_t)
@@ -580,11 +555,10 @@ let pll_query_of_remote ~fallback remote =
       Some (Repro_serve.Remote.model_query ~fallback ~client ~model ()))
 
 let system_cmd =
-  let run seed full scale jobs solver optimiser surrogate model_dir remote
+  let run seed full scale jobs optimiser surrogate model_dir remote
       workers checkpoint_every resume trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
-    setup_solver solver;
     let model = load_model model_dir in
     let pll_query = pll_query_of_remote ~fallback:model remote in
     let scale, spec = resolve_scale full scale in
@@ -616,7 +590,7 @@ let system_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ seed_t $ full_t $ scale_t $ jobs_t $ solver_t $ optimiser_t
+      const run $ seed_t $ full_t $ scale_t $ jobs_t $ optimiser_t
       $ surrogate_t $ model_dir_t $ remote_t $ workers_t $ checkpoint_every_t
       $ resume_t $ trace_t $ verbose_t)
 
@@ -641,10 +615,9 @@ let yield_cmd =
   let samples_t =
     Arg.(value & opt int 500 & info [ "samples" ] ~doc:"MC sample count.")
   in
-  let run model_dir kvco ivco c1 c2 r1 samples seed jobs solver verbose =
+  let run model_dir kvco ivco c1 c2 r1 samples seed jobs verbose =
     setup_logging verbose;
     setup_jobs jobs;
-    setup_solver solver;
     let model = load_model model_dir in
     let cfg = Hieropt.Pll_problem.default_config ~model in
     let p = Repro_util.Si.parse in
@@ -673,7 +646,7 @@ let yield_cmd =
       $ filt_t "c1" ~doc:"Loop filter C1." ~default:"10p"
       $ filt_t "c2" ~doc:"Loop filter C2." ~default:"0.6p"
       $ filt_t "r1" ~doc:"Loop filter R1." ~default:"6k"
-      $ samples_t $ seed_t $ jobs_t $ solver_t $ verbose_t)
+      $ samples_t $ seed_t $ jobs_t $ verbose_t)
 
 (* ---- export ---- *)
 
@@ -736,12 +709,8 @@ let serve_cmd =
   let reactors_t =
     Arg.(
       value & opt int 2
-      & info
-          [ "reactors"; "workers" ]
-          ~docv:"N"
-          ~doc:
-            "Reactor domains (event loops) handling connections. \
-             $(b,--workers) is a deprecated alias.")
+      & info [ "reactors" ] ~docv:"N"
+          ~doc:"Reactor domains (event loops) handling connections.")
   in
   let timeout_t =
     Arg.(
@@ -797,12 +766,8 @@ let worker_cmd =
   let reactors_t =
     Arg.(
       value & opt int 2
-      & info
-          [ "reactors"; "http-workers" ]
-          ~docv:"N"
-          ~doc:
-            "Reactor domains (event loops) handling connections. \
-             $(b,--http-workers) is a deprecated alias.")
+      & info [ "reactors" ] ~docv:"N"
+          ~doc:"Reactor domains (event loops) handling connections.")
   in
   let timeout_t =
     Arg.(
@@ -828,17 +793,16 @@ let worker_cmd =
              system-level (PLL) shards for $(b,hieropt system \
              --workers) runs over the same model.")
   in
-  let run full scale jobs solver nominal_only optimiser surrogate netlist
+  let run full scale jobs nominal_only optimiser surrogate netlist
       model_dir addr port reactors request_timeout trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
-    setup_solver solver;
     let scale, spec = resolve_scale full scale in
     (* the worker's evaluation closures must capture the same ambient
        configuration as the coordinator's run — the config salt checks
        exactly the fields that matter (spec, measure, process,
-       variation flag, optimiser/surrogate choice, solver mode, circuit
-       tag); seed and model_dir do not.  A --netlist deck must match
+       variation flag, optimiser/surrogate choice, circuit tag); seed
+       and model_dir do not.  A --netlist deck must match
        the coordinator's (same deck → same fingerprint tag → same
        salt); a builtin-equivalent deck canonicalises away exactly as
        it does in the flow. *)
@@ -894,7 +858,7 @@ let worker_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ full_t $ scale_t $ jobs_t $ solver_t $ nominal_only_t
+      const run $ full_t $ scale_t $ jobs_t $ nominal_only_t
       $ optimiser_t $ surrogate_t $ netlist_t $ worker_model_dir_t $ addr_t
       $ port_t $ reactors_t $ timeout_t $ trace_t $ verbose_t)
 
@@ -1552,66 +1516,21 @@ let report_cmd =
     | [] -> Fmt.pr "@.run did not record a finish event (still running or killed)@."
   in
   let report_trace path top =
-    let body =
-      try
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with Sys_error msg -> die 1 "cannot read trace: %s" msg
-    in
-    let j =
-      match J.of_string body with
-      | Ok j -> j
-      | Error msg -> die 1 "trace %s: invalid JSON: %s" path msg
-    in
-    let events =
-      match J.member "traceEvents" j with
-      | Some (J.Arr evs) -> evs
-      | _ -> die 1 "trace %s: no traceEvents array" path
-    in
-    (* pair B/E per thread with a stack — events are in emission order *)
-    let stacks : (int, (string * float) list ref) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let spans = ref [] in
-    let unbalanced = ref 0 in
-    List.iter
-      (fun e ->
-        let tid = int_of_float (Option.value ~default:0.0 (jnum "tid" e)) in
-        let stack =
-          match Hashtbl.find_opt stacks tid with
-          | Some s -> s
-          | None ->
-            let s = ref [] in
-            Hashtbl.add stacks tid s;
-            s
-        in
-        match (jstr "ph" e, jstr "name" e, jnum "ts" e) with
-        | Some "B", Some name, Some ts -> stack := (name, ts) :: !stack
-        | Some "E", _, Some ts -> (
-          match !stack with
-          | (name, t0) :: rest ->
-            stack := rest;
-            spans := (name, ts -. t0, t0, tid) :: !spans
-          | [] -> incr unbalanced)
-        | _ -> ())
-      events;
-    Hashtbl.iter (fun _ s -> unbalanced := !unbalanced + List.length !s) stacks;
-    let spans =
-      List.sort (fun (_, a, _, _) (_, b, _, _) -> compare b a) !spans
-    in
+    let module Ev = Repro_prof.Event in
+    let events = (load_trace_process path).Repro_prof.Merge.events in
+    let spans = Repro_prof.Analysis.slowest (Ev.spans events) in
+    let unbalanced = Ev.unbalanced events in
     Fmt.pr "@.slowest spans (%d total%s):@." (List.length spans)
-      (if !unbalanced > 0 then
-         Printf.sprintf ", %d unbalanced events" !unbalanced
+      (if unbalanced > 0 then
+         Printf.sprintf ", %d unbalanced events" unbalanced
        else "");
-    Fmt.pr "  %12s  %-24s  %4s  %12s@." "duration" "span" "tid" "start";
+    Fmt.pr "  %12s  %-24s  %4s  %4s  %12s@." "duration" "span" "pid" "tid"
+      "start";
     List.iteri
-      (fun i (name, dur, t0, tid) ->
+      (fun i (s : Ev.span) ->
         if i < top then
-          Fmt.pr "  %9.3f ms  %-24s  %4d  %9.3f ms@." (dur /. 1e3) name tid
-            (t0 /. 1e3))
+          Fmt.pr "  %9.3f ms  %-24s  %4d  %4d  %9.3f ms@." (Ev.dur s /. 1e3)
+            s.Ev.name s.Ev.pid s.Ev.tid (s.Ev.t0 /. 1e3))
       spans
   in
   let report_profile path top folded =

@@ -295,10 +295,7 @@ let config_salt cfg =
          circuit_tag cfg,
          (* optimiser choice and screening are salted so a screened
             run's cache can never alias an exhaustive run's *)
-         (cfg.optimiser, cfg.surrogate),
-         (* dense and sparse solves agree only to rounding, so cached
-            entries must not leak across solver modes *)
-         E.Config.solver_mode_name (E.Config.solver ()) ))
+         (cfg.optimiser, cfg.surrogate) ))
 
 let load_cache cfg =
   match cache_path cfg with
@@ -403,8 +400,7 @@ let fingerprint ?(extra = "") cfg =
          cfg.process,
          cfg.use_variation,
          circuit_tag cfg,
-         (cfg.optimiser, cfg.surrogate),
-         E.Config.solver_mode_name (E.Config.solver ()) ))
+         (cfg.optimiser, cfg.surrogate) ))
     extra
 
 let setup_checkpoint ?extra ~file cfg progress =

@@ -133,11 +133,12 @@ exception Degenerate_front of { stage : string; found : int; minimum : int }
 
 val config_salt : config -> string
 (** Fingerprint of the configuration captured by the objective closures
-    (spec, measurement, process, variation flag, circuit tag, solver
-    mode) — the eval-cache keyspace salt.  A remote eval-worker must be started
-    from a config with the same salt to serve a run; the distributed
-    protocol carries it on every request so mismatched set-ups are
-    rejected instead of silently poisoning caches. *)
+    (spec, measurement, process, variation flag, circuit tag, optimiser
+    and surrogate choice) — the eval-cache keyspace salt.  A remote
+    eval-worker must be started from a config with the same salt to
+    serve a run; the distributed protocol carries it on every request
+    so mismatched set-ups are rejected instead of silently poisoning
+    caches. *)
 
 (** {2 Distributed evaluation}
 

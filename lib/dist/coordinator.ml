@@ -137,7 +137,7 @@ let mark_dead t w =
    what — the determinism contract. *)
 (* time-in-queue for coordinator work items, from (re)enqueue to a
    worker thread claiming the chunk — always-on, like the pool's *)
-let queue_wait = lazy (Repro_obs.Histogram.get "dist.queue_wait")
+let queue_wait = Repro_obs.Histogram.get "dist.queue_wait"
 
 let dispatch t ~workers ~n ~remote_chunk =
   let leftovers q =
@@ -175,8 +175,7 @@ let dispatch t ~workers ~n ~remote_chunk =
         Mutex.unlock qmutex;
         match c with
         | Some (lo, len, enqueued) ->
-          Repro_obs.Histogram.observe (Lazy.force queue_wait)
-            (now () -. enqueued);
+          Repro_obs.Histogram.observe queue_wait (now () -. enqueued);
           Some (lo, len)
         | None -> None
       in

@@ -252,10 +252,9 @@ let cache_put_bulk t body =
 
 (* ---- routing ------------------------------------------------------ *)
 
-(* /v1/* is canonical; bare paths are aliases for one release, same
-   policy as the model server *)
-let split_version (req : Http.request) =
-  match req.Http.path with "v1" :: rest -> (rest, true) | p -> (p, false)
+(* every route lives under /v1, as on the model server *)
+let route_path (req : Http.request) =
+  match req.Http.path with "v1" :: rest -> rest | _ -> []
 
 let endpoint_of_path = function
   | [ "healthz" ] -> "healthz"
@@ -280,10 +279,8 @@ let metrics (req : Http.request) =
 
 let handler t (req : Http.request) =
   E.Telemetry.incr "dist.requests";
-  let path, versioned = split_version req in
+  let path = route_path req in
   let endpoint = endpoint_of_path path in
-  if (not versioned) && endpoint <> "other" then
-    E.Telemetry.incr "dist.legacy_requests";
   let latency = Repro_obs.Histogram.get ("dist.latency." ^ endpoint) in
   Repro_obs.Histogram.time latency @@ fun () ->
   Repro_obs.Trace.span ("dist." ^ endpoint) ~args:[ ("method", req.Http.meth) ]

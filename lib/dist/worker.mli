@@ -34,10 +34,9 @@ val problems : t -> string list
 val handler :
   t -> Repro_serve.Http.request -> int * (string * string) list * string
 (** The request handler, for {!Repro_serve.Server.start_with}.  Routes
-    live under [/v1/*] (bare paths remain as aliases for one release,
-    counted by [dist.legacy_requests]).  Safe to call from several
-    reactor domains at once.  Per-endpoint request latencies are
-    recorded under [dist.latency.*] histograms. *)
+    live under [/v1/*]; unversioned paths answer 404.  Safe to call
+    from several reactor domains at once.  Per-endpoint request
+    latencies are recorded under [dist.latency.*] histograms. *)
 
 val serve :
   ?addr:string ->

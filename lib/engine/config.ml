@@ -10,39 +10,7 @@ let int_var name =
 
 let full () = flag "HIEROPT_FULL"
 
-type solver_mode = Dense | Sparse | Auto
-
-let solver_mode_name = function
-  | Dense -> "dense"
-  | Sparse -> "sparse"
-  | Auto -> "auto"
-
-let solver_mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "auto" | "" -> Some Auto
-  | _ -> None
-
-let solver_override = ref None
-let set_solver m = solver_override := m
-
-let solver () =
-  match !solver_override with
-  | Some m -> m
-  | None -> (
-    match Sys.getenv_opt "HIEROPT_SOLVER" with
-    | None -> Auto
-    | Some v -> (
-      match solver_mode_of_string v with
-      | Some m -> m
-      | None ->
-        Printf.eprintf
-          "warning: HIEROPT_SOLVER=%s not recognised (dense|sparse|auto); \
-           using auto\n\
-           %!"
-          v;
-        Auto))
+type solver_mode = Sparse
 
 let jobs_override = ref None
 let set_jobs n = jobs_override := if n <= 0 then None else Some n

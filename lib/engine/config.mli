@@ -7,10 +7,7 @@
     - [HIEROPT_FULL] — any non-empty value other than ["0"] selects the
       paper-scale workload instead of the fast bench scale.
     - [HIEROPT_JOBS] — worker-domain count for the parallel evaluation
-      engine; defaults to {!Domain.recommended_domain_count}.
-    - [HIEROPT_SOLVER] — linear-solver selection for the MNA Newton
-      kernels: [dense], [sparse], or [auto] (default; sparse above a
-      small-n threshold). *)
+      engine; defaults to {!Domain.recommended_domain_count}. *)
 
 val flag : string -> bool
 (** [flag name] is [true] when the environment variable [name] is set to
@@ -22,18 +19,10 @@ val int_var : string -> int option
 val full : unit -> bool
 (** The [HIEROPT_FULL] switch: paper-scale workloads when set. *)
 
-type solver_mode = Dense | Sparse | Auto
-
-val solver : unit -> solver_mode
-(** The value given to {!set_solver} if any, else [HIEROPT_SOLVER]
-    ([dense]/[sparse]/[auto]), else [Auto].  [Auto] lets the MNA layer
-    pick sparse above a small-n threshold. *)
-
-val set_solver : solver_mode option -> unit
-(** Programmatic override (the CLI's [--solver]); [None] clears it. *)
-
-val solver_mode_name : solver_mode -> string
-val solver_mode_of_string : string -> solver_mode option
+type solver_mode = Sparse
+(** The one MNA linear solver.  Kept only because [perfbench/main.ml]
+    passes [~solver:Sparse] to [Repro_spice.Transient.run_result];
+    remove it together with that argument. *)
 
 val jobs : unit -> int
 (** Worker count for {!Pool.create}: the value given to {!set_jobs} if

@@ -56,13 +56,12 @@ let size t = t.size
 (* time-in-queue between [submit] and a worker picking the task up —
    the pool-level starvation signal (always-on: histograms never touch
    evaluation state, matching dist/serve latency instrumentation) *)
-let queue_wait = lazy (Repro_obs.Histogram.get "pool.queue_wait")
+let queue_wait = Repro_obs.Histogram.get "pool.queue_wait"
 
 let submit t task =
   let enqueued = Unix.gettimeofday () in
   let task () =
-    Repro_obs.Histogram.observe (Lazy.force queue_wait)
-      (Unix.gettimeofday () -. enqueued);
+    Repro_obs.Histogram.observe queue_wait (Unix.gettimeofday () -. enqueued);
     task ()
   in
   Mutex.lock t.mutex;

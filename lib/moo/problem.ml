@@ -67,12 +67,13 @@ let unpack v =
     objectives = Array.sub v 1 (Array.length v - 1);
   }
 
-(* the registry histogram is resolved once; each evaluation then pays
-   one clock read + one mutex-protected bucket bump *)
-let eval_hist = lazy (Repro_obs.Histogram.get "eval.duration")
+(* the registry histogram is resolved once, at module initialisation
+   (pool domains would race to force a lazy one); each evaluation then
+   pays one clock read + one mutex-protected bucket bump *)
+let eval_hist = Repro_obs.Histogram.get "eval.duration"
 
 let timed_evaluate t x =
-  Repro_obs.Histogram.time (Lazy.force eval_hist) (fun () -> t.evaluate x)
+  Repro_obs.Histogram.time eval_hist (fun () -> t.evaluate x)
 
 let cache_kind ~salt t =
   "eval:" ^ t.name ^ if salt = "" then "" else ":" ^ salt

@@ -48,4 +48,6 @@ val all : unit -> (string * t) list
 (** Every registered histogram, name-sorted. *)
 
 val clear_registry : unit -> unit
-(** Drop all registered histograms (bench sections, tests). *)
+(** Drop all registered histograms (tests).  Handles already held stay
+    usable but are no longer listed; the program's own are created at
+    module initialisation. *)

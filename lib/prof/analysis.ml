@@ -62,6 +62,11 @@ let self_time roots =
 
 let total_self rows = List.fold_left (fun acc r -> acc +. r.self_us) 0.0 rows
 
+let slowest roots =
+  List.stable_sort
+    (fun a b -> compare (Event.dur b) (Event.dur a))
+    (Event.flatten roots)
+
 let default_busy name = name = "pool.chunk" || name = "pool.serial"
 
 let find_span pred roots =

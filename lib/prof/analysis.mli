@@ -22,6 +22,9 @@ val self_time : Event.span list -> row list
 
 val total_self : row list -> float
 
+val slowest : Event.span list -> Event.span list
+(** Every span of the forest, longest first (ties in preorder). *)
+
 val find_span : (string -> bool) -> Event.span list -> Event.span option
 (** First span (preorder) whose name satisfies the predicate. *)
 

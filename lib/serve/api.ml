@@ -358,11 +358,10 @@ let verify t id body =
         (json_body
            (Json.Obj [ ("model", Json.Str id); ("params", params_to_json params) ])))
 
-(* /v1/* is the canonical surface; bare unversioned paths remain as
-   aliases for one release (tracked by serve.legacy_requests so the
-   removal can be data-driven) *)
-let split_version (req : Http.request) =
-  match req.path with "v1" :: rest -> (rest, true) | p -> (p, false)
+(* every route lives under /v1; an unversioned path routes as the
+   empty path, which no endpoint matches *)
+let route_path (req : Http.request) =
+  match req.path with "v1" :: rest -> rest | _ -> []
 
 (* stable label per route, so latency histograms have a bounded name
    set regardless of what ids/paths clients throw at the server *)
@@ -377,10 +376,8 @@ let endpoint_of_path = function
 
 let handle t (req : Http.request) =
   Telemetry.incr "serve.requests";
-  let path, versioned = split_version req in
+  let path = route_path req in
   let endpoint = endpoint_of_path path in
-  if (not versioned) && endpoint <> "other" then
-    Telemetry.incr "serve.legacy_requests";
   let latency = Repro_obs.Histogram.get ("serve.latency." ^ endpoint) in
   Repro_obs.Histogram.time latency @@ fun () ->
   (* propagated trace context (clients send X-Trace-Id/X-Parent-Span

@@ -1,8 +1,7 @@
 (** Endpoint routing and JSON (de)serialisation for the model server.
 
-    Routes (all responses [application/json]; [/v1/*] is the canonical
-    surface, the bare unversioned paths are aliases kept for one
-    release and counted under [serve.legacy_requests]):
+    Routes (all responses [application/json]; every route lives under
+    [/v1], and unversioned paths answer 404):
 
     - [GET /v1/healthz] — liveness + build/uptime info (version string,
       start time, uptime, servable and loaded model counts);

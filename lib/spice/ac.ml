@@ -1,36 +1,29 @@
 module Matrix = Repro_linalg.Matrix
 module Vec = Repro_linalg.Vec
-module Lu = Repro_linalg.Lu
 module Sparse = Repro_linalg.Sparse
 module Sparse_lu = Repro_linalg.Sparse_lu
-module Config = Repro_engine.Config
-module Telemetry = Repro_engine.Telemetry
-module Histogram = Repro_obs.Histogram
 
-(* sparse backing for the real-embedded 2n x 2n system: the structure
-   is fixed across the whole sweep (only the frequency scales the C
-   stamps), so the symbolic analysis runs once and every frequency
-   point is a numeric refactorisation.  [gp]/[cp_*] are value-slot
-   lists with their frequency-independent coefficients. *)
-type sp = {
+(* (G + jwC) x = b embedded as the real system
+   [ G  -wC ] [re]   [b]
+   [ wC   G ] [im] = [0]
+   Its structure is fixed across the whole sweep (only the frequency
+   scales the C stamps), so the symbolic analysis runs once and every
+   frequency point is a numeric refactorisation.  [gp]/[cp_*] are
+   value-slot lists with their frequency-independent coefficients. *)
+type t = {
+  compiled : Mna.compiled;
   a : Sparse.t;
   gp : int array;
   gv : float array;
   cp_hi : int array; (* (i, n+j) slots: value -w * cij *)
   cp_lo : int array; (* (n+i, j) slots: value +w * cij *)
   cv : float array;
-  mutable num : Sparse_lu.numeric option;
-}
-
-type t = {
-  compiled : Mna.compiled;
-  g : Matrix.t; (* small-signal conductances (Newton Jacobian at the op) *)
-  c : Matrix.t; (* capacitance stamps *)
-  mutable sp : sp option; (* lazily built; single-threaded use per [t] *)
+  mutable num : Sparse_lu.numeric option; (* single-threaded use per [t] *)
 }
 
 let linearise compiled (op : Dcop.result) =
   let n = Mna.size compiled in
+  (* small-signal conductances: the Newton Jacobian at the op *)
   let g = Matrix.create n n in
   let residual = Vec.create n in
   Mna.assemble compiled ~x:op.Dcop.solution ~time:0.0 ~gmin:1e-12
@@ -45,39 +38,13 @@ let linearise compiled (op : Dcop.result) =
         Matrix.add_to c b a (-.cval)
       end)
     (Mna.capacitance_stamps compiled);
-  { compiled; g; c; sp = None }
-
-(* (G + jwC) x = b embedded as the real system
-   [ G  -wC ] [re]   [b]
-   [ wC   G ] [im] = [0] *)
-
-let solve_at_dense t ~b w =
-  let n = Mna.size t.compiled in
-  let big = Matrix.create (2 * n) (2 * n) in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let gij = Matrix.get t.g i j and cij = Matrix.get t.c i j in
-      Matrix.set big i j gij;
-      Matrix.set big (n + i) (n + j) gij;
-      if cij <> 0.0 then begin
-        Matrix.set big i (n + j) (-.w *. cij);
-        Matrix.set big (n + i) j (w *. cij)
-      end
-    done
-  done;
-  let rhs = Array.append b (Array.make n 0.0) in
-  let x = Lu.solve big rhs in
-  (Array.sub x 0 n, Array.sub x n n)
-
-(* G and C are fixed for the lifetime of [t] and w only scales the C
-   stamps, so a value-based pattern is exact for every frequency *)
-let build_sp t =
-  let n = Mna.size t.compiled in
+  (* G and C are fixed for the lifetime of [t] and w only scales the C
+     stamps, so a value-based pattern is exact for every frequency *)
   let builder = Sparse.Builder.create ~n:(2 * n) in
   let gs = ref [] and cs = ref [] in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      let gij = Matrix.get t.g i j and cij = Matrix.get t.c i j in
+      let gij = Matrix.get g i j and cij = Matrix.get c i j in
       if gij <> 0.0 then begin
         Sparse.Builder.add builder i j 0.0;
         Sparse.Builder.add builder (n + i) (n + j) 0.0;
@@ -110,80 +77,28 @@ let build_sp t =
       cp_lo.(k) <- Sparse.index a (n + i) j;
       cv.(k) <- v)
     cs;
-  { a; gp; gv; cp_hi; cp_lo; cv; num = None }
+  { compiled; a; gp; gv; cp_hi; cp_lo; cv; num = None }
 
-let solve_at_sparse t ~b w =
+let solve_at t ~b w =
   let n = Mna.size t.compiled in
-  let sp =
-    match t.sp with
-    | Some sp -> sp
-    | None ->
-      let sp = build_sp t in
-      t.sp <- Some sp;
-      sp
-  in
-  let v = Sparse.values sp.a in
+  let v = Sparse.values t.a in
   Array.fill v 0 (Array.length v) 0.0;
-  Array.iteri (fun k p -> v.(p) <- v.(p) +. sp.gv.(k)) sp.gp;
-  Array.iteri (fun k p -> v.(p) <- v.(p) -. (w *. sp.cv.(k))) sp.cp_hi;
-  Array.iteri (fun k p -> v.(p) <- v.(p) +. (w *. sp.cv.(k))) sp.cp_lo;
-  let full () =
-    let sym, nm =
-      Histogram.time (Histogram.get "solver.factorise") (fun () ->
-          Sparse_lu.factorise sp.a)
-    in
-    Telemetry.incr "solver.symbolic";
-    Sparse_lu.store_symbolic sp.a sym;
-    sp.num <- Some nm;
-    nm
-  in
-  let nm =
-    match sp.num with
-    | None -> (
-      match Sparse_lu.find_symbolic sp.a with
-      | None -> full ()
-      | Some sym -> (
-        let nm = Sparse_lu.create_numeric sym in
-        match
-          Histogram.time (Histogram.get "solver.refactorise") (fun () ->
-              Sparse_lu.refactorise nm sp.a)
-        with
-        | () ->
-          Telemetry.incr "solver.refactorise";
-          sp.num <- Some nm;
-          nm
-        | exception Sparse_lu.Singular _ -> full ()))
-    | Some nm -> (
-      match
-        Histogram.time (Histogram.get "solver.refactorise") (fun () ->
-            Sparse_lu.refactorise nm sp.a)
-      with
-      | () ->
-        Telemetry.incr "solver.refactorise";
-        nm
-      | exception Sparse_lu.Singular _ -> full ())
-  in
+  Array.iteri (fun k p -> v.(p) <- v.(p) +. t.gv.(k)) t.gp;
+  Array.iteri (fun k p -> v.(p) <- v.(p) -. (w *. t.cv.(k))) t.cp_hi;
+  Array.iteri (fun k p -> v.(p) <- v.(p) +. (w *. t.cv.(k))) t.cp_lo;
+  let nm = Mna.with_factoriser (fun factor -> factor t.num t.a) in
+  t.num <- Some nm;
   let rhs = Array.append b (Array.make n 0.0) in
   let x = Sparse_lu.solve nm rhs in
   (Array.sub x 0 n, Array.sub x n n)
 
-let solve_at ?solver t ~b w =
-  let mode = match solver with Some m -> m | None -> Config.solver () in
-  let use_sparse =
-    match mode with
-    | Config.Dense -> false
-    | Config.Sparse -> true
-    | Config.Auto -> 2 * Mna.size t.compiled >= 8
-  in
-  if use_sparse then solve_at_sparse t ~b w else solve_at_dense t ~b w
-
-let transfer ?solver t ~input ~output f =
+let transfer t ~input ~output f =
   let n = Mna.size t.compiled in
   let bi = Mna.branch_index t.compiled input in
   let b = Array.make n 0.0 in
   b.(bi) <- 1.0;
   let w = 2.0 *. Float.pi *. f in
-  let re, im = solve_at ?solver t ~b w in
+  let re, im = solve_at t ~b w in
   match Mna.node_index t.compiled (Mna.node_of_name t.compiled output) with
   | None -> Complex.zero
   | Some k -> { Complex.re = re.(k); im = im.(k) }
@@ -195,8 +110,8 @@ type sweep_point = {
   phase_deg : float;
 }
 
-let point_of ?solver t ~input ~output freq =
-  let gain = transfer ?solver t ~input ~output freq in
+let point_of t ~input ~output freq =
+  let gain = transfer t ~input ~output freq in
   {
     freq;
     gain;
@@ -204,11 +119,11 @@ let point_of ?solver t ~input ~output freq =
     phase_deg = Complex.arg gain *. 180.0 /. Float.pi;
   }
 
-let sweep ?solver t ~input ~output ~freqs =
-  Array.map (point_of ?solver t ~input ~output) freqs
+let sweep t ~input ~output ~freqs =
+  Array.map (point_of t ~input ~output) freqs
 
-let logsweep ?solver t ~input ~output ~f_start ~f_stop ~points =
-  sweep ?solver t ~input ~output
+let logsweep t ~input ~output ~f_start ~f_stop ~points =
+  sweep t ~input ~output
     ~freqs:(Repro_util.Floatx.logspace f_start f_stop points)
 
 type bode_summary = {

@@ -3,10 +3,10 @@
     The circuit is linearised at a DC operating point (the Newton
     Jacobian there {e is} the small-signal conductance matrix G) and the
     complex system (G + jωC)·x = b is solved per frequency with a
-    real-valued 2n×2n embedding, so the MNA linear kernels are reused.
-    On the sparse backend the embedding's structure is fixed across the
-    sweep (only ω scales the C stamps), so its symbolic factorisation
-    runs once and every frequency point costs one numeric
+    real-valued 2n×2n embedding, factorised under the Newton kernel's
+    policy ({!Mna.with_factoriser}).  The embedding's structure is fixed
+    across the sweep (only ω scales the C stamps), so its symbolic
+    factorisation runs once and every frequency point costs one numeric
     refactorisation.
 
     The stimulus is a unit AC magnitude on a named voltage source; every
@@ -23,7 +23,6 @@ val linearise : Mna.compiled -> Dcop.result -> t
     complex solve per frequency. *)
 
 val transfer :
-  ?solver:Repro_engine.Config.solver_mode ->
   t ->
   input:string ->
   output:string ->
@@ -41,7 +40,6 @@ type sweep_point = {
 }
 
 val sweep :
-  ?solver:Repro_engine.Config.solver_mode ->
   t ->
   input:string ->
   output:string ->
@@ -49,7 +47,6 @@ val sweep :
   sweep_point array
 
 val logsweep :
-  ?solver:Repro_engine.Config.solver_mode ->
   t ->
   input:string ->
   output:string ->

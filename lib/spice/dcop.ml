@@ -4,20 +4,18 @@ type result = {
   solution : Repro_linalg.Vec.t;
   iterations : int;
   strategy : string;
-  solver : string;
 }
 
 exception No_convergence of string
 
-let try_newton ?max_iter ?solver ~workspace c x ~gmin ~source_scale =
-  Mna.newton ?max_iter ?solver ~workspace c ~x ~time:0.0 ~gmin ~source_scale
+let try_newton ?max_iter ~workspace c x ~gmin ~source_scale =
+  Mna.newton ?max_iter ~workspace c ~x ~time:0.0 ~gmin ~source_scale
     ~cap_mode:Mna.Dc
 
 let fail detail =
   Error (Solver_error.No_convergence { stage = "dcop"; detail })
 
-let solve_result ?x0 ?solver ?workspace c =
-  let solver_used = Mna.solver_name ?solver c in
+let solve_result ?x0 ?workspace c =
   (* default to the domain's persistent workspace so numeric factors
      survive across the operating points of one Monte-Carlo trial (and
      across trials run on the same domain) *)
@@ -35,10 +33,10 @@ let solve_result ?x0 ?solver ?workspace c =
   let total = ref 0 in
   (* 1: direct *)
   let x = fresh () in
-  let r = try_newton ?solver ~workspace c x ~gmin:1e-12 ~source_scale:1.0 in
+  let r = try_newton ~workspace c x ~gmin:1e-12 ~source_scale:1.0 in
   total := !total + r.Mna.iterations;
   if r.Mna.converged then
-    Ok { solution = x; iterations = !total; strategy = "direct"; solver = solver_used }
+    Ok { solution = x; iterations = !total; strategy = "direct" }
   else begin
     (* 2: gmin stepping, reusing each stage's solution *)
     let x = fresh () in
@@ -46,12 +44,12 @@ let solve_result ?x0 ?solver ?workspace c =
     let ok =
       List.for_all
         (fun gmin ->
-          let r = try_newton ?solver ~workspace c x ~gmin ~source_scale:1.0 in
+          let r = try_newton ~workspace c x ~gmin ~source_scale:1.0 in
           total := !total + r.Mna.iterations;
           r.Mna.converged)
         gmins
     in
-    if ok then Ok { solution = x; iterations = !total; strategy = "gmin"; solver = solver_used }
+    if ok then Ok { solution = x; iterations = !total; strategy = "gmin" }
     else begin
       (* 3: source stepping at a mild gmin *)
       let x = Vec.create n in
@@ -59,25 +57,25 @@ let solve_result ?x0 ?solver ?workspace c =
       let ok =
         List.for_all
           (fun scale ->
-            let r = try_newton ~max_iter:80 ?solver ~workspace c x ~gmin:1e-9 ~source_scale:scale in
+            let r = try_newton ~max_iter:80 ~workspace c x ~gmin:1e-9 ~source_scale:scale in
             total := !total + r.Mna.iterations;
             r.Mna.converged)
           steps
       in
       if ok then begin
         (* polish without gmin *)
-        let r = try_newton ?solver ~workspace c x ~gmin:1e-12 ~source_scale:1.0 in
+        let r = try_newton ~workspace c x ~gmin:1e-12 ~source_scale:1.0 in
         total := !total + r.Mna.iterations;
         if r.Mna.converged then
-          Ok { solution = x; iterations = !total; strategy = "source"; solver = solver_used }
+          Ok { solution = x; iterations = !total; strategy = "source" }
         else fail "source stepping converged but polish failed"
       end
       else fail "direct, gmin and source stepping all failed"
     end
   end
 
-let solve ?x0 ?solver ?workspace c =
-  match solve_result ?x0 ?solver ?workspace c with
+let solve ?x0 ?workspace c =
+  match solve_result ?x0 ?workspace c with
   | Ok r -> r
   | Error (Solver_error.No_convergence { detail; _ }) ->
     raise (No_convergence detail)

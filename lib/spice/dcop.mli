@@ -5,14 +5,12 @@ type result = {
   solution : Repro_linalg.Vec.t;  (** MNA unknown vector *)
   iterations : int;               (** total Newton iterations spent *)
   strategy : string;              (** "direct" | "gmin" | "source" *)
-  solver : string;                (** "dense" | "sparse" linear kernel *)
 }
 
 exception No_convergence of string
 
 val solve_result :
   ?x0:Repro_linalg.Vec.t ->
-  ?solver:Repro_engine.Config.solver_mode ->
   ?workspace:Mna.workspace ->
   Mna.compiled ->
   (result, Solver_error.t) Stdlib.result
@@ -28,7 +26,6 @@ val solve_result :
 
 val solve :
   ?x0:Repro_linalg.Vec.t ->
-  ?solver:Repro_engine.Config.solver_mode ->
   ?workspace:Mna.workspace ->
   Mna.compiled ->
   result

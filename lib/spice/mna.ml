@@ -3,10 +3,8 @@ module Mosfet = Repro_circuit.Mosfet
 module Source = Repro_circuit.Source
 module Vec = Repro_linalg.Vec
 module Matrix = Repro_linalg.Matrix
-module Lu = Repro_linalg.Lu
 module Sparse = Repro_linalg.Sparse
 module Sparse_lu = Repro_linalg.Sparse_lu
-module Config = Repro_engine.Config
 module Telemetry = Repro_engine.Telemetry
 module Trace = Repro_obs.Trace
 module Histogram = Repro_obs.Histogram
@@ -392,8 +390,8 @@ let stamp_jacobian ?(statics = true) c ~gmin ~cap_mode ~mos ~addj_static
       addj_dyn lo m.mg (-.dg))
     c.mosfets
 
-(* residual and Jacobian in one shot — the dense path and the pattern
-   discovery use this combined form *)
+(* residual and Jacobian in one shot — the dense assembly and the
+   pattern discovery use this combined form *)
 let assemble_core ?injections c ~x ~time ~gmin ~source_scale ~cap_mode ~mos
     ~addj_static ~addj_dyn ~residual =
   eval_residual ?injections c ~x ~time ~gmin ~source_scale ~cap_mode ~mos
@@ -597,25 +595,63 @@ let solver_ws workspace c =
       w.ws <- Some s;
       s)
 
-(* ---- solver selection --------------------------------------------- *)
+(* ---- factorisation policy ----------------------------------------- *)
 
-(* Resolved once: Histogram.get takes the registry mutex, and the solver
-   loop below runs from every pool domain at once. *)
-let factorise_hist = lazy (Histogram.get "solver.factorise")
-let refactorise_hist = lazy (Histogram.get "solver.refactorise")
+(* Created once, at module initialisation: Histogram.get takes the
+   registry mutex, which the solver must not take per call from every
+   pool domain, and a lazy handle forced by two domains at once raises
+   CamlinternalLazy.Undefined. *)
+let factorise_hist = Histogram.get "solver.factorise"
+let refactorise_hist = Histogram.get "solver.refactorise"
 
-(* below this many unknowns the dense kernel's simplicity wins *)
-let sparse_threshold = 8
+(* Symbolic analysis runs once per matrix pattern: the registry shares
+   it across Newton calls, timesteps, Monte-Carlo samples of
+   structurally identical netlists and AC frequency points; every later
+   factorisation is a cheap numeric refactorisation along the frozen
+   pattern.  A frozen pivot gone stale raises Singular and falls back to
+   a fresh factorisation (new pivot order).
 
-let resolve_solver c solver =
-  let mode = match solver with Some m -> m | None -> Config.solver () in
-  match mode with
-  | Config.Dense -> `Dense
-  | Config.Sparse -> `Sparse
-  | Config.Auto -> if c.size >= sparse_threshold then `Sparse else `Dense
-
-let solver_name ?solver c =
-  match resolve_solver c solver with `Dense -> "dense" | `Sparse -> "sparse"
+   The refactorise counter/histogram updates are batched over the whole
+   body: both sit behind global mutexes, and hitting them per iteration
+   from every pool domain serialises the Monte-Carlo trials that this
+   solver exists to parallelise.  The counter total is exact; the
+   histogram records one observation per body (the summed
+   refactorisation time). *)
+let with_factoriser body =
+  let refact_n = ref 0 and refact_s = ref 0.0 in
+  let full_factorise a =
+    let sym, nm =
+      Histogram.time factorise_hist (fun () -> Sparse_lu.factorise a)
+    in
+    Telemetry.incr "solver.symbolic";
+    Sparse_lu.store_symbolic a sym;
+    nm
+  in
+  let refactorise nm a =
+    let t0 = Unix.gettimeofday () in
+    match Sparse_lu.refactorise nm a with
+    | () ->
+      refact_s := !refact_s +. (Unix.gettimeofday () -. t0);
+      incr refact_n;
+      nm
+    | exception Sparse_lu.Singular _ ->
+      Telemetry.incr "solver.refactorise_fallback";
+      full_factorise a
+  in
+  let factor prev a =
+    match prev with
+    | Some nm -> refactorise nm a
+    | None -> (
+      match Sparse_lu.find_symbolic a with
+      | Some sym -> refactorise (Sparse_lu.create_numeric sym) a
+      | None -> full_factorise a)
+  in
+  let result = body factor in
+  if !refact_n > 0 then begin
+    Telemetry.incr "solver.refactorise" ~by:!refact_n;
+    Histogram.observe refactorise_hist !refact_s
+  end;
+  result
 
 type newton_report = {
   converged : bool;
@@ -652,152 +688,59 @@ let channel_noise_stamps c ~x =
       (hi, lo, sqrt (4.0 *. boltzmann_t *. gamma_noise *. Float.max gm 0.0)))
     c.mosfets
 
-(* Newton driver shared by both linear-solver backends:
-   [assemble_residual] refreshes the residual (and whatever the backend
-   caches alongside it) at the current x, [prepare_jacobian] brings the
-   backend's Jacobian store up to date — called only on iterations that
-   actually solve, so a converged check pays no stamping — and [solve]
-   returns the Newton update or None on a singular system. *)
-let newton_loop ~max_iter ~vtol ~rtol ~itol ~dv_limit ~nb_base ~x ~residual
-    ~assemble_residual ~prepare_jacobian ~solve =
-  let rec loop iter last_dx =
-    assemble_residual ();
-    let max_res =
-      let acc = ref 0.0 in
-      for i = 0 to nb_base - 1 do
-        acc := Float.max !acc (Float.abs residual.(i))
-      done;
-      !acc
-    in
-    if last_dx < vtol +. (rtol *. Vec.norm_inf x) && max_res < itol && iter > 0
-    then { converged = true; iterations = iter; max_dx = last_dx; max_residual = max_res }
-    else if iter >= max_iter then
-      { converged = false; iterations = iter; max_dx = last_dx; max_residual = max_res }
-    else begin
-      prepare_jacobian ();
-      match solve () with
-      | None ->
-        { converged = false; iterations = iter; max_dx = last_dx; max_residual = max_res }
-      | Some dx ->
-        (* damp on node-voltage updates only *)
-        let max_node_dx = ref 0.0 in
-        for i = 0 to nb_base - 1 do
-          max_node_dx := Float.max !max_node_dx (Float.abs dx.(i))
-        done;
-        let alpha = if !max_node_dx > dv_limit then dv_limit /. !max_node_dx else 1.0 in
-        Vec.axpy ~alpha dx x;
-        loop (iter + 1) (alpha *. Float.max !max_node_dx (Vec.norm_inf dx))
-    end
-  in
-  loop 0 infinity
-
 let newton ?(max_iter = 50) ?(vtol = 1e-6) ?(rtol = 1e-6) ?(itol = 1e-9)
-    ?(dv_limit = 0.5) ?injections ?solver ?workspace c ~x ~time ~gmin
-    ~source_scale ~cap_mode =
+    ?(dv_limit = 0.5) ?injections ?workspace c ~x ~time ~gmin ~source_scale
+    ~cap_mode =
   let n = c.size in
   let nb_base = c.n_nodes - 1 in
   let residual = Vec.create n in
   check_stores c ~x ~residual ~cap_mode;
-  let choice = resolve_solver c solver in
-  let run () =
-    match choice with
-    | `Dense ->
-      let jacobian = Matrix.create n n in
-      (* the combined assembly refreshes the Jacobian together with the
-         residual, so the solve needs no separate stamping step *)
-      let assemble_residual () =
-        assemble ?injections c ~x ~time ~gmin ~source_scale ~cap_mode ~jacobian
-          ~residual
+  let run factor =
+    let ws = solver_ws workspace c in
+    let a = ws.ws_a in
+    let rhs = ws.ws_rhs and dx = ws.ws_dx in
+    let mos = ws.ws_mos in
+    let rec loop iter last_dx =
+      eval_residual ?injections c ~x ~time ~gmin ~source_scale ~cap_mode ~mos
+        ~residual;
+      let max_res =
+        let acc = ref 0.0 in
+        for i = 0 to nb_base - 1 do
+          acc := Float.max !acc (Float.abs residual.(i))
+        done;
+        !acc
       in
-      let solve () =
-        match Lu.solve jacobian (Array.map (fun r -> -.r) residual) with
-        | exception Lu.Singular _ -> None
-        | dx -> Some dx
-      in
-      newton_loop ~max_iter ~vtol ~rtol ~itol ~dv_limit ~nb_base ~x ~residual
-        ~assemble_residual ~prepare_jacobian:ignore ~solve
-    | `Sparse ->
-      let ws = solver_ws workspace c in
-      let a = ws.ws_a in
-      let rhs = ws.ws_rhs and dx = ws.ws_dx in
-      let mos = ws.ws_mos in
-      let assemble_residual () =
-        eval_residual ?injections c ~x ~time ~gmin ~source_scale ~cap_mode
-          ~mos ~residual
-      in
-      let prepare_jacobian () = stamp_sparse c ws ~gmin ~cap_mode ~mos in
-      (* symbolic analysis runs once per circuit topology: the registry
-         shares it across Newton calls, timesteps and Monte-Carlo
-         samples of structurally identical netlists; every later solve
-         is a cheap numeric refactorisation along the frozen pattern.
-         A frozen pivot gone stale raises Singular and falls back to a
-         fresh factorisation (new pivot order). *)
-      let full_factorise () =
-        match
-          Histogram.time (Lazy.force factorise_hist) (fun () ->
-              Sparse_lu.factorise a)
-        with
-        | exception Sparse_lu.Singular _ -> None
-        | sym, nm ->
-          Telemetry.incr "solver.symbolic";
-          Sparse_lu.store_symbolic a sym;
-          ws.ws_num <- Some nm;
-          Some nm
-      in
-      (* The refactorise counter/histogram updates are batched over the
-         whole Newton call: both sit behind global mutexes, and hitting
-         them per iteration from every pool domain serialises the
-         Monte-Carlo trials that this solver exists to parallelise
-         (ROADMAP item 1).  The counter total is exact; the histogram
-         records one observation per Newton call (the summed
-         refactorisation time of its iterations). *)
-      let refact_n = ref 0 and refact_s = ref 0.0 in
-      let refactorise nm =
-        let t0 = Unix.gettimeofday () in
-        match Sparse_lu.refactorise nm a with
-        | () ->
-          refact_s := !refact_s +. (Unix.gettimeofday () -. t0);
-          incr refact_n;
-          ws.ws_num <- Some nm;
-          Some nm
+      if last_dx < vtol +. (rtol *. Vec.norm_inf x) && max_res < itol && iter > 0
+      then { converged = true; iterations = iter; max_dx = last_dx; max_residual = max_res }
+      else if iter >= max_iter then
+        { converged = false; iterations = iter; max_dx = last_dx; max_residual = max_res }
+      else begin
+        (* stamped only on iterations that solve, so a converged check
+           pays no Jacobian work *)
+        stamp_sparse c ws ~gmin ~cap_mode ~mos;
+        match factor ws.ws_num a with
         | exception Sparse_lu.Singular _ ->
-          Telemetry.incr "solver.refactorise_fallback";
-          full_factorise ()
-      in
-      let solve () =
-        let nm =
-          match ws.ws_num with
-          | Some nm -> refactorise nm
-          | None -> (
-            match Sparse_lu.find_symbolic a with
-            | Some sym -> refactorise (Sparse_lu.create_numeric sym)
-            | None -> full_factorise ())
-        in
-        match nm with
-        | None -> None
-        | Some nm ->
+          { converged = false; iterations = iter; max_dx = last_dx; max_residual = max_res }
+        | nm ->
+          ws.ws_num <- Some nm;
           for i = 0 to n - 1 do
             rhs.(i) <- -.residual.(i)
           done;
           Sparse_lu.solve_into nm ~b:rhs ~x:dx;
-          Some dx
-      in
-      let report =
-        newton_loop ~max_iter ~vtol ~rtol ~itol ~dv_limit ~nb_base ~x ~residual
-          ~assemble_residual ~prepare_jacobian ~solve
-      in
-      if !refact_n > 0 then begin
-        Telemetry.incr "solver.refactorise" ~by:!refact_n;
-        Histogram.observe (Lazy.force refactorise_hist) !refact_s
-      end;
-      report
+          (* damp on node-voltage updates only *)
+          let max_node_dx = ref 0.0 in
+          for i = 0 to nb_base - 1 do
+            max_node_dx := Float.max !max_node_dx (Float.abs dx.(i))
+          done;
+          let alpha = if !max_node_dx > dv_limit then dv_limit /. !max_node_dx else 1.0 in
+          Vec.axpy ~alpha dx x;
+          loop (iter + 1) (alpha *. Float.max !max_node_dx (Vec.norm_inf dx))
+      end
+    in
+    loop 0 infinity
   in
   if Trace.enabled () then
     Trace.span "mna.newton"
-      ~args:
-        [
-          ("solver", (match choice with `Dense -> "dense" | `Sparse -> "sparse"));
-          ("n", string_of_int n);
-        ]
-      run
-  else run ()
+      ~args:[ ("n", string_of_int n) ]
+      (fun () -> with_factoriser run)
+  else with_factoriser run

@@ -104,10 +104,21 @@ val domain_workspace : unit -> workspace
     what the symbolic registry would provide, so results stay
     bit-identical to a fresh workspace. *)
 
-val solver_name : ?solver:Repro_engine.Config.solver_mode -> compiled -> string
-(** ["dense"] or ["sparse"]: the backend {!newton} will pick for this
-    circuit under the given mode (default {!Repro_engine.Config.solver}).
-    [Auto] resolves to sparse at or above a small-n threshold. *)
+val with_factoriser :
+  ((Repro_linalg.Sparse_lu.numeric option ->
+   Repro_linalg.Sparse.t ->
+   Repro_linalg.Sparse_lu.numeric) ->
+  'a) ->
+  'a
+(** [with_factoriser body] runs [body factor].  [factor prev a]
+    returns numeric LU factors of [a] under the one factorisation policy
+    that {!newton} and the AC analysis share: refactorise [prev], or a
+    fresh numeric on the symbolic registry's entry for [a]'s pattern,
+    and fall back to a full factorisation when a frozen pivot has gone
+    stale.  The refactorisations are published when [body] returns, as
+    one [solver.refactorise] increment and one histogram observation of
+    their summed time.
+    @raise Repro_linalg.Sparse_lu.Singular when [a] is singular. *)
 
 type newton_report = {
   converged : bool;
@@ -131,7 +142,6 @@ val newton :
   ?itol:float ->
   ?dv_limit:float ->
   ?injections:(int * float) array ->
-  ?solver:Repro_engine.Config.solver_mode ->
   ?workspace:workspace ->
   compiled ->
   x:Repro_linalg.Vec.t ->
@@ -145,10 +155,9 @@ val newton :
     scaling.  Convergence requires both the update norm below
     [vtol + rtol * |x|] and the KCL residual below [itol].
 
-    [solver] picks the linear kernel (default
-    {!Repro_engine.Config.solver}): the dense LU, or the sparse
-    left-looking LU whose symbolic analysis is computed once per
-    circuit topology and shared through a registry so Newton
+    Each update solves the Jacobian with the sparse left-looking LU
+    under {!with_factoriser}: its symbolic analysis is computed once
+    per circuit topology and shared through a registry, so Newton
     iterations, timesteps and Monte-Carlo samples only pay a numeric
-    refactorisation.  Both kernels share pivot-tolerance semantics, so
-    singularity behaviour is identical. *)
+    refactorisation.  A singular Jacobian ends the iteration
+    unconverged. *)

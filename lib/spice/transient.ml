@@ -21,7 +21,6 @@ type result = {
   rtimes : float array;
   states : float array array; (* per recorded step, full unknown vector *)
   newton_total : int;
-  solver : string;
 }
 
 let times r = r.rtimes
@@ -39,12 +38,11 @@ let source_current_wave r name = wave_of_index r (Mna.branch_index r.compiled na
 
 let final_solution r = r.states.(Array.length r.states - 1)
 let total_newton_iterations r = r.newton_total
-let solver r = r.solver
 
 (* internal control-flow escape for the result-based driver *)
 exception Abort of Solver_error.t
 
-let run_result ?solver ?workspace compiled opts =
+let run_result ?solver:_ ?workspace compiled opts =
   if opts.t_stop <= 0.0 || opts.dt <= 0.0 then
     invalid_arg "Transient.run: t_stop and dt must be positive";
   (* default to the domain's persistent workspace: the DC start and the
@@ -59,7 +57,7 @@ let run_result ?solver ?workspace compiled opts =
   let x =
     if opts.skip_dcop then Vec.create n
     else
-      match Dcop.solve_result ?solver ~workspace compiled with
+      match Dcop.solve_result ~workspace compiled with
       | Ok dc -> Vec.copy dc.Dcop.solution
       | Error e -> raise (Abort e)
   in
@@ -106,7 +104,7 @@ let run_result ?solver ?workspace compiled opts =
       Mna.companion_fill compiled ~use_be ~h:h_try ~v_prev ~i_prev ~geq ~ieq;
       let x_try = Vec.copy x in
       let report =
-        Mna.newton ~max_iter:opts.max_newton ~injections ?solver ~workspace
+        Mna.newton ~max_iter:opts.max_newton ~injections ~workspace
           compiled ~x:x_try
           ~time:(!t +. h_try) ~gmin:1e-12 ~source_scale:1.0
           ~cap_mode:(Mna.Companion { geq; ieq })
@@ -137,15 +135,14 @@ let run_result ?solver ?workspace compiled opts =
     rtimes = Array.of_list (List.rev !rec_times);
     states = Array.of_list (List.rev !rec_states);
     newton_total = !newton_total;
-    solver = Mna.solver_name ?solver compiled;
   }
     end
   with
   | r -> Ok r
   | exception Abort e -> Error e
 
-let run ?solver ?workspace compiled opts =
-  match run_result ?solver ?workspace compiled opts with
+let run ?workspace compiled opts =
+  match run_result ?workspace compiled opts with
   | Ok r -> r
   | Error (Solver_error.Step_underflow { time }) -> raise (Step_failure time)
   | Error (Solver_error.No_convergence { detail; _ }) ->

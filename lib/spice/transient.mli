@@ -35,12 +35,13 @@ val run_result :
     is the primary entry point; {!run} is a thin raising wrapper kept
     for compatibility.  [workspace] defaults to {!Mna.domain_workspace}
     and is shared between the DC start and the stepping loop (a pure
-    performance hint; results are identical either way).
+    performance hint; results are identical either way).  [solver] is
+    ignored: it is kept only because [perfbench/main.ml] passes it, and
+    goes together with {!Repro_engine.Config.solver_mode}.
     @raise Invalid_argument on non-positive [t_stop]/[dt] or an [ic]
     override of ground (programming errors, not solver failures). *)
 
 val run :
-  ?solver:Repro_engine.Config.solver_mode ->
   ?workspace:Mna.workspace ->
   Mna.compiled ->
   options ->
@@ -61,6 +62,3 @@ val source_current_wave : result -> string -> Waveform.t
 val final_solution : result -> Repro_linalg.Vec.t
 
 val total_newton_iterations : result -> int
-
-val solver : result -> string
-(** Linear kernel used for the run's Newton solves ("dense"/"sparse"). *)

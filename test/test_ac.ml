@@ -115,6 +115,28 @@ let test_sweep_shapes () =
     then Alcotest.fail "lowpass magnitude not monotone"
   done
 
+(* every AC point is factorised under the Newton kernel's policy, even
+   on a circuit as small as the RC low-pass (n = 3): one symbolic
+   analysis for the sweep, then one numeric refactorisation per point *)
+let test_sweep_factorisation_counts () =
+  let ac =
+    linearised (C.Topologies.rc_lowpass ~r:1e3 ~c:1e-9 ~vin:(Source.Dc 0.0))
+  in
+  Repro_linalg.Sparse_lu.clear_cache ();
+  let counter = Repro_engine.Telemetry.counter in
+  let delta name base = counter name - base in
+  let sym = counter "solver.symbolic"
+  and refact = counter "solver.refactorise"
+  and fallback = counter "solver.refactorise_fallback" in
+  ignore
+    (S.Ac.logsweep ac ~input:"Vin" ~output:"out" ~f_start:1.0 ~f_stop:1e9
+       ~points:30);
+  Alcotest.(check int) "one symbolic analysis" 1 (delta "solver.symbolic" sym);
+  Alcotest.(check int) "one refactorisation per later point" 29
+    (delta "solver.refactorise" refact);
+  Alcotest.(check int) "no fallback" 0
+    (delta "solver.refactorise_fallback" fallback)
+
 (* ---- OTA ---- *)
 
 let test_ota_characterise () =
@@ -177,6 +199,8 @@ let suite =
     Alcotest.test_case "bode summary" `Quick test_bode_summary_extraction;
     Alcotest.test_case "bode empty" `Quick test_bode_summary_empty;
     Alcotest.test_case "sweep shape" `Quick test_sweep_shapes;
+    Alcotest.test_case "sweep factorisation counts" `Quick
+      test_sweep_factorisation_counts;
     Alcotest.test_case "OTA characterise" `Quick test_ota_characterise;
     Alcotest.test_case "OTA gbw vs Cc" `Quick test_ota_gbw_tracks_cc;
     Alcotest.test_case "OTA power vs ibias" `Quick test_ota_power_tracks_ibias;

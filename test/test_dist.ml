@@ -136,11 +136,12 @@ let test_outcome_rows () =
 
 (* ---- worker routing (handler called directly, no sockets) --------- *)
 
-let request ?(meth = "GET") ?(body = "") target path =
+(* a request for /v1/<path>, the only routes a worker answers *)
+let request ?(meth = "GET") ?(body = "") path =
   {
     S.Http.meth;
-    target;
-    path;
+    target = "/v1/" ^ String.concat "/" path;
+    path = "v1" :: path;
     version = "HTTP/1.1";
     headers = [];
     body;
@@ -154,7 +155,7 @@ let body_json body =
 let test_worker_routing () =
   let cfg = tiny_cfg () in
   let w = D.Worker.create ~version:"test" ~config:cfg () in
-  let status, _, body = D.Worker.handler w (request "/healthz" [ "healthz" ]) in
+  let status, _, body = D.Worker.handler w (request [ "healthz" ]) in
   Alcotest.(check int) "healthz ok" 200 status;
   let j = body_json body in
   check "role" true (S.Json.member "role" j = Some (S.Json.Str "worker"));
@@ -174,7 +175,7 @@ let test_worker_routing () =
          })
   in
   let status, _, _ =
-    D.Worker.handler w (request ~meth:"POST" ~body:bad "/eval" [ "eval" ])
+    D.Worker.handler w (request ~meth:"POST" ~body:bad [ "eval" ])
   in
   Alcotest.(check int) "salt mismatch conflicts" 409 status;
   (* unknown problem -> 404; pll-system without a model too *)
@@ -191,22 +192,27 @@ let test_worker_routing () =
              })
       in
       let status, _, _ =
-        D.Worker.handler w (request ~meth:"POST" ~body "/eval" [ "eval" ])
+        D.Worker.handler w (request ~meth:"POST" ~body [ "eval" ])
       in
       Alcotest.(check int) (name ^ " rejected") 404 status)
     [ "nonsense"; "pll-system" ];
   (* malformed body -> 400 *)
   let status, _, _ =
-    D.Worker.handler w (request ~meth:"POST" ~body:"{" "/eval" [ "eval" ])
+    D.Worker.handler w (request ~meth:"POST" ~body:"{" [ "eval" ])
   in
   Alcotest.(check int) "malformed body" 400 status;
   (* wrong verbs *)
-  let status, _, _ = D.Worker.handler w (request ~meth:"POST" "/healthz" [ "healthz" ]) in
-  Alcotest.(check int) "POST /healthz" 405 status;
-  let status, _, _ = D.Worker.handler w (request "/eval" [ "eval" ]) in
-  Alcotest.(check int) "GET /eval" 405 status;
-  let status, _, _ = D.Worker.handler w (request "/nope" [ "nope" ]) in
-  Alcotest.(check int) "unknown route" 404 status
+  let status, _, _ = D.Worker.handler w (request ~meth:"POST" [ "healthz" ]) in
+  Alcotest.(check int) "POST /v1/healthz" 405 status;
+  let status, _, _ = D.Worker.handler w (request [ "eval" ]) in
+  Alcotest.(check int) "GET /v1/eval" 405 status;
+  let status, _, _ = D.Worker.handler w (request [ "nope" ]) in
+  Alcotest.(check int) "unknown route" 404 status;
+  let status, _, _ =
+    D.Worker.handler w
+      { (request [ "healthz" ]) with target = "/healthz"; path = [ "healthz" ] }
+  in
+  Alcotest.(check int) "unversioned path" 404 status
 
 let test_worker_cache_protocol () =
   let cfg = tiny_cfg () in
@@ -215,28 +221,28 @@ let test_worker_cache_protocol () =
   let id = E.Cache.key_id key in
   let line = E.Cache.entry_to_line key [| 0.0; 3.25 |] in
   (* miss first *)
-  let status, _, _ = D.Worker.handler w (request ("/cache/" ^ id) [ "cache"; id ]) in
+  let status, _, _ = D.Worker.handler w (request [ "cache"; id ]) in
   Alcotest.(check int) "miss is 404" 404 status;
   (* PUT then GET roundtrips the exact line *)
   let status, _, _ =
     D.Worker.handler w
-      (request ~meth:"PUT" ~body:line ("/cache/" ^ id) [ "cache"; id ])
+      (request ~meth:"PUT" ~body:line [ "cache"; id ])
   in
   Alcotest.(check int) "put accepted" 204 status;
   let status, _, got =
-    D.Worker.handler w (request ("/cache/" ^ id) [ "cache"; id ])
+    D.Worker.handler w (request [ "cache"; id ])
   in
   Alcotest.(check int) "hit" 200 status;
   Alcotest.(check string) "line roundtrips" line got;
   (* id / line mismatch and garbage are 400s *)
   let status, _, _ =
     D.Worker.handler w
-      (request ~meth:"PUT" ~body:line "/cache/ffff" [ "cache"; "ffff" ])
+      (request ~meth:"PUT" ~body:line [ "cache"; "ffff" ])
   in
   Alcotest.(check int) "wrong id rejected" 400 status;
   let status, _, _ =
     D.Worker.handler w
-      (request ~meth:"PUT" ~body:"not a line" ("/cache/" ^ id) [ "cache"; id ])
+      (request ~meth:"PUT" ~body:"not a line" [ "cache"; id ])
   in
   Alcotest.(check int) "garbage rejected" 400 status;
   (* bulk warm: n lines, malformed ones skipped *)
@@ -246,7 +252,7 @@ let test_worker_cache_protocol () =
       [ line; E.Cache.entry_to_line key2 [| 1.0 |]; "garbage line" ]
   in
   let status, _, body =
-    D.Worker.handler w (request ~meth:"PUT" ~body:lines "/cache" [ "cache" ])
+    D.Worker.handler w (request ~meth:"PUT" ~body:lines [ "cache" ])
   in
   Alcotest.(check int) "bulk accepted" 200 status;
   check "bulk stored 2" true

@@ -174,6 +174,26 @@ let test_histogram_registry () =
   Alcotest.(check (list string)) "cleared" []
     (List.map fst (Obs.Histogram.all ()))
 
+(* Taken at module initialisation, before any test body runs: the
+   program's hot-path histogram handles must be registered up front,
+   not created lazily by whichever pool domain or dispatch thread gets
+   there first — two forcing one lazy value at once raise
+   CamlinternalLazy.Undefined. *)
+let histograms_at_start = List.map fst (Obs.Histogram.all ())
+
+let test_histogram_handles_at_start () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " registered") true
+        (List.mem name histograms_at_start))
+    [
+      "eval.duration";
+      "pool.queue_wait";
+      "dist.queue_wait";
+      "solver.factorise";
+      "solver.refactorise";
+    ]
+
 let positive_floats =
   QCheck.(list_of_size Gen.(int_range 1 200) (float_range 1e-7 1e4))
 
@@ -415,6 +435,8 @@ let suite =
       test_trace_concurrent_domains;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
     Alcotest.test_case "histogram registry" `Quick test_histogram_registry;
+    Alcotest.test_case "histogram handles exist at start" `Quick
+      test_histogram_handles_at_start;
     QCheck_alcotest.to_alcotest prop_histogram_quantiles_monotone_bounded;
     QCheck_alcotest.to_alcotest prop_histogram_exact_on_equal;
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;

@@ -132,6 +132,28 @@ let test_folded_output () =
     [ "coord/t0;run 2"; "coord/t0;run;work 1" ]
     lines
 
+(* a merged two-process trace: both processes have a tid 0 and their
+   spans overlap, so pairing begin/end events by tid alone would cross
+   them (a 100 µs, b 40 µs) *)
+let test_slowest_merged () =
+  let ev name ph ts pid seq =
+    { Ev.name; ph; ts; pid; tid = 0; seq; args = [] }
+  in
+  let events =
+    [
+      ev "a" 'B' 0.0 1 0;
+      ev "b" 'B' 10.0 2 0;
+      ev "a" 'E' 50.0 1 1;
+      ev "b" 'E' 100.0 2 1;
+    ]
+  in
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "longest first, paired per process"
+    [ ("b", 90.0); ("a", 50.0) ]
+    (List.map
+       (fun (s : Ev.span) -> (s.Ev.name, Ev.dur s))
+       (A.slowest (Ev.spans events)))
+
 (* ---- QCheck: attribution properties ------------------------------- *)
 
 (* self-times telescope: over any forest they sum exactly to the roots'
@@ -440,6 +462,8 @@ let suite =
       test_unbalanced_detects_stray;
     Alcotest.test_case "utilization window" `Quick test_utilization_window;
     Alcotest.test_case "folded stacks" `Quick test_folded_output;
+    Alcotest.test_case "slowest spans of a merged trace" `Quick
+      test_slowest_merged;
     QCheck_alcotest.to_alcotest prop_self_time_telescopes;
     QCheck_alcotest.to_alcotest prop_gc_attribution;
     QCheck_alcotest.to_alcotest prop_merge_preserves_nesting;

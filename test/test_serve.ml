@@ -441,30 +441,17 @@ let test_serve_export () =
   | Ok r -> Alcotest.(check int) "wrong verb is a 405" 405 r.Http.status
   | Error e -> Alcotest.failf "POST export: %s" (S.Client.error_to_string e)
 
-let test_serve_legacy_aliases () =
+let test_serve_unversioned_404 () =
   with_server @@ fun ~loaded:_ _server client ->
-  let counter name =
-    let metrics = check_client (S.Client.get_json client "/v1/metrics") in
-    match Json.member "counters" metrics with
-    | Some c -> (
-      match Json.member name c with Some (Json.Num v) -> v | _ -> 0.0)
-    | _ -> Alcotest.fail "metrics has no counters"
-  in
-  let body path =
+  let status path =
     match S.Client.get client path with
-    | Ok r -> r.Http.resp_body
+    | Ok r -> r.Http.status
     | Error e -> Alcotest.failf "GET %s: %s" path (S.Client.error_to_string e)
   in
-  (* the unversioned alias serves the same bytes as the /v1 route *)
-  Alcotest.(check string) "alias = /v1 bytes" (body "/v1/models")
-    (body "/models");
-  (* legacy hits are counted (for the removal decision); /v1 hits are not *)
-  let c0 = counter "serve.legacy_requests" in
-  ignore (body "/healthz");
-  ignore (body "/models");
-  ignore (body "/v1/healthz");
-  let c1 = counter "serve.legacy_requests" in
-  Alcotest.(check (float 0.0)) "two legacy hits counted" (c0 +. 2.0) c1
+  Alcotest.(check int) "/v1/models" 200 (status "/v1/models");
+  List.iter
+    (fun path -> Alcotest.(check int) path 404 (status path))
+    [ "/healthz"; "/metrics"; "/models"; "/models/default/export" ]
 
 (* the hot-path serialiser must emit byte-for-byte what Json.to_string
    produces for the equivalent tree — the property the bit-identity
@@ -581,7 +568,8 @@ let test_serve_graceful_drain () =
   let body = "{\"kvco\":400000000,\"ivco\":0.003}" in
   (* half a request: the server is now mid-read on a worker *)
   write_all fd
-    (Printf.sprintf "POST /models/default/query HTTP/1.1\r\nContent-Length: %d\r\n"
+    (Printf.sprintf
+       "POST /v1/models/default/query HTTP/1.1\r\nContent-Length: %d\r\n"
        (String.length body));
   Thread.delay 0.1;
   S.Server.stop ~drain_timeout:5. server;
@@ -787,7 +775,8 @@ let suite =
     Alcotest.test_case "serve verify" `Quick test_serve_verify;
     Alcotest.test_case "serve endpoints" `Quick test_serve_endpoints;
     Alcotest.test_case "serve export" `Quick test_serve_export;
-    Alcotest.test_case "serve legacy aliases" `Quick test_serve_legacy_aliases;
+    Alcotest.test_case "unversioned paths answer 404" `Quick
+      test_serve_unversioned_404;
     Alcotest.test_case "serve query fast-path bytes" `Quick
       test_serve_query_fast_path_bytes;
     Alcotest.test_case "serve healthz info" `Quick test_serve_healthz_info;

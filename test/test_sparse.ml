@@ -275,7 +275,7 @@ let test_mc_symbolic_runs_once () =
         (Repro_util.Prng.split prng) net
     in
     let c = Repro_spice.Mna.compile sampled in
-    match Repro_spice.Dcop.solve_result ~solver:Repro_engine.Config.Sparse c with
+    match Repro_spice.Dcop.solve_result c with
     | Ok _ -> ()
     | Error e ->
       Alcotest.failf "dcop failed: %s" (Repro_spice.Solver_error.to_string e)
@@ -289,34 +289,6 @@ let test_mc_symbolic_runs_once () =
     true
     (refact >= solves);
   Sparse_lu.clear_cache ()
-
-(* dcop through the sparse path agrees with the dense path *)
-let test_dcop_sparse_vs_dense () =
-  let net =
-    Repro_circuit.Topologies.ring_vco ~vctl:0.5
-      Repro_circuit.Topologies.vco_default
-  in
-  let c = Repro_spice.Mna.compile net in
-  let dense =
-    match Repro_spice.Dcop.solve_result ~solver:Repro_engine.Config.Dense c with
-    | Ok r -> r
-    | Error e ->
-      Alcotest.failf "dense dcop failed: %s"
-        (Repro_spice.Solver_error.to_string e)
-  in
-  let sparse =
-    match Repro_spice.Dcop.solve_result ~solver:Repro_engine.Config.Sparse c with
-    | Ok r -> r
-    | Error e ->
-      Alcotest.failf "sparse dcop failed: %s"
-        (Repro_spice.Solver_error.to_string e)
-  in
-  Alcotest.(check string) "dense tagged" "dense" dense.Repro_spice.Dcop.solver;
-  Alcotest.(check string) "sparse tagged" "sparse" sparse.Repro_spice.Dcop.solver;
-  Alcotest.(check bool) "operating points agree" true
-    (Vec.max_abs_diff dense.Repro_spice.Dcop.solution
-       sparse.Repro_spice.Dcop.solution
-    < 1e-6)
 
 let suite =
   [
@@ -333,7 +305,6 @@ let suite =
     Alcotest.test_case "symbolic registry" `Quick test_registry_reuse;
     Alcotest.test_case "MC symbolic runs once" `Quick
       test_mc_symbolic_runs_once;
-    Alcotest.test_case "dcop sparse vs dense" `Quick test_dcop_sparse_vs_dense;
     QCheck_alcotest.to_alcotest prop_sparse_vs_dense_random;
     QCheck_alcotest.to_alcotest prop_sparse_vs_dense_mna;
   ]
