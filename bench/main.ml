@@ -11,6 +11,7 @@ module H = Hieropt
 module V = Repro_spice.Vco_measure
 module T = Repro_circuit.Topologies
 module E = Repro_engine
+module Json = Repro_util.Json
 
 let section title =
   let bar = String.make 74 '=' in
@@ -29,7 +30,7 @@ let bench_metrics : (string * string * float) list ref = ref []
 let metric section key value = bench_metrics := (section, key, value) :: !bench_metrics
 
 let write_bench_json path =
-  let module J = Repro_serve.Json in
+  let module J = Repro_util.Json in
   (* recorded newest-first; the file reads in run order *)
   let ms = List.rev !bench_metrics in
   (* fail loudly instead of emitting a file where one leg's numbers
@@ -319,11 +320,11 @@ let serve_bench (result : H.Hierarchy.result) =
      (batched evaluation is compute-bound and would hide the serving
      core's own ceiling behind spline math) *)
   let body =
-    S.Json.to_string
-      (S.Json.Obj
+    Json.to_string
+      (Json.Obj
          [
-           ("kvco", S.Json.Num ((klo +. khi) /. 2.0));
-           ("ivco", S.Json.Num ((ilo +. ihi) /. 2.0));
+           ("kvco", Json.Num ((klo +. khi) /. 2.0));
+           ("ivco", Json.Num ((ilo +. ihi) /. 2.0));
          ])
   in
   let duration = 1.5 and warmup = 0.3 and reps = 3 in

@@ -9,7 +9,7 @@
    renames force a deliberate baseline refresh
    (dune exec bench -- --scale tiny --write-baseline). *)
 
-module Json = Repro_serve.Json
+module Json = Repro_util.Json
 
 type direction =
   | Lower_is_better

@@ -19,6 +19,7 @@
    130 interrupted. *)
 
 open Cmdliner
+module Json = Repro_util.Json
 
 let version = "1.0.0"
 
@@ -904,7 +905,7 @@ let query_cmd =
     | values -> Array.of_list values
     | exception Invalid_argument msg -> die 124 "%s: %s" what msg
   in
-  let print_json j = Fmt.pr "%s@." (Repro_serve.Json.to_string j) in
+  let print_json j = Fmt.pr "%s@." (Json.to_string j) in
   let run model_dir remote points metrics verify wait_ready verbose =
     setup_logging verbose;
     let points =
@@ -951,10 +952,10 @@ let query_cmd =
       if Array.length points > 0 then begin
         let results = check (Repro_serve.Client.query_points client ~model points) in
         print_json
-          (Repro_serve.Json.Obj
+          (Json.Obj
              [
                ( "results",
-                 Repro_serve.Json.Arr
+                 Json.Arr
                    (Array.to_list
                       (Array.map Repro_serve.Api.point_eval_to_json results)) );
              ])
@@ -963,13 +964,10 @@ let query_cmd =
       | Some perf ->
         let params = check (Repro_serve.Client.verify_point client ~model perf) in
         print_json
-          (Repro_serve.Json.Obj
+          (Json.Obj
              [
                ( "params",
-                 Repro_serve.Json.Obj
-                   (List.map
-                      (fun (k, v) -> (k, Repro_serve.Json.Num v))
-                      params) );
+                 Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) params) );
              ])
       | None -> ());
       if metrics then
@@ -984,10 +982,10 @@ let query_cmd =
         (fun table ->
           if Array.length points > 0 then
             print_json
-              (Repro_serve.Json.Obj
+              (Json.Obj
                  [
                    ( "results",
-                     Repro_serve.Json.Arr
+                     Json.Arr
                        (Array.to_list
                           (Array.map Repro_serve.Api.point_eval_to_json
                              (Hieropt.Perf_table.eval_points table points))) );
@@ -995,7 +993,7 @@ let query_cmd =
           match perf with
           | Some perf ->
             print_json
-              (Repro_serve.Json.Obj
+              (Json.Obj
                  [
                    ( "params",
                      Repro_serve.Api.params_to_json
@@ -1101,16 +1099,14 @@ let loadgen_cmd =
       let f =
         if n = 1 then 0.5 else float_of_int i /. float_of_int (n - 1)
       in
-      Repro_serve.Json.Obj
+      Json.Obj
         [
-          ("kvco", Repro_serve.Json.Num (klo +. (f *. (khi -. klo))));
-          ("ivco", Repro_serve.Json.Num (ilo +. (f *. (ihi -. ilo))));
+          ("kvco", Json.Num (klo +. (f *. (khi -. klo))));
+          ("ivco", Json.Num (ilo +. (f *. (ihi -. ilo))));
         ]
     in
     let body =
-      Repro_serve.Json.to_string
-        (Repro_serve.Json.Obj
-           [ ("points", Repro_serve.Json.Arr (List.init n point)) ])
+      Json.to_string (Json.Obj [ ("points", Json.Arr (List.init n point)) ])
     in
     let mode =
       match target_qps with
@@ -1154,80 +1150,9 @@ let loadgen_cmd =
       $ duration_t $ warmup_t $ target_qps_t $ batch_t $ assert_qps_t
       $ assert_p99_t $ allow_errors_t $ verbose_t)
 
-(* ---- trace files ---- *)
-
-let read_file_or_die ~what path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error msg -> die 1 "cannot read %s: %s" what msg
-
-(* decode a --trace export (traceEvents plus the process "meta" header)
-   back into the typed form repro_prof analyses.  Unknown or malformed
-   events are skipped rather than fatal: a trace from a crashed process
-   should still merge and profile. *)
-let load_trace_process path =
-  let module J = Repro_serve.Json in
-  let body = read_file_or_die ~what:("trace " ^ path) path in
-  let j =
-    match J.of_string body with
-    | Ok j -> j
-    | Error msg -> die 1 "trace %s: invalid JSON: %s" path msg
-  in
-  let jstr name j =
-    match J.member name j with Some (J.Str s) -> Some s | _ -> None
-  in
-  let jnum name j =
-    match J.member name j with Some (J.Num x) -> Some x | _ -> None
-  in
-  let meta = J.member "meta" j in
-  let events =
-    match J.member "traceEvents" j with
-    | Some (J.Arr evs) -> evs
-    | _ -> die 1 "trace %s: no traceEvents array" path
-  in
-  (* args come back as strings exactly as the tracer recorded them;
-     counter values were emitted as JSON numbers, so re-render those
-     losslessly *)
-  let arg_string = function
-    | J.Str s -> s
-    | J.Num x -> J.float_repr x
-    | v -> J.to_string v
-  in
-  let event e =
-    match (jstr "name" e, jstr "ph" e) with
-    | Some name, Some ph when String.length ph = 1 ->
-      Some
-        {
-          Repro_prof.Event.name;
-          ph = ph.[0];
-          ts = Option.value ~default:0.0 (jnum "ts" e);
-          pid = int_of_float (Option.value ~default:0.0 (jnum "pid" e));
-          tid = int_of_float (Option.value ~default:0.0 (jnum "tid" e));
-          seq = int_of_float (Option.value ~default:(-1.0) (jnum "seq" e));
-          args =
-            (match J.member "args" e with
-            | Some (J.Obj kvs) ->
-              List.map (fun (k, v) -> (k, arg_string v)) kvs
-            | _ -> []);
-        }
-    | _ -> None
-  in
-  {
-    Repro_prof.Merge.label = Option.bind meta (jstr "label");
-    pid =
-      (match Option.bind meta (jnum "pid") with
-      | Some x -> int_of_float x
-      | None -> 0);
-    epoch = Option.value ~default:0.0 (Option.bind meta (jnum "epoch"));
-    trace = Option.value ~default:"" (Option.bind meta (jstr "trace"));
-    events = List.filter_map event events;
-  }
-
 (* ---- trace ---- *)
+
+let ok_or_die = function Ok x -> x | Error msg -> die 1 "%s" msg
 
 let trace_merge_cmd =
   let out_t =
@@ -1244,7 +1169,8 @@ let trace_merge_cmd =
           ~doc:
             "Validate the merged trace (balanced begin/end events, \
              resolvable propagated parent ids, remote spans contained \
-             in their parents) and exit non-zero on problems.")
+             in their parents, at least one remote span linked to a \
+             coordinator parent) and exit non-zero on problems.")
   in
   let files_t =
     Arg.(
@@ -1258,31 +1184,14 @@ let trace_merge_cmd =
     match files with
     | [] -> assert false (* non_empty *)
     | base_path :: worker_paths ->
-      let base = load_trace_process base_path in
-      let workers = List.map load_trace_process worker_paths in
-      (* every process mints its own file-level id; participation in the
-         coordinator's trace shows up as worker spans tagged with the
-         propagated id.  A worker whose tagged spans all name a
-         different trace heard from some other coordinator — almost
-         certainly the wrong file. *)
+      let load path = ok_or_die (Repro_prof.Merge.load path) in
+      let base = load base_path in
+      let workers = List.map load worker_paths in
       List.iter2
-        (fun path (w : Repro_prof.Merge.process) ->
-          let tags =
-            List.filter_map
-              (fun (e : Repro_prof.Event.t) ->
-                if e.ph = 'B' then Repro_prof.Event.arg "trace" e.args
-                else None)
-              w.events
-          in
-          if
-            base.Repro_prof.Merge.trace <> ""
-            && tags <> []
-            && not (List.mem base.Repro_prof.Merge.trace tags)
-          then
-            Fmt.epr
-              "warning: no span in %s carries the coordinator's trace id \
-               %s — is it from this run? (merging anyway)@."
-              path base.Repro_prof.Merge.trace)
+        (fun path w ->
+          match Repro_prof.Merge.check_trace_id ~base ~path w with
+          | Ok () -> ()
+          | Error msg -> Fmt.epr "warning: %s@." msg)
         worker_paths workers;
       let events, labels = Repro_prof.Merge.merge ~base ~workers in
       let n = Repro_prof.Merge.export ~path:out ~labels events in
@@ -1322,7 +1231,6 @@ let trace_cmd =
 (* ---- report ---- *)
 
 let report_cmd =
-  let module J = Repro_serve.Json in
   let journal_t =
     Arg.(
       value
@@ -1363,309 +1271,9 @@ let report_cmd =
             "Write self-time-weighted folded stacks to FILE, ready for \
              flamegraph.pl (implies $(b,--profile)).")
   in
-  let jstr name j =
-    match J.member name j with Some (J.Str s) -> Some s | _ -> None
-  in
-  let jnum name j =
-    match J.member name j with Some (J.Num x) -> Some x | _ -> None
-  in
-  let read_journal path =
-    let ic =
-      try open_in path
-      with Sys_error msg -> die 1 "cannot read journal: %s" msg
-    in
-    let rec loop acc =
-      match input_line ic with
-      | line -> (
-        match J.of_string line with
-        | Ok j -> loop (j :: acc)
-        | Error _ -> loop acc (* a torn trailing line is not fatal *))
-      | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    in
-    loop []
-  in
-  let report_journal events =
-    (* the journal is append-only across runs: report the newest run *)
-    let run_id =
-      List.fold_left
-        (fun acc j ->
-          if jstr "event" j = Some "run.start" then jstr "run" j else acc)
-        None events
-    in
-    let run_id =
-      match run_id with
-      | Some id -> id
-      | None -> (
-        match List.rev events with
-        | last :: _ -> Option.value ~default:"?" (jstr "run" last)
-        | [] -> die 1 "journal is empty")
-    in
-    let events = List.filter (fun j -> jstr "run" j = Some run_id) events in
-    let of_event name = List.filter (fun j -> jstr "event" j = Some name) events in
-    (match of_event "run.start" with
-    | start :: _ ->
-      Fmt.pr "run %s  (fingerprint %s, %d events)@." run_id
-        (Option.value ~default:"?" (jstr "fingerprint" start))
-        (List.length events)
-    | [] -> Fmt.pr "run %s  (%d events)@." run_id (List.length events));
-    (* per-phase wall-clock breakdown, in completion order *)
-    let phases =
-      List.filter_map
-        (fun j ->
-          match (jstr "phase" j, jnum "seconds" j) with
-          | Some p, Some s -> Some (p, s)
-          | _ -> None)
-        (of_event "phase.finish")
-    in
-    if phases <> [] then begin
-      let total = List.fold_left (fun a (_, s) -> a +. s) 0.0 phases in
-      Fmt.pr "@.phase breakdown:@.";
-      List.iter
-        (fun (p, s) ->
-          Fmt.pr "  %-14s %9.3f s  %5.1f%%@." p s
-            (if total > 0.0 then 100.0 *. s /. total else 0.0))
-        phases;
-      Fmt.pr "  %-14s %9.3f s@." "total" total
-    end;
-    (* generation-by-generation convergence, one table per GA label *)
-    let generations = of_event "ga.generation" in
-    let labels =
-      List.fold_left
-        (fun acc j ->
-          match jstr "label" j with
-          | Some l when not (List.mem l acc) -> acc @ [ l ]
-          | _ -> acc)
-        [] generations
-    in
-    List.iter
-      (fun label ->
-        Fmt.pr "@.%s-level convergence:@." label;
-        Fmt.pr "  %4s  %5s  %12s  %12s@." "gen" "front" "spread" "hypervolume";
-        List.iter
-          (fun j ->
-            if jstr "label" j = Some label then
-              Fmt.pr "  %4.0f  %5.0f  %12.5g  %12.5g@."
-                (Option.value ~default:0.0 (jnum "generation" j))
-                (Option.value ~default:0.0 (jnum "front_size" j))
-                (Option.value ~default:0.0 (jnum "spread" j))
-                (Option.value ~default:0.0 (jnum "hypervolume" j)))
-          generations)
-      labels;
-    let checkpoints = of_event "checkpoint" in
-    if checkpoints <> [] then begin
-      let count a =
-        List.length
-          (List.filter (fun j -> jstr "action" j = Some a) checkpoints)
-      in
-      Fmt.pr "@.checkpoints: %d flushed, %d resumed@." (count "flush")
-        (count "resume")
-    end;
-    let warnings = of_event "warning" in
-    if warnings <> [] then begin
-      Fmt.pr "@.warnings (%d):@." (List.length warnings);
-      List.iter
-        (fun j ->
-          Fmt.pr "  [%s] %s@."
-            (Option.value ~default:"?" (jstr "key" j))
-            (Option.value ~default:"" (jstr "message" j)))
-        warnings
-    end;
-    (* per-label surrogate pre-screen outcomes (one "evals" event per
-       screened GA run) ... *)
-    let evals = of_event "evals" in
-    if evals <> [] then begin
-      Fmt.pr "@.surrogate pre-screen:@.";
-      Fmt.pr "  %-8s %8s %8s %8s@." "label" "avoided" "paid" "ratio";
-      List.iter
-        (fun j ->
-          let avoided = Option.value ~default:0.0 (jnum "avoided" j) in
-          let paid = Option.value ~default:0.0 (jnum "paid" j) in
-          let total = avoided +. paid in
-          Fmt.pr "  %-8s %8.0f %8.0f %7.1f%%@."
-            (Option.value ~default:"?" (jstr "label" j))
-            avoided paid
-            (if total > 0.0 then 100.0 *. avoided /. total else 0.0))
-        evals
-    end;
-    match of_event "run.finish" with
-    | finish :: _ ->
-      let f name = Option.value ~default:0.0 (jnum name finish) in
-      (* ... and the run-wide avoided/cached/simulated split carried on
-         the finish event — one table covering both the surrogate and
-         the eval cache, so the whole evaluation budget is readable in
-         one place *)
-      let avoided = f "eval_avoided" in
-      let hits = f "eval_cache_hits" in
-      let runs = f "eval_runs" in
-      let requested = avoided +. hits +. runs in
-      if requested > 0.0 then begin
-        let pct x =
-          if requested > 0.0 then 100.0 *. x /. requested else 0.0
-        in
-        Fmt.pr "@.evals:@.";
-        Fmt.pr "  %-10s %8.0f@." "requested" requested;
-        Fmt.pr "  %-10s %8.0f  %5.1f%%  (surrogate pre-screen)@." "avoided"
-          avoided (pct avoided);
-        Fmt.pr "  %-10s %8.0f  %5.1f%%  (eval cache)@." "cached" hits
-          (pct hits);
-        Fmt.pr "  %-10s %8.0f  %5.1f%%@." "simulated" runs (pct runs)
-      end;
-      Fmt.pr "@.run finished in %.3f s@." (f "seconds")
-    | [] -> Fmt.pr "@.run did not record a finish event (still running or killed)@."
-  in
-  let report_trace path top =
-    let module Ev = Repro_prof.Event in
-    let events = (load_trace_process path).Repro_prof.Merge.events in
-    let spans = Repro_prof.Analysis.slowest (Ev.spans events) in
-    let unbalanced = Ev.unbalanced events in
-    Fmt.pr "@.slowest spans (%d total%s):@." (List.length spans)
-      (if unbalanced > 0 then
-         Printf.sprintf ", %d unbalanced events" unbalanced
-       else "");
-    Fmt.pr "  %12s  %-24s  %4s  %4s  %12s@." "duration" "span" "pid" "tid"
-      "start";
-    List.iteri
-      (fun i (s : Ev.span) ->
-        if i < top then
-          Fmt.pr "  %9.3f ms  %-24s  %4d  %4d  %9.3f ms@." (Ev.dur s /. 1e3)
-            s.Ev.name s.Ev.pid s.Ev.tid (s.Ev.t0 /. 1e3))
-      spans
-  in
-  let report_profile path top folded =
-    let module A = Repro_prof.Analysis in
-    let module Ev = Repro_prof.Event in
-    let p = load_trace_process path in
-    let events = p.Repro_prof.Merge.events in
-    let roots = Ev.spans events in
-    if roots = [] then die 1 "trace %s contains no spans" path;
-    let unbalanced = Ev.unbalanced events in
-    let t0 = List.fold_left (fun a s -> min a s.Ev.t0) infinity roots in
-    let t1 = List.fold_left (fun a s -> max a s.Ev.t1) neg_infinity roots in
-    (* process names: the meta label for a single-process file, the
-       process_name metadata events for a merged one *)
-    let plabels =
-      let from_meta =
-        match p.Repro_prof.Merge.label with
-        | Some l -> [ (p.Repro_prof.Merge.pid, l) ]
-        | None -> []
-      in
-      List.fold_left
-        (fun acc (e : Ev.t) ->
-          match
-            (e.Ev.ph, e.Ev.name, Repro_prof.Event.arg "name" e.Ev.args)
-          with
-          | 'M', "process_name", Some l when not (List.mem_assoc e.Ev.pid acc)
-            ->
-            (e.Ev.pid, l) :: acc
-          | _ -> acc)
-        from_meta events
-    in
-    let pname pid =
-      match List.assoc_opt pid plabels with
-      | Some l -> l
-      | None -> Printf.sprintf "pid%d" pid
-    in
-    (* The CLI wraps every traced run in a root "run" span, so its
-       duration IS that process's traced wall time; self-times
-       telescope to the root durations, which is how the table accounts
-       for ~100% of it.  In a merged trace every process has a "run"
-       span and workers outlive the coordinator, so prefer the process
-       labelled coordinator as the wall reference. *)
-    let wall =
-      let runs =
-        List.filter (fun (s : Ev.span) -> s.Ev.name = "run") roots
-      in
-      let coord =
-        List.find_opt (fun (s : Ev.span) -> pname s.Ev.pid = "coordinator")
-          runs
-      in
-      match (coord, runs) with
-      | Some s, _ | None, s :: _ -> Ev.dur s
-      | None, [] -> t1 -. t0
-    in
-    let rows = A.self_time roots in
-    let attributed = A.total_self rows in
-    Fmt.pr "@.profile of %s  (%d events, %d spans%s)@." path
-      (List.length events)
-      (List.length (Ev.flatten roots))
-      (if unbalanced > 0 then
-         Printf.sprintf ", %d unbalanced events" unbalanced
-       else "");
-    Fmt.pr
-      "wall %9.3f ms;  %.3f ms (%.1f%%) attributed to %d span names \
-       (concurrent domains can push this past 100%%)@."
-      (wall /. 1e3) (attributed /. 1e3)
-      (if wall > 0.0 then 100.0 *. attributed /. wall else 0.0)
-      (List.length rows);
-    Fmt.pr "@.self-time by span name (top %d of %d):@."
-      (min top (List.length rows))
-      (List.length rows);
-    Fmt.pr "  %-20s %7s %12s %12s %7s@." "span" "count" "total" "self"
-      "self%";
-    List.iteri
-      (fun i (r : A.row) ->
-        if i < top then
-          Fmt.pr "  %-20s %7d %9.3f ms %9.3f ms %6.1f%%@." r.A.name r.A.count
-            (r.A.total_us /. 1e3) (r.A.self_us /. 1e3)
-            (if wall > 0.0 then 100.0 *. r.A.self_us /. wall else 0.0))
-      rows;
-    (* allocation attribution — present when the trace was recorded with
-       GC capture (hieropt --trace always switches it on) *)
-    let gc_rows =
-      List.filter
-        (fun (r : A.row) ->
-          r.A.gc_minor_total > 0.0 || r.A.gc_major_total > 0.0)
-        rows
-      |> List.sort (fun (a : A.row) b ->
-             compare b.A.gc_minor_self a.A.gc_minor_self)
-    in
-    if gc_rows <> [] then begin
-      Fmt.pr "@.allocation by span name (top %d of %d, minor words):@."
-        (min top (List.length gc_rows))
-        (List.length gc_rows);
-      Fmt.pr "  %-20s %12s %12s %10s %10s@." "span" "self" "total"
-        "minor gcs" "major gcs";
-      List.iteri
-        (fun i (r : A.row) ->
-          if i < top then
-            Fmt.pr "  %-20s %12.4g %12.4g %10d %10d@." r.A.name
-              r.A.gc_minor_self r.A.gc_minor_total r.A.gc_minor_cols
-              r.A.gc_major_cols)
-        gc_rows
-    end;
-    let print_utilization ~what ~t0 ~t1 =
-      match A.utilization roots ~t0 ~t1 with
-      | [] -> ()
-      | util ->
-        Fmt.pr "  %-18s" what;
-        List.iter
-          (fun ((pid, tid), f) ->
-            Fmt.pr "  %s/d%d %5.1f%%" (pname pid) tid (100.0 *. f))
-          util;
-        Fmt.pr "@."
-    in
-    Fmt.pr "@.domain utilization (pool busy-time over window):@.";
-    print_utilization ~what:"whole run" ~t0 ~t1;
-    List.iter
-      (fun (s : Ev.span) ->
-        if String.length s.Ev.name > 6 && String.sub s.Ev.name 0 6 = "phase."
-        then print_utilization ~what:s.Ev.name ~t0:s.Ev.t0 ~t1:s.Ev.t1)
-      (Ev.flatten roots);
-    match folded with
-    | None -> ()
-    | Some out ->
-      let oc =
-        try open_out out
-        with Sys_error msg -> die 1 "cannot write %s: %s" out msg
-      in
-      output_string oc (A.folded ~labels:plabels roots);
-      close_out oc;
-      Fmt.pr "@.folded stacks -> %s@." out
-  in
   let run model_dir journal trace top profile folded verbose =
     setup_logging verbose;
+    let ppf = Format.std_formatter in
     let profiling = profile || folded <> None in
     if profiling && trace = None then
       die 1 "--profile needs --trace FILE (a trace recorded with --trace)";
@@ -1676,12 +1284,17 @@ let report_cmd =
         Option.value journal
           ~default:(Filename.concat model_dir Repro_obs.Journal.default_file)
       in
-      report_journal (read_journal journal_path)
+      ok_or_die
+        (Result.bind
+           (Repro_obs.Journal.read journal_path)
+           (Repro_prof.Report.journal ppf))
     end;
     Option.iter
       (fun path ->
-        if profiling then report_profile path top folded
-        else report_trace path top)
+        let p = ok_or_die (Repro_prof.Merge.load path) in
+        if profiling then
+          ok_or_die (Repro_prof.Report.profile ppf ~path ~top ?folded p)
+        else Repro_prof.Report.trace ppf ~top p)
       trace
   in
   let info =

@@ -3,6 +3,7 @@ module Nsga2 = Repro_moo.Nsga2
 module Prng = Repro_util.Prng
 module E = Repro_engine
 module Obs = Repro_obs
+module Json = Repro_util.Json
 
 type scale = {
   vco_population : int;
@@ -242,8 +243,8 @@ let open_journal ?(meta = []) ~fingerprint cfg =
       Obs.Journal.set_current j;
       Obs.Journal.run_start j ~fingerprint
         ([
-           ("seed", Obs.Jfmt.I cfg.seed);
-           ("jobs", Obs.Jfmt.I (E.Config.jobs ()));
+           ("seed", Json.Num (float_of_int cfg.seed));
+           ("jobs", Json.Num (float_of_int (E.Config.jobs ())));
          ]
         @ meta);
       Some j
@@ -264,12 +265,14 @@ let close_journal t0 c0 = function
     let a0, p0, h0, r0 = c0 and a1, p1, h1, r1 = eval_counters () in
     Obs.Journal.run_finish j
       ~seconds:(Unix.gettimeofday () -. t0)
-      [
-        ("eval_avoided", Obs.Jfmt.I (a1 - a0));
-        ("eval_paid", Obs.Jfmt.I (p1 - p0));
-        ("eval_cache_hits", Obs.Jfmt.I (h1 - h0));
-        ("eval_runs", Obs.Jfmt.I (r1 - r0));
-      ];
+      (List.map
+         (fun (k, n) -> (k, Json.Num (float_of_int n)))
+         [
+           ("eval_avoided", a1 - a0);
+           ("eval_paid", p1 - p0);
+           ("eval_cache_hits", h1 - h0);
+           ("eval_runs", r1 - r0);
+         ]);
     Obs.Journal.clear_current ();
     Obs.Journal.close j
 
@@ -351,7 +354,7 @@ type remote = {
 
 let remote_meta = function
   | None -> []
-  | Some r -> [ ("workers", Obs.Jfmt.S (String.concat "," r.topology)) ]
+  | Some r -> [ ("workers", Json.Str (String.concat "," r.topology)) ]
 
 let evaluator_for ?remote cfg cache =
   match remote with

@@ -1,5 +1,5 @@
 module E = Repro_engine
-module Json = Repro_serve.Json
+module Json = Repro_util.Json
 module Http = Repro_serve.Http
 module Client = Repro_serve.Client
 module P = Repro_moo.Problem

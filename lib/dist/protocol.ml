@@ -1,4 +1,4 @@
-module Json = Repro_serve.Json
+module Json = Repro_util.Json
 module Prng = Repro_util.Prng
 module V = Repro_spice.Vco_measure
 

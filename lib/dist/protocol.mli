@@ -1,6 +1,6 @@
 (** Wire format of the distributed evaluation farm.
 
-    All payloads are {!Repro_serve.Json} documents; floats travel in
+    All payloads are {!Repro_util.Json} documents; floats travel in
     the encoder's lossless decimal rendering, so an evaluation computed
     remotely is {e bit-identical} to the same evaluation computed
     locally — the property the whole determinism contract rests on.
@@ -33,13 +33,13 @@ val model_fingerprint : Hieropt.Perf_table.t -> string
     requests: PLL evaluations are only distributed when both ends hold
     the same model. *)
 
-val floats_to_json : float array -> Repro_serve.Json.t
+val floats_to_json : float array -> Repro_util.Json.t
 (** Finite floats as lossless JSON numbers; non-finite values (e.g. the
     [infinity] objectives of an infeasible evaluation) as the strings
     ["inf"] / ["-inf"] / ["nan"]. *)
 
 val floats_of_json :
-  what:string -> Repro_serve.Json.t -> (float array, string) result
+  what:string -> Repro_util.Json.t -> (float array, string) result
 
 type eval_request = {
   problem : string;  (** {!Repro_moo.Problem.t} name, or ["mc"] *)
@@ -49,8 +49,8 @@ type eval_request = {
   points : float array array;  (** decision vectors *)
 }
 
-val eval_request_to_json : eval_request -> Repro_serve.Json.t
-val eval_request_of_json : Repro_serve.Json.t -> (eval_request, string) result
+val eval_request_to_json : eval_request -> Repro_util.Json.t
+val eval_request_of_json : Repro_util.Json.t -> (eval_request, string) result
 
 type mc_request = {
   mc_salt : string;
@@ -59,8 +59,8 @@ type mc_request = {
   streams : Repro_util.Prng.t array;  (** pre-split per-trial streams *)
 }
 
-val mc_request_to_json : mc_request -> Repro_serve.Json.t
-val mc_request_of_json : Repro_serve.Json.t -> (mc_request, string) result
+val mc_request_to_json : mc_request -> Repro_util.Json.t
+val mc_request_of_json : Repro_util.Json.t -> (mc_request, string) result
 
 (** {2 Trace propagation envelope}
 
@@ -75,19 +75,19 @@ val mc_request_of_json : Repro_serve.Json.t -> (mc_request, string) result
 type trace_ctx = { trace : string; parent : int; t_sent : float }
 type trace_echo = { span : int; t_recv : float; t_replied : float }
 
-val with_trace_ctx : trace_ctx option -> Repro_serve.Json.t -> Repro_serve.Json.t
+val with_trace_ctx : trace_ctx option -> Repro_util.Json.t -> Repro_util.Json.t
 (** Attach a ["trace"] object to a request document ([None] = identity). *)
 
-val trace_ctx_of_json : Repro_serve.Json.t -> trace_ctx option
-val with_trace_echo : trace_echo option -> Repro_serve.Json.t -> Repro_serve.Json.t
-val trace_echo_of_json : Repro_serve.Json.t -> trace_echo option
+val trace_ctx_of_json : Repro_util.Json.t -> trace_ctx option
+val with_trace_echo : trace_echo option -> Repro_util.Json.t -> Repro_util.Json.t
+val trace_echo_of_json : Repro_util.Json.t -> trace_echo option
 
-val results_to_json : float array array -> Repro_serve.Json.t
+val results_to_json : float array array -> Repro_util.Json.t
 (** [{"results": [[...], ...]}] — {!Repro_moo.Problem.pack} rows for GA
     shards, {!perf_row_of_outcome} rows for Monte-Carlo shards. *)
 
 val results_of_json :
-  Repro_serve.Json.t -> (float array array, string) result
+  Repro_util.Json.t -> (float array array, string) result
 
 val perf_row_of_outcome :
   (Repro_spice.Vco_measure.performance, string) result -> float array

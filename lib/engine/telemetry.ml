@@ -152,54 +152,6 @@ let snapshot () =
     (List.map (fun (k, v) -> (k, `Counter v)) counters)
     (List.map (fun (k, v) -> (k, `Timer v)) timers)
 
-(* shortest float rendering that parses back to the exact value, so a
-   /metrics consumer can reconstruct timers bit-for-bit *)
-let json_float x =
-  if not (Float.is_finite x) then "null"
-  else
-    let exact fmt =
-      let s = Printf.sprintf fmt x in
-      if float_of_string s = x then Some s else None
-    in
-    match exact "%.15g" with
-    | Some s -> s
-    | None -> (
-      match exact "%.16g" with Some s -> s | None -> Printf.sprintf "%.17g" x)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json_string () =
-  let counters, timers = split_snapshot () in
-  let buf = Buffer.create 256 in
-  let fields render entries =
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.ksprintf (Buffer.add_string buf) "\"%s\":%s" (json_escape k)
-          (render v))
-      entries
-  in
-  Buffer.add_string buf "{\"counters\":{";
-  fields string_of_int counters;
-  Buffer.add_string buf "},\"timers\":{";
-  fields json_float timers;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
-
 let line () =
   let counters, timers = split_snapshot () in
   let parts =

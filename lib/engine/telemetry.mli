@@ -33,15 +33,9 @@ val reset : unit -> unit
 val snapshot : unit -> (string * [ `Counter of int | `Timer of float ]) list
 (** A consistent point-in-time copy of the whole registry, keys sorted
     (counters and timers interleaved by name).  This is the structured
-    export surface — [line], [report] and [to_json_string] are all
-    renderings of it; consumers should branch on the tags rather than
-    scrape the formatted strings. *)
-
-val to_json_string : unit -> string
-(** {!snapshot} as a JSON object
-    [{"counters": {name: int, ...}, "timers": {name: seconds, ...}}].
-    Timer values render with enough digits to parse back to the exact
-    float.  Served by the model server's [GET /metrics]. *)
+    export surface — [line] and [report] are renderings of it, as is
+    the model server's [GET /v1/metrics]; consumers should branch on
+    the tags rather than scrape the formatted strings. *)
 
 val line : unit -> string
 (** One-line ["telemetry: k=v ..."] summary, keys sorted. *)

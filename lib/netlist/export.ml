@@ -4,19 +4,9 @@ module VP = Hieropt.Vco_problem
 module T = Repro_circuit.Topologies
 module V = Repro_spice.Vco_measure
 
-(* shortest decimal representation that round-trips exactly: the .param
-   cards must re-parse to the very floats the table holds *)
-let repr x =
-  let try_fmt fmt =
-    let s = Printf.sprintf fmt x in
-    if float_of_string s = x then Some s else None
-  in
-  match try_fmt "%.15g" with
-  | Some s -> s
-  | None -> (
-    match try_fmt "%.16g" with
-    | Some s -> s
-    | None -> Printf.sprintf "%.17g" x)
+(* floats print with the shortest round-tripping digits: the .param cards
+   must re-parse to the very floats the table holds *)
+let num = Repro_util.Json.shortest
 
 let median_entry table =
   let entries = PT.entries table in
@@ -30,10 +20,10 @@ let header_rows buf ~lead table =
   Array.iter
     (fun (e : VM.entry) ->
       let p = e.VM.design.VP.perf in
-      line "%s %s %s %s %s %s %s %s %s %s" (repr p.V.kvco) (repr p.V.ivco)
-        (repr p.V.jvco) (repr p.V.fmin) (repr p.V.fmax) (repr e.VM.d_kvco)
-        (repr e.VM.d_jvco) (repr e.VM.d_ivco) (repr e.VM.d_fmin)
-        (repr e.VM.d_fmax))
+      line "%s %s %s %s %s %s %s %s %s %s" (num p.V.kvco) (num p.V.ivco)
+        (num p.V.jvco) (num p.V.fmin) (num p.V.fmax) (num e.VM.d_kvco)
+        (num e.VM.d_jvco) (num e.VM.d_ivco) (num e.VM.d_fmin)
+        (num e.VM.d_fmax))
     (PT.entries table)
 
 let spice ?stages ?vdd ?vctl table =
@@ -54,12 +44,12 @@ let spice ?stages ?vdd ?vctl table =
     (((PT.size table - 1) / 2) + 1)
     (PT.size table);
   List.iter
-    (fun (n, v) -> line ".param %s = %s" n (repr v))
+    (fun (n, v) -> line ".param %s = %s" n (num v))
     [ ("wn", p.T.wn); ("ln", p.T.ln); ("wp", p.T.wp); ("lp", p.T.lp);
       ("wcn", p.T.wcn); ("wcp", p.T.wcp); ("lc", p.T.lc) ];
   line ".subckt hieropt_vco vdd vctl s1";
-  line "Vdd vdd 0 DC %s" (repr vdd);
-  line "Vctl vctl 0 DC %s" (repr vctl);
+  line "Vdd vdd 0 DC %s" (num vdd);
+  line "Vctl vctl 0 DC %s" (num vctl);
   line "mbn vbp vctl 0 nmos_012 W={wcn} L={lc}";
   line "mbp vbp vbp vdd pmos_012 W={wcp} L={lc}";
   for i = 1 to stages do
@@ -97,10 +87,10 @@ let verilog_a ?(vctl_lo = V.default_options.V.vctl_lo) table =
   line "  electrical vctl, out;";
   line "  // operating point on the Pareto surface (design variables of";
   line "  // the system-level optimisation)";
-  line "  parameter real kvco = %s from [%s:%s];" (repr mid.V.kvco)
-    (repr kvco_lo) (repr kvco_hi);
-  line "  parameter real ivco = %s from [%s:%s];" (repr mid.V.ivco)
-    (repr ivco_lo) (repr ivco_hi);
+  line "  parameter real kvco = %s from [%s:%s];" (num mid.V.kvco)
+    (num kvco_lo) (num kvco_hi);
+  line "  parameter real ivco = %s from [%s:%s];" (num mid.V.ivco)
+    (num ivco_lo) (num ivco_hi);
   line "";
   line "  real jvco, fmin, fmax, freq;";
   line "  real kvco_var, ivco_var, jvco_var, fmin_var, fmax_var;";
@@ -150,7 +140,7 @@ let verilog_a ?(vctl_lo = V.default_options.V.vctl_lo) table =
   line "    end";
   line "    // behavioural oscillator: frequency follows V(vctl) at the";
   line "    // interpolated gain, clamped to the interpolated band";
-  line "    freq = fmin + kvco * (V(vctl) - %s);" (repr vctl_lo);
+  line "    freq = fmin + kvco * (V(vctl) - %s);" (num vctl_lo);
   line "    if (freq < fmin) freq = fmin;";
   line "    if (freq > fmax) freq = fmax;";
   line "    V(out) <+ sin(2.0 * `M_PI * idt(freq));";

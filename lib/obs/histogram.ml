@@ -113,7 +113,7 @@ let count t =
   Mutex.unlock t.mutex;
   n
 
-(* ---- named registry (the /metrics surface) ----------------------- *)
+(* ---- named registry (the /v1/metrics surface) -------------------- *)
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 let registry_mutex = Mutex.create ()

@@ -9,7 +9,7 @@
     exact when all observations are equal.
 
     Instances are mutex-protected; a global named registry mirrors the
-    Telemetry counter registry and feeds [GET /metrics]. *)
+    Telemetry counter registry and feeds [GET /v1/metrics]. *)
 
 type t
 

@@ -1,3 +1,5 @@
+module Json = Repro_util.Json
+
 let default_file = "run.journal"
 
 type t = {
@@ -30,17 +32,18 @@ let close t =
   (try close_out t.oc with Sys_error _ -> ());
   Mutex.unlock t.mutex
 
+let line ~ts ~run name fields =
+  Json.to_string
+    (Json.Obj
+       (("ts", Json.Num ts) :: ("run", Json.Str run)
+       :: ("event", Json.Str name) :: fields))
+
 (* one line = one event: a single [output_string] of the whole record
    under the journal mutex, flushed immediately so a killed run keeps
    everything it logged *)
 let event t name fields =
   let line =
-    Jfmt.obj
-      (("ts", Jfmt.F (Unix.gettimeofday ()))
-      :: ("run", Jfmt.S t.run_id)
-      :: ("event", Jfmt.S name)
-      :: fields)
-    ^ "\n"
+    line ~ts:(Unix.gettimeofday ()) ~run:t.run_id name fields ^ "\n"
   in
   Mutex.lock t.mutex;
   (try
@@ -48,6 +51,23 @@ let event t name fields =
      flush t.oc
    with Sys_error _ -> ());
   Mutex.unlock t.mutex
+
+(* every line that parses, in file order: a line torn by a killed
+   writer is skipped, not fatal *)
+let read path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error ("cannot read journal: " ^ msg)
+  | ic ->
+    let rec loop acc =
+      match input_line ic with
+      | line -> (
+        match Json.of_string line with
+        | Ok j -> loop (j :: acc)
+        | Error _ -> loop acc)
+      | exception End_of_file -> Ok (List.rev acc)
+      | exception Sys_error msg -> Error ("cannot read journal: " ^ msg)
+    in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> loop [])
 
 (* ---- process-current journal ------------------------------------- *)
 
@@ -59,44 +79,47 @@ let with_current f = match Atomic.get current with None -> () | Some t -> f t
 
 (* ---- typed events ------------------------------------------------- *)
 
+let int n = Json.Num (float_of_int n)
+
 let run_start t ~fingerprint fields =
-  event t "run.start" (("fingerprint", Jfmt.S fingerprint) :: fields)
+  event t "run.start" (("fingerprint", Json.Str fingerprint) :: fields)
 
 let run_finish t ~seconds fields =
-  event t "run.finish" (("seconds", Jfmt.F seconds) :: fields)
+  event t "run.finish" (("seconds", Json.Num seconds) :: fields)
 
 let record_phase_start name =
-  with_current (fun t -> event t "phase.start" [ ("phase", Jfmt.S name) ])
+  with_current (fun t -> event t "phase.start" [ ("phase", Json.Str name) ])
 
 let record_phase_finish name ~seconds =
   with_current (fun t ->
       event t "phase.finish"
-        [ ("phase", Jfmt.S name); ("seconds", Jfmt.F seconds) ])
+        [ ("phase", Json.Str name); ("seconds", Json.Num seconds) ])
 
 let record_ga_generation ~label ~generation ~front_size ~spread ~hypervolume =
   with_current (fun t ->
       event t "ga.generation"
         [
-          ("label", Jfmt.S label);
-          ("generation", Jfmt.I generation);
-          ("front_size", Jfmt.I front_size);
-          ("spread", Jfmt.F spread);
-          ("hypervolume", Jfmt.F hypervolume);
+          ("label", Json.Str label);
+          ("generation", int generation);
+          ("front_size", int front_size);
+          ("spread", Json.Num spread);
+          ("hypervolume", Json.Num hypervolume);
         ])
 
 let record_evals ~label ~avoided ~paid =
   with_current (fun t ->
       event t "evals"
         [
-          ("label", Jfmt.S label);
-          ("avoided", Jfmt.I avoided);
-          ("paid", Jfmt.I paid);
+          ("label", Json.Str label);
+          ("avoided", int avoided);
+          ("paid", int paid);
         ])
 
 let record_checkpoint ~action ~path =
   with_current (fun t ->
-      event t "checkpoint" [ ("action", Jfmt.S action); ("path", Jfmt.S path) ])
+      event t "checkpoint"
+        [ ("action", Json.Str action); ("path", Json.Str path) ])
 
 let record_warning ~key msg =
   with_current (fun t ->
-      event t "warning" [ ("key", Jfmt.S key); ("message", Jfmt.S msg) ])
+      event t "warning" [ ("key", Json.Str key); ("message", Json.Str msg) ])

@@ -27,8 +27,19 @@ val close : t -> unit
 val path : t -> string
 val run_id : t -> string
 
-val event : t -> string -> (string * Jfmt.value) list -> unit
+val event : t -> string -> (string * Repro_util.Json.t) list -> unit
 (** Append one event line with extra fields. *)
+
+val line :
+  ts:float -> run:string -> string -> (string * Repro_util.Json.t) list ->
+  string
+(** [line ~ts ~run name fields] is the event line [event] writes
+    (without its newline): [{"ts":..,"run":..,"event":name, fields...}]. *)
+
+val read : string -> (Repro_util.Json.t list, string) result
+(** Every parseable line of a journal file, in order.  Lines that do not
+    parse (a line torn by a killed run) are skipped; an unreadable file
+    is an [Error]. *)
 
 (** {2 Process-current journal} *)
 
@@ -38,9 +49,11 @@ val active : unit -> bool
 
 (** {2 Typed events} *)
 
-val run_start : t -> fingerprint:string -> (string * Jfmt.value) list -> unit
+val run_start :
+  t -> fingerprint:string -> (string * Repro_util.Json.t) list -> unit
 
-val run_finish : t -> seconds:float -> (string * Jfmt.value) list -> unit
+val run_finish :
+  t -> seconds:float -> (string * Repro_util.Json.t) list -> unit
 (** The extra fields carry run-level summary numbers (e.g. the
     avoided/paid/cached evaluation split) into the finish event, where
     [hieropt report] renders them. *)

@@ -1,3 +1,5 @@
+module Json = Repro_util.Json
+
 type event = {
   name : string;
   ph : char; (* 'B' begin | 'E' end | 'i' instant | 'C' counter *)
@@ -163,74 +165,86 @@ let event_count () =
       acc + n)
     0 (all_sinks ())
 
-let render_event pid e =
-  let fields =
-    [
-      ("name", Jfmt.S e.name);
-      ("cat", Jfmt.S "hieropt");
-      ("ph", Jfmt.S (String.make 1 e.ph));
-      ("ts", Jfmt.F e.ts);
-      ("pid", Jfmt.I pid);
-      ("tid", Jfmt.I e.tid);
-      (* not part of the trace_event spec (viewers ignore it): keeps
-         span identity across export/parse so propagated parent ids
-         stay resolvable in merged traces *)
-      ("seq", Jfmt.I e.seq);
-    ]
-  in
-  (* instants need a scope; "t" = thread-scoped tick mark *)
-  let fields = if e.ph = 'i' then fields @ [ ("s", Jfmt.S "t") ] else fields in
-  match e.args with
-  | [] -> Jfmt.obj fields
-  | args ->
-    (* counter-series values must be JSON numbers for the viewer to
-       draw the track; every other arg is an opaque string *)
-    let arg_value v =
-      if e.ph = 'C' then v
-      else Jfmt.quote v
-    in
-    let rendered =
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Jfmt.quote k ^ ":" ^ arg_value v) args)
-      ^ "}"
-    in
-    let body = Jfmt.obj fields in
-    (* splice the args object in by hand: Jfmt.obj only takes scalars *)
-    String.sub body 0 (String.length body - 1)
-    ^ ",\"args\":" ^ rendered ^ "}"
+let int n = Json.Num (float_of_int n)
 
-let export path =
-  let evs = events () in
-  let pid = Unix.getpid () in
+let event_json ~pid e =
+  (* instants need a scope; "t" = thread-scoped tick mark *)
+  let scope = if e.ph = 'i' then [ ("s", Json.Str "t") ] else [] in
+  (* counter-series values must be JSON numbers for the viewer to draw
+     the track; every other arg is an opaque string *)
+  let arg_value v =
+    if e.ph <> 'C' then Json.Str v
+    else
+      match float_of_string_opt v with
+      | Some x -> Json.Num x
+      | None -> Json.Str v
+  in
+  let args =
+    match e.args with
+    | [] -> []
+    | args ->
+      [ ("args", Json.Obj (List.map (fun (k, v) -> (k, arg_value v)) args)) ]
+  in
+  Json.Obj
+    ([
+       ("name", Json.Str e.name);
+       ("cat", Json.Str "hieropt");
+       ("ph", Json.Str (String.make 1 e.ph));
+       ("ts", Json.Num e.ts);
+       ("pid", int pid);
+       ("tid", int e.tid);
+       (* not part of the trace_event spec (viewers ignore it): keeps
+          span identity across export/parse so propagated parent ids
+          stay resolvable in merged traces *)
+       ("seq", int e.seq);
+     ]
+    @ scope @ args)
+
+let process_name_json ~pid label =
+  Json.Obj
+    [
+      ("name", Json.Str "process_name");
+      ("ph", Json.Str "M");
+      ("pid", int pid);
+      ("tid", int 0);
+      ("args", Json.Obj [ ("name", Json.Str label) ]);
+    ]
+
+let write_chrome path ?meta events =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc "{\"displayTimeUnit\":\"ms\",";
-      (* process metadata for the merge step: which process this is,
-         and where its microsecond clock sits on the wall clock *)
-      output_string oc
-        (Printf.sprintf "\"meta\":{\"pid\":%d,\"epoch\":%s,\"trace\":%s%s},"
-           pid
-           (Jfmt.float_repr (Atomic.get epoch))
-           (Jfmt.quote !trace_id)
-           (match !process_label with
-           | Some l -> ",\"label\":" ^ Jfmt.quote l
-           | None -> ""));
+      Option.iter
+        (fun m -> output_string oc ("\"meta\":" ^ Json.to_string m ^ ","))
+        meta;
       output_string oc "\"traceEvents\":[";
-      (match !process_label with
-      | Some l ->
-        output_string oc
-          (Printf.sprintf
-             "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%s}},"
-             pid (Jfmt.quote l))
-      | None -> ());
-      List.iteri
-        (fun i e ->
+      Seq.iteri
+        (fun i j ->
           if i > 0 then output_char oc ',';
           output_char oc '\n';
-          output_string oc (render_event pid e))
-        evs;
-      output_string oc "\n]}\n");
+          output_string oc (Json.to_string j))
+        events;
+      output_string oc "\n]}\n")
+
+let export path =
+  let evs = events () in
+  let pid = Unix.getpid () in
+  let label = !process_label in
+  (* process metadata for the merge step: which process this is, and
+     where its microsecond clock sits on the wall clock *)
+  let meta =
+    Json.Obj
+      ([
+         ("pid", int pid);
+         ("epoch", Json.Num (Atomic.get epoch));
+         ("trace", Json.Str !trace_id);
+       ]
+      @ Option.fold ~none:[] ~some:(fun l -> [ ("label", Json.Str l) ]) label)
+  in
+  write_chrome path ~meta
+    (Seq.append
+       (Option.to_seq (Option.map (process_name_json ~pid) label))
+       (Seq.map (event_json ~pid) (List.to_seq evs)));
   List.length evs

@@ -71,6 +71,20 @@ val events : unit -> event list
 val event_count : unit -> int
 (** Number of buffered events (tests, report sizing). *)
 
+val event_json : pid:int -> event -> Repro_util.Json.t
+(** One event as a Chrome trace_event object: [name], [cat], [ph], [ts],
+    [pid], [tid], [seq] (span identity for merged traces), ["s":"t"] on
+    instants, and an [args] object when there are args — numbers on
+    counter events, strings otherwise. *)
+
+val process_name_json : pid:int -> string -> Repro_util.Json.t
+(** The Chrome [process_name] metadata event naming [pid]. *)
+
+val write_chrome :
+  string -> ?meta:Repro_util.Json.t -> Repro_util.Json.t Seq.t -> unit
+(** [write_chrome path ?meta events] writes a trace_event JSON document,
+    one event per line, with [meta] as a top-level ["meta"] object. *)
+
 val export : string -> int
 (** Write all buffered events (sequence order) to [path] as a Chrome
     [trace_event] JSON document; returns the event count.  Timestamps

@@ -3,9 +3,8 @@
     This is the analysis-side twin of {!Repro_obs.Trace}: the tracer
     emits flat begin/end/instant/counter events; this module pairs the
     begin/end events back into per-(pid, tid) span trees so self-time,
-    GC attribution and utilization can be computed.  JSON parsing stays
-    out of this library — callers (the CLI) decode trace files into
-    [t] values and hand them over. *)
+    GC attribution and utilization can be computed.  {!Merge.load}
+    decodes a trace file into these values. *)
 
 type t = {
   name : string;

@@ -1,3 +1,5 @@
+module Json = Repro_util.Json
+
 type process = {
   label : string option;
   pid : int;
@@ -5,6 +7,89 @@ type process = {
   trace : string; (* trace id (the coordinator's id propagates) *)
   events : Event.t list;
 }
+
+(* ---- decoding a --trace export ------------------------------------ *)
+
+(* traceEvents plus the process "meta" header, back into the typed form
+   the analyses take.  Unknown or malformed events are skipped rather
+   than fatal: a trace from a crashed process should still merge and
+   profile. *)
+let parse ~path body =
+  let str name j = Result.to_option (Json.get_string name j) in
+  let num name j = Result.to_option (Json.get_float name j) in
+  let int ~default name j =
+    int_of_float (Option.value ~default (num name j))
+  in
+  (* args come back as strings exactly as the tracer recorded them;
+     counter values were emitted as JSON numbers, so re-render those
+     losslessly *)
+  let arg_string = function
+    | Json.Str s -> s
+    | Json.Num x -> Json.float_repr x
+    | v -> Json.to_string v
+  in
+  let event e =
+    match (str "name" e, str "ph" e) with
+    | Some name, Some ph when String.length ph = 1 ->
+      Some
+        {
+          Event.name;
+          ph = ph.[0];
+          ts = Option.value ~default:0.0 (num "ts" e);
+          pid = int ~default:0.0 "pid" e;
+          tid = int ~default:0.0 "tid" e;
+          seq = int ~default:(-1.0) "seq" e;
+          args =
+            (match Json.member "args" e with
+            | Some (Json.Obj kvs) ->
+              List.map (fun (k, v) -> (k, arg_string v)) kvs
+            | _ -> []);
+        }
+    | _ -> None
+  in
+  match Json.of_string body with
+  | Error msg -> Error (Printf.sprintf "trace %s: invalid JSON: %s" path msg)
+  | Ok j -> (
+    match Json.member "traceEvents" j with
+    | Some (Json.Arr evs) ->
+      let meta = Option.value ~default:Json.Null (Json.member "meta" j) in
+      Ok
+        {
+          label = str "label" meta;
+          pid = int ~default:0.0 "pid" meta;
+          epoch = Option.value ~default:0.0 (num "epoch" meta);
+          trace = Option.value ~default:"" (str "trace" meta);
+          events = List.filter_map event evs;
+        }
+    | _ -> Error (Printf.sprintf "trace %s: no traceEvents array" path))
+
+let load path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | body -> parse ~path body
+  | exception Sys_error msg ->
+    Error (Printf.sprintf "cannot read trace %s: %s" path msg)
+
+(* Every process mints its own file-level id; participation in the
+   coordinator's trace shows up as worker spans tagged with the
+   propagated id.  A worker whose tagged spans all name a different
+   trace heard from some other coordinator — almost certainly the wrong
+   file. *)
+let check_trace_id ~base ~path w =
+  let tags =
+    List.filter_map
+      (fun (e : Event.t) ->
+        if e.ph = 'B' then Event.arg "trace" e.args else None)
+      w.events
+  in
+  if base.trace <> "" && tags <> [] && not (List.mem base.trace tags) then
+    Error
+      (Printf.sprintf
+         "no span in %s carries the coordinator's trace id %s — is it from \
+          this run? (merging anyway)"
+         path base.trace)
+  else Ok ()
+
+(* ---- merging ------------------------------------------------------ *)
 
 (* NTP-style offset from one request/response envelope: all four stamps
    are wall-clock seconds; [t_send]/[t_reply_recv] on the local clock,
@@ -65,8 +150,9 @@ let worker_offset ~endpoints w =
 (* Merge worker traces onto the coordinator's timeline.  Workers get
    deterministic fresh pids (base + 1 + index) so same-host pid reuse
    can never collide; their timestamps move by the epoch difference
-   minus the estimated clock offset.  Returns the merged events plus
-   the pid → label table for rendering. *)
+   minus the estimated clock offset.  Every process's own metadata
+   events are dropped — the coordinator's too — because the returned
+   pid → label table names each process exactly once. *)
 let merge ~base ~workers =
   let endpoints = endpoint_offsets base.events in
   let labels =
@@ -74,7 +160,10 @@ let merge ~base ~workers =
   in
   let merged =
     List.concat
-      (List.map (fun (e : Event.t) -> { e with pid = base.pid }) base.events
+      (List.filter_map
+         (fun (e : Event.t) ->
+           if e.ph = 'M' then None else Some { e with pid = base.pid })
+         base.events
       :: List.mapi
            (fun i w ->
              let pid = base.pid + 1 + i in
@@ -96,8 +185,10 @@ let merge ~base ~workers =
 
 (* Sanity checks on a merged trace: balanced begin/ends everywhere, no
    remote span referencing a parent id the coordinator never emitted,
-   and every remote child temporally contained in its parent (within
-   [slack_us], absorbing clock-estimate error). *)
+   every remote child temporally contained in its parent (within
+   [slack_us], absorbing clock-estimate error), and — when there are
+   remote spans at all — at least one of them linked to a coordinator
+   parent, so a run whose trace propagation broke does not pass. *)
 let validate ?(slack_us = 50_000.0) ~coordinator_pid events =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
@@ -109,84 +200,46 @@ let validate ?(slack_us = 50_000.0) ~coordinator_pid events =
     (fun (s : Event.span) ->
       if s.pid = coordinator_pid then Hashtbl.replace coord_spans s.id s)
     all;
+  let remote =
+    List.filter (fun (s : Event.span) -> s.pid <> coordinator_pid) all
+  in
+  let linked (s : Event.span) = Event.arg "parent" s.args <> None in
+  if remote <> [] && not (List.exists linked remote) then
+    err "no worker span carries a coordinator parent id";
   List.iter
     (fun (s : Event.span) ->
-      if s.pid <> coordinator_pid then
-        match Event.arg "parent" s.args with
-        | None -> ()
+      match Event.arg "parent" s.args with
+      | None -> ()
+      | Some p -> (
+        match int_of_string_opt p with
+        | None -> err "span %s: unparseable parent id %S" s.name p
         | Some p -> (
-          match int_of_string_opt p with
-          | None -> err "span %s: unparseable parent id %S" s.name p
-          | Some p -> (
-            match Hashtbl.find_opt coord_spans p with
-            | None -> err "span %s: orphan parent id %d" s.name p
-            | Some parent ->
-              if
-                s.t0 < parent.t0 -. slack_us
-                || s.t1 > parent.t1 +. slack_us
-              then
-                err
-                  "span %s [%.0f,%.0f] escapes parent %s [%.0f,%.0f]"
-                  s.name s.t0 s.t1 parent.name parent.t0 parent.t1)))
-    all;
+          match Hashtbl.find_opt coord_spans p with
+          | None -> err "span %s: orphan parent id %d" s.name p
+          | Some parent ->
+            if s.t0 < parent.t0 -. slack_us || s.t1 > parent.t1 +. slack_us
+            then
+              err "span %s [%.0f,%.0f] escapes parent %s [%.0f,%.0f]" s.name
+                s.t0 s.t1 parent.name parent.t0 parent.t1)))
+    remote;
   List.rev !errors
 
-let render_event (e : Event.t) =
-  let fields =
-    [
-      ("name", Repro_obs.Jfmt.S e.name);
-      ("cat", Repro_obs.Jfmt.S "hieropt");
-      ("ph", Repro_obs.Jfmt.S (String.make 1 e.ph));
-      ("ts", Repro_obs.Jfmt.F e.ts);
-      ("pid", Repro_obs.Jfmt.I e.pid);
-      ("tid", Repro_obs.Jfmt.I e.tid);
-      ("seq", Repro_obs.Jfmt.I e.seq);
-    ]
-  in
-  let fields =
-    if e.ph = 'i' then fields @ [ ("s", Repro_obs.Jfmt.S "t") ] else fields
-  in
-  match e.args with
-  | [] -> Repro_obs.Jfmt.obj fields
-  | args ->
-    let arg_value v = if e.ph = 'C' then v else Repro_obs.Jfmt.quote v in
-    let rendered =
-      "{"
-      ^ String.concat ","
-          (List.map
-             (fun (k, v) -> Repro_obs.Jfmt.quote k ^ ":" ^ arg_value v)
-             args)
-      ^ "}"
-    in
-    let body = Repro_obs.Jfmt.obj fields in
-    String.sub body 0 (String.length body - 1) ^ ",\"args\":" ^ rendered ^ "}"
-
 let export ~path ?(labels = []) events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-      let first = ref true in
-      let emit line =
-        if !first then first := false else output_char oc ',';
-        output_char oc '\n';
-        output_string oc line
-      in
-      List.iter
-        (fun (pid, label) ->
-          emit
-            (Printf.sprintf
-               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%s}}"
-               pid
-               (Repro_obs.Jfmt.quote label)))
-        labels;
-      let sorted =
-        List.sort
-          (fun (a : Event.t) (b : Event.t) ->
-            compare (a.ts, a.pid, a.seq) (b.ts, b.pid, b.seq))
-          events
-      in
-      List.iter (fun e -> emit (render_event e)) sorted;
-      output_string oc "\n]}\n");
+  let sorted =
+    List.sort
+      (fun (a : Event.t) (b : Event.t) ->
+        compare (a.ts, a.pid, a.seq) (b.ts, b.pid, b.seq))
+      events
+  in
+  let line (e : Event.t) =
+    Repro_obs.Trace.event_json ~pid:e.pid
+      { name = e.name; ph = e.ph; ts = e.ts; tid = e.tid; seq = e.seq;
+        args = e.args }
+  in
+  Repro_obs.Trace.write_chrome path
+    (Seq.append
+       (Seq.map
+          (fun (pid, label) -> Repro_obs.Trace.process_name_json ~pid label)
+          (List.to_seq labels))
+       (Seq.map line (List.to_seq sorted)));
   List.length events

@@ -12,7 +12,7 @@ let sanitize name =
 
 let metric name = "hieropt_" ^ sanitize name
 
-let num = Repro_obs.Jfmt.float_repr
+let num = Repro_util.Json.float_repr
 
 let render_parts counters timers hists =
   let buf = Buffer.create 1024 in

@@ -1,3 +1,4 @@
+module Json = Repro_util.Json
 module Telemetry = Repro_engine.Telemetry
 module Histogram = Repro_obs.Histogram
 module Perf_table = Hieropt.Perf_table

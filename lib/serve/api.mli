@@ -39,13 +39,13 @@
 type t
 
 val create : ?version:string -> registry:Registry.t -> unit -> t
-(** [version] is reported by [/healthz] (default ["dev"]); the start
+(** [version] is reported by [/v1/healthz] (default ["dev"]); the start
     time is captured here. *)
 
 val registry : t -> Registry.t
 
-val metrics_json : unit -> Json.t
-(** The [GET /metrics] document (also printed by the CLI's local
+val metrics_json : unit -> Repro_util.Json.t
+(** The [GET /v1/metrics] document (also printed by the CLI's local
     [query --metrics]). *)
 
 val query_param : Http.request -> string -> string option
@@ -59,9 +59,9 @@ val handle : t -> Http.request -> int * (string * string) list * string
 (* wire shape of a model query result — shared by the server, the
    client and the CLI so all three print/parse identically *)
 
-val point_eval_to_json : Hieropt.Perf_table.point_eval -> Json.t
-val point_eval_of_json : Json.t -> (Hieropt.Perf_table.point_eval, string) result
-val params_to_json : Repro_circuit.Topologies.vco_params -> Json.t
+val point_eval_to_json : Hieropt.Perf_table.point_eval -> Repro_util.Json.t
+val point_eval_of_json : Repro_util.Json.t -> (Hieropt.Perf_table.point_eval, string) result
+val params_to_json : Repro_circuit.Topologies.vco_params -> Repro_util.Json.t
 
 val max_batch : int
 (** Upper bound on points per [/query] request (larger batches 400). *)

@@ -1,3 +1,5 @@
+module Json = Repro_util.Json
+
 type t = {
   host : string;
   port : int;

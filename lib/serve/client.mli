@@ -12,7 +12,7 @@
     doubles as the startup-readiness wait against a worker that is
     still binding.
 
-    Because both ends use {!Json}'s lossless float encoding,
+    Because both ends use {!Repro_util.Json}'s lossless float encoding,
     {!query_points} returns floats bit-identical to calling
     {!Hieropt.Perf_table.eval_points} on the served table directly. *)
 
@@ -54,7 +54,7 @@ val put :
     [X-Parent-Span] (the innermost open span) so traced servers can tag
     their handler spans with the caller's context. *)
 
-val get_json : t -> string -> (Json.t, error) result
+val get_json : t -> string -> (Repro_util.Json.t, error) result
 (** GET expecting a 200 with a JSON body. *)
 
 val query_points :

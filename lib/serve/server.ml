@@ -1,3 +1,4 @@
+module Json = Repro_util.Json
 module Telemetry = Repro_engine.Telemetry
 
 type handler = Http.request -> int * (string * string) list * string

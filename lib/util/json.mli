@@ -1,11 +1,12 @@
-(** Minimal hand-rolled JSON, sized for the model server's payloads.
+(** The repository's one JSON codec: model-server payloads, the dist
+    protocol, Chrome traces, the run journal and the bench gate.
 
     The encoder renders every float with the shortest decimal string
     that parses back to the exact same value, so a number that makes a
-    round trip through a request/response is {e bit-identical} on the
-    other side — the property the served-vs-local equivalence guarantee
-    rests on.  Non-finite floats have no JSON representation and encode
-    as [null].
+    round trip through a request/response, a trace or a journal is
+    {e bit-identical} on the other side — the property the
+    served-vs-local equivalence guarantee rests on.  Non-finite floats
+    have no JSON representation and encode as [null].
 
     The decoder is a strict recursive-descent parser over the RFC 8259
     value grammar (objects, arrays, strings with escapes incl.
@@ -23,11 +24,16 @@ type t =
 val to_string : t -> string
 (** Compact (no-whitespace) rendering. *)
 
+val shortest : float -> string
+(** The shortest of 15, 16 or 17 significant digits that
+    [float_of_string] maps back to exactly the input.  Non-finite values
+    print as [Printf] does ([inf], [-inf], [nan]); SPICE export relies
+    on that. *)
+
 val float_repr : float -> string
-(** The lossless float rendering used by the encoder ("%.15g" widened
-    until [float_of_string] returns the exact input; [null] when not
-    finite).  Exposed so CLI output and tests can format floats the
-    same way the wire does. *)
+(** The encoder's float rendering: {!shortest}, or [null] when not
+    finite.  Exposed so other text formats (Prometheus, hand-built
+    responses) print floats the same way the wire does. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. *)

@@ -10,6 +10,7 @@ module P = Repro_moo.Problem
 module Prng = Repro_util.Prng
 module V = Repro_spice.Vco_measure
 module T = Repro_circuit.Topologies
+module Json = Repro_util.Json
 
 let check = Alcotest.(check bool)
 
@@ -60,7 +61,7 @@ let test_stream_codec () =
     (Result.is_error (D.Protocol.stream_of_hex "0:1:2:3:4:5"))
 
 let json_roundtrip j =
-  match S.Json.of_string (S.Json.to_string j) with
+  match Json.of_string (Json.to_string j) with
   | Ok j' -> j'
   | Error msg -> Alcotest.failf "json reparse failed: %s" msg
 
@@ -148,7 +149,7 @@ let request ?(meth = "GET") ?(body = "") path =
   }
 
 let body_json body =
-  match S.Json.of_string body with
+  match Json.of_string body with
   | Ok j -> j
   | Error msg -> Alcotest.failf "response is not JSON: %s" msg
 
@@ -158,14 +159,14 @@ let test_worker_routing () =
   let status, _, body = D.Worker.handler w (request [ "healthz" ]) in
   Alcotest.(check int) "healthz ok" 200 status;
   let j = body_json body in
-  check "role" true (S.Json.member "role" j = Some (S.Json.Str "worker"));
+  check "role" true (Json.member "role" j = Some (Json.Str "worker"));
   check "salt advertised" true
-    (S.Json.member "salt" j = Some (S.Json.Str (D.Worker.salt w)));
+    (Json.member "salt" j = Some (Json.Str (D.Worker.salt w)));
   check "problems advertised" true
     (D.Worker.problems w = [ "vco-sizing" ]);
   (* wrong salt -> 409, not an evaluation *)
   let bad =
-    S.Json.to_string
+    Json.to_string
       (D.Protocol.eval_request_to_json
          {
            D.Protocol.problem = "vco-sizing";
@@ -182,7 +183,7 @@ let test_worker_routing () =
   List.iter
     (fun name ->
       let body =
-        S.Json.to_string
+        Json.to_string
           (D.Protocol.eval_request_to_json
              {
                D.Protocol.problem = name;
@@ -256,7 +257,7 @@ let test_worker_cache_protocol () =
   in
   Alcotest.(check int) "bulk accepted" 200 status;
   check "bulk stored 2" true
-    (S.Json.member "stored" (body_json body) = Some (S.Json.Num 2.0));
+    (Json.member "stored" (body_json body) = Some (Json.Num 2.0));
   check "entries present" true (E.Cache.length (D.Worker.cache w) = 2)
 
 (* ---- loopback farm ------------------------------------------------ *)

@@ -4,7 +4,8 @@
    observed GA run produces bit-identical results to a bare one). *)
 
 module Obs = Repro_obs
-module Json = Repro_serve.Json
+module Json = Repro_util.Json
+module Ev = Repro_prof.Event
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -26,29 +27,11 @@ let with_dir f =
 
 (* ---- trace ---- *)
 
-let json_of_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  match Json.of_string s with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "%s is not valid JSON: %s" path e
-
-let trace_events j =
-  match Json.member "traceEvents" j with
-  | Some (Json.Arr evs) -> evs
-  | _ -> Alcotest.fail "no traceEvents array"
-
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> s
-  | _ -> Alcotest.failf "event missing string field %s" name
-
-let tid_of j =
-  match Json.member "tid" j with
-  | Some (Json.Num v) -> int_of_float v
-  | _ -> Alcotest.fail "event missing numeric tid"
+(* the exported file, decoded the way [trace merge] and [report] read it *)
+let trace_events path =
+  match Repro_prof.Merge.load path with
+  | Ok p -> p.Repro_prof.Merge.events
+  | Error e -> Alcotest.failf "%s does not decode: %s" path e
 
 let test_trace_spans_balance () =
   with_dir @@ fun dir ->
@@ -66,34 +49,15 @@ let test_trace_spans_balance () =
   Alcotest.(check int) "event count" 5 (Obs.Trace.event_count ());
   let path = Filename.concat dir "t.json" in
   Alcotest.(check int) "export count" 5 (Obs.Trace.export path);
-  let evs = trace_events (json_of_file path) in
-  let phases = List.map (str_field "ph") evs in
-  Alcotest.(check (list string)) "phases in sequence order"
-    [ "B"; "i"; "B"; "E"; "E" ] phases;
+  let evs = trace_events path in
+  Alcotest.(check (list char)) "phases in sequence order"
+    [ 'B'; 'i'; 'B'; 'E'; 'E' ]
+    (List.map (fun (e : Ev.t) -> e.ph) evs);
   (* every B has a matching E per tid, even for the raising span *)
-  let depth = Hashtbl.create 4 in
-  List.iter
-    (fun e ->
-      let tid = tid_of e in
-      let d = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
-      match str_field "ph" e with
-      | "B" -> Hashtbl.replace depth tid (d + 1)
-      | "E" ->
-        if d <= 0 then Alcotest.fail "E without B";
-        Hashtbl.replace depth tid (d - 1)
-      | _ -> ())
-    evs;
-  Hashtbl.iter
-    (fun tid d -> if d <> 0 then Alcotest.failf "tid %d unbalanced" tid)
-    depth;
+  Alcotest.(check int) "balanced" 0 (Ev.unbalanced evs);
   (* args survive the export *)
-  let outer = List.hd evs in
-  (match Json.member "args" outer with
-  | Some args -> (
-    match Json.member "k" args with
-    | Some (Json.Str "v") -> ()
-    | _ -> Alcotest.fail "span args lost")
-  | None -> Alcotest.fail "no args object")
+  Alcotest.(check (list (pair string string)))
+    "span args" [ ("k", "v") ] (List.hd evs).args
 
 let test_trace_disabled_passthrough () =
   (* make sure a previous test's buffers are gone, then stay disabled *)
@@ -124,23 +88,8 @@ let test_trace_concurrent_domains () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "t.json" in
   ignore (Obs.Trace.export path);
-  let evs = trace_events (json_of_file path) in
   (* per-tid streams must each be balanced *)
-  let depth = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let tid = tid_of e in
-      let d = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
-      match str_field "ph" e with
-      | "B" -> Hashtbl.replace depth tid (d + 1)
-      | "E" ->
-        if d <= 0 then Alcotest.failf "tid %d: E without B" tid;
-        Hashtbl.replace depth tid (d - 1)
-      | _ -> ())
-    evs;
-  Hashtbl.iter
-    (fun tid d -> if d <> 0 then Alcotest.failf "tid %d unbalanced" tid)
-    depth
+  Alcotest.(check int) "balanced per tid" 0 (Ev.unbalanced (trace_events path))
 
 (* ---- histogram ---- *)
 
@@ -235,7 +184,7 @@ let test_journal_roundtrip () =
   Obs.Journal.set_current j;
   Alcotest.(check bool) "active" true (Obs.Journal.active ());
   Obs.Journal.run_start j ~fingerprint:"fp-1"
-    [ ("seed", Obs.Jfmt.I 42); ("note", Obs.Jfmt.S "x\"y") ];
+    [ ("seed", Json.Num 42.0); ("note", Json.Str "x\"y") ];
   Obs.Journal.record_phase_start "circuit-ga";
   Obs.Journal.record_ga_generation ~label:"circuit-ga" ~generation:1
     ~front_size:7 ~spread:0.25 ~hypervolume:3.5;
@@ -246,20 +195,10 @@ let test_journal_roundtrip () =
   Obs.Journal.clear_current ();
   Alcotest.(check bool) "inactive" false (Obs.Journal.active ());
   Obs.Journal.close j;
-  let ic = open_in (Filename.concat dir "run.journal") in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
   let parsed =
-    List.rev_map
-      (fun line ->
-        match Json.of_string line with
-        | Ok j -> j
-        | Error e -> Alcotest.failf "bad journal line %S: %s" line e)
-      !lines
+    match Obs.Journal.read (Filename.concat dir "run.journal") with
+    | Ok events -> events
+    | Error e -> Alcotest.fail e
   in
   let events =
     List.map
@@ -293,6 +232,102 @@ let test_journal_roundtrip () =
   match (Json.member "key" (nth 5), Json.member "message" (nth 5)) with
   | Some (Json.Str "obs.test.warn"), Some (Json.Str "journal mirror") -> ()
   | _ -> Alcotest.fail "warning mirror payload"
+
+(* Golden journal lines at a fixed timestamp; the live writer must
+   produce the same bytes after its own timestamp. *)
+let test_journal_lines_golden () =
+  let ts = 1700000000.123456 and run = "20261017T062918Z-31528" in
+  let int n = Json.Num (float_of_int n) in
+  let run_start =
+    {|{"ts":1700000000.123456,"run":"20261017T062918Z-31528","event":"run.start","fingerprint":"2c0f21a0","seed":2009,"jobs":2,"workers":"127.0.0.1:9401,127.0.0.1:9402"}|}
+  and generation =
+    {|{"ts":1700000000.123456,"run":"20261017T062918Z-31528","event":"ga.generation","label":"circuit","generation":3,"front_size":12,"spread":0.8144312345678901,"hypervolume":0.038854}|}
+  and run_finish =
+    {|{"ts":1700000000.123456,"run":"20261017T062918Z-31528","event":"run.finish","seconds":22.586123,"eval_avoided":0,"eval_paid":0,"eval_cache_hits":6,"eval_runs":102}|}
+  in
+  let meta =
+    [ ("seed", int 2009); ("jobs", int 2);
+      ("workers", Json.Str "127.0.0.1:9401,127.0.0.1:9402") ]
+  and finish =
+    [ ("eval_avoided", int 0); ("eval_paid", int 0);
+      ("eval_cache_hits", int 6); ("eval_runs", int 102) ]
+  in
+  Alcotest.(check string) "run.start" run_start
+    (Obs.Journal.line ~ts ~run "run.start"
+       (("fingerprint", Json.Str "2c0f21a0") :: meta));
+  Alcotest.(check string) "ga.generation" generation
+    (Obs.Journal.line ~ts ~run "ga.generation"
+       [ ("label", Json.Str "circuit"); ("generation", int 3);
+         ("front_size", int 12); ("spread", Json.Num 0.8144312345678901);
+         ("hypervolume", Json.Num 0.038854) ]);
+  Alcotest.(check string) "run.finish" run_finish
+    (Obs.Journal.line ~ts ~run "run.finish"
+       (("seconds", Json.Num 22.586123) :: finish));
+  (* the typed writers compose the same fields *)
+  with_dir @@ fun dir ->
+  let j = Obs.Journal.create ~run_id:run ~dir () in
+  Obs.Journal.run_start j ~fingerprint:"2c0f21a0" meta;
+  Obs.Journal.set_current j;
+  Obs.Journal.record_ga_generation ~label:"circuit" ~generation:3
+    ~front_size:12 ~spread:0.8144312345678901 ~hypervolume:0.038854;
+  Obs.Journal.clear_current ();
+  Obs.Journal.run_finish j ~seconds:22.586123 finish;
+  Obs.Journal.close j;
+  let after_ts line =
+    let i = String.index line ',' in
+    String.sub line i (String.length line - i)
+  in
+  let written =
+    In_channel.with_open_bin (Obs.Journal.path j) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) "written lines after their timestamps"
+    (List.map after_ts [ run_start; generation; run_finish ])
+    (List.map after_ts written)
+
+(* whatever bytes a journal file holds, reading it is Ok or Error, and
+   the report renders whatever it read: arbitrary bytes, and runs of
+   real, wrongly typed and non-object lines cut at any point *)
+let prop_journal_read_total =
+  let lines =
+    [
+      {|{"ts":1,"run":"r","event":"run.start","fingerprint":"f","seed":2009}|};
+      {|{"ts":2,"run":"r","event":"phase.finish","phase":"yield","seconds":0.5}|};
+      {|{"ts":3,"run":"r","event":"ga.generation","label":"circuit","generation":1,"front_size":4,"spread":0.5,"hypervolume":0.25}|};
+      {|{"ts":4,"run":"r","event":"evals","label":"circuit","avoided":2,"paid":6}|};
+      {|{"ts":5,"run":"r","event":"run.finish","seconds":1,"eval_runs":6}|};
+      {|{"ts":"x","run":7,"event":"run.start","fingerprint":[]}|};
+      {|{"run":"r","event":"phase.finish","phase":3,"seconds":"x"}|};
+      {|{"run":"r","event":"ga.generation","label":null,"generation":"1"}|};
+      {|{"run":"r","event":"checkpoint","action":{}}|};
+      {|[1,2]|};
+      {|"run.start"|};
+    ]
+  in
+  let cut_journal =
+    QCheck.Gen.(
+      map2
+        (fun ls cut ->
+          let s = String.concat "\n" ls in
+          String.sub s 0 (min cut (String.length s)))
+        (list_size (int_bound 8) (oneofl lines))
+        nat)
+  in
+  QCheck.Test.make ~name:"journal read never raises" ~count:200
+    QCheck.(oneof [ string; make ~print:Fun.id cut_journal ])
+    (fun bytes ->
+      with_dir @@ fun dir ->
+      let path = Filename.concat dir "run.journal" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      match Obs.Journal.read path with
+      | Ok events ->
+        ignore
+          (Repro_prof.Report.journal
+             (Format.make_formatter (fun _ _ _ -> ()) ignore)
+             events);
+        true
+      | Error _ -> true)
 
 let test_journal_record_noops_without_current () =
   (* the record_* family must be safe (and silent) with no journal *)
@@ -442,6 +477,8 @@ let suite =
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal no-ops without current" `Quick
       test_journal_record_noops_without_current;
+    Alcotest.test_case "journal lines golden" `Quick test_journal_lines_golden;
+    QCheck_alcotest.to_alcotest prop_journal_read_total;
     Alcotest.test_case "hypervolume exact" `Quick test_hypervolume_exact;
     Alcotest.test_case "hypervolume of_front" `Quick test_hypervolume_of_front;
     QCheck_alcotest.to_alcotest prop_hypervolume_monotone;

@@ -4,7 +4,7 @@
 
 module H = Hieropt
 module S = Repro_serve
-module Json = S.Json
+module Json = Repro_util.Json
 module Http = S.Http
 
 let bits = Int64.bits_of_float
@@ -55,7 +55,7 @@ let test_json_duplicate_key () =
   Alcotest.(check (option string)) "inside array" (Some "xs[1].k")
     (dup "{\"xs\":[{\"k\":1},{\"k\":1,\"k\":2}]}")
 
-let prop_json_float_exact =
+let prop_float_codec_lossless =
   (* the float codec is the bit-identity guarantee: every finite float
      must survive encode/decode with the same bit pattern *)
   QCheck.Test.make ~name:"JSON float codec is lossless" ~count:1000
@@ -756,7 +756,7 @@ let suite =
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json strictness" `Quick test_json_strictness;
     Alcotest.test_case "json duplicate key" `Quick test_json_duplicate_key;
-    QCheck_alcotest.to_alcotest prop_json_float_exact;
+    QCheck_alcotest.to_alcotest prop_float_codec_lossless;
     Alcotest.test_case "http parse request" `Quick test_http_parse_request;
     Alcotest.test_case "http parse errors" `Quick test_http_parse_errors;
     Alcotest.test_case "http connection header" `Quick test_http_connection_header;
