@@ -378,138 +378,6 @@ let serve_bench (result : H.Hierarchy.result) =
   List.iter bench_reactors [ (1, 4); (2, 4); (4, 4) ];
   rm_rf dir
 
-(* loopback distributed-eval farm: dispatch overhead and scaling of a
-   circuit-level GA batch over 1 vs 2 in-process eval-workers, the
-   cache-warming hit ratio, and what losing a worker mid-batch costs *)
-let dist_bench () =
-  let module D = Repro_dist in
-  let module S = Repro_serve in
-  let cfg =
-    H.Hierarchy.make_config ~scale:H.Hierarchy.tiny_scale
-      ~spec:H.Hierarchy.tiny_spec ()
-  in
-  let salt = H.Hierarchy.config_salt cfg in
-  let problem =
-    H.Vco_problem.problem ~measure_options:cfg.H.Hierarchy.measure
-      ~spec:cfg.H.Hierarchy.spec ()
-  in
-  let prng = Repro_util.Prng.create 17 in
-  let points =
-    Array.init 8 (fun _ -> Repro_moo.Problem.random_point problem prng)
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let with_workers n f =
-    let workers =
-      List.init n (fun _ ->
-          let w = D.Worker.create ~config:cfg () in
-          (w, D.Worker.serve ~port:0 w))
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun (_, srv) ->
-            S.Server.stop ~drain_timeout:2. srv;
-            S.Server.wait srv)
-          workers)
-    @@ fun () ->
-    let endpoints =
-      List.map
-        (fun (_, srv) -> Printf.sprintf "127.0.0.1:%d" (S.Server.port srv))
-        workers
-    in
-    match D.Coordinator.create ~salt ~endpoints () with
-    | Error msg -> failwith ("dist bench: " ^ msg)
-    | Ok c -> f c (List.map fst workers) (List.map snd workers)
-  in
-  (* chunk queue-wait (time between a chunk entering the coordinator's
-     work queue and a dispatcher picking it up) separates "waiting for
-     a free worker" from "worker computing" in the scaling numbers *)
-  let queue_wait = Repro_obs.Histogram.get "dist.queue_wait" in
-  let qsnap () =
-    let s = Repro_obs.Histogram.stats queue_wait in
-    (s.Repro_obs.Histogram.count, s.Repro_obs.Histogram.sum)
-  in
-  let qdelta (c0, s0) =
-    let c1, s1 = qsnap () in
-    if c1 > c0 then (s1 -. s0) /. float_of_int (c1 - c0) else 0.0
-  in
-  let local, t_local =
-    timed (fun () -> Repro_moo.Problem.serial_evaluator problem points)
-  in
-  let q_1w = qsnap () in
-  let r1, t_1w =
-    with_workers 1 (fun c _ _ ->
-        timed (fun () -> D.Coordinator.eval_bulk c ~salt problem points))
-  in
-  let qw_1w = qdelta q_1w in
-  let q_2w = qsnap () in
-  let r2, t_2w, qw_2w, t_warm, hit_ratio =
-    with_workers 2 (fun c ws _ ->
-        let r2, t_2w =
-          timed (fun () -> D.Coordinator.eval_bulk c ~salt problem points)
-        in
-        let qw_2w = qdelta q_2w in
-        let hits_before =
-          List.fold_left (fun a w -> a + E.Cache.hits (D.Worker.cache w)) 0 ws
-        in
-        let _, t_warm =
-          timed (fun () -> D.Coordinator.eval_bulk c ~salt problem points)
-        in
-        let warm_hits =
-          List.fold_left (fun a w -> a + E.Cache.hits (D.Worker.cache w)) 0 ws
-          - hits_before
-        in
-        ( r2,
-          t_2w,
-          qw_2w,
-          t_warm,
-          float_of_int warm_hits /. float_of_int (Array.length points) ))
-  in
-  (* one worker is killed a moment into the batch: the wall time of the
-     still-completing dispatch bounds the reassignment cost *)
-  let r_kill, t_kill =
-    with_workers 2 (fun c _ srvs ->
-        let killer =
-          Thread.create
-            (fun srv ->
-              Thread.delay 0.3;
-              S.Server.stop ~drain_timeout:0.5 srv)
-            (List.nth srvs 1)
-        in
-        let r = timed (fun () -> D.Coordinator.eval_bulk c ~salt problem points) in
-        Thread.join killer;
-        r)
-  in
-  let identical (a : Repro_moo.Problem.evaluation array) b = a = b in
-  metric "dist" "eval_local_s" t_local;
-  metric "dist" "eval_1w_s" t_1w;
-  metric "dist" "eval_2w_s" t_2w;
-  metric "dist" "speedup_2v1" (t_1w /. Float.max t_2w 1e-9);
-  metric "dist" "queue_wait_1w_ms" (qw_1w *. 1e3);
-  metric "dist" "queue_wait_2w_ms" (qw_2w *. 1e3);
-  metric "dist" "warm_s" t_warm;
-  metric "dist" "warm_hit_ratio" hit_ratio;
-  metric "dist" "reassign_s" t_kill;
-  Printf.printf
-    "circuit-level batch of %d candidates over loopback eval-workers:\n"
-    (Array.length points);
-  Printf.printf "  local        %7.2f s\n" t_local;
-  Printf.printf "  1 worker     %7.2f s   mean chunk queue-wait %6.1f ms   bit-identical: %b\n"
-    t_1w (qw_1w *. 1e3) (identical local r1);
-  Printf.printf
-    "  2 workers    %7.2f s   mean chunk queue-wait %6.1f ms   speedup %.2fx   bit-identical: %b\n"
-    t_2w (qw_2w *. 1e3)
-    (t_1w /. Float.max t_2w 1e-9)
-    (identical local r2);
-  Printf.printf "  warm re-run  %7.2f s   hit ratio %.2f\n" t_warm hit_ratio;
-  Printf.printf
-    "  1 of 2 workers killed mid-batch: %7.2f s   bit-identical: %b\n" t_kill
-    (identical local r_kill)
-
 (* ------------------------------------------------------------------ *)
 (* moo section: optimiser portfolio + surrogate pre-screen             *)
 (* ------------------------------------------------------------------ *)
@@ -753,9 +621,6 @@ let run_experiments ~scale ~spec () =
   telemetry_line ();
   section "Serve — model server throughput and latency";
   serve_bench result;
-  telemetry_line ();
-  section "Dist — loopback eval-worker farm";
-  dist_bench ();
   telemetry_line ();
   section "Engine — full telemetry";
   print_string (E.Telemetry.report ());

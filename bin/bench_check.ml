@@ -35,12 +35,6 @@ let watched =
     ("serve/p50_ms_r1", Bound 5.0);
     ("serve/p99_ms_r1", Bound 25.0);
     ("serve/p99_ms_r4", Bound 50.0);
-    ("dist/speedup_2v1", Higher_is_better);
-    ("dist/warm_hit_ratio", Higher_is_better);
-    (* absolute ceiling: a mid-batch worker death must never stall the
-       dispatch (retry storms, lost chunks); the wall time itself is
-       dominated by machine-dependent evaluation cost *)
-    ("dist/reassign_s", Bound 30.0);
     ("timings/substrate/mna-assemble_ns", Lower_is_better);
     ("timings/substrate/lu-solve_ns", Lower_is_better);
     (* optimiser portfolio: front quality at a fixed ZDT1 eval budget

@@ -10,7 +10,6 @@
      export        render a saved table model as Verilog-A or SPICE
      serve         serve saved table models over HTTP
      query         query a table model (local dir or running server)
-     worker        run a distributed eval-worker (for flow/system --workers)
      report        summarise a run journal (and optionally a trace)
 
    Exit codes: 0 success; 1 generic failure; 3 circuit solver error;
@@ -419,44 +418,6 @@ let circuit_of_netlist ~measure path =
       }
   end
 
-(* ---- distributed evaluation ---- *)
-
-let workers_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "workers" ] ~docv:"HOST:PORT,..."
-        ~doc:
-          "Distribute evaluation batches over running $(b,hieropt \
-           worker) instances (comma-separated endpoints).  Workers must \
-           be started with the same scale/spec options (checked \
-           via the config salt).  Results are byte-identical to a local \
-           run for any worker count; a worker dying mid-run only costs \
-           re-evaluating its last chunk.")
-
-let remote_of_workers ?model_hash ~cfg workers =
-  match workers with
-  | None -> None
-  | Some spec ->
-    let endpoints =
-      String.split_on_char ',' spec
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-    in
-    if endpoints = [] then None
-    else begin
-      let salt = Hieropt.Hierarchy.config_salt cfg in
-      match
-        Repro_dist.Coordinator.create ?model_hash ~salt ~endpoints ()
-      with
-      | Error msg -> die exit_serve "--workers: %s" msg
-      | Ok c ->
-        if Repro_dist.Coordinator.live_workers c = 0 then
-          Fmt.epr
-            "warning: no eval worker reachable; evaluating locally@.";
-        Some (Repro_dist.Coordinator.remote c)
-    end
-
 let flow_cmd =
   let ablation_t =
     Arg.(
@@ -468,7 +429,7 @@ let flow_cmd =
              comparison.")
   in
   let run seed full scale jobs nominal_only optimiser surrogate netlist
-      model_dir workers checkpoint_every resume interrupt_after trace verbose =
+      model_dir checkpoint_every resume interrupt_after trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
     let scale, spec = resolve_scale full scale in
@@ -488,16 +449,12 @@ let flow_cmd =
         | None -> cfg
         | Some _ as circuit -> make ?circuit ())
     in
-    (* the flow builds its table model mid-run in memory, so only the
-       circuit GA and Monte-Carlo batches distribute; system-level
-       evaluation stays local (no shared model to check against) *)
-    let remote = remote_of_workers ~cfg workers in
     with_lifecycle ~checkpoint_every @@ fun () ->
     with_trace ~label:"coordinator" trace @@ fun () ->
     let result =
       Hieropt.Hierarchy.run
         ~progress:(fun s -> Fmt.pr "[flow] %s@." s)
-        ?remote ?interrupt_after cfg
+        ?interrupt_after cfg
     in
     Fmt.pr "@.%s@." (Hieropt.Experiments.fig7_front result.Hieropt.Hierarchy.front);
     Fmt.pr "%s@." (Hieropt.Experiments.table1 result.Hieropt.Hierarchy.entries);
@@ -524,7 +481,7 @@ let flow_cmd =
   Cmd.v info
     Term.(
       const run $ seed_t $ full_t $ scale_t $ jobs_t $ ablation_t
-      $ optimiser_t $ surrogate_t $ netlist_t $ model_dir_t $ workers_t
+      $ optimiser_t $ surrogate_t $ netlist_t $ model_dir_t
       $ checkpoint_every_t $ resume_t $ interrupt_after_t $ trace_t
       $ verbose_t)
 
@@ -557,7 +514,7 @@ let pll_query_of_remote ~fallback remote =
 
 let system_cmd =
   let run seed full scale jobs optimiser surrogate model_dir remote
-      workers checkpoint_every resume trace verbose =
+      checkpoint_every resume trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
     let model = load_model model_dir in
@@ -567,19 +524,12 @@ let system_cmd =
       Hieropt.Hierarchy.make_config ~seed ~scale ?spec ~optimiser ~surrogate
         ~model_dir ?checkpoint_every ~resume ()
     in
-    (* both ends load the model from disk, so PLL shards distribute to
-       workers started with --model-dir on the same artefacts *)
-    let remote_eval =
-      remote_of_workers
-        ~model_hash:(Repro_dist.Protocol.model_fingerprint model)
-        ~cfg workers
-    in
     with_lifecycle ~checkpoint_every @@ fun () ->
     with_trace ~label:"coordinator" trace @@ fun () ->
     let result =
       Hieropt.Hierarchy.run_system_level
         ~progress:(fun s -> Fmt.pr "[system] %s@." s)
-        ?remote:remote_eval ?pll_query cfg ~model
+        ?pll_query cfg ~model
     in
     Fmt.pr "%s@."
       (Hieropt.Experiments.table2 ?selected:result.Hieropt.Hierarchy.selected
@@ -592,7 +542,7 @@ let system_cmd =
   Cmd.v info
     Term.(
       const run $ seed_t $ full_t $ scale_t $ jobs_t $ optimiser_t
-      $ surrogate_t $ model_dir_t $ remote_t $ workers_t $ checkpoint_every_t
+      $ surrogate_t $ model_dir_t $ remote_t $ checkpoint_every_t
       $ resume_t $ trace_t $ verbose_t)
 
 (* ---- yield ---- *)
@@ -749,119 +699,6 @@ let serve_cmd =
     Term.(
       const run $ model_dir_t $ addr_t $ port_t $ reactors_t $ timeout_t
       $ trace_t $ verbose_t)
-
-(* ---- worker ---- *)
-
-let worker_cmd =
-  let addr_t =
-    Arg.(
-      value
-      & opt string "127.0.0.1"
-      & info [ "addr" ] ~docv:"ADDR" ~doc:"Bind address.")
-  in
-  let port_t =
-    Arg.(
-      value & opt int 8191
-      & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (0 picks a free one).")
-  in
-  let reactors_t =
-    Arg.(
-      value & opt int 2
-      & info [ "reactors" ] ~docv:"N"
-          ~doc:"Reactor domains (event loops) handling connections.")
-  in
-  let timeout_t =
-    Arg.(
-      value & opt float 10.
-      & info [ "request-timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-connection socket read timeout.")
-  in
-  let nominal_only_t =
-    Arg.(
-      value & flag
-      & info [ "nominal-only" ]
-          ~doc:
-            "Match a coordinator running with --nominal-only (the flag \
-             is part of the config salt).")
-  in
-  let worker_model_dir_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "model-dir" ] ~docv:"DIR"
-          ~doc:
-            "Load a saved table model so this worker can also evaluate \
-             system-level (PLL) shards for $(b,hieropt system \
-             --workers) runs over the same model.")
-  in
-  let run full scale jobs nominal_only optimiser surrogate netlist
-      model_dir addr port reactors request_timeout trace verbose =
-    setup_logging verbose;
-    setup_jobs jobs;
-    let scale, spec = resolve_scale full scale in
-    (* the worker's evaluation closures must capture the same ambient
-       configuration as the coordinator's run — the config salt checks
-       exactly the fields that matter (spec, measure, process,
-       variation flag, optimiser/surrogate choice, circuit tag); seed
-       and model_dir do not.  A --netlist deck must match
-       the coordinator's (same deck → same fingerprint tag → same
-       salt); a builtin-equivalent deck canonicalises away exactly as
-       it does in the flow. *)
-    let make ?circuit () =
-      Hieropt.Hierarchy.make_config ~scale ?spec
-        ~use_variation:(not nominal_only) ~optimiser ~surrogate ?circuit ()
-    in
-    let cfg = make () in
-    let cfg =
-      match netlist with
-      | None -> cfg
-      | Some path -> (
-        match
-          circuit_of_netlist ~measure:cfg.Hieropt.Hierarchy.measure path
-        with
-        | None -> cfg
-        | Some _ as circuit -> make ?circuit ())
-    in
-    let model = Option.map load_model model_dir in
-    let worker = Repro_dist.Worker.create ~version ?model ~config:cfg () in
-    with_trace ~label:"worker" trace @@ fun () ->
-    let server =
-      match
-        Repro_dist.Worker.serve ~addr ~port ~reactors ~request_timeout worker
-      with
-      | server -> server
-      | exception Unix.Unix_error (code, _, _) ->
-        die exit_serve "cannot bind %s:%d: %s" addr port
-          (Unix.error_message code)
-      | exception Failure msg -> die exit_serve "cannot start worker: %s" msg
-    in
-    (* the bound port is only known now (--port 0 picks a free one);
-       re-label so trace merge can pair this process with the
-       coordinator's per-endpoint clock offsets *)
-    Repro_obs.Trace.set_process_label
-      (Printf.sprintf "worker:%d" (Repro_serve.Server.port server));
-    Repro_serve.Server.install_signal_handlers server;
-    Fmt.pr "eval worker on http://%s:%d (salt %s, problems: %s, %d jobs)@."
-      addr
-      (Repro_serve.Server.port server)
-      (Repro_dist.Worker.salt worker)
-      (String.concat ", " (Repro_dist.Worker.problems worker))
-      (Repro_engine.Config.jobs ());
-    Repro_serve.Server.wait server;
-    Fmt.pr "%s@." (Repro_engine.Telemetry.line ())
-  in
-  let info =
-    Cmd.info "worker"
-      ~doc:
-        "Run a distributed eval-worker serving batched evaluations to \
-         $(b,hieropt flow --workers) / $(b,hieropt system --workers) \
-         coordinators (SIGTERM drains gracefully)."
-  in
-  Cmd.v info
-    Term.(
-      const run $ full_t $ scale_t $ jobs_t $ nominal_only_t
-      $ optimiser_t $ surrogate_t $ netlist_t $ worker_model_dir_t $ addr_t
-      $ port_t $ reactors_t $ timeout_t $ trace_t $ verbose_t)
 
 (* ---- query ---- *)
 
@@ -1168,16 +1005,20 @@ let trace_merge_cmd =
       & info [ "check" ]
           ~doc:
             "Validate the merged trace (balanced begin/end events, \
-             resolvable propagated parent ids, remote spans contained \
-             in their parents, at least one remote span linked to a \
-             coordinator parent) and exit non-zero on problems.")
+             resolvable propagated parent ids, server spans contained \
+             in the caller spans that issued them, at least one server \
+             span linked to a caller span) and exit non-zero on \
+             problems.")
   in
   let files_t =
     Arg.(
       non_empty
       & pos_all string []
       & info [] ~docv:"TRACE"
-          ~doc:"Coordinator trace first, then one file per worker.")
+          ~doc:
+            "The calling process's trace first (e.g. $(b,system \
+             --remote)), then one file per server it called (e.g. \
+             $(b,serve)).")
   in
   let run out check files verbose =
     setup_logging verbose;
@@ -1215,10 +1056,11 @@ let trace_merge_cmd =
   let info =
     Cmd.info "merge"
       ~doc:
-        "Assemble per-process --trace files from a distributed run into \
-         one Chrome trace on the coordinator's timeline, correcting \
-         worker clocks with the per-endpoint offsets estimated from the \
-         request/response envelopes."
+        "Assemble per-process --trace files (e.g. a $(b,system --remote) \
+         run and the $(b,serve) process it queried) into one Chrome \
+         trace on the first process's timeline, shifting each other \
+         process by the difference of the wall-clock epochs recorded in \
+         the traces."
   in
   Cmd.v info Term.(const run $ out_t $ check_t $ files_t $ verbose_t)
 
@@ -1327,7 +1169,6 @@ let main_cmd =
       serve_cmd;
       query_cmd;
       loadgen_cmd;
-      worker_cmd;
       trace_cmd;
       report_cmd;
     ]

@@ -234,7 +234,7 @@ let timed_phase name f =
 (* The journal is diagnostic output riding alongside the model
    artefacts, so it lives in [model_dir] and an IO failure only costs
    the journal, never the run. *)
-let open_journal ?(meta = []) ~fingerprint cfg =
+let open_journal ~fingerprint cfg =
   match cfg.model_dir with
   | None -> None
   | Some dir -> (
@@ -242,11 +242,10 @@ let open_journal ?(meta = []) ~fingerprint cfg =
       let j = Obs.Journal.create ~dir () in
       Obs.Journal.set_current j;
       Obs.Journal.run_start j ~fingerprint
-        ([
-           ("seed", Json.Num (float_of_int cfg.seed));
-           ("jobs", Json.Num (float_of_int (E.Config.jobs ())));
-         ]
-        @ meta);
+        [
+          ("seed", Json.Num (float_of_int cfg.seed));
+          ("jobs", Json.Num (float_of_int (E.Config.jobs ())));
+        ];
       Some j
     with Sys_error _ | Unix.Unix_error _ -> None)
 
@@ -338,37 +337,12 @@ let optimiser_label cfg =
   | other -> other)
   ^ if cfg.surrogate then "+surrogate" else ""
 
-(* ---- remote (distributed) evaluation hooks ----------------------- *)
-
-(* The flow stays ignorant of HTTP: a coordinator (lib/dist) injects
-   its evaluator and Monte-Carlo bulk hook here, pre-bound to the run's
-   cache salt so remote and local runs share one persisted cache
-   keyspace.  [topology] is journal metadata only — like the worker
-   count, it must never influence results. *)
-type remote = {
-  topology : string list;  (** worker endpoints, for the run journal *)
-  remote_evaluator :
-    salt:string -> cache:E.Cache.t -> Repro_moo.Problem.evaluator;
-  remote_mc : salt:string -> Variation_model.mc_bulk;
-}
-
-let remote_meta = function
-  | None -> []
-  | Some r -> [ ("workers", Json.Str (String.concat "," r.topology)) ]
-
-let evaluator_for ?remote cfg cache =
-  match remote with
-  | None -> evaluator_of cfg cache
-  | Some r -> r.remote_evaluator ~salt:(config_salt cfg) ~cache
-
-let mc_bulk_for ?remote cfg =
-  Option.map (fun r -> r.remote_mc ~salt:(config_salt cfg)) remote
-
 (* ---- circuit front end -------------------------------------------- *)
 
-(* the two construction seams every consumer (flow, verification,
-   eval-workers) must share: with [circuit = None] both are exactly the
-   built-in paths, so built-in artefacts stay byte-identical *)
+(* the two construction seams of the circuit front end — the problem the
+   circuit GA runs and the netlist measured at a sizing: with
+   [circuit = None] both are exactly the built-in paths, so built-in
+   artefacts stay byte-identical *)
 let circuit_problem cfg =
   match cfg.circuit with
   | None -> Vco_problem.problem ~measure_options:cfg.measure ~spec:cfg.spec ()
@@ -661,7 +635,7 @@ let run_system_level_inner ?(progress = fun _ -> ()) ?evaluator ?ck
   { front; entries; model; rows; selected; verification; yield;
     pll_config = pll_cfg }
 
-let run_system_level ?(progress = fun _ -> ()) ?remote ?pll_query cfg ~model =
+let run_system_level ?(progress = fun _ -> ()) ?pll_query cfg ~model =
   let t_run = Unix.gettimeofday () in
   let c_run = eval_counters () in
   let cache = load_cache cfg in
@@ -674,15 +648,12 @@ let run_system_level ?(progress = fun _ -> ()) ?remote ?pll_query cfg ~model =
     Printf.sprintf "-%08x"
       (Hashtbl.hash_param 1000 1000 (Perf_table.entries model))
   in
-  let journal =
-    open_journal ~meta:(remote_meta remote)
-      ~fingerprint:(fingerprint ~extra cfg) cfg
-  in
+  let journal = open_journal ~fingerprint:(fingerprint ~extra cfg) cfg in
   let ck = setup_checkpoint ~extra ~file:"system.snapshot" cfg progress in
   let finish () =
     let result =
       run_system_level_inner ~progress
-        ~evaluator:(evaluator_for ?remote cfg cache) ?ck ?pll_query cfg ~model
+        ~evaluator:(evaluator_of cfg cache) ?ck ?pll_query cfg ~model
         ~front:
           (Array.map
              (fun e -> e.Variation_model.design)
@@ -700,24 +671,17 @@ let run_system_level ?(progress = fun _ -> ()) ?remote ?pll_query cfg ~model =
         save_cache cfg cache progress;
         raise e)
 
-let run ?(progress = fun _ -> ()) ?remote ?interrupt_after cfg =
+let run ?(progress = fun _ -> ()) ?interrupt_after cfg =
   let t_run = Unix.gettimeofday () in
   let c_run = eval_counters () in
   let scale = cfg.scale in
   let cache = load_cache cfg in
-  let evaluator = evaluator_for ?remote cfg cache in
-  let journal =
-    open_journal ~meta:(remote_meta remote) ~fingerprint:(fingerprint cfg) cfg
-  in
+  let evaluator = evaluator_of cfg cache in
+  let journal = open_journal ~fingerprint:(fingerprint cfg) cfg in
   let ck = setup_checkpoint ~file:"run.snapshot" cfg progress in
   let snap = snapshot_of ck in
   say progress "engine: %d worker(s), %s" (E.Config.jobs ())
     (E.Cache.stats_line cache);
-  (match remote with
-  | Some r when r.topology <> [] ->
-    say progress "engine: remote eval workers: %s"
-      (String.concat ", " r.topology)
-  | _ -> ());
   let body () =
     (* step 1: circuit-level MOO *)
     let front =
@@ -811,7 +775,6 @@ let run ?(progress = fun _ -> ()) ?remote ?interrupt_after cfg =
                 process = cfg.process;
                 measure = cfg.measure;
               }
-            ?mc_bulk:(mc_bulk_for ?remote cfg)
             ?builder:(circuit_builder cfg)
             ~progress:(fun i n ->
               say progress "variation model: design %d/%d" (i + 1) n)

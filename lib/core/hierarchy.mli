@@ -64,13 +64,13 @@ val scale_of_env : unit -> scale
     any netlist factory over the same 7-float sizing vector — in
     practice an elaborated [.sp] template from [repro_netlist] — while
     keeping every downstream phase (measurement, Monte-Carlo,
-    verification, distributed evaluation) unchanged. *)
+    verification) unchanged. *)
 
 type circuit = {
   tag : string;
       (** content fingerprint of the template; the only part of the
-          record entering {!config_salt} and snapshot fingerprints (the
-          closure is never hashed).  Must be non-empty. *)
+          record entering the eval-cache salt and snapshot fingerprints
+          (the closure is never hashed).  Must be non-empty. *)
   bounds : (float * float) array;
       (** design box of the 7 ranged parameters, declaration order *)
   build : Repro_circuit.Topologies.vco_params -> Repro_circuit.Netlist.t;
@@ -131,33 +131,6 @@ val make_config :
 exception Degenerate_front of { stage : string; found : int; minimum : int }
 (** The named Pareto front has too few designs to build a model from. *)
 
-val config_salt : config -> string
-(** Fingerprint of the configuration captured by the objective closures
-    (spec, measurement, process, variation flag, circuit tag, optimiser
-    and surrogate choice) — the eval-cache keyspace salt.  A remote
-    eval-worker must be started from a config with the same salt to
-    serve a run; the distributed protocol carries it on every request
-    so mismatched set-ups are rejected instead of silently poisoning
-    caches. *)
-
-(** {2 Distributed evaluation}
-
-    The flow itself never speaks HTTP; a coordinator (the [repro_dist]
-    library) injects remote evaluation through this record.  Every hook
-    must be bit-identical to its local counterpart — worker topology,
-    like the [-j] worker count, can never influence artefacts. *)
-
-type remote = {
-  topology : string list;
-      (** worker endpoints, recorded as run-journal metadata *)
-  remote_evaluator :
-    salt:string -> cache:Repro_engine.Cache.t -> Repro_moo.Problem.evaluator;
-      (** GA population evaluator; [salt] is {!config_salt}, [cache] the
-          run's persisted eval cache (consulted before dispatch) *)
-  remote_mc : salt:string -> Variation_model.mc_bulk;
-      (** Monte-Carlo sample-batch evaluator for the variation phase *)
-}
-
 (** {2 Observability}
 
     When [model_dir] is set, a run appends structured events to
@@ -211,7 +184,6 @@ type result = {
 
 val run :
   ?progress:(string -> unit) ->
-  ?remote:remote ->
   ?interrupt_after:phase ->
   config ->
   result
@@ -223,11 +195,6 @@ val run :
     [.tbl] artefacts.  Results are bit-identical for any worker count
     and with a cold or warm cache.  Engine telemetry is emitted through
     [progress].
-
-    [remote] routes GA evaluation batches and Monte-Carlo sample
-    batches through a distributed coordinator (see {!remote}); because
-    every hook is bit-identical to its local counterpart, artefacts —
-    and snapshot compatibility — are unchanged for any topology.
 
     [interrupt_after] is a testing hook: flush the snapshot and raise
     {!Repro_engine.Checkpoint.Interrupted} once the given phase
@@ -242,7 +209,6 @@ val run :
 
 val run_system_level :
   ?progress:(string -> unit) ->
-  ?remote:remote ->
   ?pll_query:Pll_problem.model_query ->
   config ->
   model:Perf_table.t ->
@@ -267,9 +233,7 @@ val verify_design :
 val circuit_problem : config -> Repro_moo.Problem.t
 (** The circuit-level optimisation problem the flow runs: the built-in
     {!Vco_problem.problem} with [circuit = None], otherwise the same
-    problem with the circuit's builder and bounds.  Exposed so a
-    distributed eval-worker builds the {e same} problem (hence
-    bit-identical evaluations) from its own copy of the config. *)
+    problem with the circuit's builder and bounds. *)
 
 val circuit_netlist :
   config ->
@@ -277,14 +241,4 @@ val circuit_netlist :
   Repro_circuit.Netlist.t
 (** The netlist the flow measures at a sizing: built-in ring VCO (at
     the config's measurement stage count / supplies) or the custom
-    circuit's build — the Monte-Carlo seam eval-workers must match. *)
-
-val pll_config_of :
-  ?pll_query:Pll_problem.model_query ->
-  config ->
-  Perf_table.t ->
-  Pll_problem.config
-(** The system-level problem configuration {!run_system_level} derives
-    from a flow config and a model.  Exposed so a distributed
-    eval-worker can build the {e same} PLL problem (hence bit-identical
-    evaluations) from its own copy of the config and model. *)
+    circuit's build. *)

@@ -57,13 +57,7 @@ let perf_codec =
           });
   }
 
-type mc_bulk =
-  params:float array ->
-  local:(Repro_util.Prng.t array -> (V.performance, string) result array) ->
-  Repro_util.Prng.t array ->
-  (V.performance, string) result array
-
-let analyse_design ?(options = default_options) ?mc_bulk ?builder ?checkpoint
+let analyse_design ?(options = default_options) ?builder ?checkpoint
     ~prng (design : Vco_problem.sized_design) =
   let net =
     match builder with
@@ -80,25 +74,8 @@ let analyse_design ?(options = default_options) ?mc_bulk ?builder ?checkpoint
   let checkpoint =
     Option.map (fun (ck, key) -> (ck, key, perf_codec)) checkpoint
   in
-  (* the distributed-farm hook: hand the pre-split streams (plus the
-     7-float parameter vector a remote worker needs to rebuild [net])
-     to the caller, together with a [local] evaluator it can fall back
-     on — the local closure owns net/spec/measure so the seam never
-     leaks circuit types into the coordinator *)
-  let bulk =
-    Option.map
-      (fun (mb : mc_bulk) ->
-        let local streams =
-          Repro_engine.Parmap.map
-            (fun s -> trial (Repro_circuit.Process.sample options.process s net))
-            streams
-        in
-        mb ~params:(T.vco_vector_of_params design.Vco_problem.params) ~local)
-      mc_bulk
-  in
   let mc =
-    Mc.run ~spec:options.process ?checkpoint ?bulk ~n:options.samples ~prng net
-      trial
+    Mc.run ~spec:options.process ?checkpoint ~n:options.samples ~prng net trial
   in
   let n_ok = Array.length mc.Mc.samples in
   let spread get =
@@ -143,7 +120,7 @@ let entry_of_row row =
         })
       (Vco_problem.design_of_vector (Array.sub row 0 12))
 
-let analyse_front ?options ?mc_bulk ?builder ?progress ?(already = [||])
+let analyse_front ?options ?builder ?progress ?(already = [||])
     ?on_entry ?checkpoint ~prng designs =
   let n = Array.length designs in
   let k = min (Array.length already) n in
@@ -159,7 +136,7 @@ let analyse_front ?options ?mc_bulk ?builder ?progress ?(already = [||])
         Option.map (fun ck -> (ck, "mc." ^ string_of_int i)) checkpoint
       in
       let e =
-        analyse_design ?options ?mc_bulk ?builder ?checkpoint:design_ck
+        analyse_design ?options ?builder ?checkpoint:design_ck
           ~prng:prng_i designs.(i)
       in
       out.(i) <- Some e;

@@ -23,24 +23,8 @@ type options = {
 
 val default_options : options
 
-type mc_bulk =
-  params:float array ->
-  local:
-    (Repro_util.Prng.t array ->
-    (Repro_spice.Vco_measure.performance, string) result array) ->
-  Repro_util.Prng.t array ->
-  (Repro_spice.Vco_measure.performance, string) result array
-(** The distributed Monte-Carlo hook: a bulk evaluator over the
-    pre-split per-trial PRNG streams.  [params] is the 7-float
-    {!Repro_circuit.Topologies.vco_params} vector a remote worker needs
-    to rebuild the netlist; [local] evaluates streams in-process (the
-    fallback when no worker can take the batch).  Implementations must
-    return one outcome per stream, in order, bit-identical to [local] —
-    determinism of the whole run rests on this contract. *)
-
 val analyse_design :
   ?options:options ->
-  ?mc_bulk:mc_bulk ->
   ?builder:(Repro_circuit.Topologies.vco_params -> Repro_circuit.Netlist.t) ->
   ?checkpoint:Repro_engine.Checkpoint.t * string ->
   prng:Repro_util.Prng.t ->
@@ -53,13 +37,10 @@ val analyse_design :
     are counted but excluded from the spread statistics; when fewer than
     3 trials survive the spreads fall back to 0.  [checkpoint:(ck, key)]
     persists/restores the completed Monte-Carlo sample prefix under
-    [key] (see {!Repro_spice.Monte_carlo.run}).  [mc_bulk] routes the
-    sample batch through a caller-supplied evaluator (the eval-worker
-    farm) instead of the local pool. *)
+    [key] (see {!Repro_spice.Monte_carlo.run}). *)
 
 val analyse_front :
   ?options:options ->
-  ?mc_bulk:mc_bulk ->
   ?builder:(Repro_circuit.Topologies.vco_params -> Repro_circuit.Netlist.t) ->
   ?progress:(int -> int -> unit) ->
   ?already:entry array ->

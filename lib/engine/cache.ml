@@ -31,7 +31,6 @@ let key ?(sample = no_sample) ~kind x =
 
 let key_kind k = k.kind
 let key_sample k = if k.sample = no_sample then None else Some k.sample
-let key_id k = Printf.sprintf "%016x" k.h
 
 module Tbl = Hashtbl.Make (struct
   type t = key
@@ -139,20 +138,25 @@ let entry_to_line k v =
   Printf.sprintf "%s\t%d\t%s\t%s" k.kind k.sample bits vals
 
 let save t path =
+  let tmp = path ^ ".tmp" in
   locked t (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (magic ^ "\n");
-          Queue.iter
-            (fun k ->
-              match Tbl.find_opt t.table k with
-              | None -> ()
-              | Some v ->
-                output_string oc (entry_to_line k v);
-                output_char oc '\n')
-            t.order))
+      let oc = open_out tmp in
+      (try
+         output_string oc (magic ^ "\n");
+         Queue.iter
+           (fun k ->
+             match Tbl.find_opt t.table k with
+             | None -> ()
+             | Some v ->
+               output_string oc (entry_to_line k v);
+               output_char oc '\n')
+           t.order;
+         close_out oc
+       with e ->
+         close_out_noerr oc;
+         (try Sys.remove tmp with Sys_error _ -> ());
+         raise e);
+      Sys.rename tmp path)
 
 let parse_line line =
   match String.split_on_char '\t' line with
@@ -173,38 +177,6 @@ let parse_line line =
       Some ({ kind; sample; bits; h = Int64.to_int !h land max_int }, vals)
     with _ -> None)
   | _ -> None
-
-let entry_of_line = parse_line
-
-let fold t f init =
-  (* snapshot entries in insertion order under the mutex, then fold
-     outside it so [f] may call back into the cache *)
-  let entries =
-    locked t (fun () ->
-        Queue.fold
-          (fun acc k ->
-            match Tbl.find_opt t.table k with
-            | None -> acc
-            | Some v -> (k, Array.copy v) :: acc)
-          [] t.order)
-  in
-  List.fold_left (fun acc (k, v) -> f acc k v) init (List.rev entries)
-
-let find_by_id t id =
-  locked t (fun () ->
-      let found = ref None in
-      (try
-         Queue.iter
-           (fun k ->
-             if !found = None && key_id k = id then
-               match Tbl.find_opt t.table k with
-               | Some v ->
-                 found := Some (k, Array.copy v);
-                 raise Exit
-               | None -> ())
-           t.order
-       with Exit -> ());
-      !found)
 
 let load ?capacity path =
   let t = create ?capacity () in

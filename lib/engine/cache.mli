@@ -20,12 +20,6 @@ val key : ?sample:int -> kind:string -> float array -> key
 val key_kind : key -> string
 val key_sample : key -> int option
 
-val key_id : key -> string
-(** Stable hex content address of the key (the hash that backs the
-    table).  Used as the [:hash] path segment of the distributed cache
-    protocol; full key equality still guards against aliasing on the
-    receiving side. *)
-
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -50,25 +44,9 @@ val stats_line : t -> string
 (** e.g. ["cache: 132 entries, 480 hits / 132 misses"]. *)
 
 val save : t -> string -> unit
-(** Write the table to [path] (text, lossless [%h] floats). *)
-
-val entry_to_line : key -> float array -> string
-(** One entry in the persistence line format
-    ([kind <TAB> sample <TAB> bits <TAB> values], lossless) — the wire
-    representation of the distributed cache protocol. *)
-
-val entry_of_line : string -> (key * float array) option
-(** Inverse of {!entry_to_line}; [None] on malformed input.  The key
-    hash is recomputed from the parsed components, never trusted from
-    the sender. *)
-
-val fold : t -> ('a -> key -> float array -> 'a) -> 'a -> 'a
-(** Fold over a snapshot of the entries in insertion order.  The
-    snapshot is taken under the lock; [f] runs outside it. *)
-
-val find_by_id : t -> string -> (key * float array) option
-(** Uncounted lookup by {!key_id} (linear scan; protocol traffic only,
-    not the hot evaluation path). *)
+(** Write the table to [path] (text, lossless [%h] floats) through a
+    [path ^ ".tmp"] file renamed into place, so a crash mid-save leaves
+    the previous file intact. *)
 
 val load : ?capacity:int -> string -> t
 (** @raise Failure when [path] is not a cache file.  Malformed entry

@@ -48,7 +48,7 @@ let guard = function
 
 (* ---- resumable bulk evaluation ----------------------------------- *)
 
-let resumable_map ?pool ?chunk ?bulk t ~key ~encode ~decode f items =
+let resumable_map ?pool ?chunk t ~key ~encode ~decode f items =
   let n = Array.length items in
   let stored =
     match Snapshot.get_rows t.snap key with
@@ -65,13 +65,7 @@ let resumable_map ?pool ?chunk ?bulk t ~key ~encode ~decode f items =
     guard (Some t);
     let stop = min n (!i + t.every) in
     let sub = Array.sub items !i (stop - !i) in
-    let fresh =
-      match bulk with
-      | Some b -> b sub
-      | None -> Parmap.map ?pool ?chunk f sub
-    in
-    if Array.length fresh <> Array.length sub then
-      failwith "Checkpoint.resumable_map: bulk evaluator returned wrong arity";
+    let fresh = Parmap.map ?pool ?chunk f sub in
     Array.iteri (fun d r -> out.(!i + d) <- Some r) fresh;
     i := stop;
     Snapshot.set_rows t.snap key

@@ -59,7 +59,6 @@ val guard : t option -> unit
 val resumable_map :
   ?pool:Pool.t ->
   ?chunk:int ->
-  ?bulk:('a array -> 'b array) ->
   t ->
   key:string ->
   encode:('b -> float array) ->
@@ -77,11 +76,4 @@ val resumable_map :
     item-prefix boundary.  Results are identical to the plain map
     because item order and any per-item PRNG streams are index-stable.
 
-    [chunk] forwards to {!Parmap.map} (dispatch granularity only).
-    [bulk] replaces the local parallel map for each uncompleted chunk
-    with a caller-supplied bulk evaluator (e.g. a remote worker farm);
-    it must return one result per input, in order, and must be
-    semantically identical to mapping [f] — the checkpoint/restore
-    machinery around it is unchanged, which is what makes a mid-run
-    worker failure resumable from the completed prefix.
-    @raise Failure when [bulk] returns the wrong number of results. *)
+    [chunk] forwards to {!Parmap.map} (dispatch granularity only). *)

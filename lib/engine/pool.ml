@@ -55,7 +55,7 @@ let size t = t.size
 
 (* time-in-queue between [submit] and a worker picking the task up —
    the pool-level starvation signal (always-on: histograms never touch
-   evaluation state, matching dist/serve latency instrumentation) *)
+   evaluation state, matching the serve latency instrumentation) *)
 let queue_wait = Repro_obs.Histogram.get "pool.queue_wait"
 
 let submit t task =

@@ -5,8 +5,8 @@
     benches) can pick an algorithm at run time.
 
     All members are real-coded over {!Problem.t}, batch-evaluate
-    through the injected {!Problem.evaluator} (so domain-pool /
-    distributed / cached parallelism applies unchanged), and serialise
+    through the injected {!Problem.evaluator} (so domain-pool and
+    cached evaluation apply unchanged), and serialise
     their full generation-loop state into snapshots for bit-identical
     checkpoint-resume. *)
 

@@ -61,11 +61,12 @@ let evaluate_all ?(evaluator = serial_evaluator) t xs = evaluator t xs
 (* evaluation <-> flat float array, for the content-addressed cache *)
 let pack e = Array.append [| e.constraint_violation |] e.objectives
 
-let unpack v =
-  {
-    constraint_violation = v.(0);
-    objectives = Array.sub v 1 (Array.length v - 1);
-  }
+(* a stored value of the wrong length — a cache line cut short — is not
+   an evaluation of [t]; [None] turns it into a miss *)
+let unpack t v =
+  let m = n_objectives t in
+  if Array.length v <> 1 + m then None
+  else Some { constraint_violation = v.(0); objectives = Array.sub v 1 m }
 
 (* the registry histogram is resolved once, at module initialisation
    (pool domains would race to force a lazy one); each evaluation then
@@ -78,13 +79,12 @@ let timed_evaluate t x =
 let cache_kind ~salt t =
   "eval:" ^ t.name ^ if salt = "" then "" else ":" ^ salt
 
-(* Shared cache-then-bulk skeleton: consult the cache on the calling
-   domain, hand only the misses to [bulk] (local pool map or the remote
-   worker farm — anything honouring "one result per input, in order"),
-   store and reassemble by index so output order and content are
-   independent of who computed what. *)
-let cached_evaluator ?cache ?(salt = "") ~bulk () t xs =
+(* consult the cache on the calling domain, map only the misses over the
+   pool, then store and reassemble by index so output order and content
+   are independent of which domain computed what *)
+let parallel_evaluator ?pool ?cache ?(salt = "") () t xs =
   let module E = Repro_engine in
+  let evaluate xs = E.Parmap.map ?pool (timed_evaluate t) xs in
   let n = Array.length xs in
   Repro_obs.Trace.span "eval.batch"
     ~args:[ ("problem", t.name); ("points", string_of_int n) ]
@@ -93,18 +93,15 @@ let cached_evaluator ?cache ?(salt = "") ~bulk () t xs =
   match cache with
   | None ->
     E.Telemetry.incr "eval.runs" ~by:n;
-    let fresh = bulk t xs in
-    if Array.length fresh <> n then
-      failwith "Problem.cached_evaluator: bulk returned wrong arity";
-    fresh
+    evaluate xs
   | Some cache ->
     let kind = cache_kind ~salt t in
     let keys = Array.map (fun x -> E.Cache.key ~kind x) xs in
     let out = Array.make n None in
     let miss_idx = ref [] in
     for i = n - 1 downto 0 do
-      match E.Cache.find cache keys.(i) with
-      | Some v -> out.(i) <- Some (unpack v)
+      match Option.bind (E.Cache.find cache keys.(i)) (unpack t) with
+      | Some e -> out.(i) <- Some e
       | None -> miss_idx := i :: !miss_idx
     done;
     let misses = Array.of_list !miss_idx in
@@ -116,16 +113,10 @@ let cached_evaluator ?cache ?(salt = "") ~bulk () t xs =
           ("hits", string_of_int (n - Array.length misses));
           ("misses", string_of_int (Array.length misses));
         ];
-    let fresh = bulk t (Array.map (fun i -> xs.(i)) misses) in
-    if Array.length fresh <> Array.length misses then
-      failwith "Problem.cached_evaluator: bulk returned wrong arity";
+    let fresh = evaluate (Array.map (fun i -> xs.(i)) misses) in
     Array.iteri
       (fun k i ->
         E.Cache.store cache keys.(i) (pack fresh.(k));
         out.(i) <- Some fresh.(k))
       misses;
     Array.map (function Some e -> e | None -> assert false) out
-
-let parallel_evaluator ?pool ?cache ?salt () t xs =
-  let bulk t xs = Repro_engine.Parmap.map ?pool (timed_evaluate t) xs in
-  cached_evaluator ?cache ?salt ~bulk () t xs

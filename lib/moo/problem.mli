@@ -43,13 +43,6 @@ val infeasible_evaluation : t -> penalty:float -> evaluation
 (** An evaluation marking a failed (un-simulatable) design: worst-case
     objectives and the given violation. *)
 
-val pack : evaluation -> float array
-(** Flat [|constraint_violation; objectives...|] encoding — the cache
-    value layout and the distributed eval-protocol row format. *)
-
-val unpack : float array -> evaluation
-(** Inverse of {!pack}. *)
-
 type evaluator = t -> float array array -> evaluation array
 (** Batch evaluation strategy.  Must return one evaluation per input, in
     input order, equal to what [t.evaluate] would return — optimisers
@@ -60,26 +53,6 @@ val serial_evaluator : evaluator
 
 val evaluate_all : ?evaluator:evaluator -> t -> float array array -> evaluation array
 (** Batch entry point; defaults to {!serial_evaluator}. *)
-
-val cache_kind : salt:string -> t -> string
-(** The {!Repro_engine.Cache} key namespace for this problem under
-    [salt] (["eval:<name>[:<salt>]"]) — shared by {!parallel_evaluator},
-    {!cached_evaluator} and the distributed cache-warming protocol. *)
-
-val cached_evaluator :
-  ?cache:Repro_engine.Cache.t ->
-  ?salt:string ->
-  bulk:(t -> float array array -> evaluation array) ->
-  unit ->
-  evaluator
-(** The cache-then-bulk skeleton behind {!parallel_evaluator}: consult
-    the (optional) cache on the calling domain, hand only the misses to
-    [bulk] — a local pool map, or the distributed eval-worker farm —
-    then store and reassemble by index.  [bulk] must return one
-    evaluation per input, in order, semantically equal to
-    [t.evaluate]; anything else raises [Failure].  The cache keying
-    (problem name + [salt]) is shared with {!parallel_evaluator}, so
-    local and remote runs warm the same persisted cache. *)
 
 val parallel_evaluator :
   ?pool:Repro_engine.Pool.t ->
@@ -94,5 +67,6 @@ val parallel_evaluator :
     configuration the objective closure captures (spec, measurement
     options) so persisted caches cannot alias across set-ups.  For pure
     objectives the result is bit-identical to {!serial_evaluator} for
-    any worker count.  Reports [eval.runs] / [eval.cache_hits] /
-    [eval.wall] telemetry. *)
+    any worker count.  A cached value of the wrong length for [t] (a
+    truncated cache line) counts as a miss and is evaluated afresh.
+    Reports [eval.runs] / [eval.cache_hits] / [eval.wall] telemetry. *)

@@ -39,13 +39,13 @@ val set_gc_capture : bool -> unit
 
 val id : unit -> string
 (** The current trace id (minted by {!start}; [""] before the first
-    start).  Carried across processes by the dist protocol and HTTP
+    start).  Carried across processes by the model-server client's HTTP
     headers so a merge step can stitch per-process traces together. *)
 
 val set_process_label : string -> unit
-(** Human-readable name for this process ("coordinator",
-    "worker:9401", …), written into the export metadata and as a
-    Chrome [process_name] metadata event. *)
+(** Human-readable name for this process ("coordinator", "serve", …),
+    written into the export metadata and as a Chrome [process_name]
+    metadata event. *)
 
 val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f], bracketing it with begin/end events when

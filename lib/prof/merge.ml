@@ -70,9 +70,9 @@ let load path =
     Error (Printf.sprintf "cannot read trace %s: %s" path msg)
 
 (* Every process mints its own file-level id; participation in the
-   coordinator's trace shows up as worker spans tagged with the
-   propagated id.  A worker whose tagged spans all name a different
-   trace heard from some other coordinator — almost certainly the wrong
+   coordinator's trace shows up as server spans tagged with the
+   propagated id.  A server whose tagged spans all name a different
+   trace heard from some other caller — almost certainly the wrong
    file. *)
 let check_trace_id ~base ~path w =
   let tags =
@@ -91,70 +91,13 @@ let check_trace_id ~base ~path w =
 
 (* ---- merging ------------------------------------------------------ *)
 
-(* NTP-style offset from one request/response envelope: all four stamps
-   are wall-clock seconds; [t_send]/[t_reply_recv] on the local clock,
-   [t_recv]/[t_reply_sent] on the remote one.  Assuming symmetric
-   network delay, the remote clock leads the local one by the mean of
-   the two one-way discrepancies. *)
-let offset ~t_send ~t_recv ~t_reply_sent ~t_reply_recv =
-  ((t_recv -. t_send) +. (t_reply_sent -. t_reply_recv)) /. 2.0
-
-let median = function
-  | [] -> 0.0
-  | l ->
-    let a = Array.of_list l in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-(* per-endpoint median clock delta from the coordinator's dist.clock
-   instant events (one per remote round trip) *)
-let endpoint_offsets events =
-  let tbl : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Event.t) ->
-      if e.name = "dist.clock" && e.ph = 'i' then
-        match (Event.arg "endpoint" e.args, Event.arg "delta_s" e.args) with
-        | Some ep, Some d -> (
-          match float_of_string_opt d with
-          | Some d -> (
-            match Hashtbl.find_opt tbl ep with
-            | Some l -> l := d :: !l
-            | None -> Hashtbl.add tbl ep (ref [ d ]))
-          | None -> ())
-        | _ -> ())
-    events;
-  Hashtbl.fold (fun ep l acc -> (ep, median !l) :: acc) tbl []
-  |> List.sort compare
-
-let port_of s =
-  match String.rindex_opt s ':' with
-  | Some i -> String.sub s (i + 1) (String.length s - i - 1)
-  | None -> s
-
-(* A worker only knows its own port ("worker:9401"); the coordinator
-   keys offsets by the endpoint it dialled ("127.0.0.1:9401").  Match
-   on the port suffix; an unmatched worker gets offset 0 (same host,
-   same clock — the common case). *)
-let worker_offset ~endpoints w =
-  match w.label with
-  | None -> 0.0
-  | Some label -> (
-    let port = port_of label in
-    match
-      List.find_opt (fun (ep, _) -> port_of ep = port) endpoints
-    with
-    | Some (_, d) -> d
-    | None -> 0.0)
-
-(* Merge worker traces onto the coordinator's timeline.  Workers get
+(* Merge the other processes' traces onto the base timeline.  They get
    deterministic fresh pids (base + 1 + index) so same-host pid reuse
-   can never collide; their timestamps move by the epoch difference
-   minus the estimated clock offset.  Every process's own metadata
-   events are dropped — the coordinator's too — because the returned
-   pid → label table names each process exactly once. *)
+   can never collide; their timestamps move by the epoch difference.
+   Every process's own metadata events are dropped — the base's too —
+   because the returned pid → label table names each process exactly
+   once. *)
 let merge ~base ~workers =
-  let endpoints = endpoint_offsets base.events in
   let labels =
     ref [ (base.pid, Option.value ~default:"coordinator" base.label) ]
   in
@@ -172,8 +115,7 @@ let merge ~base ~workers =
                  Option.value ~default:(Printf.sprintf "worker%d" (i + 1))
                    w.label )
                :: !labels;
-             let delta = worker_offset ~endpoints w in
-             let shift = (w.epoch -. delta -. base.epoch) *. 1e6 in
+             let shift = (w.epoch -. base.epoch) *. 1e6 in
              List.filter_map
                (fun (e : Event.t) ->
                  if e.ph = 'M' then None

@@ -1,13 +1,12 @@
 (** Multi-process trace assembly.
 
-    Each process in a distributed run exports its own Chrome trace with
-    a wall-clock epoch in the metadata.  The coordinator additionally
-    records one [dist.clock] instant per remote round trip, carrying an
-    NTP-style clock-offset estimate for that endpoint.  [merge] places
-    every worker's events on the coordinator's timeline (epoch
-    difference minus estimated offset), gives workers fresh
-    deterministic pids, and [validate] checks the result is one
-    coherent trace. *)
+    Each traced process exports its own Chrome trace with a wall-clock
+    epoch in the metadata — for example a [system --remote] run (the
+    base, labelled ["coordinator"]) and the [serve] process it queried,
+    whose HTTP spans carry the caller's trace id and parent span id.
+    [merge] places every other process's events on the base timeline
+    (shifted by the epoch difference), gives them fresh deterministic
+    pids, and [validate] checks the result is one coherent trace. *)
 
 type process = {
   label : string option;
@@ -29,30 +28,17 @@ val load : string -> (process, string) result
 
 val check_trace_id :
   base:process -> path:string -> process -> (unit, string) result
-(** [Error] with a warning when the worker read from [path] tags spans
-    with trace ids but none of them is the coordinator's — the file is
+(** [Error] with a warning when the process read from [path] tags
+    spans with trace ids but none of them is the base's — the file is
     probably from another run. *)
-
-val offset :
-  t_send:float -> t_recv:float -> t_reply_sent:float -> t_reply_recv:float ->
-  float
-(** Estimated (remote clock − local clock) in seconds from one
-    request/response envelope, assuming symmetric network delay. *)
-
-val endpoint_offsets : Event.t list -> (string * float) list
-(** Per-endpoint median clock delta from [dist.clock] instants,
-    endpoint-sorted. *)
-
-val worker_offset : endpoints:(string * float) list -> process -> float
-(** Offset for one worker, matched to an endpoint by port suffix
-    (0 when unmatched). *)
 
 val merge :
   base:process -> workers:process list -> Event.t list * (int * string) list
 (** Merged events on the base timeline plus the pid → label table.
-    Worker [i] gets pid [base.pid + 1 + i]; every process's metadata
-    events, the base's included, are dropped (labels carry the
-    information). *)
+    [workers] are the processes the base called; process [i] gets pid
+    [base.pid + 1 + i] and its timestamps move by
+    [(epoch - base.epoch)] seconds.  Every process's metadata events,
+    the base's included, are dropped (labels carry the information). *)
 
 val validate :
   ?slack_us:float -> coordinator_pid:int -> Event.t list -> string list

@@ -193,8 +193,8 @@ let profile ppf ~path ~top ?folded (p : Merge.process) =
        duration IS that process's traced wall time; self-times
        telescope to the root durations, which is how the table accounts
        for ~100% of it.  In a merged trace every process has a "run"
-       span and workers outlive the coordinator, so prefer the process
-       labelled coordinator as the wall reference. *)
+       span and a server outlives the run that called it, so prefer the
+       process labelled coordinator as the wall reference. *)
     let wall =
       let runs = List.filter (fun (s : Ev.span) -> s.name = "run") roots in
       let coord =

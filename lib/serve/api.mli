@@ -48,11 +48,6 @@ val metrics_json : unit -> Repro_util.Json.t
 (** The [GET /v1/metrics] document (also printed by the CLI's local
     [query --metrics]). *)
 
-val query_param : Http.request -> string -> string option
-(** Value of a query-string parameter in the raw target (no percent
-    decoding — parameters are plain tokens).  Shared with the
-    eval-worker's routing. *)
-
 val handle : t -> Http.request -> int * (string * string) list * string
 (** [status, extra headers, body] for one parsed request. *)
 

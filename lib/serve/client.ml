@@ -132,8 +132,8 @@ let transient = function
 
 (* Full-jitter exponential backoff (delay uniform in [0, base·2^n],
    capped).  A deterministic schedule synchronises retry storms: when a
-   coordinator's worker dies, every in-flight client would otherwise
-   retry the survivors in lockstep.  The jitter PRNG is self-seeded and
+   server restarts, every in-flight client would otherwise retry it in
+   lockstep.  The jitter PRNG is self-seeded and
    mutex-protected — it only shapes timing, never results. *)
 let backoff_base = 0.05
 let backoff_cap = 2.0
@@ -193,7 +193,6 @@ let shutdown t =
 
 let get ?headers t target = request ?headers t ~meth:"GET" ~target ~body:""
 let post ?headers t target ~body = request ?headers t ~meth:"POST" ~target ~body
-let put ?headers t target ~body = request ?headers t ~meth:"PUT" ~target ~body
 
 let expect_json resp =
   match resp with

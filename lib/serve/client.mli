@@ -45,10 +45,6 @@ val get :
 val post :
   ?headers:(string * string) list -> t -> string -> body:string ->
   (Http.response, error) result
-
-val put :
-  ?headers:(string * string) list -> t -> string -> body:string ->
-  (Http.response, error) result
 (** Extra request headers ride alongside Host.  When this process is
     tracing, every call additionally carries [X-Trace-Id] and
     [X-Parent-Span] (the innermost open span) so traced servers can tag

@@ -1,8 +1,6 @@
 module Json = Repro_util.Json
 module Telemetry = Repro_engine.Telemetry
 
-type handler = Http.request -> int * (string * string) list * string
-
 (* one accepted socket owned by exactly one reactor *)
 type conn = {
   fd : Unix.file_descr;
@@ -23,7 +21,7 @@ type reactor = {
 }
 
 type t = {
-  handler : handler;
+  api : Api.t;
   reactors : reactor array;
   bound_port : int;
   request_timeout : float;
@@ -87,7 +85,7 @@ let handle_events t c events =
         (* a draining server answers what it already received, then
            closes instead of waiting for the next request *)
         let keep_alive = Http.keep_alive req && not (Atomic.get t.stopping) in
-        (match t.handler req with
+        (match Api.handle t.api req with
         | status, headers, body ->
           Conn.push_response ~headers ~keep_alive ~status ~body c.machine
         | exception exn ->
@@ -281,8 +279,8 @@ let make_listener ~addr ~port ~reuseport =
     safe_close fd;
     raise exn
 
-let start_with ?(addr = "127.0.0.1") ?(port = 8190) ?(reactors = 2)
-    ?(request_timeout = 10.) ~handler () =
+let start ?(addr = "127.0.0.1") ?(port = 8190) ?(reactors = 2)
+    ?(request_timeout = 10.) ~api () =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let n = max 1 reactors in
   (* shard accepts across reactors kernel-side: every reactor gets its
@@ -320,7 +318,7 @@ let start_with ?(addr = "127.0.0.1") ?(port = 8190) ?(reactors = 2)
   in
   let t =
     {
-      handler;
+      api;
       reactors = Array.init n make_reactor;
       bound_port;
       request_timeout = (if request_timeout <= 0. then 10. else request_timeout);
@@ -335,10 +333,6 @@ let start_with ?(addr = "127.0.0.1") ?(port = 8190) ?(reactors = 2)
       (Array.map (fun r -> Domain.spawn (fun () -> reactor_loop t r)) t.reactors);
   Telemetry.set "serve.reactors" n;
   t
-
-let start ?addr ?port ?reactors ?request_timeout ~api () =
-  start_with ?addr ?port ?reactors ?request_timeout ~handler:(Api.handle api)
-    ()
 
 let wake r =
   let b = Bytes.make 1 '\x00' in

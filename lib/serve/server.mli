@@ -18,38 +18,22 @@
 
     Per-connection activity is bounded by [request_timeout] (idle or
     stalled-mid-request connections are reaped by the reactor), so a
-    slow or hostile client cannot pin a reactor.  Handlers run inline
-    on the reactor that owns the connection: they must be quick and
-    safe to call from several domains at once. *)
+    slow or hostile client cannot pin a reactor.  {!Api.handle} runs
+    inline on the reactor that owns the connection, from several
+    domains at once. *)
 
 type t
 
-type handler = Http.request -> int * (string * string) list * string
-(** A request handler: returns (status, extra headers, body).  Must be
-    safe to call from several reactor domains at once. *)
-
-val start_with :
+val start :
   ?addr:string ->             (* bind address, default "127.0.0.1" *)
   ?port:int ->                (* default 8190; 0 = ephemeral *)
   ?reactors:int ->            (* reactor domains, default 2, min 1 *)
   ?request_timeout:float ->   (* idle/stall bound, seconds, default 10. *)
-  handler:handler ->
-  unit ->
-  t
-(** Start the HTTP machinery around an arbitrary request handler — the
-    transport (reactors, keep-alive, drain) is shared between the
-    model server and the distributed eval-workers; only the routing
-    differs.  @raise Unix.Unix_error if the address cannot be bound. *)
-
-val start :
-  ?addr:string ->
-  ?port:int ->
-  ?reactors:int ->
-  ?request_timeout:float ->
   api:Api.t ->
   unit ->
   t
-(** {!start_with} over {!Api.handle} — the model server.
+(** Start the model server: the HTTP machinery (reactors, keep-alive,
+    drain) around {!Api.handle}.
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val port : t -> int

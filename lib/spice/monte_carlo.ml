@@ -37,12 +37,11 @@ let decode_outcome codec row =
   else failwith "Monte_carlo: malformed checkpoint row"
 
 let run ?(spec = Process.default) ?pool ?(warn_threshold = default_warn_threshold)
-    ?checkpoint ?bulk ~n ~prng net trial =
+    ?checkpoint ~n ~prng net trial =
   if n <= 0 then invalid_arg "Monte_carlo.run: n must be positive";
   (* per-trial streams are split before dispatch, and outcomes are
      collected in trial order, so results are identical to the serial
-     loop for any pool size (and for any [bulk] evaluator honouring the
-     same contract) *)
+     loop for any pool size *)
   let module E = Repro_engine in
   let pool = match pool with Some p -> p | None -> E.Pool.get_default () in
   (* per-domain batches: a trial costs hundreds of milliseconds, so
@@ -59,19 +58,16 @@ let run ?(spec = Process.default) ?pool ?(warn_threshold = default_warn_threshol
     @@ fun () ->
     E.Telemetry.time "mc.wall" @@ fun () ->
     match checkpoint with
-    | None -> (
-      match bulk with
-      | Some b -> b (Prng.split_n prng n)
-      | None ->
-        E.Parmap.map_seeded ~pool ~chunk ~prng
-          (fun stream () -> timed_trial stream)
-          (Array.make n ()))
+    | None ->
+      E.Parmap.map_seeded ~pool ~chunk ~prng
+        (fun stream () -> timed_trial stream)
+        (Array.make n ())
     | Some (ck, key, codec) ->
       (* same index-stable streams as map_seeded, but evaluated in
          resumable chunks with the completed prefix persisted under
          [key] — bit-identical to the un-checkpointed path *)
       let streams = Prng.split_n prng n in
-      E.Checkpoint.resumable_map ~pool ~chunk ?bulk ck ~key
+      E.Checkpoint.resumable_map ~pool ~chunk ck ~key
         ~encode:(encode_outcome codec) ~decode:(decode_outcome codec)
         timed_trial streams
   in

@@ -22,7 +22,6 @@ val run :
   ?pool:Repro_engine.Pool.t ->
   ?warn_threshold:float ->
   ?checkpoint:Repro_engine.Checkpoint.t * string * 'a codec ->
-  ?bulk:(Repro_util.Prng.t array -> ('a, string) result array) ->
   n:int ->
   prng:Repro_util.Prng.t ->
   Repro_circuit.Netlist.t ->
@@ -47,15 +46,7 @@ val run :
     restart, skipping the already-completed trials.  Per-trial streams
     are index-stable, so the checkpointed, resumed and plain paths all
     produce bit-identical results.  May raise
-    {!Repro_engine.Checkpoint.Interrupted} at a sample boundary.
-
-    [bulk] replaces the local parallel map with a caller-supplied bulk
-    evaluator over the pre-split per-trial streams (the distributed
-    farm hook).  It must return one outcome per stream, in order, and
-    be semantically identical to running [trial (Process.sample spec
-    stream net)] per stream; checkpointing composes with it unchanged,
-    which is what makes a worker failure resumable from the
-    completed-sample prefix. *)
+    {!Repro_engine.Checkpoint.Interrupted} at a sample boundary. *)
 
 type spread = {
   nominal : float;      (** measurement of the unperturbed netlist *)

@@ -183,6 +183,38 @@ let test_cache_roundtrip () =
   check "load_if_exists miss" true
     (E.Cache.load_if_exists "/nonexistent/eval.cache" = None)
 
+let test_cache_concurrent () =
+  (* two threads hammer the same key space while FIFO eviction churns:
+     every successful find must return the exact stored value (no torn
+     reads) and the counters must account for every find *)
+  let cache = E.Cache.create ~capacity:32 () in
+  let value_of i = [| float_of_int i; float_of_int (i * i) |] in
+  let torn = Atomic.make 0 in
+  let finds = Atomic.make 0 in
+  let worker () =
+    for round = 0 to 2 do
+      ignore round;
+      for i = 0 to 199 do
+        let key = E.Cache.key ~kind:"eval:conc" [| float_of_int i |] in
+        E.Cache.store cache key (value_of i);
+        match E.Cache.find cache key with
+        | None -> Atomic.incr finds
+        | Some v ->
+          Atomic.incr finds;
+          if v <> value_of i then Atomic.incr torn
+      done
+    done
+  in
+  let t1 = Thread.create worker () in
+  let t2 = Thread.create worker () in
+  Thread.join t1;
+  Thread.join t2;
+  Alcotest.(check int) "no torn reads" 0 (Atomic.get torn);
+  Alcotest.(check int) "every find counted" (Atomic.get finds)
+    (E.Cache.hits cache + E.Cache.misses cache);
+  check "eviction happened" true (E.Cache.evictions cache > 0);
+  check "capacity respected" true (E.Cache.length cache <= 32)
+
 (* ---- telemetry --------------------------------------------------- *)
 
 let test_telemetry () =
@@ -475,4 +507,5 @@ let suite =
       test_monte_carlo_degenerate_warning;
     Alcotest.test_case "yield identical at 1 vs 4 workers" `Quick
       test_yield_deterministic_under_parallelism;
+    Alcotest.test_case "cache concurrent access" `Quick test_cache_concurrent;
   ]

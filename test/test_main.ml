@@ -24,5 +24,4 @@ let () =
       ("serve", Test_serve.suite);
       ("obs", Test_obs.suite);
       ("prof", Test_prof.suite);
-      ("dist", Test_dist.suite);
     ]

@@ -165,6 +165,61 @@ let test_problem_clamp_random () =
 
 (* ---- NSGA-II ---- *)
 
+(* ---- eval cache: a stored value of the wrong length is a miss ---- *)
+
+(* A cache file truncated mid-write ends in a value list that is cut
+   short.  Such an entry must be evaluated afresh (and counted as a run),
+   never served as an evaluation with missing objectives. *)
+let test_cache_wrong_arity_is_a_miss () =
+  let module E = Repro_engine in
+  let problem =
+    P.create ~name:"arity" ~bounds:[| (0.0, 1.0) |]
+      ~objective_names:[| "a"; "b"; "c" |]
+      (fun x -> ev [| x.(0); 2.0 *. x.(0); 3.0 *. x.(0) |])
+  in
+  let x = [| 0.25 |] in
+  let fresh = problem.P.evaluate x in
+  let path = Filename.temp_file "hieropt" ".cache" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let cache = E.Cache.create () in
+  ignore (P.parallel_evaluator ~cache () problem [| x |]);
+  E.Cache.save cache path;
+  Alcotest.(check bool) "no tmp file left" false
+    (Sys.file_exists (path ^ ".tmp"));
+  let header, fields =
+    match In_channel.with_open_text path In_channel.input_lines with
+    | [ header; entry ] -> (header, String.split_on_char '\t' entry)
+    | lines -> Alcotest.failf "expected 2 lines, got %d" (List.length lines)
+  in
+  (* kind, sample, key bits, values *)
+  let values = List.nth fields 3 in
+  let with_values vals =
+    String.concat "\t" (List.filteri (fun i _ -> i < 3) fields @ [ vals ])
+  in
+  let evaluate_from vals =
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (header ^ "\n" ^ with_values vals ^ "\n"));
+    let cache = E.Cache.load path in
+    let runs = E.Telemetry.counter "eval.runs"
+    and hits = E.Telemetry.counter "eval.cache_hits" in
+    let got = P.parallel_evaluator ~cache () problem [| x |] in
+    ( got,
+      E.Telemetry.counter "eval.runs" - runs,
+      E.Telemetry.counter "eval.cache_hits" - hits )
+  in
+  List.iter
+    (fun (label, vals, want_runs, want_hits) ->
+      let got, runs, hits = evaluate_from vals in
+      Alcotest.(check bool) (label ^ ": fresh evaluation") true
+        (got = [| fresh |]);
+      Alcotest.(check int) (label ^ ": eval.runs") want_runs runs;
+      Alcotest.(check int) (label ^ ": eval.cache_hits") want_hits hits)
+    [
+      ("well-formed", values, 0, 1);
+      ("cut short", String.sub values 0 (String.rindex values ','), 1, 0);
+      ("empty", "", 1, 0);
+    ]
+
 let test_nsga2_converges_zdt1 () =
   let prng = Repro_util.Prng.create 7 in
   let pop =
@@ -368,4 +423,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dominance_antisymmetric;
     QCheck_alcotest.to_alcotest prop_front0_mutually_incomparable;
     QCheck_alcotest.to_alcotest prop_ranks_consistent;
+    Alcotest.test_case "cache entry of the wrong arity is a miss" `Quick
+      test_cache_wrong_arity_is_a_miss;
   ]

@@ -138,7 +138,6 @@ let test_histogram_handles_at_start () =
     [
       "eval.duration";
       "pool.queue_wait";
-      "dist.queue_wait";
       "solver.factorise";
       "solver.refactorise";
     ]

@@ -205,22 +205,10 @@ let prop_gc_attribution =
 
 (* ---- QCheck: merge properties ------------------------------------- *)
 
-let mk_clock_instant ~seq ~endpoint ~delta =
-  {
-    Ev.name = "dist.clock";
-    ph = 'i';
-    ts = 0.5;
-    pid = 1;
-    tid = 0;
-    seq;
-    args = [ ("endpoint", endpoint); ("delta_s", Printf.sprintf "%.9f" delta) ];
-  }
-
 let merge_case_gen =
   QCheck.Gen.(
     let shift = map (fun i -> float_of_int i /. 1000.0) (int_range (-5000) 5000) in
-    let delta = map (fun i -> float_of_int i /. 100000.0) (int_range (-100) 100) in
-    map3 (fun c w (s, d) -> (c, w, s, d)) forest_gen forest_gen (pair shift delta))
+    triple forest_gen forest_gen shift)
 
 let merge_arb = QCheck.make merge_case_gen
 
@@ -229,11 +217,8 @@ let base_of events =
 
 let prop_merge_preserves_nesting =
   QCheck.Test.make ~name:"merge preserves each process's span forest"
-    ~count:200 merge_arb (fun (cspec, wspec, shift, delta) ->
-      let cevents =
-        build ~pid:1 cspec
-        @ [ mk_clock_instant ~seq:10_000 ~endpoint:"127.0.0.1:9401" ~delta ]
-      in
+    ~count:200 merge_arb (fun (cspec, wspec, shift) ->
+      let cevents = build ~pid:1 cspec in
       let wevents = build ~pid:77 wspec in
       let base = base_of cevents in
       let worker =
@@ -257,11 +242,8 @@ let prop_merge_preserves_nesting =
 
 let prop_merge_clock_monotone =
   QCheck.Test.make ~name:"merged worker clock is a uniform monotone shift"
-    ~count:200 merge_arb (fun (cspec, wspec, shift, delta) ->
-      let cevents =
-        build ~pid:1 cspec
-        @ [ mk_clock_instant ~seq:10_000 ~endpoint:"127.0.0.1:9401" ~delta ]
-      in
+    ~count:200 merge_arb (fun (cspec, wspec, shift) ->
+      let cevents = build ~pid:1 cspec in
       let wevents = build ~pid:77 wspec in
       let base = base_of cevents in
       let worker =
@@ -278,7 +260,7 @@ let prop_merge_clock_monotone =
         List.filter (fun (e : Ev.t) -> e.Ev.pid = 2) merged
         |> List.sort (fun (a : Ev.t) b -> compare a.Ev.seq b.Ev.seq)
       in
-      let expected = (shift -. delta) *. 1e6 in
+      let expected = shift *. 1e6 in
       (* exact shift per event... *)
       let shift_ok =
         List.for_all2
@@ -350,22 +332,6 @@ let test_validate_containment () =
     M.validate ~coordinator_pid:1 [ parent_b; parent_e; child_b; child_e ]
   in
   Alcotest.(check bool) "escape reported" true (errors <> [])
-
-let test_endpoint_offsets_median () =
-  let inst seq delta =
-    mk_clock_instant ~seq ~endpoint:"10.0.0.2:9000" ~delta
-  in
-  let events = [ inst 0 0.010; inst 1 0.030; inst 2 0.020 ] in
-  (match M.endpoint_offsets events with
-  | [ ("10.0.0.2:9000", d) ] ->
-    Alcotest.(check (float 1e-12)) "median of 3" 0.020 d
-  | other -> Alcotest.failf "unexpected offsets (%d)" (List.length other));
-  (* NTP-style estimate from one envelope: remote leads by 5 ms with a
-     symmetric 1 ms one-way delay *)
-  let d =
-    M.offset ~t_send:0.0 ~t_recv:0.006 ~t_reply_sent:0.010 ~t_reply_recv:0.006
-  in
-  Alcotest.(check (float 1e-12)) "offset" 0.005 d
 
 (* ---- tracer round trip: live spans → export → analysis ------------ *)
 
@@ -967,7 +933,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_clock_monotone;
     QCheck_alcotest.to_alcotest prop_merge_validate_no_orphans;
     Alcotest.test_case "validate containment" `Quick test_validate_containment;
-    Alcotest.test_case "clock offsets" `Quick test_endpoint_offsets_median;
     Alcotest.test_case "live gc capture" `Quick test_live_gc_capture_roundtrip;
     Alcotest.test_case "prometheus rendering" `Quick
       test_prom_matches_snapshot;

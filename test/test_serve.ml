@@ -441,6 +441,26 @@ let test_serve_export () =
   | Ok r -> Alcotest.(check int) "wrong verb is a 405" 405 r.Http.status
   | Error e -> Alcotest.failf "POST export: %s" (S.Client.error_to_string e)
 
+let test_serve_metrics_prom () =
+  with_server @@ fun ~loaded:_ _server client ->
+  let get path =
+    match S.Client.get client path with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "GET %s: %s" path (S.Client.error_to_string e)
+  in
+  let prom = get "/v1/metrics?format=prom" in
+  Alcotest.(check int) "prom status" 200 prom.Http.status;
+  Alcotest.(check (option string))
+    "exposition content type"
+    (Some "text/plain; version=0.0.4; charset=utf-8")
+    (Http.header "content-type" prom.Http.resp_headers);
+  Alcotest.(check bool) "a hieropt_ sample line" true
+    (List.exists
+       (fun line -> String.starts_with ~prefix:"hieropt_" line)
+       (String.split_on_char '\n' prom.Http.resp_body));
+  Alcotest.(check int) "unknown format is a 400" 400
+    (get "/v1/metrics?format=xml").Http.status
+
 let test_serve_unversioned_404 () =
   with_server @@ fun ~loaded:_ _server client ->
   let status path =
@@ -775,6 +795,8 @@ let suite =
     Alcotest.test_case "serve verify" `Quick test_serve_verify;
     Alcotest.test_case "serve endpoints" `Quick test_serve_endpoints;
     Alcotest.test_case "serve export" `Quick test_serve_export;
+    Alcotest.test_case "serve metrics prometheus" `Quick
+      test_serve_metrics_prom;
     Alcotest.test_case "unversioned paths answer 404" `Quick
       test_serve_unversioned_404;
     Alcotest.test_case "serve query fast-path bytes" `Quick
