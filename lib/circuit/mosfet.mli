@@ -55,6 +55,21 @@ val eval :
     (0.0 / 1.0 nominally).  Requires [vds >= 0]; negative [vds] is the
     caller's terminal-swap case.  [w] and [l] in metres. *)
 
+val eval_into :
+  model ->
+  w:float ->
+  l:float ->
+  vth_shift:float ->
+  kp_scale:float ->
+  vgs:float ->
+  vds:float ->
+  float array ->
+  unit
+(** [eval_into ... out] writes [ids], [gm] and [gds] into [out.(0)],
+    [out.(1)] and [out.(2)], bit for bit what {!eval} returns.  It
+    allocates no result, which is what the Newton iteration calls once
+    per device per iteration.  [eval] is a wrapper over it. *)
+
 type caps = {
   cgs : float;
   cgd : float;

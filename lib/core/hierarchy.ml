@@ -249,29 +249,38 @@ let open_journal ~fingerprint cfg =
       Some j
     with Sys_error _ | Unix.Unix_error _ -> None)
 
-(* the avoided / paid / cached / run split of this process's evaluation
-   counters — [close_journal] records per-run deltas against a baseline
-   taken at run start, [report] renders them as one table *)
-let eval_counters () =
-  ( E.Telemetry.counter "eval.avoided",
-    E.Telemetry.counter "eval.paid",
-    E.Telemetry.counter "eval.cache_hits",
-    E.Telemetry.counter "eval.runs" )
+(* Telemetry counters whose per-run deltas [close_journal] records on
+   [run.finish], as (journal field, counter): the avoided / paid /
+   cached / run split of the evaluations, which [report] renders as one
+   table, then what the simulator paid for them. *)
+let journal_counters =
+  [
+    ("eval_avoided", "eval.avoided");
+    ("eval_paid", "eval.paid");
+    ("eval_cache_hits", "eval.cache_hits");
+    ("eval_runs", "eval.runs");
+    ("vco_characterisations", "vco.characterisations");
+    ("vco_extensions", "vco.extensions");
+    ("vco_extensions_failed", "vco.extensions_failed");
+    ("tran_runs", "tran.runs");
+    ("tran_steps", "tran.steps");
+    ("tran_halvings", "tran.halvings");
+    ("tran_newton", "tran.newton");
+  ]
+
+(* the baseline taken at run start *)
+let counter_baseline () =
+  List.map (fun (_, name) -> E.Telemetry.counter name) journal_counters
 
 let close_journal t0 c0 = function
   | None -> ()
   | Some j ->
-    let a0, p0, h0, r0 = c0 and a1, p1, h1, r1 = eval_counters () in
     Obs.Journal.run_finish j
       ~seconds:(Unix.gettimeofday () -. t0)
-      (List.map
-         (fun (k, n) -> (k, Json.Num (float_of_int n)))
-         [
-           ("eval_avoided", a1 - a0);
-           ("eval_paid", p1 - p0);
-           ("eval_cache_hits", h1 - h0);
-           ("eval_runs", r1 - r0);
-         ]);
+      (List.map2
+         (fun (field, name) n0 ->
+           (field, Json.Num (float_of_int (E.Telemetry.counter name - n0))))
+         journal_counters c0);
     Obs.Journal.clear_current ();
     Obs.Journal.close j
 
@@ -637,7 +646,7 @@ let run_system_level_inner ?(progress = fun _ -> ()) ?evaluator ?ck
 
 let run_system_level ?(progress = fun _ -> ()) ?pll_query cfg ~model =
   let t_run = Unix.gettimeofday () in
-  let c_run = eval_counters () in
+  let c_run = counter_baseline () in
   let cache = load_cache cfg in
   (* bind the snapshot to the input model too: the same config re-run
      over a different saved model must not resume from stale state.
@@ -673,7 +682,7 @@ let run_system_level ?(progress = fun _ -> ()) ?pll_query cfg ~model =
 
 let run ?(progress = fun _ -> ()) ?interrupt_after cfg =
   let t_run = Unix.gettimeofday () in
-  let c_run = eval_counters () in
+  let c_run = counter_baseline () in
   let scale = cfg.scale in
   let cache = load_cache cfg in
   let evaluator = evaluator_of cfg cache in

@@ -15,6 +15,13 @@ val pivot_threshold : col_max:float -> float
     absolute floor for exactly-zero columns.  Shared by the dense and
     sparse factorisations. *)
 
+val pivot_rel_tol : float
+val pivot_abs_floor : float
+(** The two constants of {!pivot_threshold}, which is
+    [Float.max pivot_abs_floor (pivot_rel_tol *. col_max)] — exposed so
+    the sparse refactorisation can evaluate that expression inline per
+    column instead of calling across modules on boxed floats. *)
+
 val factorise : Matrix.t -> factorisation
 (** In-place-style Doolittle factorisation of a square matrix (the input is
     copied first). @raise Singular when no pivot exceeds the tolerance. *)

@@ -30,6 +30,12 @@ type numeric = {
   l_vals : float array;
   udiag : float array;
   x : float array; (* dense scratch, zero between uses *)
+  (* the pattern arrays last verified against [sym]: refactorising the
+     same physical pattern again skips the structural comparison, which
+     a pattern from a different [Sparse.Builder.build] would otherwise
+     pay on every call *)
+  mutable checked_row_ptr : int array;
+  mutable checked_col_idx : int array;
 }
 
 exception Singular of int
@@ -44,6 +50,8 @@ let create_numeric sym =
     l_vals = Array.make (Array.length sym.l_rows) 0.0;
     udiag = Array.make sym.n 0.0;
     x = Array.make sym.n 0.0;
+    checked_row_ptr = sym.pat_row_ptr;
+    checked_col_idx = sym.pat_col_idx;
   }
 
 (* permutation parity by cycle decomposition *)
@@ -222,7 +230,16 @@ let factorise a =
       l_rows;
     }
   in
-  (sym, { sym; u_vals; l_vals; udiag; x = Array.make n 0.0 })
+  ( sym,
+    {
+      sym;
+      u_vals;
+      l_vals;
+      udiag;
+      x = Array.make n 0.0;
+      checked_row_ptr = sym.pat_row_ptr;
+      checked_col_idx = sym.pat_col_idx;
+    } )
 
 let pattern_matches sym a =
   sym.n = Sparse.n a
@@ -232,8 +249,14 @@ let pattern_matches sym a =
 
 let refactorise num a =
   let sym = num.sym in
-  if not (pattern_matches sym a) then
-    invalid_arg "Sparse_lu.refactorise: pattern mismatch";
+  let row_ptr = Sparse.row_ptr a and col_idx = Sparse.col_idx a in
+  if not (row_ptr == num.checked_row_ptr && col_idx == num.checked_col_idx)
+  then begin
+    if not (pattern_matches sym a) then
+      invalid_arg "Sparse_lu.refactorise: pattern mismatch";
+    num.checked_row_ptr <- row_ptr;
+    num.checked_col_idx <- col_idx
+  end;
   let n = sym.n in
   let vals = Sparse.values a in
   let x = num.x in
@@ -270,7 +293,12 @@ let refactorise num a =
     done;
     let pivot = x.(j) in
     x.(j) <- 0.0;
-    if Float.abs pivot < Lu.pivot_threshold ~col_max:!col_max then begin
+    (* Lu.pivot_threshold's expression, inline: a call across modules
+       would box its argument and result for every column *)
+    if
+      Float.abs pivot
+      < Float.max Lu.pivot_abs_floor (Lu.pivot_rel_tol *. !col_max)
+    then begin
       (* scrub so the workspace stays reusable after the caller's
          full-factorisation fallback *)
       for p = l_ptr.(j) to l_ptr.(j + 1) - 1 do
@@ -350,17 +378,34 @@ let find_symbolic a =
   Mutex.unlock cache_mutex;
   r
 
-let store_symbolic a sym =
-  if not (pattern_matches sym a) then
-    invalid_arg "Sparse_lu.store_symbolic: symbolic does not match matrix";
-  Mutex.lock cache_mutex;
+(* caller holds [cache_mutex] *)
+let add_locked sym =
   if not (Hashtbl.mem cache sym.fp) then begin
     if Queue.length cache_fifo >= cache_limit then
       Hashtbl.remove cache (Queue.pop cache_fifo);
     Hashtbl.replace cache sym.fp sym;
     Queue.push sym.fp cache_fifo
-  end;
-  Mutex.unlock cache_mutex
+  end
+
+let store_symbolic a sym =
+  if not (pattern_matches sym a) then
+    invalid_arg "Sparse_lu.store_symbolic: symbolic does not match matrix";
+  Mutex.protect cache_mutex (fun () -> add_locked sym)
+
+let find_or_factorise a ~factorise =
+  Mutex.protect cache_mutex (fun () ->
+      match Hashtbl.find_opt cache (Sparse.fingerprint a) with
+      | Some sym when pattern_matches sym a ->
+        incr cache_hits;
+        (sym, None)
+      | Some _ | None ->
+        incr cache_misses;
+        let sym, num = factorise a in
+        if not (pattern_matches sym a) then
+          invalid_arg
+            "Sparse_lu.find_or_factorise: symbolic does not match matrix";
+        add_locked sym;
+        (sym, Some num))
 
 let cache_stats () =
   Mutex.lock cache_mutex;

@@ -74,6 +74,19 @@ val lu_nnz : symbolic -> int
 val find_symbolic : Sparse.t -> symbolic option
 val store_symbolic : Sparse.t -> symbolic -> unit
 
+val find_or_factorise :
+  Sparse.t ->
+  factorise:(Sparse.t -> symbolic * numeric) ->
+  symbolic * numeric option
+(** [find_or_factorise a ~factorise] returns the registry's symbolic
+    for [a]'s pattern.  On a miss it runs [factorise a] (normally
+    {!factorise}, perhaps timed by the caller), stores the symbolic and
+    returns the numeric factors of [a] too.  Lookup, analysis and store
+    happen under the registry lock, so domains that miss on the same
+    pattern at once run the analysis once; the others wait and get
+    [(sym, None)].
+    @raise Singular when [factorise] does (nothing is stored). *)
+
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of {!find_symbolic} since start/clear. *)
 

@@ -22,8 +22,14 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
+(* a plain loop: [Array.fold_left] would box its accumulator per
+   element, and this runs twice per Newton iteration *)
 let norm_inf x =
-  Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
+  let acc = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    acc := Float.max !acc (Float.abs x.(i))
+  done;
+  !acc
 
 let max_abs_diff x y =
   let n = Array.length x in

@@ -137,6 +137,25 @@ let journal ppf events =
         Format.fprintf ppf "  %-10s %8.0f  %5.1f%%@." "simulated" runs
           (pct runs)
       end;
+      (* ... and what the simulator paid for the simulated ones; a
+         journal written before these counters existed has no such
+         fields and no such block *)
+      (match jnum "tran_runs" finish with
+      | None -> ()
+      | Some transients ->
+        let steps = f "tran_steps" and newton = f "tran_newton" in
+        Format.fprintf ppf "@.simulator:@.";
+        Format.fprintf ppf "  %-18s %10.0f@." "characterisations"
+          (f "vco_characterisations");
+        Format.fprintf ppf "  %-18s %10.0f  (%.0f still unresolved)@."
+          "window extensions" (f "vco_extensions")
+          (f "vco_extensions_failed");
+        Format.fprintf ppf "  %-18s %10.0f@." "transients" transients;
+        Format.fprintf ppf "  %-18s %10.0f  (%.0f rejected)@."
+          "accepted steps" steps (f "tran_halvings");
+        Format.fprintf ppf "  %-18s %10.0f  (%.2f per step)@."
+          "Newton iterations" newton
+          (if steps > 0.0 then newton /. steps else 0.0));
       Format.fprintf ppf "@.run finished in %.3f s@." (f "seconds")
     | [] ->
       Format.fprintf ppf

@@ -179,6 +179,16 @@ type cap_mode =
 (* accumulate into row [i] only when it is a real unknown *)
 let addf residual i v = if i >= 0 then residual.(i) <- residual.(i) +. v
 
+(* The unchecked read and accumulation of the assembly hot path, with
+   the same ground tests as {!volt} and {!addf}.  Top-level and
+   [@inline], so ocamlopt expands them in place without flambda: a
+   local closure would box every float that passes through it. *)
+let[@inline] volt_u x i = if i < 0 then 0.0 else Array.unsafe_get x i
+
+let[@inline] add_u residual i dv =
+  if i >= 0 then
+    Array.unsafe_set residual i (Array.unsafe_get residual i +. dv)
+
 (* guard for the unchecked accesses in {!eval_residual}: every public
    path into the assembly passes through here first *)
 let check_stores c ~x ~residual ~cap_mode =
@@ -202,6 +212,7 @@ type mos_scratch = {
   ms_dhi : float array;   (* d ids / d v_hi *)
   ms_dlo : float array;
   ms_dg : float array;    (* d ids / d v_gate *)
+  ms_iv : float array;    (* [| ids; gm; gds |] of the device in hand *)
 }
 
 let make_mos_scratch c =
@@ -212,6 +223,7 @@ let make_mos_scratch c =
     ms_dhi = Array.make nm 0.0;
     ms_dlo = Array.make nm 0.0;
     ms_dg = Array.make nm 0.0;
+    ms_iv = Array.make 3 0.0;
   }
 
 (* Residual at candidate [x], plus the per-MOSFET linearisation into
@@ -227,20 +239,15 @@ let make_mos_scratch c =
    enough before reaching here. *)
 let eval_residual ?(injections = [||]) c ~x ~time ~gmin ~source_scale ~cap_mode
     ~mos ~residual =
-  let v i = if i < 0 then 0.0 else Array.unsafe_get x i in
-  let add i dv =
-    if i >= 0 then
-      Array.unsafe_set residual i (Array.unsafe_get residual i +. dv)
-  in
   Vec.fill residual 0.0;
   let nb_base = c.n_nodes - 1 in
   (* resistors *)
   let rs = c.resistors in
   for k = 0 to Array.length rs - 1 do
     let { ra; rb; g } = Array.unsafe_get rs k in
-    let i = g *. (v ra -. v rb) in
-    add ra i;
-    add rb (-.i)
+    let i = g *. (volt_u x ra -. volt_u x rb) in
+    add_u residual ra i;
+    add_u residual rb (-.i)
   done;
   (* capacitors *)
   (match cap_mode with
@@ -250,74 +257,81 @@ let eval_residual ?(injections = [||]) c ~x ~time ~gmin ~source_scale ~cap_mode
     for k = 0 to Array.length caps - 1 do
       let { ca; cb; _ } = Array.unsafe_get caps k in
       let i =
-        (Array.unsafe_get geq k *. (v ca -. v cb)) +. Array.unsafe_get ieq k
+        (Array.unsafe_get geq k *. (volt_u x ca -. volt_u x cb))
+        +. Array.unsafe_get ieq k
       in
-      add ca i;
-      add cb (-.i)
+      add_u residual ca i;
+      add_u residual cb (-.i)
     done);
   (* voltage sources: branch current row + KVL row *)
-  Array.iter
-    (fun { vpos; vneg; vwave; branch } ->
-      let bi = nb_base + branch in
-      let ib = x.(bi) in
-      add vpos ib;
-      add vneg (-.ib);
-      let e = source_scale *. Source.value vwave time in
-      residual.(bi) <- v vpos -. v vneg -. e)
-    c.vsources;
+  let vsources = c.vsources in
+  for k = 0 to Array.length vsources - 1 do
+    let { vpos; vneg; vwave; branch } = vsources.(k) in
+    let bi = nb_base + branch in
+    let ib = x.(bi) in
+    add_u residual vpos ib;
+    add_u residual vneg (-.ib);
+    let e = source_scale *. Source.value vwave time in
+    residual.(bi) <- volt_u x vpos -. volt_u x vneg -. e
+  done;
   (* current sources *)
-  Array.iter
-    (fun { ipos; ineg; iwave } ->
-      let i = source_scale *. Source.value iwave time in
-      add ipos i;
-      add ineg (-.i))
-    c.isources;
+  let isources = c.isources in
+  for k = 0 to Array.length isources - 1 do
+    let { ipos; ineg; iwave } = isources.(k) in
+    let i = source_scale *. Source.value iwave time in
+    add_u residual ipos i;
+    add_u residual ineg (-.i)
+  done;
   (* MOSFETs *)
   let mosfets = c.mosfets in
+  let iv = mos.ms_iv in
   for k = 0 to Array.length mosfets - 1 do
     let m = Array.unsafe_get mosfets k in
-    let vd = v m.md and vg = v m.mg and vs = v m.ms in
+    let vd = volt_u x m.md and vg = volt_u x m.mg and vs = volt_u x m.ms in
     (* orient so the internal "drain" is the high node of the channel *)
     let polarity = m.model.Mosfet.polarity in
-    let hi, lo, vhi, vlo =
+    let drain_high =
       match polarity with
-      | Mosfet.Nmos ->
-        if vd >= vs then (m.md, m.ms, vd, vs) else (m.ms, m.md, vs, vd)
-      | Mosfet.Pmos ->
-        if vs >= vd then (m.ms, m.md, vs, vd) else (m.md, m.ms, vd, vs)
+      | Mosfet.Nmos -> vd >= vs
+      | Mosfet.Pmos -> not (vs >= vd)
     in
+    let hi = if drain_high then m.md else m.ms
+    and lo = if drain_high then m.ms else m.md
+    and vhi = if drain_high then vd else vs
+    and vlo = if drain_high then vs else vd in
     let vds = vhi -. vlo in
     let vgs =
       match polarity with
       | Mosfet.Nmos -> vg -. vlo
       | Mosfet.Pmos -> vhi -. vg
     in
-    let { Mosfet.ids; gm; gds } =
-      Mosfet.eval m.model ~w:m.w ~l:m.l ~vth_shift:m.vth_shift
-        ~kp_scale:m.kp_scale ~vgs ~vds
-    in
+    Mosfet.eval_into m.model ~w:m.w ~l:m.l ~vth_shift:m.vth_shift
+      ~kp_scale:m.kp_scale ~vgs ~vds iv;
+    let ids = iv.(0) and gm = iv.(1) and gds = iv.(2) in
     (* current flows hi -> lo through the channel *)
-    add hi ids;
-    add lo (-.ids);
-    (* d ids / d node voltages, per polarity-specific vgs definition *)
-    let dhi, dlo, dg =
-      match polarity with
-      | Mosfet.Nmos ->
-        (* vgs = vg - vlo, vds = vhi - vlo *)
-        (gds, -.gm -. gds, gm)
-      | Mosfet.Pmos ->
-        (* vgs = vhi - vg, vds = vhi - vlo *)
-        (gm +. gds, -.gds, -.gm)
-    in
+    add_u residual hi ids;
+    add_u residual lo (-.ids);
     Array.unsafe_set mos.ms_hi k hi;
     Array.unsafe_set mos.ms_lo k lo;
-    Array.unsafe_set mos.ms_dhi k dhi;
-    Array.unsafe_set mos.ms_dlo k dlo;
-    Array.unsafe_set mos.ms_dg k dg
+    (* d ids / d node voltages, per polarity-specific vgs definition *)
+    match polarity with
+    | Mosfet.Nmos ->
+      (* vgs = vg - vlo, vds = vhi - vlo *)
+      Array.unsafe_set mos.ms_dhi k gds;
+      Array.unsafe_set mos.ms_dlo k (-.gm -. gds);
+      Array.unsafe_set mos.ms_dg k gm
+    | Mosfet.Pmos ->
+      (* vgs = vhi - vg, vds = vhi - vlo *)
+      Array.unsafe_set mos.ms_dhi k (gm +. gds);
+      Array.unsafe_set mos.ms_dlo k (-.gds);
+      Array.unsafe_set mos.ms_dg k (-.gm)
   done;
   (* fixed extra currents (transient noise injection); indices are
      caller-supplied, so keep the checked accessor *)
-  Array.iter (fun (i, amps) -> addf residual i amps) injections;
+  for k = 0 to Array.length injections - 1 do
+    let i, amps = injections.(k) in
+    addf residual i amps
+  done;
   (* gmin from every node to ground *)
   if gmin > 0.0 then
     for i = 0 to nb_base - 1 do
@@ -332,10 +346,11 @@ let eval_residual ?(injections = [||]) c ~x ~time ~gmin ~source_scale ~cap_mode
    companion capacitors, voltage-source unit entries, gmin) — fixed for
    the lifetime of one Newton call — while [addj_dyn] gets the MOSFET
    small-signal stamps that change every iteration; [statics:false]
-   skips the static element loops entirely for the sparse blit path.
-   The dense assembly, the sparse assembly and the sparsity-pattern
-   discovery all drive this same pass, so they can never disagree about
-   what gets stamped. *)
+   skips the static element loops entirely.  The dense assembly, the
+   sparse static re-stamp and the sparsity-pattern discovery all drive
+   this same pass, so they can never disagree about what gets stamped.
+   The Newton hot path adds the MOSFET stamps with a direct loop in
+   {!stamp_sparse} instead, held bit-equal to this pass by a test. *)
 let stamp_jacobian ?(statics = true) c ~gmin ~cap_mode ~mos ~addj_static
     ~addj_dyn =
   let nb_base = c.n_nodes - 1 in
@@ -449,12 +464,15 @@ let sp_ctx c =
 (* Stamp into the values array of a same-pattern sparse matrix.  An
    out-of-pattern stamp would index slot -1 and fail loudly — the
    pattern is a structural superset of every assembly mode by
-   construction, so that would be a discovery bug, not a user error. *)
-let sparse_adder ctx ~n values i j v =
+   construction, so that would be a discovery bug, not a user error.
+   [@inline] for the direct MOSFET loop of {!stamp_sparse}. *)
+let[@inline] add_slot slot ~n values i j v =
   if i >= 0 && j >= 0 then begin
-    let p = Array.unsafe_get ctx.slot ((i * n) + j) in
+    let p = Array.unsafe_get slot ((i * n) + j) in
     Array.unsafe_set values p (Array.unsafe_get values p +. v)
   end
+
+let sparse_adder ctx ~n values i j v = add_slot ctx.slot ~n values i j v
 
 let ignore_stamp _ _ _ = ()
 
@@ -470,6 +488,7 @@ type solver_ws = {
   ws_ctx : sp_ctx;
   ws_a : Sparse.t;
   ws_static : float array;
+  ws_res : float array;
   ws_rhs : float array;
   ws_dx : float array;
   ws_mos : mos_scratch;
@@ -505,6 +524,7 @@ let build_solver_ws c =
     ws_ctx = ctx;
     ws_a = a;
     ws_static = Array.make (Sparse.nnz a) 0.0;
+    ws_res = Vec.create c.size;
     ws_rhs = Vec.create c.size;
     ws_dx = Vec.create c.size;
     ws_mos = make_mos_scratch c;
@@ -543,9 +563,26 @@ let stamp_sparse c ws ~gmin ~cap_mode ~mos =
   let nnz = Array.length values in
   if statics_current ws ~gmin ~cap_mode then begin
     Array.blit static_values 0 values 0 nnz;
-    stamp_jacobian ~statics:false c ~gmin ~cap_mode ~mos
-      ~addj_static:ignore_stamp
-      ~addj_dyn:(sparse_adder ctx ~n:c.size values)
+    (* The MOSFET stamps of [stamp_jacobian ~statics:false], written
+       out for the Newton hot path, where a partial application and six
+       indirect calls per device would box every value.  They must stay
+       in [stamp_jacobian]'s order: a device whose gate is one of its
+       channel terminals adds twice into one slot.  The "direct stamp
+       equals stamp_jacobian" test holds the two equal, bit for bit. *)
+    let slot = ctx.slot and n = c.size in
+    let mosfets = c.mosfets in
+    for k = 0 to Array.length mosfets - 1 do
+      let hi = mos.ms_hi.(k) and lo = mos.ms_lo.(k) and g = mosfets.(k).mg in
+      let dhi = mos.ms_dhi.(k)
+      and dlo = mos.ms_dlo.(k)
+      and dg = mos.ms_dg.(k) in
+      add_slot slot ~n values hi hi dhi;
+      add_slot slot ~n values hi lo dlo;
+      add_slot slot ~n values hi g dg;
+      add_slot slot ~n values lo hi (-.dhi);
+      add_slot slot ~n values lo lo (-.dlo);
+      add_slot slot ~n values lo g (-.dg)
+    done
   end
   else begin
     Array.fill static_values 0 nnz 0.0;
@@ -565,6 +602,23 @@ let stamp_sparse c ws ~gmin ~cap_mode ~mos =
       Array.blit geq 0 ws.ws_static_geq 0 (Array.length ws.ws_static_geq));
     ws.ws_static_valid <- true
   end
+
+let mos_stamp_paths c ~x ~gmin ~cap_mode =
+  let ws = build_solver_ws c in
+  let mos = ws.ws_mos in
+  check_stores c ~x ~residual:ws.ws_res ~cap_mode;
+  eval_residual c ~x ~time:0.0 ~gmin ~source_scale:1.0 ~cap_mode ~mos
+    ~residual:ws.ws_res;
+  (* the first call stamps and caches the statics; the second finds
+     them current and takes the direct MOSFET loop *)
+  stamp_sparse c ws ~gmin ~cap_mode ~mos;
+  stamp_sparse c ws ~gmin ~cap_mode ~mos;
+  let direct = Array.copy (Sparse.values ws.ws_a) in
+  let reference = Array.copy ws.ws_static in
+  stamp_jacobian ~statics:false c ~gmin ~cap_mode ~mos
+    ~addj_static:ignore_stamp
+    ~addj_dyn:(sparse_adder ws.ws_ctx ~n:c.size reference);
+  (direct, reference)
 
 let solver_ws workspace c =
   match workspace with
@@ -619,10 +673,11 @@ let refactorise_hist = Histogram.get "solver.refactorise"
    refactorisation time). *)
 let with_factoriser body =
   let refact_n = ref 0 and refact_s = ref 0.0 in
+  let analyse a =
+    Histogram.time factorise_hist (fun () -> Sparse_lu.factorise a)
+  in
   let full_factorise a =
-    let sym, nm =
-      Histogram.time factorise_hist (fun () -> Sparse_lu.factorise a)
-    in
+    let sym, nm = analyse a in
     Telemetry.incr "solver.symbolic";
     Sparse_lu.store_symbolic a sym;
     nm
@@ -638,13 +693,18 @@ let with_factoriser body =
       Telemetry.incr "solver.refactorise_fallback";
       full_factorise a
   in
+  (* find-or-analyse is one atomic registry operation: two domains
+     that meet a pattern at once run its symbolic analysis once, and the
+     second refactorises on the stored pivot order *)
   let factor prev a =
     match prev with
     | Some nm -> refactorise nm a
     | None -> (
-      match Sparse_lu.find_symbolic a with
-      | Some sym -> refactorise (Sparse_lu.create_numeric sym) a
-      | None -> full_factorise a)
+      match Sparse_lu.find_or_factorise a ~factorise:analyse with
+      | _, Some nm ->
+        Telemetry.incr "solver.symbolic";
+        nm
+      | sym, None -> refactorise (Sparse_lu.create_numeric sym) a)
   in
   let result = body factor in
   if !refact_n > 0 then begin
@@ -693,10 +753,10 @@ let newton ?(max_iter = 50) ?(vtol = 1e-6) ?(rtol = 1e-6) ?(itol = 1e-9)
     ~cap_mode =
   let n = c.size in
   let nb_base = c.n_nodes - 1 in
-  let residual = Vec.create n in
+  let ws = solver_ws workspace c in
+  let residual = ws.ws_res in
   check_stores c ~x ~residual ~cap_mode;
   let run factor =
-    let ws = solver_ws workspace c in
     let a = ws.ws_a in
     let rhs = ws.ws_rhs and dx = ws.ws_dx in
     let mos = ws.ws_mos in

@@ -120,6 +120,20 @@ val with_factoriser :
     their summed time.
     @raise Repro_linalg.Sparse_lu.Singular when [a] is singular. *)
 
+val mos_stamp_paths :
+  compiled ->
+  x:Repro_linalg.Vec.t ->
+  gmin:float ->
+  cap_mode:cap_mode ->
+  float array * float array
+(** For tests and diagnostics.  The sparse Jacobian values at [x], built
+    the two ways the solver can add its MOSFET stamps over the same
+    cached static stamps: [(direct, reference)], where [direct] comes
+    from the Newton hot path's direct loop and [reference] from the
+    generic Jacobian pass that pattern discovery and {!assemble} use.
+    The two are equal bit for bit while the hot path keeps the generic
+    pass's order. *)
+
 type newton_report = {
   converged : bool;
   iterations : int;

@@ -1,4 +1,5 @@
 module Vec = Repro_linalg.Vec
+module Telemetry = Repro_engine.Telemetry
 
 type options = {
   t_stop : float;
@@ -51,6 +52,15 @@ let run_result ?solver:_ ?workspace compiled opts =
   let workspace =
     match workspace with Some w -> w | None -> Mna.domain_workspace ()
   in
+  let steps = ref 0 and halvings = ref 0 and newton_total = ref 0 in
+  (* published once per transient, never per step: each update takes
+     the domain's Telemetry lock *)
+  let publish () =
+    Telemetry.incr "tran.runs";
+    Telemetry.incr "tran.steps" ~by:!steps;
+    Telemetry.incr "tran.halvings" ~by:!halvings;
+    Telemetry.incr "tran.newton" ~by:!newton_total
+  in
   match
     begin
   let n = Mna.size compiled in
@@ -74,7 +84,6 @@ let run_result ?solver:_ ?workspace compiled opts =
   let i_prev = Array.make ncaps 0.0 in
   let geq = Array.make ncaps 0.0 in
   let ieq = Array.make ncaps 0.0 in
-  let newton_total = ref 0 in
   let rec_times = ref [ 0.0 ] in
   let rec_states = ref [ Vec.copy x ] in
   (* first step uses BE (no cap-current history yet) *)
@@ -117,13 +126,16 @@ let run_result ?solver:_ ?workspace compiled opts =
         raise (Abort (Solver_error.Step_underflow { time = !t }));
       match step_ok h_try with
       | Some x_new -> (h_try, x_new)
-      | None -> attempt (h_try /. 2.0)
+      | None ->
+        incr halvings;
+        attempt (h_try /. 2.0)
     in
     let h_used, x_new = attempt !h in
     (* update capacitor history from the accepted step *)
     Mna.cap_history compiled ~x:x_new ~geq ~ieq ~v_prev ~i_prev;
     Array.blit x_new 0 x 0 n;
     t := !t +. h_used;
+    incr steps;
     first := false;
     rec_times := !t :: !rec_times;
     rec_states := Vec.copy x :: !rec_states;
@@ -138,8 +150,12 @@ let run_result ?solver:_ ?workspace compiled opts =
   }
     end
   with
-  | r -> Ok r
-  | exception Abort e -> Error e
+  | r ->
+    publish ();
+    Ok r
+  | exception Abort e ->
+    publish ();
+    Error e
 
 let run ?workspace compiled opts =
   match run_result ?workspace compiled opts with

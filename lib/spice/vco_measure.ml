@@ -1,5 +1,6 @@
 module C = Repro_circuit
 module Netlist = Repro_circuit.Netlist
+module Telemetry = Repro_engine.Telemetry
 
 type performance = {
   kvco : float;
@@ -88,6 +89,11 @@ let run_osc opts net vctl =
   let compiled = Mna.compile net in
   let mid = opts.vdd /. 2.0 in
   let rec attempt ext =
+    (* an extended window that still sees no measurable oscillation *)
+    let unresolved f =
+      if ext > 0 then Telemetry.incr "vco.extensions_failed";
+      Error f
+    in
     let stretch = Float.of_int (1 lsl (2 * ext)) in
     let t_stop = opts.t_stop *. stretch in
     let dt = opts.dt *. Float.min 2.0 stretch in
@@ -113,7 +119,7 @@ let run_osc opts net vctl =
       let crossings = Waveform.crossings ~direction:Waveform.Rising w1 ~level:mid in
       if Array.length crossings >= opts.min_cycles + 1 then begin
         match Waveform.frequency ~direction:Waveform.Rising w1 ~level:mid with
-        | None -> Error No_oscillation
+        | None -> unresolved No_oscillation
         | Some freq ->
           let idd_w =
             Waveform.window
@@ -147,10 +153,13 @@ let run_osc opts net vctl =
           in
           Ok { freq; idd; slew_asym; mean_slew; swing_ok }
       end
-      else if ext < opts.max_extensions then attempt (ext + 1)
+      else if ext < opts.max_extensions then begin
+        Telemetry.incr "vco.extensions";
+        attempt (ext + 1)
+      end
       else begin
         let ptp = Waveform.peak_to_peak w1 in
-        if ptp < 0.2 *. opts.vdd then Error No_oscillation else Error Too_slow
+        unresolved (if ptp < 0.2 *. opts.vdd then No_oscillation else Too_slow)
       end
   in
   attempt 0
@@ -249,6 +258,7 @@ let characterise_netlist_exn ?(options = default_options) net =
   end
 
 let characterise_netlist ?options net =
+  Telemetry.incr "vco.characterisations";
   try characterise_netlist_exn ?options net
   with Characterise_failure f -> Error f
 

@@ -732,6 +732,45 @@ let test_report_journal () =
   Alcotest.(check bool) "ok" true (r = Ok ());
   Alcotest.(check string) "journal report" expected_journal text
 
+(* a run.finish carrying the simulator counters gets the simulator
+   block after the evaluation split *)
+let test_report_journal_simulator () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "run.journal" in
+  write_file path
+    (String.concat "\n"
+       [
+         {|{"ts":1,"run":"r2","event":"run.start","fingerprint":"ab"}|};
+         {|{"ts":2,"run":"r2","event":"run.finish","seconds":40.25,"eval_avoided":0,"eval_paid":0,"eval_cache_hits":4,"eval_runs":156,"vco_characterisations":156,"vco_extensions":298,"vco_extensions_failed":123,"tran_runs":766,"tran_steps":2400000,"tran_halvings":3,"tran_newton":5220000}|};
+         "";
+       ]);
+  let events =
+    match Repro_obs.Journal.read path with
+    | Ok events -> events
+    | Error e -> Alcotest.fail e
+  in
+  let r, text = render (fun ppf -> Repro_prof.Report.journal ppf events) in
+  Alcotest.(check bool) "ok" true (r = Ok ());
+  Alcotest.(check string) "simulator block"
+    {|run r2  (fingerprint ab, 2 events)
+
+evals:
+  requested       160
+  avoided           0    0.0%  (surrogate pre-screen)
+  cached            4    2.5%  (eval cache)
+  simulated       156   97.5%
+
+simulator:
+  characterisations         156
+  window extensions         298  (123 still unresolved)
+  transients                766
+  accepted steps        2400000  (3 rejected)
+  Newton iterations     5220000  (2.17 per step)
+
+run finished in 40.250 s
+|}
+    text
+
 let test_report_trace () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "golden.trace.json" in
@@ -950,4 +989,6 @@ let suite =
     Alcotest.test_case "trace decoder on every prefix" `Quick
       test_trace_decoder_prefixes;
     QCheck_alcotest.to_alcotest prop_trace_decoder_wrong_types;
+    Alcotest.test_case "report journal simulator block" `Quick
+      test_report_journal_simulator;
   ]

@@ -290,6 +290,47 @@ let test_mc_symbolic_runs_once () =
     (refact >= solves);
   Sparse_lu.clear_cache ()
 
+(* Domains released together onto one cold pattern: find-or-analyse is
+   atomic, so the symbolic analysis runs once per round and the other
+   domains refactorise on the stored pivot order.  Each domain solves its
+   own compiled, process-sampled ring VCO, as Monte-Carlo trials do. *)
+let test_mc_symbolic_once_across_domains () =
+  let domains = 3 and rounds = 20 in
+  let net =
+    Repro_circuit.Topologies.ring_vco ~vctl:0.5
+      Repro_circuit.Topologies.vco_default
+  in
+  let prng = Repro_util.Prng.create 2009 in
+  for round = 1 to rounds do
+    let circuits =
+      List.init domains (fun _ ->
+          Repro_spice.Mna.compile
+            (Repro_circuit.Process.sample Repro_circuit.Process.default
+               (Repro_util.Prng.split prng) net))
+    in
+    Sparse_lu.clear_cache ();
+    let base = Repro_engine.Telemetry.counter "solver.symbolic" in
+    let ready = Atomic.make 0 in
+    let spawned =
+      List.map
+        (fun c ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < domains do
+                Domain.cpu_relax ()
+              done;
+              Result.is_ok (Repro_spice.Dcop.solve_result c)))
+        circuits
+    in
+    let solved = List.for_all Fun.id (List.map Domain.join spawned) in
+    Alcotest.(check bool) (Printf.sprintf "round %d solved" round) true solved;
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: one symbolic analysis" round)
+      1
+      (Repro_engine.Telemetry.counter "solver.symbolic" - base)
+  done;
+  Sparse_lu.clear_cache ()
+
 let suite =
   [
     Alcotest.test_case "builder duplicates" `Quick test_builder_duplicates;
@@ -307,4 +348,6 @@ let suite =
       test_mc_symbolic_runs_once;
     QCheck_alcotest.to_alcotest prop_sparse_vs_dense_random;
     QCheck_alcotest.to_alcotest prop_sparse_vs_dense_mna;
+    Alcotest.test_case "MC symbolic runs once across domains" `Quick
+      test_mc_symbolic_once_across_domains;
   ]

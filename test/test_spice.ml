@@ -285,6 +285,106 @@ let test_solver_error_rendering () =
   Alcotest.(check string) "step underflow" "step failure at t=1e-09"
     (S.Solver_error.to_string (S.Solver_error.Step_underflow { time = 1e-9 }))
 
+(* ---- kernel pins ---- *)
+
+(* the ring VCO every kernel test runs: a diode-connected bias PMOS
+   stamps one Jacobian slot twice, and the stages swing both ways *)
+let ring_vco () =
+  S.Mna.compile (C.Topologies.ring_vco ~vctl:0.85 C.Topologies.vco_default)
+
+let ring_opts =
+  { (S.Transient.default_options ~t_stop:12e-9 ~dt:5e-12) with
+    S.Transient.ic =
+      [ ("s1", 1.2); ("s2", 0.0); ("s3", 1.2); ("s4", 0.0); ("s5", 0.6) ] }
+
+(* The five floats of the default VCO's characterisation, bit for bit.
+   A kernel change that reorders or alters one floating-point operation
+   fails here first; a change meant to move bits updates these and says
+   so.  The cleared registry makes the first factorisation choose the
+   pivot order from this characterisation's own matrix, as in a fresh
+   process. *)
+let test_characterise_bits_golden () =
+  Repro_linalg.Sparse_lu.clear_cache ();
+  match S.Vco_measure.characterise C.Topologies.vco_default with
+  | Error f ->
+    Alcotest.failf "characterise: %s" (S.Vco_measure.failure_to_string f)
+  | Ok p ->
+    let bits name expected got =
+      Alcotest.(check string) name expected (Printf.sprintf "%h" got)
+    in
+    bits "kvco" "0x1.25061d64c752bp+28" p.S.Vco_measure.kvco;
+    bits "ivco" "0x1.980dc297cad6bp-8" p.S.Vco_measure.ivco;
+    bits "jvco" "0x1.fc5402ad84a04p-43" p.S.Vco_measure.jvco;
+    bits "fmin" "0x1.9d379ab66713p+27" p.S.Vco_measure.fmin;
+    bits "fmax" "0x1.abf1942ce3784p+29" p.S.Vco_measure.fmax
+
+(* A warm ring-VCO transient allocates per step only what it records
+   (the state copy and its list cells) plus a few boxed floats per
+   device per Newton iteration, about 600 words.  The bound leaves room
+   for other compilers and fails once residual assembly, MOSFET
+   stamping or the device model box a float per element again (about
+   5,000 words). *)
+let test_transient_allocation_bound () =
+  let cm = ring_vco () in
+  let run () =
+    match S.Transient.run_result cm ring_opts with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "transient: %s" (S.Solver_error.to_string e)
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. w0 in
+  let steps = Array.length (S.Transient.times r) - 1 in
+  let per_step = words /. float_of_int steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per step (at most 1500)" per_step)
+    true (per_step <= 1500.0)
+
+(* the direct MOSFET loop of the Newton hot path adds in the order of
+   the generic Jacobian pass, so both give the same bits, in either
+   channel orientation and under either capacitor mode *)
+let prop_direct_stamp_equals_stamp_jacobian =
+  let cm = ring_vco () in
+  let n = S.Mna.size cm and ncaps = S.Mna.cap_count cm in
+  let bits a = Array.map Int64.bits_of_float a in
+  QCheck.Test.make ~count:100 ~name:"direct stamp equals stamp_jacobian"
+    QCheck.(
+      pair
+        (array_of_size (QCheck.Gen.return n) (float_range (-0.3) 1.5))
+        (float_range 1e-6 1e-2))
+    (fun (x, g) ->
+      List.for_all
+        (fun cap_mode ->
+          let direct, reference =
+            S.Mna.mos_stamp_paths cm ~x ~gmin:1e-12 ~cap_mode
+          in
+          bits direct = bits reference)
+        [
+          S.Mna.Dc;
+          S.Mna.Companion
+            { geq = Array.make ncaps g; ieq = Array.make ncaps 0.0 };
+        ])
+
+(* the layer counters are published once per transient and add up *)
+let test_transient_counters () =
+  let cm = ring_vco () in
+  let read () =
+    List.map Repro_engine.Telemetry.counter
+      [ "tran.runs"; "tran.steps"; "tran.newton" ]
+  in
+  let before = read () in
+  match S.Transient.run_result cm ring_opts with
+  | Error e -> Alcotest.failf "transient: %s" (S.Solver_error.to_string e)
+  | Ok r ->
+    Alcotest.(check (list int)) "runs, steps, newton"
+      [
+        1;
+        Array.length (S.Transient.times r) - 1;
+        S.Transient.total_newton_iterations r;
+      ]
+      (List.map2 ( - ) (read ()) before)
+
 let suite =
   [
     Alcotest.test_case "voltage divider" `Quick test_voltage_divider;
@@ -309,4 +409,10 @@ let suite =
     Alcotest.test_case "spread of samples" `Quick test_spread_of_samples;
     Alcotest.test_case "result-based solver API" `Quick test_solve_result_matches_solve;
     Alcotest.test_case "solver error rendering" `Quick test_solver_error_rendering;
+    Alcotest.test_case "characterise bits golden" `Quick
+      test_characterise_bits_golden;
+    Alcotest.test_case "transient allocation bound" `Quick
+      test_transient_allocation_bound;
+    QCheck_alcotest.to_alcotest prop_direct_stamp_equals_stamp_jacobian;
+    Alcotest.test_case "transient counters" `Quick test_transient_counters;
   ]
