@@ -402,11 +402,10 @@ let zdt1_problem () =
       })
 
 (* Portfolio shoot-out at one identical evaluation budget on ZDT1,
-   scored by the exact 2-D hypervolume (the CI portfolio-smoke HV
-   floor), then the surrogate pre-screen on the flow's own
-   circuit-level GA: the avoided/paid split from the telemetry
-   counters and whether the screened front still agrees with the
-   exhaustive one. *)
+   scored by the exact 2-D hypervolume, then the surrogate pre-screen
+   on the flow's own circuit-level GA: the avoided/paid split from the
+   telemetry counters and whether the screened front still agrees with
+   the exhaustive one. *)
 let moo_bench () =
   let module O = Repro_moo.Optimiser in
   let zdt1 = zdt1_problem () in
@@ -416,8 +415,7 @@ let moo_bench () =
   Printf.printf "ZDT1 at an identical budget (%d evaluations each):\n"
     (pop * (gens + 1));
   List.iter
-    (fun name ->
-      let opt = Option.get (O.of_name name) in
+    (fun (name, opt) ->
       let t0 = Unix.gettimeofday () in
       let final =
         O.optimise opt ~options zdt1 (Repro_util.Prng.create 29)
@@ -432,7 +430,7 @@ let moo_bench () =
       Printf.printf
         "  %-8s %2d front designs, hypervolume %.4f   (%.2f s)\n" name
         (Array.length front) hv dt)
-    [ "nsga2"; "de"; "mopso" ];
+    O.all;
   (* surrogate leg: the reference flow's circuit-level problem (tiny
      spec), same seed with screening off then on.  A fresh cold cache
      per leg keeps the wall times comparable and the avoided/paid
@@ -788,26 +786,20 @@ let run_timings result =
 
 let usage () =
   prerr_endline
-    "usage: bench [--scale tiny|bench|paper] [--moo-only] [--write-baseline]\n\
+    "usage: bench [--scale tiny|bench|paper] [--write-baseline]\n\
      \n\
      --scale           workload scale (default: HIEROPT_FULL / bench)\n\
-     --moo-only        run only the optimiser-portfolio / surrogate\n\
-     \                  section (the CI portfolio-smoke workload)\n\
      --write-baseline  also write bench/BASELINE.json, the reference the\n\
      \                  CI bench-regression job compares BENCH.json against";
   exit 2
 
 let () =
   let write_baseline = ref false in
-  let moo_only = ref false in
   let scale = ref None in
   let rec parse = function
     | [] -> ()
     | "--write-baseline" :: rest ->
       write_baseline := true;
-      parse rest
-    | "--moo-only" :: rest ->
-      moo_only := true;
       parse rest
     | "--scale" :: v :: rest ->
       (match v with
@@ -829,16 +821,8 @@ let () =
     | Some (s, spec) -> (s, spec)
     | None -> (H.Hierarchy.scale_of_env (), None)
   in
-  if !moo_only then begin
-    section "Moo — optimiser portfolio + surrogate pre-screen";
-    moo_bench ();
-    telemetry_line ();
-    write_bench_json "BENCH.json"
-  end
-  else begin
-    let result = run_experiments ~scale ~spec () in
-    run_timings result;
-    write_bench_json "BENCH.json";
-    if !write_baseline then write_bench_json "bench/BASELINE.json"
-  end;
+  let result = run_experiments ~scale ~spec () in
+  run_timings result;
+  write_bench_json "BENCH.json";
+  if !write_baseline then write_bench_json "bench/BASELINE.json";
   print_newline ()

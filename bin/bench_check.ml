@@ -43,7 +43,6 @@ let watched =
        gates on an absolute wall ceiling (shared-runner noise) *)
     ("moo/hv_at_budget_nsga2", Higher_is_better);
     ("moo/hv_at_budget_de", Higher_is_better);
-    ("moo/hv_at_budget_mopso", Higher_is_better);
     ("moo/surrogate.eval_avoided_ratio", Higher_is_better);
     ("moo/surrogate.front_agreement", Higher_is_better);
     ("moo/flow.wall_s", Bound 300.0);

@@ -121,26 +121,15 @@ let optimiser_t =
     & opt (enum choices) "nsga2"
     & info [ "optimiser" ] ~docv:"ALGO"
         ~doc:
-          "Portfolio member running both GA levels: $(b,nsga2), \
-           $(b,spea2), $(b,de) (differential evolution with \
-           Pareto-domination selection) or $(b,mopso) (multi-objective \
-           particle swarm).  All four share the evaluation engine, \
-           checkpointing and telemetry; the choice is salted into eval \
-           cache keys and snapshot fingerprints, so switching never \
-           aliases a previous run's artefacts.")
-
-let surrogate_t =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) false
-    & info [ "surrogate" ] ~docv:"on|off"
-        ~doc:
-          "Surrogate pre-screening: fit RBF models to the evaluated \
-           archive each generation and skip exact evaluation of \
-           candidates predicted (with a guard band) to be dominated by \
-           the current front.  Avoided/paid counts land in telemetry, \
-           the run journal and $(b,hieropt report).  Salted into cache \
-           keys and snapshot fingerprints like --optimiser.")
+          "Optimiser running both GA levels: $(b,nsga2) (the paper's, \
+           unscreened) or $(b,de) (differential evolution with \
+           Pareto-domination selection, always behind the surrogate \
+           pre-screen, which skips exact evaluation of candidates \
+           predicted to be dominated by the current front; avoided/paid \
+           counts land in telemetry, the run journal and $(b,hieropt \
+           report)).  The choice is salted into eval cache keys and \
+           snapshot fingerprints, so switching never aliases a previous \
+           run's artefacts.")
 
 (* ---- run-lifecycle flags ---- *)
 
@@ -428,14 +417,14 @@ let flow_cmd =
              (the method of the paper's reference [10]); for the ablation \
              comparison.")
   in
-  let run seed full scale jobs nominal_only optimiser surrogate netlist
-      model_dir checkpoint_every resume interrupt_after trace verbose =
+  let run seed full scale jobs nominal_only optimiser netlist model_dir
+      checkpoint_every resume interrupt_after trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
     let scale, spec = resolve_scale full scale in
     let make ?circuit () =
       Hieropt.Hierarchy.make_config ~seed ~scale ?spec
-        ~use_variation:(not nominal_only) ~optimiser ~surrogate ~model_dir
+        ~use_variation:(not nominal_only) ~optimiser ~model_dir
         ?checkpoint_every ~resume ?circuit ()
     in
     let cfg = make () in
@@ -481,7 +470,7 @@ let flow_cmd =
   Cmd.v info
     Term.(
       const run $ seed_t $ full_t $ scale_t $ jobs_t $ ablation_t
-      $ optimiser_t $ surrogate_t $ netlist_t $ model_dir_t
+      $ optimiser_t $ netlist_t $ model_dir_t
       $ checkpoint_every_t $ resume_t $ interrupt_after_t $ trace_t
       $ verbose_t)
 
@@ -513,7 +502,7 @@ let pll_query_of_remote ~fallback remote =
       Some (Repro_serve.Remote.model_query ~fallback ~client ~model ()))
 
 let system_cmd =
-  let run seed full scale jobs optimiser surrogate model_dir remote
+  let run seed full scale jobs optimiser model_dir remote
       checkpoint_every resume trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
@@ -521,8 +510,8 @@ let system_cmd =
     let pll_query = pll_query_of_remote ~fallback:model remote in
     let scale, spec = resolve_scale full scale in
     let cfg =
-      Hieropt.Hierarchy.make_config ~seed ~scale ?spec ~optimiser ~surrogate
-        ~model_dir ?checkpoint_every ~resume ()
+      Hieropt.Hierarchy.make_config ~seed ~scale ?spec ~optimiser ~model_dir
+        ?checkpoint_every ~resume ()
     in
     with_lifecycle ~checkpoint_every @@ fun () ->
     with_trace ~label:"coordinator" trace @@ fun () ->
@@ -542,8 +531,8 @@ let system_cmd =
   Cmd.v info
     Term.(
       const run $ seed_t $ full_t $ scale_t $ jobs_t $ optimiser_t
-      $ surrogate_t $ model_dir_t $ remote_t $ checkpoint_every_t
-      $ resume_t $ trace_t $ verbose_t)
+      $ model_dir_t $ remote_t $ checkpoint_every_t $ resume_t $ trace_t
+      $ verbose_t)
 
 (* ---- yield ---- *)
 

@@ -86,7 +86,6 @@ type config = {
   resume : bool;
   circuit : circuit option;
   optimiser : string;
-  surrogate : bool;
 }
 
 let default_config ?(scale = bench_scale) () =
@@ -102,7 +101,6 @@ let default_config ?(scale = bench_scale) () =
     resume = false;
     circuit = None;
     optimiser = "nsga2";
-    surrogate = false;
   }
 
 let validate_scale s =
@@ -141,7 +139,7 @@ let validate_circuit c =
 let make_config ?(seed = 2009) ?(scale = bench_scale) ?(spec = Spec.default)
     ?(measure = V.default_options) ?(process = Repro_circuit.Process.default)
     ?(use_variation = true) ?model_dir ?checkpoint_every ?(resume = false)
-    ?circuit ?(optimiser = "nsga2") ?(surrogate = false) () =
+    ?circuit ?(optimiser = "nsga2") () =
   validate_scale scale;
   Spec.validate spec;
   Option.iter validate_circuit circuit;
@@ -160,7 +158,7 @@ let make_config ?(seed = 2009) ?(scale = bench_scale) ?(spec = Spec.default)
       "Hierarchy.make_config: resume/checkpointing requires a model_dir to \
        hold the snapshot";
   { seed; scale; spec; measure; process; use_variation; model_dir;
-    checkpoint_every; resume; circuit; optimiser; surrogate }
+    checkpoint_every; resume; circuit; optimiser }
 
 exception Degenerate_front of { stage : string; found : int; minimum : int }
 
@@ -296,6 +294,12 @@ let cache_path cfg =
 let circuit_tag cfg =
   match cfg.circuit with None -> "" | Some c -> c.tag
 
+(* DE always runs behind the surrogate pre-screen and NSGA-II never
+   does: screened DE is the only pairing that beat plain NSGA-II's
+   hypervolume per wall second on the circuit problem (README,
+   "Optimiser portfolio") *)
+let screened cfg = cfg.optimiser = "de"
+
 let config_salt cfg =
   Printf.sprintf "%08x"
     (Hashtbl.hash_param 256 256
@@ -306,7 +310,7 @@ let config_salt cfg =
          circuit_tag cfg,
          (* optimiser choice and screening are salted so a screened
             run's cache can never alias an exhaustive run's *)
-         (cfg.optimiser, cfg.surrogate) ))
+         (cfg.optimiser, screened cfg) ))
 
 let load_cache cfg =
   match cache_path cfg with
@@ -340,11 +344,9 @@ let portfolio_of cfg =
 let optimiser_label cfg =
   (match cfg.optimiser with
   | "nsga2" -> "NSGA-II"
-  | "spea2" -> "SPEA2"
   | "de" -> "DE"
-  | "mopso" -> "MOPSO"
   | other -> other)
-  ^ if cfg.surrogate then "+surrogate" else ""
+  ^ if screened cfg then "+surrogate" else ""
 
 (* ---- circuit front end -------------------------------------------- *)
 
@@ -386,7 +388,7 @@ let fingerprint ?(extra = "") cfg =
          cfg.process,
          cfg.use_variation,
          circuit_tag cfg,
-         (cfg.optimiser, cfg.surrogate) ))
+         (cfg.optimiser, screened cfg) ))
     extra
 
 let setup_checkpoint ?extra ~file cfg progress =
@@ -606,7 +608,7 @@ let run_system_level_inner ?(progress = fun _ -> ()) ?evaluator ?ck
           generations = scale.pll_generations;
         }
       ~evaluator:(Option.value evaluator ~default:Repro_moo.Problem.serial_evaluator)
-      ~surrogate:cfg.surrogate
+      ~surrogate:(screened cfg)
       ~hv_of:(Repro_moo.Hypervolume.of_front ~reference:system_hv_reference)
       ~ck pll_problem prng
   in
@@ -713,7 +715,7 @@ let run ?(progress = fun _ -> ()) ?interrupt_after cfg =
                 Repro_moo.Optimiser.population = scale.vco_population;
                 generations = scale.vco_generations;
               }
-            ~evaluator ~surrogate:cfg.surrogate
+            ~evaluator ~surrogate:(screened cfg)
             ~hv_of:
               (Repro_moo.Hypervolume.of_front ~dims:circuit_hv_dims
                  ~reference:circuit_hv_reference)

@@ -94,13 +94,12 @@ type config = {
       (** custom circuit front end; [None] is the built-in ring VCO *)
   optimiser : string;
       (** portfolio member running both GA levels: one of
-          {!Repro_moo.Optimiser.names} (["nsga2"], ["spea2"], ["de"],
-          ["mopso"]).  Salted into cache keys and snapshot
-          fingerprints. *)
-  surrogate : bool;
-      (** surrogate pre-screening ({!Repro_moo.Surrogate}): skip exact
-          evaluation of candidates predicted dominated by the current
-          front.  Also salted into cache keys and fingerprints. *)
+          {!Repro_moo.Optimiser.names}.  ["nsga2"] (the paper's) runs
+          unscreened; ["de"] always runs behind the surrogate pre-screen
+          ({!Repro_moo.Surrogate}), which skips exact evaluation of
+          candidates predicted dominated by the current front.  The
+          name and whether it screens are salted into cache keys and
+          snapshot fingerprints. *)
 }
 
 val default_config : ?scale:scale -> unit -> config
@@ -117,7 +116,6 @@ val make_config :
   ?resume:bool ->
   ?circuit:circuit ->
   ?optimiser:string ->
-  ?surrogate:bool ->
   unit ->
   config
 (** Validating constructor — prefer this over record literals.

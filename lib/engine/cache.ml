@@ -168,7 +168,7 @@ let parse_line line =
         else Array.of_list (List.map f (String.split_on_char ',' s))
       in
       let bits =
-        parse_list (fun s -> Scanf.sscanf s "%Lx" Fun.id) bits
+        parse_list (fun s -> Scanf.sscanf s "%Lx%!" Fun.id) bits
       in
       let vals = parse_list float_of_string vals in
       let h = ref (mix64 0L (Int64.of_int (Hashtbl.hash kind))) in

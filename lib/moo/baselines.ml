@@ -67,14 +67,3 @@ let weighted_sum_ga ?(options = default_ws_options) ~weights ~normalise problem
     pop := children
   done;
   !pop.(0)
-
-let weighted_sum_front ?(options = default_ws_options) ~n_weights ~normalise
-    problem prng =
-  if n_weights <= 0 then invalid_arg "Baselines.weighted_sum_front: n_weights";
-  let n_obj = Problem.n_objectives problem in
-  Array.init n_weights (fun _ ->
-      (* random simplex weights *)
-      let raw = Array.init n_obj (fun _ -> -.log (1.0 -. Prng.uniform prng)) in
-      let total = Array.fold_left ( +. ) 0.0 raw in
-      let weights = Array.map (fun v -> v /. total) raw in
-      weighted_sum_ga ~options ~weights ~normalise problem prng)

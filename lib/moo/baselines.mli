@@ -33,14 +33,3 @@ val weighted_sum_ga :
 (** Single-objective (µ+λ) evolution strategy on
     sum_i w_i * f_i(x) / normalise_i, with a large penalty for
     constraint violation.  Returns the best individual found. *)
-
-val weighted_sum_front :
-  ?options:ws_options ->
-  n_weights:int ->
-  normalise:float array ->
-  Problem.t ->
-  Repro_util.Prng.t ->
-  Nsga2.individual array
-(** Classical multi-run scalarisation: [n_weights] random weight vectors,
-    one GA run each — the front NSGA-II is meant to beat in a single
-    run.  Only 'convex-hull' points are reachable this way. *)

@@ -96,7 +96,7 @@ val eval_batch :
   Problem.evaluator -> Problem.t -> float array array -> individual array
 (** Batch-evaluate raw decision vectors into individuals through the
     injected evaluation strategy — the one evaluation seam every
-    portfolio optimiser ({!De}, {!Mopso}, {!Spea2}) shares. *)
+    population-based optimiser ({!De}, {!Spea2}) shares. *)
 
 val select_best : int -> individual array -> individual array
 (** NSGA-II environmental selection: the best [target] individuals by

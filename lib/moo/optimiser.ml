@@ -59,33 +59,6 @@ module Nsga2_optimiser : S = struct
   let clear_state = Nsga2.clear_state
 end
 
-module Spea2_optimiser : S = struct
-  let name = "spea2"
-
-  type state = Spea2.state
-
-  let native o =
-    {
-      Spea2.default_options with
-      population = o.population;
-      archive = o.population;
-      generations = o.generations;
-    }
-
-  let init ~options ~evaluator problem prng =
-    Spea2.init ~options:(native options) ~evaluator problem prng
-
-  let step ~evaluator problem st = Spea2.step ~evaluator problem st
-  let generation = Spea2.generation
-  let population = Spea2.archive
-  let save_state = Spea2.save_state
-
-  let restore_state ~options problem snap ~key =
-    Spea2.restore_state ~options:(native options) problem snap ~key
-
-  let clear_state = Spea2.clear_state
-end
-
 module De_optimiser : S = struct
   let name = "de"
 
@@ -112,39 +85,10 @@ module De_optimiser : S = struct
   let clear_state = De.clear_state
 end
 
-module Mopso_optimiser : S = struct
-  let name = "mopso"
-
-  type state = Mopso.state
-
-  let native o =
-    {
-      Mopso.default_options with
-      population = o.population;
-      generations = o.generations;
-      archive = o.population;
-    }
-
-  let init ~options ~evaluator problem prng =
-    Mopso.init ~options:(native options) ~evaluator problem prng
-
-  let step ~evaluator problem st = Mopso.step ~evaluator problem st
-  let generation = Mopso.generation
-  let population = Mopso.population
-  let save_state = Mopso.save_state
-
-  let restore_state ~options problem snap ~key =
-    Mopso.restore_state ~options:(native options) problem snap ~key
-
-  let clear_state = Mopso.clear_state
-end
-
 let all : (string * t) list =
   [
     ("nsga2", (module Nsga2_optimiser));
-    ("spea2", (module Spea2_optimiser));
     ("de", (module De_optimiser));
-    ("mopso", (module Mopso_optimiser));
   ]
 
 let names = List.map fst all

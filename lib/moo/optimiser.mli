@@ -1,14 +1,18 @@
 (** The optimiser portfolio: one first-class module signature over the
-    [init]/[step]/[save_state]/[restore_state] contract that every
-    multi-objective optimiser in this library follows, plus a name
+    [init]/[step]/[save_state]/[restore_state] contract, plus a name
     registry so callers (Hierarchy, the CLI's [--optimiser] flag, the
     benches) can pick an algorithm at run time.
 
-    All members are real-coded over {!Problem.t}, batch-evaluate
-    through the injected {!Problem.evaluator} (so domain-pool and
-    cached evaluation apply unchanged), and serialise
-    their full generation-loop state into snapshots for bit-identical
-    checkpoint-resume. *)
+    Two members earn their place: {!Nsga2}, the paper's optimiser, and
+    {!De}.  On the circuit-level problem, DE behind the surrogate
+    pre-screen beat NSGA-II's median hypervolume per wall second by
+    more than NSGA-II's IQR over ten seeds; SPEA2 and MOPSO did not and
+    are not members.
+
+    Both are real-coded over {!Problem.t}, batch-evaluate through the
+    injected {!Problem.evaluator} (so domain-pool and cached evaluation
+    apply unchanged), and serialise their full generation-loop state
+    into snapshots for bit-identical checkpoint-resume. *)
 
 type options = {
   population : int;
@@ -53,7 +57,7 @@ end
 type t = (module S)
 
 val all : (string * t) list
-(** [("nsga2", ...); ("spea2", ...); ("de", ...); ("mopso", ...)]. *)
+(** [("nsga2", ...); ("de", ...)]. *)
 
 val names : string list
 val of_name : string -> t option

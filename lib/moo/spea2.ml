@@ -123,57 +123,26 @@ let binary_tournament prng fit n =
   let a = Prng.int prng n and b = Prng.int prng n in
   if fit.(a) <= fit.(b) then a else b
 
-(* ---- step-wise API ------------------------------------------------ *)
-
-type state = {
-  options : options;
-  prng : Prng.t;
-  mutable generation : int;
-  mutable population : Nsga2.individual array;
-  mutable archive : Nsga2.individual array;
-}
-
-let generation st = st.generation
-let archive st = st.archive
-
-let eval_batch evaluator problem xs =
-  let evs = Problem.evaluate_all ~evaluator problem xs in
-  Array.map2 (fun x evaluation -> { Nsga2.x; evaluation }) xs evs
-
-let init ?(options = default_options) ?(evaluator = Problem.serial_evaluator)
-    problem prng =
-  if options.population < 4 || options.archive < 2 then
-    invalid_arg "Spea2.optimise: population >= 4 and archive >= 2 required";
-  let initial = Array.make options.population [||] in
-  for i = 0 to options.population - 1 do
-    initial.(i) <- Problem.random_point problem prng
-  done;
-  { options; prng; generation = 0;
-    population = eval_batch evaluator problem initial; archive = [||] }
-
-let step ?(evaluator = Problem.serial_evaluator) problem st =
+(* one generation: environmental selection of the next archive from
+   population ∪ archive, then mating on that archive; returns the new
+   archive and the evaluated offspring *)
+let generation ~options ~evaluator problem prng ~gen population archive =
   Repro_obs.Trace.span "spea2.generation"
     ~args:
-      [
-        ("problem", problem.Problem.name);
-        ("generation", string_of_int (st.generation + 1));
-      ]
+      [ ("problem", problem.Problem.name); ("generation", string_of_int gen) ]
   @@ fun () ->
-  let options = st.options and prng = st.prng in
   let pm =
     if options.mutation_prob > 0.0 then options.mutation_prob
     else 1.0 /. float_of_int (Problem.n_vars problem)
   in
-  let pool = Array.append st.population st.archive in
-  let fit = fitness pool in
-  st.archive <- environmental_selection options.archive pool fit;
-  (* mating selection happens on the (already truncated) archive *)
-  let arch_fit = fitness st.archive in
-  let na = Array.length st.archive in
+  let pool = Array.append population archive in
+  let archive = environmental_selection options.archive pool (fitness pool) in
+  let arch_fit = fitness archive in
+  let na = Array.length archive in
   let children = ref [] in
   for _ = 1 to (options.population + 1) / 2 do
-    let p1 = st.archive.(binary_tournament prng arch_fit na).Nsga2.x in
-    let p2 = st.archive.(binary_tournament prng arch_fit na).Nsga2.x in
+    let p1 = archive.(binary_tournament prng arch_fit na).Nsga2.x in
+    let p2 = archive.(binary_tournament prng arch_fit na).Nsga2.x in
     let c1, c2 =
       Variation.crossover_pair prng ~bounds:problem.Problem.bounds
         ~crossover_prob:options.crossover_prob
@@ -185,87 +154,25 @@ let step ?(evaluator = Problem.serial_evaluator) problem st =
       ~mutation_prob:pm ~eta_mutation:options.eta_mutation c2;
     children := c1 :: c2 :: !children
   done;
-  let offspring = eval_batch evaluator problem (Array.of_list !children) in
-  st.population <-
-    Array.of_list
-      (List.filteri
-         (fun i _ -> i < options.population)
-         (Array.to_list offspring));
-  st.generation <- st.generation + 1
+  let offspring =
+    Nsga2.eval_batch evaluator problem (Array.of_list !children)
+  in
+  (archive, Array.sub offspring 0 options.population)
 
-let optimise ?options ?evaluator ?on_generation problem prng =
-  let st = init ?options ?evaluator problem prng in
-  (match on_generation with Some f -> f 0 st.population | None -> ());
-  while st.generation < st.options.generations do
-    step ?evaluator problem st;
-    match on_generation with
-    | Some f -> f st.generation st.archive
-    | None -> ()
+let optimise ?(options = default_options)
+    ?(evaluator = Problem.serial_evaluator) problem prng =
+  if options.population < 4 || options.archive < 2 then
+    invalid_arg "Spea2.optimise: population >= 4 and archive >= 2 required";
+  let initial =
+    Array.init options.population (fun _ -> Problem.random_point problem prng)
+  in
+  let population = ref (Nsga2.eval_batch evaluator problem initial) in
+  let archive = ref [||] in
+  for gen = 1 to options.generations do
+    let a, p =
+      generation ~options ~evaluator problem prng ~gen !population !archive
+    in
+    archive := a;
+    population := p
   done;
-  st.archive
-
-(* ---- state serialisation ------------------------------------------ *)
-
-module Snapshot = Repro_engine.Snapshot
-
-let encode_individual (ind : Nsga2.individual) =
-  Array.concat
-    [ ind.Nsga2.x;
-      [| ind.Nsga2.evaluation.Problem.constraint_violation |];
-      ind.Nsga2.evaluation.Problem.objectives ]
-
-let decode_individual ~n_vars row =
-  let len = Array.length row in
-  if len < n_vars + 1 then None
-  else
-    Some
-      {
-        Nsga2.x = Array.sub row 0 n_vars;
-        evaluation =
-          {
-            Problem.constraint_violation = row.(n_vars);
-            objectives = Array.sub row (n_vars + 1) (len - n_vars - 1);
-          };
-      }
-
-let save_state st snap ~key =
-  Snapshot.set_int snap (key ^ ".generation") st.generation;
-  Snapshot.set_bits snap (key ^ ".prng") (Prng.to_bits st.prng);
-  Snapshot.set_rows snap (key ^ ".population")
-    (Array.map encode_individual st.population);
-  Snapshot.set_rows snap (key ^ ".archive")
-    (Array.map encode_individual st.archive)
-
-let clear_state snap ~key =
-  Snapshot.remove snap (key ^ ".generation");
-  Snapshot.remove snap (key ^ ".prng");
-  Snapshot.remove snap (key ^ ".population");
-  Snapshot.remove snap (key ^ ".archive")
-
-let restore_state ~options problem snap ~key =
-  match
-    ( Snapshot.get_int snap (key ^ ".generation"),
-      Snapshot.get_bits snap (key ^ ".prng"),
-      Snapshot.get_rows snap (key ^ ".population"),
-      Snapshot.get_rows snap (key ^ ".archive") )
-  with
-  | Some generation, Some bits, Some pop_rows, Some arch_rows -> (
-    match Prng.of_bits bits with
-    | None -> None
-    | Some prng ->
-      let n_vars = Problem.n_vars problem in
-      let pop = Array.map (decode_individual ~n_vars) pop_rows in
-      let arch = Array.map (decode_individual ~n_vars) arch_rows in
-      if
-        generation < 0
-        || generation > options.generations
-        || Array.length pop <> options.population
-        || Array.exists Option.is_none pop
-        || Array.exists Option.is_none arch
-      then None
-      else
-        Some
-          { options; prng; generation;
-            population = Array.map Option.get pop;
-            archive = Array.map Option.get arch })
-  | _ -> None
+  !archive

@@ -4,7 +4,8 @@
 
     Provided as a second multi-objective optimiser over the same
     {!Problem} abstraction — the optimiser-choice ablation in the bench
-    compares it with {!Nsga2} on the circuit problem.  Constraint
+    compares it with {!Nsga2} on the system-level problem.  It is not a
+    flow optimiser ({!Optimiser.all}).  Constraint
     handling reuses {!Pareto.compare_dominance} (Deb constraint
     domination). *)
 
@@ -25,42 +26,10 @@ val default_options : options
 val optimise :
   ?options:options ->
   ?evaluator:Problem.evaluator ->
-  ?on_generation:(int -> Nsga2.individual array -> unit) ->
   Problem.t ->
   Repro_util.Prng.t ->
   Nsga2.individual array
 (** Run SPEA2 and return the final archive (use {!Nsga2.pareto_front} to
     extract the feasible non-dominated subset).  [evaluator] batches
-    each generation's evaluations exactly as in {!Nsga2.optimise}. *)
-
-(* ---- step-wise API (checkpointable generation loop), mirroring
-   {!Nsga2}'s ---- *)
-
-type state
-
-val init :
-  ?options:options ->
-  ?evaluator:Problem.evaluator ->
-  Problem.t ->
-  Repro_util.Prng.t ->
-  state
-(** Draw and evaluate the initial population; archive starts empty.
+    each generation's evaluations exactly as in {!Nsga2.optimise}.
     @raise Invalid_argument unless population >= 4 and archive >= 2. *)
-
-val step : ?evaluator:Problem.evaluator -> Problem.t -> state -> unit
-(** Advance one generation ([optimise] ≡ [init] + [generations] ×
-    [step] bit-exactly). *)
-
-val generation : state -> int
-val archive : state -> Nsga2.individual array
-
-val save_state : state -> Repro_engine.Snapshot.t -> key:string -> unit
-
-val restore_state :
-  options:options ->
-  Problem.t ->
-  Repro_engine.Snapshot.t ->
-  key:string ->
-  state option
-
-val clear_state : Repro_engine.Snapshot.t -> key:string -> unit

@@ -159,38 +159,10 @@ let metrics_json () =
           ("p99", Json.Num s.Histogram.p99);
         ] )
   in
-  (* one coherent evaluation-budget object derived from the raw
-     counters: how many exact evaluations were requested, and how the
-     surrogate pre-screen / eval cache / simulator split them *)
-  let evals =
-    let counter name =
-      match List.assoc_opt name entries with
-      | Some (`Counter v) -> v
-      | _ -> 0
-    in
-    let avoided = counter "eval.avoided" in
-    let cached = counter "eval.cache_hits" in
-    let simulated = counter "eval.runs" in
-    let requested = avoided + cached + simulated in
-    let num n = Json.Num (float_of_int n) in
-    Json.Obj
-      [
-        ("requested", num requested);
-        ("avoided", num avoided);
-        ("cached", num cached);
-        ("simulated", num simulated);
-        ( "avoided_ratio",
-          Json.Num
-            (if requested > 0 then
-               float_of_int avoided /. float_of_int requested
-             else 0.0) );
-      ]
-  in
   Json.Obj
     [
       ("counters", Json.Obj counters);
       ("timers", Json.Obj timers);
-      ("evals", evals);
       ("histograms", Json.Obj (List.map histogram (Histogram.all ())));
     ]
 

@@ -7,7 +7,6 @@ module H = Hieropt
 module E = Repro_engine
 module Prng = Repro_util.Prng
 module Nsga2 = Repro_moo.Nsga2
-module Spea2 = Repro_moo.Spea2
 
 let with_tmpdir f =
   let dir = Filename.temp_file "hieropt_ckpt" "" in
@@ -215,28 +214,6 @@ let test_nsga2_save_restore_midrun () =
   Alcotest.(check bool) "cleared state" true
     (Nsga2.restore_state ~options:nsga_opts zdt1ish snap ~key:"ga" = None)
 
-let test_spea2_save_restore_midrun () =
-  let opts =
-    { Spea2.default_options with Spea2.population = 16; archive = 12; generations = 10 }
-  in
-  let reference = Spea2.optimise ~options:opts zdt1ish (Prng.create 3) in
-  let st = Spea2.init ~options:opts zdt1ish (Prng.create 3) in
-  for _ = 1 to 4 do
-    Spea2.step zdt1ish st
-  done;
-  let snap = E.Snapshot.create ~fingerprint:"fp" in
-  Spea2.save_state st snap ~key:"ga";
-  let st2 =
-    match Spea2.restore_state ~options:opts zdt1ish snap ~key:"ga" with
-    | Some st2 -> st2
-    | None -> Alcotest.fail "restore_state failed"
-  in
-  while Spea2.generation st2 < opts.Spea2.generations do
-    Spea2.step zdt1ish st2
-  done;
-  Alcotest.(check bool) "restored run matches uninterrupted" true
-    (compare reference (Spea2.archive st2) = 0)
-
 (* ---- resumable prefix maps ---- *)
 
 let test_resumable_map () =
@@ -419,8 +396,6 @@ let suite =
       test_nsga2_stepwise_equals_optimise;
     Alcotest.test_case "nsga2 save/restore mid-run" `Quick
       test_nsga2_save_restore_midrun;
-    Alcotest.test_case "spea2 save/restore mid-run" `Quick
-      test_spea2_save_restore_midrun;
     Alcotest.test_case "resumable map" `Quick test_resumable_map;
     Alcotest.test_case "resumable map interrupt" `Quick
       test_resumable_map_interrupt;

@@ -382,7 +382,13 @@ let test_make_config_validation () =
   Alcotest.(check bool) "checkpointing needs model_dir" true
     (rejected (fun () -> H.Hierarchy.make_config ~checkpoint_every:1 ()));
   Alcotest.(check bool) "resume needs model_dir" true
-    (rejected (fun () -> H.Hierarchy.make_config ~resume:true ()))
+    (rejected (fun () -> H.Hierarchy.make_config ~resume:true ()));
+  ignore (H.Hierarchy.make_config ~optimiser:"de" ());
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("optimiser " ^ name) true
+        (rejected (fun () -> H.Hierarchy.make_config ~optimiser:name ())))
+    [ "mopso"; "spea2"; "cmaes" ]
 
 (* micro integration run: the full 5-step flow at a tiny scale —
    tiny_spec narrows the band to what random sizings reach in two

@@ -215,6 +215,30 @@ let test_cache_concurrent () =
   check "eviction happened" true (E.Cache.evictions cache > 0);
   check "capacity respected" true (E.Cache.length cache <= 32)
 
+(* a key word must be all hex: a trailing or embedded non-hex character
+   makes the whole line malformed, never a truncated key *)
+let test_cache_malformed_bits () =
+  let one = E.Cache.key ~kind:"vco" [| 1.0 |] in
+  let path = Filename.temp_file "hieropt" ".cache" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let c = E.Cache.create () in
+      E.Cache.store c one [| 2.0 |];
+      E.Cache.save c path;
+      let magic =
+        let ic = open_in path in
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+      in
+      let oc = open_out path in
+      Printf.fprintf oc "%s\n" magic;
+      Printf.fprintf oc "vco\t%d\t3ff0000000000000zz\t0x1p+1\n" min_int;
+      Printf.fprintf oc "vco\t%d\t3ff0g00000000000\t0x1p+1\n" min_int;
+      close_out oc;
+      let loaded = E.Cache.load path in
+      Alcotest.(check int) "both lines skipped" 0 (E.Cache.length loaded);
+      check "no hit for x = [|1.0|]" true (E.Cache.find loaded one = None))
+
 (* ---- telemetry --------------------------------------------------- *)
 
 let test_telemetry () =
@@ -508,4 +532,6 @@ let suite =
     Alcotest.test_case "yield identical at 1 vs 4 workers" `Quick
       test_yield_deterministic_under_parallelism;
     Alcotest.test_case "cache concurrent access" `Quick test_cache_concurrent;
+    Alcotest.test_case "cache skips malformed key bits" `Quick
+      test_cache_malformed_bits;
   ]

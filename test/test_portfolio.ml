@@ -1,4 +1,4 @@
-(* The optimiser portfolio (DE, MOPSO, the Optimiser registry) and the
+(* The optimiser portfolio (DE, the Optimiser registry) and the
    surrogate pre-screen *)
 module M = Repro_moo
 module O = Repro_moo.Optimiser
@@ -53,14 +53,17 @@ let in_bounds problem pop =
 
 let test_registry () =
   Alcotest.(check (list string))
-    "names" [ "nsga2"; "spea2"; "de"; "mopso" ] O.names;
+    "names" [ "nsga2"; "de" ] O.names;
   List.iter
     (fun n ->
       match O.of_name n with
       | None -> Alcotest.failf "of_name %s" n
       | Some o -> Alcotest.(check string) "name roundtrip" n (O.name o))
     O.names;
-  Alcotest.(check bool) "unknown rejected" true (O.of_name "cmaes" = None)
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " rejected") true (O.of_name n = None))
+    [ "cmaes"; "spea2"; "mopso" ]
 
 let test_every_member_runs () =
   let problem = zdt1 5 in
@@ -98,36 +101,6 @@ let test_de_converges_zdt1 () =
   Alcotest.(check bool) "near analytic front" true
     (Repro_util.Stats.mean errs < 0.05)
 
-let test_mopso_converges_zdt1 () =
-  let final =
-    M.Mopso.optimise
-      ~options:
-        { M.Mopso.default_options with population = 40; archive = 40; generations = 60 }
-      (zdt1 8) (Prng.create 3)
-  in
-  let front = M.Nsga2.pareto_front final in
-  Alcotest.(check bool) "large front" true (Array.length front > 15);
-  let errs =
-    Array.map
-      (fun ind ->
-        let o = ind.M.Nsga2.evaluation.M.Problem.objectives in
-        Float.abs (o.(1) -. (1.0 -. sqrt o.(0))))
-      front
-  in
-  Alcotest.(check bool) "near analytic front" true
-    (Repro_util.Stats.mean errs < 0.1)
-
-let test_mopso_archive_bounded () =
-  let final =
-    M.Mopso.optimise
-      ~options:
-        { M.Mopso.default_options with population = 30; archive = 8; generations = 15 }
-      (zdt1 5) (Prng.create 7)
-  in
-  (* population = archive ∪ pbest *)
-  Alcotest.(check bool) "archive + pbest bounded" true
-    (Array.length final <= 8 + 30)
-
 let test_invalid_options () =
   let check name f =
     Alcotest.(check bool) name true
@@ -143,10 +116,6 @@ let test_invalid_options () =
   check "de: f out of range" (fun () ->
       M.De.optimise
         ~options:{ M.De.default_options with f = 0.0 }
-        (zdt1 3) (Prng.create 1));
-  check "mopso: inertia >= 1" (fun () ->
-      M.Mopso.optimise
-        ~options:{ M.Mopso.default_options with inertia = 1.0 }
         (zdt1 3) (Prng.create 1))
 
 (* ---- QCheck properties ---- *)
@@ -161,23 +130,6 @@ let prop_de_bounds =
         M.De.optimise
           ~options:
             { M.De.default_options with population = 10; generations = 4 }
-          problem (Prng.create seed)
-      in
-      in_bounds problem final)
-
-let prop_mopso_bounds =
-  QCheck.Test.make ~name:"MOPSO swarm stays inside the design box"
-    ~count:20 seed_gen (fun seed ->
-      let problem = boxed 4 in
-      let final =
-        M.Mopso.optimise
-          ~options:
-            {
-              M.Mopso.default_options with
-              population = 10;
-              archive = 10;
-              generations = 4;
-            }
           problem (Prng.create seed)
       in
       in_bounds problem final)
@@ -206,25 +158,18 @@ let prop_optimise_is_init_plus_steps =
 
 let prop_worker_count_invariance =
   QCheck.Test.make
-    ~name:"1-worker and 4-worker evaluation are bit-identical (DE, MOPSO)"
+    ~name:"1-worker and 4-worker evaluation are bit-identical (DE)"
     ~count:5 seed_gen (fun seed ->
       let problem = zdt1 4 in
       let options = { O.population = 10; generations = 3 } in
-      let with_workers n f =
+      let opt = Option.get (O.of_name "de") in
+      let run n =
         E.Pool.with_pool ~size:n (fun pool ->
-            f (M.Problem.parallel_evaluator ~pool ()))
+            let evaluator = M.Problem.parallel_evaluator ~pool () in
+            objectives
+              (O.optimise opt ~options ~evaluator problem (Prng.create seed)))
       in
-      List.for_all
-        (fun name ->
-          let opt = Option.get (O.of_name name) in
-          let run n =
-            with_workers n (fun evaluator ->
-                objectives
-                  (O.optimise opt ~options ~evaluator problem
-                     (Prng.create seed)))
-          in
-          run 1 = run 4)
-        [ "de"; "mopso" ])
+      run 1 = run 4)
 
 let prop_surrogate_guard_band =
   (* the false-reject guarantee: a candidate whose guarded prediction is
@@ -375,7 +320,6 @@ let resume_bit_identical name =
          (A.population full) (A.population resumed))
 
 let test_de_resume () = resume_bit_identical "de"
-let test_mopso_resume () = resume_bit_identical "mopso"
 
 let test_restore_rejects_mismatch () =
   let problem = zdt1 4 in
@@ -417,11 +361,8 @@ let suite =
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "every member runs" `Quick test_every_member_runs;
     Alcotest.test_case "DE converges on ZDT1" `Quick test_de_converges_zdt1;
-    Alcotest.test_case "MOPSO converges on ZDT1" `Quick test_mopso_converges_zdt1;
-    Alcotest.test_case "MOPSO archive bounded" `Quick test_mopso_archive_bounded;
     Alcotest.test_case "invalid options" `Quick test_invalid_options;
     QCheck_alcotest.to_alcotest prop_de_bounds;
-    QCheck_alcotest.to_alcotest prop_mopso_bounds;
     QCheck_alcotest.to_alcotest prop_optimise_is_init_plus_steps;
     QCheck_alcotest.to_alcotest prop_worker_count_invariance;
     QCheck_alcotest.to_alcotest prop_surrogate_guard_band;
@@ -433,8 +374,6 @@ let suite =
       test_surrogate_screens_dominated_region;
     Alcotest.test_case "DE interrupt/resume bit-identical" `Quick
       test_de_resume;
-    Alcotest.test_case "MOPSO interrupt/resume bit-identical" `Quick
-      test_mopso_resume;
     Alcotest.test_case "restore rejects mismatch" `Quick
       test_restore_rejects_mismatch;
     Alcotest.test_case "surrogate state roundtrip" `Quick

@@ -379,6 +379,22 @@ let test_serve_endpoints () =
   (match (Json.member "counters" metrics, Json.member "timers" metrics) with
   | Some (Json.Obj _), Some (Json.Obj _) -> ()
   | _ -> Alcotest.fail "metrics shape");
+  (* one batched query moves serve.queries by exactly one and
+     serve.requests by at least one *)
+  let counter name m =
+    match Option.bind (Json.member "counters" m) (Json.member name) with
+    | Some (Json.Num v) -> v
+    | _ -> 0.0
+  in
+  let before = check_client (S.Client.get_json client "/v1/metrics") in
+  ignore
+    (check_client (S.Client.query_points client ~model:"default" query_batch));
+  let after = check_client (S.Client.get_json client "/v1/metrics") in
+  Alcotest.(check (float 0.0))
+    "serve.queries grows by one" 1.0
+    (counter "serve.queries" after -. counter "serve.queries" before);
+  Alcotest.(check bool) "serve.requests grows" true
+    (counter "serve.requests" after > counter "serve.requests" before);
   (* model listing *)
   let models = check_client (S.Client.get_json client "/v1/models") in
   (match Json.member "models" models with
