@@ -44,88 +44,128 @@ let simulate ?prng cfg opts =
   Vco_model.validate cfg.vco;
   if opts.dt <= 0.0 || opts.t_stop <= opts.dt then
     invalid_arg "Pll.simulate: bad time settings";
+  if opts.record_stride <= 0 then
+    invalid_arg "Pll.simulate: record_stride must be positive";
+  let dt = opts.dt in
   let pfd = Pfd.create () in
   let divider = Divider.create cfg.n_div in
   let vco = Vco_model.create ?prng cfg.vco in
-  let filter = ref (Loop_filter.initial cfg.vctl_init) in
+  (* What a step needs that stays fixed for the run is computed here,
+     once: the filter matrix, the control-node step of each pump state and
+     the reference phase increment.  They are the expressions
+     [Loop_filter.step] and [Charge_pump.current] evaluate, so a result
+     does not depend on whether a step recomputes them.  The state lives
+     in all-float records and float refs, so a step allocates only the two
+     boxes of its [Vco_model.tune] call. *)
+  let coeffs = Loop_filter.coeffs cfg.filter ~dt in
+  let injection state =
+    Loop_filter.injection cfg.filter
+      ~i_in:(Charge_pump.current cfg.cp state)
+      ~dt
+  in
+  let inj_up = injection Pfd.Up
+  and inj_neutral = injection Pfd.Neutral
+  and inj_down = injection Pfd.Down in
+  let ref_increment = cfg.fref *. dt in
+  let node = Loop_filter.initial cfg.vctl_init in
   let f_target = target_frequency cfg in
-  let n_steps = int_of_float (Float.ceil (opts.t_stop /. opts.dt)) in
-  let vctl_trace = ref [] and freq_trace = ref [] in
-  let ref_phase = ref 0.0 in
+  let n_steps = int_of_float (Float.ceil (opts.t_stop /. dt)) in
+  let n_records = ((n_steps - 1) / opts.record_stride) + 1 in
+  let vctl_rec = Array.make n_records 0.0
+  and freq_rec = Array.make n_records 0.0 in
+  let ref_phase = ref 0.0 and ref_floor = ref 0.0 in
+  ignore (Vco_model.tune vco ~vctl:node.Loop_filter.vctl);
   (* Lock detection runs on the frequency averaged over each reference
      cycle: the instantaneous frequency carries the Icp*R1 ripple step
      whenever the pump fires, which would bounce a sample-based detector
      out of band forever. *)
-  let in_band_since = ref None in
-  let lock_time = ref None in
+  let in_band = ref false and in_band_since = ref 0.0 in
+  let locked = ref false and lock_time = ref 0.0 in
   let active_steps = ref 0 and post_lock_steps = ref 0 in
   let freq_acc = ref 0.0 and cycle_start = ref 0.0 in
-  let f_cycle_avg = ref None in
+  let have_cycle_avg = ref false and f_cycle_avg = ref 0.0 in
   for step = 0 to n_steps - 1 do
-    let t = float_of_int step *. opts.dt in
-    (* reference edge *)
-    let before = !ref_phase in
-    ref_phase := before +. (cfg.fref *. opts.dt);
-    let ref_edge_now = Float.floor !ref_phase > Float.floor before in
+    let t = float_of_int step *. dt in
+    (* reference edge; the previous step's floor is carried over *)
+    ref_phase := !ref_phase +. ref_increment;
+    let floor_now = Float.floor !ref_phase in
+    let ref_edge_now = floor_now > !ref_floor in
+    ref_floor := floor_now;
     if ref_edge_now then Pfd.ref_edge pfd;
     (* VCO + divider *)
-    let edges = Vco_model.advance vco ~vctl:!filter.Loop_filter.vctl ~dt:opts.dt in
+    let edges = Vco_model.advance vco ~dt in
     for _ = 1 to edges do
       if Divider.clock_edge divider then Pfd.div_edge pfd
     done;
     (* charge pump into the filter *)
     let state = Pfd.state pfd in
-    let i = Charge_pump.current cfg.cp state in
     if state <> Pfd.Neutral then begin
       incr active_steps;
-      if !lock_time <> None then incr post_lock_steps
+      if !locked then incr post_lock_steps
     end;
-    filter := Loop_filter.step cfg.filter !filter ~i_in:i ~dt:opts.dt;
-    let f_now = Vco_model.frequency cfg.vco !filter.Loop_filter.vctl in
-    freq_acc := !freq_acc +. (f_now *. opts.dt);
+    let inj =
+      match state with
+      | Pfd.Up -> inj_up
+      | Pfd.Neutral -> inj_neutral
+      | Pfd.Down -> inj_down
+    in
+    Loop_filter.advance coeffs node ~inj;
+    let f = Vco_model.tune vco ~vctl:node.Loop_filter.vctl in
+    freq_acc := !freq_acc +. (f *. dt);
     if ref_edge_now && t > !cycle_start then begin
       let f_avg = !freq_acc /. (t -. !cycle_start) in
-      f_cycle_avg := Some f_avg;
+      have_cycle_avg := true;
+      f_cycle_avg := f_avg;
       freq_acc := 0.0;
       cycle_start := t;
       let err = Float.abs (f_avg -. f_target) /. f_target in
       if err <= opts.lock_tolerance then begin
-        (match !in_band_since with
-        | None -> in_band_since := Some t
-        | Some _ -> ());
-        match (!lock_time, !in_band_since) with
-        | None, Some t0 when t -. t0 >= opts.lock_hold -> lock_time := Some t0
-        | (None | Some _), _ -> ()
+        if not !in_band then begin
+          in_band := true;
+          in_band_since := t
+        end;
+        if (not !locked) && t -. !in_band_since >= opts.lock_hold then begin
+          locked := true;
+          lock_time := !in_band_since
+        end
       end
       else begin
-        in_band_since := None;
-        lock_time := None
+        in_band := false;
+        locked := false
       end
     end;
     if step mod opts.record_stride = 0 then begin
-      vctl_trace := (t, !filter.Loop_filter.vctl) :: !vctl_trace;
-      let f_plot = match !f_cycle_avg with Some f -> f | None -> f_now in
-      freq_trace := (t, f_plot) :: !freq_trace
+      let i = step / opts.record_stride in
+      vctl_rec.(i) <- node.Loop_filter.vctl;
+      freq_rec.(i) <- (if !have_cycle_avg then !f_cycle_avg else f)
     end
   done;
-  let final_vctl = !filter.Loop_filter.vctl in
+  Repro_engine.Telemetry.incr "pll.sims";
+  Repro_engine.Telemetry.incr "pll.steps" ~by:n_steps;
+  let lock_time = if !locked then Some !lock_time else None in
+  let final_vctl = node.Loop_filter.vctl in
   let final_freq = Vco_model.frequency cfg.vco final_vctl in
   let cp_duty =
     (* activity after lock (near zero for a clean loop); falls back to the
        whole-run duty when lock never happened *)
-    match !lock_time with
+    match lock_time with
     | Some t0 ->
-      let steps_after = n_steps - int_of_float (t0 /. opts.dt) in
+      let steps_after = n_steps - int_of_float (t0 /. dt) in
       if steps_after > 0 then
         float_of_int !post_lock_steps /. float_of_int steps_after
       else 0.0
     | None -> float_of_int !active_steps /. float_of_int n_steps
   in
+  let trace recorded =
+    Array.mapi
+      (fun i v -> (float_of_int (i * opts.record_stride) *. dt, v))
+      recorded
+  in
   {
-    locked = !lock_time <> None;
-    lock_time = !lock_time;
-    vctl_trace = Array.of_list (List.rev !vctl_trace);
-    freq_trace = Array.of_list (List.rev !freq_trace);
+    locked = !locked;
+    lock_time;
+    vctl_trace = trace vctl_rec;
+    freq_trace = trace freq_rec;
     final_vctl;
     final_freq;
     cp_duty;
@@ -198,17 +238,17 @@ let measured_output_jitter ~prng cfg ~cycles =
   let errors =
     Array.init trials (fun _ ->
         let vco = Vco_model.create ~prng:(Repro_util.Prng.split prng) cfg.vco in
+        let f_lock = Vco_model.tune vco ~vctl:vctl_lock in
         let dt = 1.0 /. (4.0 *. f_out) in
         let target_phi = float_of_int cycles in
         let rec spin t =
           if Vco_model.phase vco >= target_phi then begin
             (* interpolate the time at which phase hit the target *)
-            let f = Vco_model.frequency cfg.vco vctl_lock in
-            let overshoot = (Vco_model.phase vco -. target_phi) /. f in
+            let overshoot = (Vco_model.phase vco -. target_phi) /. f_lock in
             t -. overshoot
           end
           else begin
-            ignore (Vco_model.advance vco ~vctl:vctl_lock ~dt);
+            ignore (Vco_model.advance vco ~dt);
             spin (t +. dt)
           end
         in

@@ -27,7 +27,7 @@ type sim_options = {
   dt : float;                (** <= fref period / 50 recommended *)
   lock_tolerance : float;    (** relative output-frequency error *)
   lock_hold : float;         (** s the error must stay in-band *)
-  record_stride : int;       (** trace decimation *)
+  record_stride : int;       (** trace decimation, >= 1 *)
 }
 
 val default_sim_options : config -> sim_options
@@ -45,7 +45,10 @@ type sim_result = {
 
 val simulate : ?prng:Repro_util.Prng.t -> config -> sim_options -> sim_result
 (** Time-domain transient from [vctl_init].  Passing [prng] enables VCO
-    jitter injection (Listing 2's [$rdist_normal]). *)
+    jitter injection (Listing 2's [$rdist_normal]).  Each call adds 1 to
+    the [pll.sims] telemetry counter and its step count to [pll.steps].
+    @raise Invalid_argument on invalid filter or VCO parameters, or when
+    [dt <= 0], [t_stop <= dt] or [record_stride <= 0]. *)
 
 type performance = {
   lock_time : float;    (** s *)

@@ -250,7 +250,8 @@ let open_journal ~fingerprint cfg =
 (* Telemetry counters whose per-run deltas [close_journal] records on
    [run.finish], as (journal field, counter): the avoided / paid /
    cached / run split of the evaluations, which [report] renders as one
-   table, then what the simulator paid for them. *)
+   table, then what the transistor-level and behavioural simulators
+   paid for them. *)
 let journal_counters =
   [
     ("eval_avoided", "eval.avoided");
@@ -264,6 +265,8 @@ let journal_counters =
     ("tran_steps", "tran.steps");
     ("tran_halvings", "tran.halvings");
     ("tran_newton", "tran.newton");
+    ("pll_sims", "pll.sims");
+    ("pll_steps", "pll.steps");
   ]
 
 (* the baseline taken at run start *)

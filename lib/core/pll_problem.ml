@@ -102,9 +102,13 @@ let variant_of_eval cfg (pe : Perf_table.point_eval) ~kvco ~ivco ~c1 ~c2 ~r1 =
     fmin,
     fmax )
 
+let variant_configs cfg points ~c1 ~c2 ~r1 =
+  Array.map2
+    (fun (kvco, ivco) pe -> variant_of_eval cfg pe ~kvco ~ivco ~c1 ~c2 ~r1)
+    points (run_query cfg points)
+
 let variant_config cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
-  let pe = (run_query cfg [| (kvco, ivco) |]).(0) in
-  variant_of_eval cfg pe ~kvco ~ivco ~c1 ~c2 ~r1
+  (variant_configs cfg [| (kvco, ivco) |] ~c1 ~c2 ~r1).(0)
 
 (* Full nominal/min/max evaluation, also returning the nominal model
    query so callers (the GA's constraint check) reuse its band edges

@@ -85,6 +85,17 @@ val variant_config :
     also returns the interpolated (jvco, fmin, fmax).  Exposed for the
     yield engine and bottom-up verification. *)
 
+val variant_configs :
+  config ->
+  (float * float) array ->
+  c1:float ->
+  c2:float ->
+  r1:float ->
+  (Repro_behave.Pll.config * float * float * float) array
+(** {!variant_config} for each (kvco, ivco) point, from one model query
+    for all of them.  The table answers every point on its own, so each
+    result equals {!variant_config}'s bit for bit. *)
+
 val evaluate_point :
   config ->
   kvco:float ->

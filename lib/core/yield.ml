@@ -10,11 +10,7 @@ type outcome = {
   detail : string;
 }
 
-let check_sample cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
-  let spec = cfg.Pll_problem.spec in
-  let pll_cfg, _, _, _ =
-    Pll_problem.variant_config cfg ~kvco ~ivco ~c1 ~c2 ~r1
-  in
+let check_config (spec : Spec.t) pll_cfg =
   match B.Pll.evaluate pll_cfg with
   | Error e -> { pass = false; lock_time = None; current = 0.0; detail = e }
   | Ok perf ->
@@ -29,6 +25,12 @@ let check_sample cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
          else if not lock_ok then "lock time over budget"
          else "current over budget");
     }
+
+let check_sample cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
+  let pll_cfg, _, _, _ =
+    Pll_problem.variant_config cfg ~kvco ~ivco ~c1 ~c2 ~r1
+  in
+  check_config cfg.Pll_problem.spec pll_cfg
 
 let count_passes outcomes =
   Array.fold_left (fun acc pass -> if pass then acc + 1 else acc) 0 outcomes
@@ -47,8 +49,9 @@ let behavioural ?(n = 500) ?pool ?checkpoint ~prng cfg
   let dk = Perf_table.kvco_delta m row.Pll_problem.kv in
   let di = Perf_table.ivco_delta m row.Pll_problem.iv in
   (* the (Kvco, Ivco) perturbations are drawn serially, in the same
-     order as the historical loop; only the pure PLL re-evaluations run
-     on the pool, so the estimate is worker-count independent *)
+     order as the historical loop, and the model is queried once for all
+     of them; only the pure PLL re-evaluations run on the pool, so the
+     estimate is worker-count independent *)
   let draws = Array.make n (0.0, 0.0) in
   for i = 0 to n - 1 do
     let kvco =
@@ -61,20 +64,22 @@ let behavioural ?(n = 500) ?pool ?checkpoint ~prng cfg
     in
     draws.(i) <- (kvco, ivco)
   done;
-  let eval (kvco, ivco) =
-    (check_sample cfg ~kvco ~ivco ~c1:row.Pll_problem.c1 ~c2:row.Pll_problem.c2
-       ~r1:row.Pll_problem.r1)
-      .pass
+  let configs =
+    Array.map
+      (fun (pll_cfg, _, _, _) -> pll_cfg)
+      (Pll_problem.variant_configs cfg draws ~c1:row.Pll_problem.c1
+         ~c2:row.Pll_problem.c2 ~r1:row.Pll_problem.r1)
   in
+  let eval pll_cfg = (check_config cfg.Pll_problem.spec pll_cfg).pass in
   let outcomes =
     E.Telemetry.time "yield.wall" @@ fun () ->
     match checkpoint with
-    | None -> E.Parmap.map ?pool eval draws
+    | None -> E.Parmap.map ?pool eval configs
     | Some (ck, key) ->
       (* perturbations are all drawn above regardless, so the restored
          prefix leaves the remaining draws bit-identical *)
       E.Checkpoint.resumable_map ?pool ck ~key ~encode:encode_pass
-        ~decode:decode_pass eval draws
+        ~decode:decode_pass eval configs
   in
   E.Telemetry.incr "yield.samples" ~by:n;
   Repro_util.Stats.yield ~pass:(count_passes outcomes) ~total:n

@@ -39,8 +39,9 @@ val behavioural :
   Repro_util.Stats.yield_estimate
 (** [n] defaults to 500 (the paper's count).  Samples are evaluated in
     parallel over [pool] (default: the shared engine pool); all
-    perturbations are drawn before dispatch, so the estimate is
-    bit-identical for any worker count.  [checkpoint:(ck, key)]
+    perturbations are drawn before dispatch, and the table model is
+    queried once for all of them, so the estimate is bit-identical for
+    any worker count.  [checkpoint:(ck, key)]
     persists/restores the completed-sample prefix under [key] and may
     raise {!Repro_engine.Checkpoint.Interrupted} at a sample
     boundary. *)

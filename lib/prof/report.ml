@@ -155,7 +155,13 @@ let journal ppf events =
           "accepted steps" steps (f "tran_halvings");
         Format.fprintf ppf "  %-18s %10.0f  (%.2f per step)@."
           "Newton iterations" newton
-          (if steps > 0.0 then newton /. steps else 0.0));
+          (if steps > 0.0 then newton /. steps else 0.0);
+        (* journals written before the PLL counters existed lack them *)
+        match jnum "pll_sims" finish with
+        | None -> ()
+        | Some sims ->
+          Format.fprintf ppf "  %-18s %10.0f  (%.0f steps)@."
+            "behavioural PLL" sims (f "pll_steps"));
       Format.fprintf ppf "@.run finished in %.3f s@." (f "seconds")
     | [] ->
       Format.fprintf ppf

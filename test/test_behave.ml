@@ -147,9 +147,10 @@ let test_vco_validate () =
 let test_vco_edge_counting () =
   let t = B.Vco_model.create vco in
   (* 700 MHz for 10 ns = 7 cycles *)
+  ignore (B.Vco_model.tune t ~vctl:0.6);
   let edges = ref 0 in
   for _ = 1 to 1000 do
-    edges := !edges + B.Vco_model.advance t ~vctl:0.6 ~dt:1e-11
+    edges := !edges + B.Vco_model.advance t ~dt:1e-11
   done;
   Alcotest.(check bool) "edge count (float-accumulation boundary)" true
     (!edges = 6 || !edges = 7);
@@ -168,13 +169,13 @@ let test_vco_jitter_is_random_walk () =
     Array.init trials (fun _ ->
         let t = B.Vco_model.create ~prng:(Repro_util.Prng.split prng) vco_j in
         let dt = 1e-11 in
+        let f = B.Vco_model.tune t ~vctl:0.6 in
         let steps = ref 0 in
         while B.Vco_model.phase t < float_of_int n_cycles do
-          ignore (B.Vco_model.advance t ~vctl:0.6 ~dt);
+          ignore (B.Vco_model.advance t ~dt);
           incr steps
         done;
         (* time at which the target phase was crossed, minus ideal *)
-        let f = B.Vco_model.frequency vco_j 0.6 in
         let overshoot = (B.Vco_model.phase t -. float_of_int n_cycles) /. f in
         (float_of_int !steps *. dt) -. overshoot
         -. (float_of_int n_cycles /. f))
@@ -322,6 +323,110 @@ let test_measured_jitter_accumulation () =
     true
     (j > 0.6 *. expected && j < 1.5 *. expected)
 
+(* The bits of every scalar result and an MD5 of both traces, for a pump
+   that is ideal, mismatched or leaky, a loop that locks from below, from
+   above or never, and a jittered run: a faster stepping loop must not
+   move a single bit. *)
+let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
+
+let trace_digest trace =
+  let b = Buffer.create (Array.length trace * 16) in
+  Array.iter
+    (fun (t, v) ->
+      Buffer.add_int64_le b (Int64.bits_of_float t);
+      Buffer.add_int64_le b (Int64.bits_of_float v))
+    trace;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let sim_bits (r : B.Pll.sim_result) =
+  Printf.sprintf "%b %s %s %s %s %d %s %d %s" r.B.Pll.locked
+    (match r.B.Pll.lock_time with None -> "none" | Some t -> bits t)
+    (bits r.B.Pll.final_vctl) (bits r.B.Pll.final_freq) (bits r.B.Pll.cp_duty)
+    (Array.length r.B.Pll.vctl_trace)
+    (trace_digest r.B.Pll.vctl_trace)
+    (Array.length r.B.Pll.freq_trace)
+    (trace_digest r.B.Pll.freq_trace)
+
+let simulate_golden =
+  [
+    ( "ideal from below",
+      cfg,
+      None,
+      "true 3e90c6f7a0b5ed8d 3fe737405f3b76f0 41c7da88c0dc1dd9 \
+       3f467830373ccbdd 2000 b0143f80c48ad999b315391eba0e484a 2000 \
+       cc964775755d2d4960be987fc2b24e55" );
+    ( "ideal from above",
+      { cfg with B.Pll.vctl_init = 1.4 },
+      None,
+      "true 3e9421f5f40d8376 3fe737405f3b75ce 41c7da88c0dc1d01 \
+       3f4721323a2ba77d 2000 b14f042dbd1d8430d5256af3b9a71167 2000 \
+       099acd3ba0b85f336cac4083e377357b" );
+    ( "mismatched pump",
+      { cfg with
+        B.Pll.cp = B.Charge_pump.with_mismatch ~icp:100e-6 ~mismatch:0.1 },
+      None,
+      "true 3e901b2b29a4692c 3fe72dfca612ab33 41c7d3a1ae8b6588 \
+       3f3bed61bed61bed 2000 d77ca2a416bfd56a1861b90a707bde3a 2000 \
+       ae3c7665ac51b4469f30deb4e1ca5823" );
+    ( "leaky pump",
+      { cfg with
+        B.Pll.cp =
+          { (B.Charge_pump.ideal 100e-6) with B.Charge_pump.leakage = 1e-6 } },
+      None,
+      "true 3e90c6f7a0b5ed8d 3fe715101e14ae97 41c7c10fd0cb7487 \
+       3f834f496f783f32 2000 ea0714b3b08a75f2c57384b4dadf4ce7 2000 \
+       78abf030fffaa8eb41d25382f69d6a62" );
+    ( "out of band",
+      { cfg with
+        B.Pll.vco =
+          { vco with B.Vco_model.fmin = 100e6; fmax = 500e6; f0 = 300e6 } },
+      None,
+      "false none 403a284aea7ffc1d 41bdcd6500000000 3fe6c5d63886594b \
+       2000 d3d8620896f4daacb7817c9896696dfc 2000 \
+       b05a146a08752d3461a6df61e29419c7" );
+    ( "jittered",
+      { cfg with B.Pll.vco = { vco with B.Vco_model.jitter = 0.5e-12 } },
+      Some 2009,
+      "true 3e90c6f7a0b5ed8d 3fe72f2846293d8d 41c7d480eb8b2abd \
+       3f4588838a44ee09 2000 5dd15b79417a28006f5e8e1d7589e811 2000 \
+       d0768e5d1a75c1406a3a7e84145d8379" );
+  ]
+
+let test_pll_simulate_bits_golden () =
+  List.iter
+    (fun (name, c, seed, expected) ->
+      let prng = Option.map Repro_util.Prng.create seed in
+      let sim = B.Pll.simulate ?prng c (B.Pll.default_sim_options c) in
+      Alcotest.(check string) name expected (sim_bits sim))
+    simulate_golden
+
+(* A step allocates only the boxes of the control voltage handed to the
+   VCO and of the frequency it returns (4 words); recording the traces
+   adds about 0.7 words a step. *)
+let test_pll_allocation_bound () =
+  let opts = B.Pll.default_sim_options cfg in
+  let n_steps =
+    int_of_float (Float.ceil (opts.B.Pll.t_stop /. opts.B.Pll.dt))
+  in
+  ignore (B.Pll.simulate cfg opts);
+  let w0 = Gc.minor_words () in
+  ignore (B.Pll.simulate cfg opts);
+  let per_step = (Gc.minor_words () -. w0) /. float_of_int n_steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per step <= 6" per_step)
+    true (per_step <= 6.0)
+
+let test_pll_record_stride_rejected () =
+  let opts = B.Pll.default_sim_options cfg in
+  List.iter
+    (fun record_stride ->
+      Alcotest.check_raises
+        (Printf.sprintf "record_stride %d" record_stride)
+        (Invalid_argument "Pll.simulate: record_stride must be positive")
+        (fun () ->
+          ignore (B.Pll.simulate cfg { opts with B.Pll.record_stride })))
+    [ 0; -3 ]
+
 let suite =
   [
     Alcotest.test_case "filter validate" `Quick test_filter_validate;
@@ -354,4 +459,9 @@ let suite =
     Alcotest.test_case "traces recorded" `Quick test_pll_trace_recorded;
     Alcotest.test_case "deterministic runs" `Quick test_pll_deterministic_without_prng;
     Alcotest.test_case "jitter accumulation" `Quick test_measured_jitter_accumulation;
+    Alcotest.test_case "PLL simulate bits golden" `Quick
+      test_pll_simulate_bits_golden;
+    Alcotest.test_case "PLL allocation bound" `Quick test_pll_allocation_bound;
+    Alcotest.test_case "PLL record_stride rejected" `Quick
+      test_pll_record_stride_rejected;
   ]

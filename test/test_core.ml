@@ -406,6 +406,82 @@ let test_micro_flow () =
   Alcotest.(check bool) "model built" true
     (H.Perf_table.size result.H.Hierarchy.model >= 2)
 
+(* ---- system level over the committed perfbench fixture ---- *)
+
+(* every field of every Table 2 row, the selection and the yield, each
+   float printed losslessly *)
+let table2_text (r : H.Hierarchy.result) =
+  let g = Repro_util.Json.shortest in
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun i (w : H.Pll_problem.table2_row) ->
+      Printf.bprintf b
+        "row %d kv=%s kv_min=%s kv_max=%s iv=%s iv_min=%s iv_max=%s c1=%s \
+         c2=%s r1=%s lock=%s lock_min=%s lock_max=%s jit=%s jit_min=%s \
+         jit_max=%s curr=%s curr_min=%s curr_max=%s\n"
+        i (g w.kv) (g w.kv_min) (g w.kv_max) (g w.iv) (g w.iv_min)
+        (g w.iv_max) (g w.c1) (g w.c2) (g w.r1) (g w.lock) (g w.lock_min)
+        (g w.lock_max) (g w.jit) (g w.jit_min) (g w.jit_max) (g w.curr)
+        (g w.curr_min) (g w.curr_max))
+    r.rows;
+  (match r.selected with
+  | None -> Printf.bprintf b "selected none\n"
+  | Some s ->
+    let i = ref (-1) in
+    Array.iteri (fun j w -> if !i < 0 && w == s then i := j) r.rows;
+    Printf.bprintf b "selected row %d\n" !i);
+  (match r.yield with
+  | None -> Printf.bprintf b "yield none\n"
+  | Some y ->
+    Printf.bprintf b "yield pass=%d total=%d fraction=%s ci_low=%s ci_high=%s\n"
+      y.Repro_util.Stats.pass y.total (g y.fraction) (g y.ci_low)
+      (g y.ci_high));
+  Buffer.contents b
+
+(* the shared pool is rebuilt at the new size on its next use *)
+let with_jobs n f =
+  let resize n =
+    Repro_engine.Config.set_jobs n;
+    Repro_engine.Pool.shutdown (Repro_engine.Pool.get_default ())
+  in
+  resize n;
+  Fun.protect ~finally:(fun () -> resize 0) f
+
+(* The smallest system level that still selects a design and computes a
+   yield (an 8x1 GA, 10 yield samples), at the seed of the paper's runs:
+   Table 2 and the yield must not move a bit at any job count. *)
+let test_system_level_golden () =
+  (* [dune runtest] runs in _build/default/test, [dune exec] in the root *)
+  let model =
+    H.Perf_table.load
+      ~dir:
+        (List.find Sys.file_exists
+           [ "../perfbench/fixture"; "perfbench/fixture" ])
+  in
+  let scale =
+    {
+      H.Hierarchy.tiny_scale with
+      H.Hierarchy.pll_population = 8;
+      pll_generations = 1;
+      yield_samples = 10;
+    }
+  in
+  let cfg = H.Hierarchy.make_config ~seed:2009 ~scale () in
+  let expected =
+    In_channel.with_open_bin
+      (List.find Sys.file_exists
+         [ "system_level_2009.expected"; "test/system_level_2009.expected" ])
+      In_channel.input_all
+  in
+  List.iter
+    (fun jobs ->
+      let r =
+        with_jobs jobs (fun () -> H.Hierarchy.run_system_level cfg ~model)
+      in
+      Alcotest.(check string) (Printf.sprintf "-j %d" jobs) expected
+        (table2_text r))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "spec default valid" `Quick test_spec_default_valid;
@@ -433,4 +509,6 @@ let suite =
     Alcotest.test_case "make_config validation" `Quick test_make_config_validation;
     Alcotest.test_case "variation entry pp" `Quick test_variation_entry_pp;
     Alcotest.test_case "micro end-to-end flow" `Slow test_micro_flow;
+    Alcotest.test_case "system level golden over the fixture" `Quick
+      test_system_level_golden;
   ]

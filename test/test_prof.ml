@@ -771,6 +771,46 @@ run finished in 40.250 s
 |}
     text
 
+(* a run.finish that also carries the behavioural PLL counters gets one
+   more simulator line *)
+let test_report_journal_pll_line () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "run.journal" in
+  write_file path
+    (String.concat "\n"
+       [
+         {|{"ts":1,"run":"r3","event":"run.start","fingerprint":"cd"}|};
+         {|{"ts":2,"run":"r3","event":"run.finish","seconds":4.5,"eval_avoided":0,"eval_paid":0,"eval_cache_hits":0,"eval_runs":600,"vco_characterisations":1,"vco_extensions":0,"vco_extensions_failed":0,"tran_runs":3,"tran_steps":7200,"tran_halvings":0,"tran_newton":21000,"pll_sims":2126,"pll_steps":85040000}|};
+         "";
+       ]);
+  let events =
+    match Repro_obs.Journal.read path with
+    | Ok events -> events
+    | Error e -> Alcotest.fail e
+  in
+  let r, text = render (fun ppf -> Repro_prof.Report.journal ppf events) in
+  Alcotest.(check bool) "ok" true (r = Ok ());
+  Alcotest.(check string) "simulator block with the PLL line"
+    {|run r3  (fingerprint cd, 2 events)
+
+evals:
+  requested       600
+  avoided           0    0.0%  (surrogate pre-screen)
+  cached            0    0.0%  (eval cache)
+  simulated       600  100.0%
+
+simulator:
+  characterisations           1
+  window extensions           0  (0 still unresolved)
+  transients                  3
+  accepted steps           7200  (0 rejected)
+  Newton iterations       21000  (2.92 per step)
+  behavioural PLL          2126  (85040000 steps)
+
+run finished in 4.500 s
+|}
+    text
+
 let test_report_trace () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "golden.trace.json" in
@@ -991,4 +1031,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_trace_decoder_wrong_types;
     Alcotest.test_case "report journal simulator block" `Quick
       test_report_journal_simulator;
+    Alcotest.test_case "report journal behavioural PLL line" `Quick
+      test_report_journal_pll_line;
   ]
