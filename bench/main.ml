@@ -239,54 +239,6 @@ let engine_bench (result : H.Hierarchy.result) =
     (cold = warm);
   Printf.printf "  %s\n" (E.Cache.stats_line cache)
 
-(* cold checkpointed run vs resume-from-completed-snapshot: the resumed
-   run replays every phase from the snapshot, so it measures pure
-   restore overhead — and must reproduce the artefacts byte-for-byte. *)
-let checkpoint_bench (result : H.Hierarchy.result) =
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "hieropt_ckpt_bench" in
-  rm_rf dir;
-  let cfg ~resume =
-    H.Hierarchy.make_config ~scale:H.Hierarchy.tiny_scale ~model_dir:dir
-      ~checkpoint_every:1 ~resume ()
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let model = result.H.Hierarchy.model in
-  let cold, t_cold =
-    timed (fun () -> H.Hierarchy.run_system_level (cfg ~resume:false) ~model)
-  in
-  let resumed, t_resumed =
-    timed (fun () -> H.Hierarchy.run_system_level (cfg ~resume:true) ~model)
-  in
-  metric "checkpoint" "cold_s" t_cold;
-  metric "checkpoint" "resumed_s" t_resumed;
-  Printf.printf
-    "system-level run (tiny scale), snapshot flushed every generation:\n";
-  Printf.printf "  cold    %7.2f s\n" t_cold;
-  Printf.printf "  resumed %7.2f s   speedup %.1fx   bit-identical: %b\n"
-    t_resumed
-    (t_cold /. Float.max t_resumed 1e-9)
-    (compare
-       ( cold.H.Hierarchy.rows,
-         cold.H.Hierarchy.selected,
-         cold.H.Hierarchy.yield )
-       ( resumed.H.Hierarchy.rows,
-         resumed.H.Hierarchy.selected,
-         resumed.H.Hierarchy.yield )
-    = 0);
-  rm_rf dir
-
 (* loopback model server under saturation: queries/sec and latency
    quantiles at 1/2/4 reactors (offered concurrency scaled with the
    reactor count so every leg can saturate), plus the served-vs-local
@@ -613,9 +565,6 @@ let run_experiments ~scale ~spec () =
   telemetry_line ();
   section "Engine — deterministic parallel evaluation + cache";
   engine_bench result;
-  telemetry_line ();
-  section "Run lifecycle — cold vs resumed checkpointed run";
-  checkpoint_bench result;
   telemetry_line ();
   section "Serve — model server throughput and latency";
   serve_bench result;

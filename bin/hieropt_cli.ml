@@ -127,33 +127,10 @@ let optimiser_t =
            pre-screen, which skips exact evaluation of candidates \
            predicted to be dominated by the current front; avoided/paid \
            counts land in telemetry, the run journal and $(b,hieropt \
-           report)).  The choice is salted into eval cache keys and \
-           snapshot fingerprints, so switching never aliases a previous \
-           run's artefacts.")
+           report)).  The choice is salted into eval cache keys, so \
+           switching never aliases a previous run's evaluations.")
 
-(* ---- run-lifecycle flags ---- *)
-
-let checkpoint_every_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:
-          "Snapshot run state into the model directory every $(docv) GA \
-           generations / Monte-Carlo chunks (and at every phase \
-           boundary).  Snapshots are written atomically; Ctrl-C flushes \
-           a final snapshot and exits cleanly (a second Ctrl-C kills \
-           immediately).")
-
-let resume_t =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Resume from the model directory's snapshot.  A missing, \
-           corrupt or configuration-mismatched snapshot warns and \
-           restarts cold.  An interrupted-then-resumed run produces \
-           byte-identical artefacts to an uninterrupted one.")
+(* ---- run lifecycle ---- *)
 
 let interrupt_after_t =
   let phases =
@@ -166,18 +143,21 @@ let interrupt_after_t =
     & opt (some (enum phases)) None
     & info [ "interrupt-after" ] ~docv:"PHASE"
         ~doc:
-          "Testing hook: flush the snapshot and stop (exit 130) once \
+          "Testing hook: save the eval cache and stop (exit 130) once \
            $(docv) completes, as an external interrupt at that boundary \
            would.")
 
-let exit_interrupted () =
-  Fmt.epr "interrupted — snapshot flushed; re-run with --resume to continue@.";
-  exit 130
-
-let with_lifecycle ~checkpoint_every f =
-  if checkpoint_every <> None then
-    Repro_engine.Checkpoint.install_signal_handler ();
-  try f () with Repro_engine.Checkpoint.Interrupted -> exit_interrupted ()
+(* Ctrl-C stops a run at the next GA generation or Monte-Carlo design,
+   with everything finished so far in the model dir's eval.cache, which
+   is all a resume needs: the same command, run again, replays it.  A
+   second Ctrl-C kills the process. *)
+let with_lifecycle f =
+  Repro_engine.Checkpoint.install_signal_handler ();
+  try f ()
+  with Repro_engine.Checkpoint.Interrupted ->
+    Fmt.epr "interrupted — eval cache saved; run the same command again to \
+             resume@.";
+    exit 130
 
 (* ---- tracing ---- *)
 
@@ -192,28 +172,16 @@ let trace_t =
            Perfetto).  Tracing is zero-perturbation: results and \
            artefacts are byte-identical with or without it.")
 
-(* sits INSIDE with_lifecycle so the trace is exported (via the
-   Fun.protect finaliser) even when Checkpoint.Interrupted unwinds the
-   run before with_lifecycle turns it into exit 130.
-
-   GC capture is always on for CLI traces (quick_stat deltas on span
-   ends feed report --profile's allocation attribution), and the whole
-   run sits under a root "run" span so the self-time table telescopes
-   to exactly the traced wall time. *)
+(* sits INSIDE with_lifecycle so the trace is exported (by
+   Trace.record's finaliser) even when Checkpoint.Interrupted unwinds
+   the run before with_lifecycle turns it into exit 130 *)
 let with_trace ?label trace f =
   match trace with
   | None -> f ()
   | Some path ->
-    Repro_obs.Trace.start ~gc:true ();
-    Option.iter Repro_obs.Trace.set_process_label label;
-    Fun.protect
-      ~finally:(fun () ->
-        Repro_obs.Trace.stop ();
-        match Repro_obs.Trace.export path with
-        | n -> Fmt.epr "trace: %d events written to %s@." n path
-        | exception Sys_error msg ->
-          Fmt.epr "trace: cannot write %s: %s@." path msg)
-      (fun () -> Repro_obs.Trace.span "run" f)
+    Repro_obs.Trace.record ?label path f ~on_export:(function
+      | Ok n -> Fmt.epr "trace: %d events written to %s@." n path
+      | Error msg -> Fmt.epr "trace: cannot write %s: %s@." path msg)
 
 (* ---- simulate ---- *)
 
@@ -352,9 +320,9 @@ let netlist_t =
            whose designable parameters carry $(b,.param name = {range lo \
            hi}) templates — instead of the built-in ring-VCO builder.  A \
            deck that elaborates to exactly the built-in topology and \
-           bounds is canonicalised onto the builder, so its artefacts, \
-           cache keys and snapshots are byte-identical to a run without \
-           this flag.")
+           bounds is canonicalised onto the builder, so its artefacts \
+           and cache keys are byte-identical to a run without this \
+           flag.")
 
 (* A --netlist deck replaces the built-in circuit builder.  When the
    deck is provably the built-in ring VCO (same parameter vector, same
@@ -418,14 +386,13 @@ let flow_cmd =
              comparison.")
   in
   let run seed full scale jobs nominal_only optimiser netlist model_dir
-      checkpoint_every resume interrupt_after trace verbose =
+      interrupt_after trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
     let scale, spec = resolve_scale full scale in
     let make ?circuit () =
       Hieropt.Hierarchy.make_config ~seed ~scale ?spec
-        ~use_variation:(not nominal_only) ~optimiser ~model_dir
-        ?checkpoint_every ~resume ?circuit ()
+        ~use_variation:(not nominal_only) ~optimiser ~model_dir ?circuit ()
     in
     let cfg = make () in
     let cfg =
@@ -438,7 +405,7 @@ let flow_cmd =
         | None -> cfg
         | Some _ as circuit -> make ?circuit ())
     in
-    with_lifecycle ~checkpoint_every @@ fun () ->
+    with_lifecycle @@ fun () ->
     with_trace ~label:"coordinator" trace @@ fun () ->
     let result =
       Hieropt.Hierarchy.run
@@ -470,8 +437,7 @@ let flow_cmd =
   Cmd.v info
     Term.(
       const run $ seed_t $ full_t $ scale_t $ jobs_t $ ablation_t
-      $ optimiser_t $ netlist_t $ model_dir_t
-      $ checkpoint_every_t $ resume_t $ interrupt_after_t $ trace_t
+      $ optimiser_t $ netlist_t $ model_dir_t $ interrupt_after_t $ trace_t
       $ verbose_t)
 
 (* ---- system ---- *)
@@ -502,8 +468,7 @@ let pll_query_of_remote ~fallback remote =
       Some (Repro_serve.Remote.model_query ~fallback ~client ~model ()))
 
 let system_cmd =
-  let run seed full scale jobs optimiser model_dir remote
-      checkpoint_every resume trace verbose =
+  let run seed full scale jobs optimiser model_dir remote trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
     let model = load_model model_dir in
@@ -511,9 +476,9 @@ let system_cmd =
     let scale, spec = resolve_scale full scale in
     let cfg =
       Hieropt.Hierarchy.make_config ~seed ~scale ?spec ~optimiser ~model_dir
-        ?checkpoint_every ~resume ()
+        ()
     in
-    with_lifecycle ~checkpoint_every @@ fun () ->
+    with_lifecycle @@ fun () ->
     with_trace ~label:"coordinator" trace @@ fun () ->
     let result =
       Hieropt.Hierarchy.run_system_level
@@ -531,8 +496,7 @@ let system_cmd =
   Cmd.v info
     Term.(
       const run $ seed_t $ full_t $ scale_t $ jobs_t $ optimiser_t
-      $ model_dir_t $ remote_t $ checkpoint_every_t $ resume_t $ trace_t
-      $ verbose_t)
+      $ model_dir_t $ remote_t $ trace_t $ verbose_t)
 
 (* ---- yield ---- *)
 
@@ -1133,7 +1097,7 @@ let report_cmd =
       ~doc:
         "Summarise a run journal: per-phase time breakdown, \
          generation-by-generation GA convergence (front size, spread, \
-         hypervolume), checkpoint activity and warnings — plus the \
+         hypervolume), the evaluation split and warnings — plus the \
          slowest spans of a recorded trace, or with $(b,--profile) a \
          full self-time/GC/utilization profile of it."
   in

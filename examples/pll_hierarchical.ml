@@ -5,28 +5,29 @@
 
    Run with:             dune exec examples/pll_hierarchical.exe
    Paper-scale workload: HIEROPT_FULL=1 dune exec examples/pll_hierarchical.exe
-   After a Ctrl-C:       dune exec examples/pll_hierarchical.exe -- --resume
+   After a Ctrl-C:       run the same command again
 
    The table model is written to ./hieropt_model/ in the same .tbl format
-   the Verilog-A listings of the paper consume; run state is snapshotted
-   there too, so an interrupted run resumes from the last completed
-   boundary and still produces byte-identical artefacts. *)
+   the Verilog-A listings of the paper consume.  Every finished
+   evaluation and variation-model entry is kept there too, in
+   eval.cache, so running again after an interruption replays the
+   finished work without simulating it and still produces
+   byte-identical artefacts. *)
 
 module H = Hieropt
 
 let () =
-  let resume = Array.exists (( = ) "--resume") Sys.argv in
   let cfg =
     H.Hierarchy.make_config
       ~scale:(H.Hierarchy.scale_of_env ())
-      ~model_dir:"hieropt_model" ~checkpoint_every:1 ~resume ()
+      ~model_dir:"hieropt_model" ()
   in
   Repro_engine.Checkpoint.install_signal_handler ();
   Format.printf "spec: %a@.@." H.Spec.pp cfg.H.Hierarchy.spec;
   let result =
     try H.Hierarchy.run ~progress:(fun s -> Format.printf "[flow] %s@." s) cfg
     with Repro_engine.Checkpoint.Interrupted ->
-      Format.eprintf "interrupted — re-run with --resume to continue@.";
+      Format.eprintf "interrupted — run the same command again to resume@.";
       exit 130
   in
   Format.printf "@.%s@." (H.Experiments.fig7_front result.H.Hierarchy.front);

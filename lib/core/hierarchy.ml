@@ -49,7 +49,7 @@ let tiny_scale =
   }
 
 (* a narrowed band the tiny GA can cover reliably — the smoke-test spec
-   used by CI and the checkpoint tests *)
+   used by CI and the resume tests *)
 let tiny_spec =
   {
     Spec.default with
@@ -65,7 +65,7 @@ let scale_of_env () = if E.Config.full () then paper_scale else bench_scale
 (* a pluggable circuit front end: how to turn the 7-float sizing vector
    into a measurable netlist.  [tag] is the template's content
    fingerprint — the only part of the record that may enter cache salts
-   and snapshot fingerprints (the closure must never be hashed).  A
+   and run fingerprints (the closure must never be hashed).  A
    template equivalent to the built-in ring VCO is canonicalised to
    [None] by the CLI so its artefacts stay byte-identical. *)
 type circuit = {
@@ -82,8 +82,6 @@ type config = {
   process : Repro_circuit.Process.spec;
   use_variation : bool;
   model_dir : string option;
-  checkpoint_every : int option;
-  resume : bool;
   circuit : circuit option;
   optimiser : string;
 }
@@ -97,8 +95,6 @@ let default_config ?(scale = bench_scale) () =
     process = Repro_circuit.Process.default;
     use_variation = true;
     model_dir = None;
-    checkpoint_every = None;
-    resume = false;
     circuit = None;
     optimiser = "nsga2";
   }
@@ -138,8 +134,7 @@ let validate_circuit c =
 
 let make_config ?(seed = 2009) ?(scale = bench_scale) ?(spec = Spec.default)
     ?(measure = V.default_options) ?(process = Repro_circuit.Process.default)
-    ?(use_variation = true) ?model_dir ?checkpoint_every ?(resume = false)
-    ?circuit ?(optimiser = "nsga2") () =
+    ?(use_variation = true) ?model_dir ?circuit ?(optimiser = "nsga2") () =
   validate_scale scale;
   Spec.validate spec;
   Option.iter validate_circuit circuit;
@@ -148,17 +143,8 @@ let make_config ?(seed = 2009) ?(scale = bench_scale) ?(spec = Spec.default)
       "Hierarchy.make_config: unknown optimiser %S (expected one of %s)"
       optimiser
       (String.concat ", " Repro_moo.Optimiser.names);
-  (match checkpoint_every with
-  | Some n when n < 1 ->
-    Printf.ksprintf invalid_arg
-      "Hierarchy.make_config: checkpoint_every must be >= 1 (got %d)" n
-  | _ -> ());
-  if (resume || checkpoint_every <> None) && model_dir = None then
-    invalid_arg
-      "Hierarchy.make_config: resume/checkpointing requires a model_dir to \
-       hold the snapshot";
-  { seed; scale; spec; measure; process; use_variation; model_dir;
-    checkpoint_every; resume; circuit; optimiser }
+  { seed; scale; spec; measure; process; use_variation; model_dir; circuit;
+    optimiser }
 
 exception Degenerate_front of { stage : string; found : int; minimum : int }
 
@@ -315,25 +301,63 @@ let config_salt cfg =
             run's cache can never alias an exhaustive run's *)
          (cfg.optimiser, screened cfg) ))
 
+(* A variation-model entry also depends on the seed, which fixes the
+   Monte-Carlo streams; the front index, sample count and sizing are in
+   the entry's key ({!Variation_model.analyse_front}). *)
+let variation_salt cfg = Printf.sprintf "%s-%d" (config_salt cfg) cfg.seed
+
+(* The system level evaluates every candidate through the table model,
+   so its evaluations belong to one model: two models saved in turn to
+   one model dir must never share them.  The digest covers every entry
+   bit for bit ([Hashtbl.hash] would stop after its first 1000
+   values). *)
+let model_hash model =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (Perf_table.entries model) [ Marshal.No_sharing ]))
+
+let system_salt cfg model = config_salt cfg ^ "-" ^ model_hash model
+
+(* A cache that exists but cannot be read throws away finished work, so
+   it is reported; a missing one is just a cold start. *)
 let load_cache cfg =
   match cache_path cfg with
   | None -> E.Cache.create ()
   | Some path -> (
     match E.Cache.load_if_exists path with
     | Some cache -> cache
-    | None -> E.Cache.create ())
+    | None ->
+      if Sys.file_exists path then
+        E.Telemetry.warn ~key:"cache.cold_start"
+          "cannot read eval cache %s — starting cold" path;
+      E.Cache.create ())
 
-let save_cache cfg cache progress =
+(* The cache holds every finished unit of work, so saving it is what
+   makes a run resumable; [Cache.save] writes a tmp file and renames it,
+   so the file on disk is whole whenever the process dies. *)
+let save_cache ?progress cfg cache =
   match cache_path cfg with
   | None -> ()
   | Some path -> (
     try
+      let dir = Filename.dirname path in
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       E.Cache.save cache path;
-      say progress "engine: %s saved to %s" (E.Cache.stats_line cache) path
+      Option.iter
+        (fun progress ->
+          say progress "engine: %s saved to %s" (E.Cache.stats_line cache)
+            path)
+        progress
     with Sys_error _ -> ())
 
-let evaluator_of cfg cache =
-  Repro_moo.Problem.parallel_evaluator ~cache ~salt:(config_salt cfg) ()
+(* a resume point: the finished work goes to disk, then a requested
+   interrupt (SIGINT, or [Checkpoint.request_interrupt]) stops the run *)
+let boundary cfg cache () =
+  save_cache cfg cache;
+  E.Checkpoint.guard ()
+
+let evaluator_of ~salt cache =
+  Repro_moo.Problem.parallel_evaluator ~cache ~salt ()
 
 let portfolio_of cfg =
   match Repro_moo.Optimiser.of_name cfg.optimiser with
@@ -373,14 +397,12 @@ let circuit_netlist cfg params =
 
 let circuit_builder cfg = Option.map (fun c -> c.build) cfg.circuit
 
-(* ---- checkpoint wiring ------------------------------------------- *)
+(* ---- run lifecycle ------------------------------------------------ *)
 
-(* Unlike the cache salt, the snapshot fingerprint also covers seed and
-   scale: a snapshot replays intermediate state, so it must bind to the
-   exact run.  Worker count is deliberately excluded — results are
-   bit-identical for any [-j], so resuming with a different worker count
-   is sound.  [extra] binds standalone system-level snapshots to their
-   input model. *)
+(* The journal's run fingerprint: the cache salt's inputs plus seed and
+   scale, which together fix the run.  Worker count is deliberately
+   excluded — results are bit-identical for any [-j].  [extra] binds
+   standalone system-level runs to their input model. *)
 let fingerprint ?(extra = "") cfg =
   Printf.sprintf "%08x%s"
     (Hashtbl.hash_param 256 256
@@ -394,60 +416,44 @@ let fingerprint ?(extra = "") cfg =
          (cfg.optimiser, screened cfg) ))
     extra
 
-let setup_checkpoint ?extra ~file cfg progress =
-  if cfg.checkpoint_every = None && not cfg.resume then None
-  else
-    match cfg.model_dir with
-    | None ->
-      (* reachable only through hand-built config records;
-         [make_config] rejects this combination *)
-      E.Telemetry.warn ~key:"checkpoint.no_model_dir"
-        "checkpointing requested without a model_dir — running without \
-         snapshots";
-      None
-    | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir file in
-      let every = Option.value ~default:1 cfg.checkpoint_every in
-      let fp = fingerprint ?extra cfg in
-      if cfg.resume then begin
-        match E.Checkpoint.resume ~every ~fingerprint:fp path with
-        | Ok ck ->
-          say progress "checkpoint: resuming from %s" path;
-          Obs.Journal.record_checkpoint ~action:"resume" ~path;
-          Some ck
-        | Error reason ->
-          E.Telemetry.warn ~key:"checkpoint.cold_start"
-            "cannot resume from %s (%s) — starting cold" path reason;
-          Some (E.Checkpoint.create ~every ~fingerprint:fp path)
-      end
-      else Some (E.Checkpoint.create ~every ~fingerprint:fp path)
-
-let snapshot_of = Option.map E.Checkpoint.snapshot
-
-(* flush-and-raise at a phase boundary when the testing hook asks for it *)
-let maybe_stop_after ~interrupt_after ck phase =
+(* the testing hook: stop at a phase boundary exactly as an external
+   interrupt there would *)
+let maybe_stop_after ~interrupt_after phase =
   match interrupt_after with
-  | Some p when p = phase ->
-    Option.iter E.Checkpoint.flush ck;
-    raise E.Checkpoint.Interrupted
+  | Some p when p = phase -> raise E.Checkpoint.Interrupted
   | _ -> ()
 
-(* one checkpointable optimiser run: restore a paused generation loop
-   when the snapshot has one under [key], then step to completion,
-   saving state each generation and flushing every [every].  The
-   algorithm is any portfolio member; with [surrogate] its evaluator is
-   wrapped in a pre-screen whose archive rides along in the snapshot
-   (under [key ^ ".surrogate"]) so post-resume screening decisions are
-   identical to the uninterrupted run's. *)
-let run_ga ~progress ~label ~key ~optimiser ~options ~evaluator ~surrogate
-    ~hv_of ~ck problem prng =
-  let module O = (val (optimiser : Repro_moo.Optimiser.t)) in
-  let skey = key ^ ".surrogate" in
-  let with_screen sur =
-    match sur with
-    | None -> evaluator
-    | Some s -> Repro_moo.Surrogate.wrap s evaluator
+(* What [run] and [run_system_level] share: the journal brackets the
+   run, and the eval cache is loaded before it and saved after it, also
+   when an interrupt stops it, so that running the same command again
+   resumes. *)
+let with_run ~progress ~fingerprint cfg f =
+  let t_run = Unix.gettimeofday () in
+  let c_run = counter_baseline () in
+  let journal = open_journal ~fingerprint cfg in
+  Fun.protect
+    ~finally:(fun () -> close_journal t_run c_run journal)
+    (fun () ->
+      let cache = load_cache cfg in
+      match f cache with
+      | result ->
+        save_cache ~progress cfg cache;
+        result
+      | exception (E.Checkpoint.Interrupted as e) ->
+        save_cache ~progress cfg cache;
+        raise e)
+
+(* one optimiser run over any portfolio member, with [at_generation]
+   called after the initial population and after every generation.
+   With [surrogate] the evaluator is wrapped in a pre-screen; the
+   screen is a pure function of the evaluations it has seen, so a
+   re-run over a warm cache makes the same decisions. *)
+let run_ga ~progress ~label ~optimiser ~options ~evaluator ~surrogate ~hv_of
+    ~at_generation problem prng =
+  let evaluator =
+    if surrogate then
+      Repro_moo.Surrogate.wrap (Repro_moo.Surrogate.create ()) evaluator
+    else evaluator
   in
   let a0 = E.Telemetry.counter "eval.avoided"
   and p0 = E.Telemetry.counter "eval.paid" in
@@ -456,61 +462,23 @@ let run_ga ~progress ~label ~key ~optimiser ~options ~evaluator ~surrogate
      Pure functions of the population — skipped entirely (not even
      computed) when no journal is active, and unable to perturb the GA
      either way. *)
-  let record st =
+  let record generation pop =
     if Obs.Journal.active () then begin
-      let front = Nsga2.pareto_front (O.population st) in
+      let front = Nsga2.pareto_front pop in
       let evals = Nsga2.evaluations front in
-      Obs.Journal.record_ga_generation ~label
-        ~generation:(O.generation st)
+      Obs.Journal.record_ga_generation ~label ~generation
         ~front_size:(Array.length front)
         ~spread:(Repro_moo.Pareto.spread_2d evals)
         ~hypervolume:(hv_of evals)
     end
   in
-  (* a resumable pair is optimiser state plus (when screening) the
-     surrogate archive: one without the other would replay a different
-     trajectory, so either restores both or the run cold-starts *)
-  let restored =
-    Option.bind (snapshot_of ck) (fun snap ->
-        match O.restore_state ~options problem snap ~key with
-        | None -> None
-        | Some st ->
-          if not surrogate then Some (st, None)
-          else
-            Option.map
-              (fun s -> (st, Some s))
-              (Repro_moo.Surrogate.restore_state problem snap ~key:skey))
+  let pop =
+    Repro_moo.Optimiser.optimise optimiser ~options ~evaluator
+      ~on_generation:(fun generation pop ->
+        record generation pop;
+        at_generation ())
+      problem prng
   in
-  let st, sur =
-    match restored with
-    | Some (st, sur) ->
-      say progress "%s level: resumed %s at generation %d/%d" label O.name
-        (O.generation st) options.Repro_moo.Optimiser.generations;
-      (st, sur)
-    | None ->
-      let sur =
-        if surrogate then Some (Repro_moo.Surrogate.create ()) else None
-      in
-      (O.init ~options ~evaluator:(with_screen sur) problem prng, sur)
-  in
-  let evaluator = with_screen sur in
-  record st;
-  while O.generation st < options.Repro_moo.Optimiser.generations do
-    O.step ~evaluator problem st;
-    record st;
-    match ck with
-    | None -> ()
-    | Some c ->
-      let snap = E.Checkpoint.snapshot c in
-      O.save_state st snap ~key;
-      Option.iter
-        (fun s -> Repro_moo.Surrogate.save_state s snap ~key:skey)
-        sur;
-      if O.generation st mod E.Checkpoint.every c = 0
-         || O.generation st = options.Repro_moo.Optimiser.generations
-      then E.Checkpoint.flush c;
-      E.Checkpoint.guard (Some c)
-  done;
   if surrogate then begin
     let avoided = E.Telemetry.counter "eval.avoided" - a0
     and paid = E.Telemetry.counter "eval.paid" - p0 in
@@ -518,44 +486,7 @@ let run_ga ~progress ~label ~key ~optimiser ~options ~evaluator ~surrogate
       label avoided (avoided + paid);
     Obs.Journal.record_evals ~label ~avoided ~paid
   end;
-  O.population st
-
-(* ---- phase persistence ------------------------------------------- *)
-
-let store_front snap front =
-  E.Snapshot.set_rows snap "front"
-    (Array.map Vco_problem.vector_of_design front);
-  E.Snapshot.set_int snap "front.done" 1
-
-let restore_front snap =
-  match snap with
-  | None -> None
-  | Some snap ->
-    if E.Snapshot.get_int snap "front.done" <> Some 1 then None
-    else
-      Option.bind (E.Snapshot.get_rows snap "front") (fun rows ->
-          let designs = Array.map Vco_problem.design_of_vector rows in
-          if Array.exists Option.is_none designs then None
-          else Some (Array.map Option.get designs))
-
-let store_entry_prefix snap entries =
-  E.Snapshot.set_rows snap "entries"
-    (Array.map Variation_model.row_of_entry entries)
-
-let restore_entries snap ~expect =
-  match snap with
-  | None -> (false, [||])
-  | Some snap -> (
-    match E.Snapshot.get_rows snap "entries" with
-    | None -> (false, [||])
-    | Some rows ->
-      let entries = Array.map Variation_model.entry_of_row rows in
-      if Array.exists Option.is_none entries || Array.length entries > expect
-      then (false, [||])
-      else
-        ( E.Snapshot.get_int snap "entries.done" = Some 1
-          && Array.length entries = expect,
-          Array.map Option.get entries ))
+  pop
 
 (* ---- the flow ----------------------------------------------------- *)
 
@@ -591,8 +522,8 @@ let verify_design cfg ~model (row : Pll_problem.table2_row) =
   in
   { requested; mapped; measured }
 
-let run_system_level_inner ?(progress = fun _ -> ()) ?evaluator ?ck
-    ?interrupt_after ?pll_query cfg ~model ~front ~entries =
+let run_system_level_inner ~progress ~cache ?interrupt_after ?pll_query cfg
+    ~model ~front ~entries =
   let scale = cfg.scale in
   let pll_cfg = pll_config_of ?pll_query cfg model in
   say progress "system level: %s %dx%d over (Kvco, Ivco, C1, C2, R1)%s"
@@ -603,23 +534,22 @@ let run_system_level_inner ?(progress = fun _ -> ()) ?evaluator ?ck
   let pll_problem = Pll_problem.problem pll_cfg in
   let pll_pop =
     timed_phase "system-ga" @@ fun () ->
-    run_ga ~progress ~label:"system" ~key:"ga.system"
-      ~optimiser:(portfolio_of cfg)
+    run_ga ~progress ~label:"system" ~optimiser:(portfolio_of cfg)
       ~options:
         {
           Repro_moo.Optimiser.population = scale.pll_population;
           generations = scale.pll_generations;
         }
-      ~evaluator:(Option.value evaluator ~default:Repro_moo.Problem.serial_evaluator)
+      ~evaluator:(evaluator_of ~salt:(system_salt cfg model) cache)
       ~surrogate:(screened cfg)
       ~hv_of:(Repro_moo.Hypervolume.of_front ~reference:system_hv_reference)
-      ~ck pll_problem prng
+      ~at_generation:(boundary cfg cache) pll_problem prng
   in
-  maybe_stop_after ~interrupt_after ck System_ga;
+  maybe_stop_after ~interrupt_after System_ga;
   let pll_front = Nsga2.pareto_front pll_pop in
   say progress "system level: %d Pareto solutions" (Array.length pll_front);
-  (* rows, selection and verification are cheap, pure functions of the
-     GA output and the model — recomputed rather than persisted *)
+  (* rows, selection, verification and yield are cheap, pure functions
+     of the GA output and the model — recomputed by every run *)
   let rows =
     Array.to_list pll_front
     |> List.filter_map (Pll_problem.row_of_individual pll_cfg)
@@ -636,202 +566,108 @@ let run_system_level_inner ?(progress = fun _ -> ()) ?evaluator ?ck
         timed_phase "yield" @@ fun () ->
         Yield.behavioural ~n:scale.yield_samples
           ~prng:(Prng.create (cfg.seed + 99))
-          ?checkpoint:(Option.map (fun c -> (c, "yield")) ck)
           pll_cfg row)
       selected
   in
-  (match ck with
-  | Some c ->
-    E.Snapshot.set_int (E.Checkpoint.snapshot c) "run.done" 1;
-    E.Checkpoint.flush c
-  | None -> ());
   say progress "engine: %s" (E.Telemetry.line ());
   { front; entries; model; rows; selected; verification; yield;
     pll_config = pll_cfg }
 
 let run_system_level ?(progress = fun _ -> ()) ?pll_query cfg ~model =
-  let t_run = Unix.gettimeofday () in
-  let c_run = counter_baseline () in
-  let cache = load_cache cfg in
-  (* bind the snapshot to the input model too: the same config re-run
-     over a different saved model must not resume from stale state.
-     [pll_query] is deliberately excluded, like the worker count: a
-     faithful remote oracle produces bit-identical results, so resuming
-     a local run against a served model (or vice versa) is sound. *)
-  let extra =
-    Printf.sprintf "-%08x"
-      (Hashtbl.hash_param 1000 1000 (Perf_table.entries model))
-  in
-  let journal = open_journal ~fingerprint:(fingerprint ~extra cfg) cfg in
-  let ck = setup_checkpoint ~extra ~file:"system.snapshot" cfg progress in
-  let finish () =
-    let result =
-      run_system_level_inner ~progress
-        ~evaluator:(evaluator_of cfg cache) ?ck ?pll_query cfg ~model
-        ~front:
-          (Array.map
-             (fun e -> e.Variation_model.design)
-             (Perf_table.entries model))
-        ~entries:(Perf_table.entries model)
-    in
-    save_cache cfg cache progress;
-    result
-  in
-  Fun.protect
-    ~finally:(fun () -> close_journal t_run c_run journal)
-    (fun () ->
-      try finish ()
-      with E.Checkpoint.Interrupted as e ->
-        save_cache cfg cache progress;
-        raise e)
+  (* [pll_query] is deliberately outside the fingerprint and the cache
+     salt, like the worker count: a faithful remote oracle produces
+     bit-identical results *)
+  with_run ~progress
+    ~fingerprint:(fingerprint ~extra:("-" ^ model_hash model) cfg)
+    cfg
+  @@ fun cache ->
+  let entries = Perf_table.entries model in
+  run_system_level_inner ~progress ~cache ?pll_query cfg ~model
+    ~front:(Array.map (fun e -> e.Variation_model.design) entries)
+    ~entries
 
 let run ?(progress = fun _ -> ()) ?interrupt_after cfg =
-  let t_run = Unix.gettimeofday () in
-  let c_run = counter_baseline () in
   let scale = cfg.scale in
-  let cache = load_cache cfg in
-  let evaluator = evaluator_of cfg cache in
-  let journal = open_journal ~fingerprint:(fingerprint cfg) cfg in
-  let ck = setup_checkpoint ~file:"run.snapshot" cfg progress in
-  let snap = snapshot_of ck in
+  with_run ~progress ~fingerprint:(fingerprint cfg) cfg @@ fun cache ->
   say progress "engine: %d worker(s), %s" (E.Config.jobs ())
     (E.Cache.stats_line cache);
-  let body () =
-    (* step 1: circuit-level MOO *)
-    let front =
-      match restore_front snap with
-      | Some front ->
-        say progress "circuit level: restored %d Pareto designs from snapshot"
-          (Array.length front);
-        front
-      | None ->
-        say progress "circuit level: %s %dx%d over 7 W/L parameters"
-          (optimiser_label cfg) scale.vco_population scale.vco_generations;
-        let prng = Prng.create cfg.seed in
-        let vco_problem = circuit_problem cfg in
-        let pop =
-          timed_phase "circuit-ga" @@ fun () ->
-          run_ga ~progress ~label:"circuit" ~key:"ga.circuit"
-            ~optimiser:(portfolio_of cfg)
-            ~options:
-              {
-                Repro_moo.Optimiser.population = scale.vco_population;
-                generations = scale.vco_generations;
-              }
-            ~evaluator ~surrogate:(screened cfg)
-            ~hv_of:
-              (Repro_moo.Hypervolume.of_front ~dims:circuit_hv_dims
-                 ~reference:circuit_hv_reference)
-            ~ck vco_problem prng
-        in
-        let full_front = Vco_problem.front_designs pop in
-        if Array.length full_front < 2 then
-          raise
-            (Degenerate_front
-               {
-                 stage = "circuit-level";
-                 found = Array.length full_front;
-                 minimum = 2;
-               });
-        say progress "circuit level: %d Pareto designs"
-          (Array.length full_front);
-        let front =
-          if scale.front_max = max_int then full_front
-          else Vco_problem.thin_front full_front ~max_points:scale.front_max
-        in
-        (match ck with
-        | Some c ->
-          let s = E.Checkpoint.snapshot c in
-          store_front s front;
-          (* GA state is superseded by the stored front *)
-          let module O = (val portfolio_of cfg) in
-          O.clear_state s ~key:"ga.circuit";
-          Repro_moo.Surrogate.clear_state s ~key:"ga.circuit.surrogate";
-          E.Checkpoint.flush c
-        | None -> ());
-        front
+  (* step 1: circuit-level MOO *)
+  let front =
+    say progress "circuit level: %s %dx%d over 7 W/L parameters"
+      (optimiser_label cfg) scale.vco_population scale.vco_generations;
+    let pop =
+      timed_phase "circuit-ga" @@ fun () ->
+      run_ga ~progress ~label:"circuit" ~optimiser:(portfolio_of cfg)
+        ~options:
+          {
+            Repro_moo.Optimiser.population = scale.vco_population;
+            generations = scale.vco_generations;
+          }
+        ~evaluator:(evaluator_of ~salt:(config_salt cfg) cache)
+        ~surrogate:(screened cfg)
+        ~hv_of:
+          (Repro_moo.Hypervolume.of_front ~dims:circuit_hv_dims
+             ~reference:circuit_hv_reference)
+        ~at_generation:(boundary cfg cache) (circuit_problem cfg)
+        (Prng.create cfg.seed)
     in
-    maybe_stop_after ~interrupt_after ck Circuit_ga;
-    (* step 2: variation modelling *)
-    let entries =
-      let n_front = Array.length front in
-      let complete, already = restore_entries snap ~expect:n_front in
-      if complete then begin
-        say progress "variation model: restored %d entries from snapshot"
-          (Array.length already);
-        already
-      end
-      else begin
-        if Array.length already > 0 then
-          say progress "variation model: %d/%d designs restored from snapshot"
-            (Array.length already) n_front;
-        say progress "variation model: %d MC samples x %d designs"
-          scale.mc_samples n_front;
-        let prefix = ref already in
-        let on_entry =
-          Option.map
-            (fun c i entry ->
-              let s = E.Checkpoint.snapshot c in
-              prefix := Array.append !prefix [| entry |];
-              store_entry_prefix s !prefix;
-              (* per-sample MC rows are superseded by the entry *)
-              E.Snapshot.remove s ("mc." ^ string_of_int i);
-              E.Checkpoint.flush c;
-              E.Checkpoint.guard (Some c))
-            ck
-        in
-        let entries =
-          timed_phase "variation-mc" @@ fun () ->
-          Variation_model.analyse_front
-            ~options:
-              {
-                Variation_model.samples = scale.mc_samples;
-                process = cfg.process;
-                measure = cfg.measure;
-              }
-            ?builder:(circuit_builder cfg)
-            ~progress:(fun i n ->
-              say progress "variation model: design %d/%d" (i + 1) n)
-            ~already ?on_entry ?checkpoint:ck
-            ~prng:(Prng.create (cfg.seed + 13))
-            front
-        in
-        (match ck with
-        | Some c ->
-          let s = E.Checkpoint.snapshot c in
-          store_entry_prefix s entries;
-          E.Snapshot.set_int s "entries.done" 1;
-          E.Checkpoint.flush c
-        | None -> ());
-        entries
-      end
-    in
-    maybe_stop_after ~interrupt_after ck Variation;
-    (* step 3: combined table model (cheap, pure — rebuilt every run) *)
-    let model =
-      timed_phase "model" @@ fun () ->
-      let model = Perf_table.build entries in
-      (match cfg.model_dir with
-      | Some dir ->
-        Perf_table.save ~dir model;
-        say progress "table model saved to %s" dir
-      | None -> ());
-      model
-    in
-    maybe_stop_after ~interrupt_after ck Model;
-    (* steps 4-5 *)
-    let result =
-      run_system_level_inner ~progress ~evaluator ?ck ?interrupt_after cfg
-        ~model ~front ~entries
-    in
-    save_cache cfg cache progress;
-    result
+    let full_front = Vco_problem.front_designs pop in
+    if Array.length full_front < 2 then
+      raise
+        (Degenerate_front
+           {
+             stage = "circuit-level";
+             found = Array.length full_front;
+             minimum = 2;
+           });
+    say progress "circuit level: %d Pareto designs" (Array.length full_front);
+    if scale.front_max = max_int then full_front
+    else Vco_problem.thin_front full_front ~max_points:scale.front_max
   in
-  Fun.protect
-    ~finally:(fun () -> close_journal t_run c_run journal)
-    (fun () ->
-      try body ()
-      with E.Checkpoint.Interrupted as e ->
-        (* keep the warm cache for the resumed run *)
-        save_cache cfg cache progress;
-        raise e)
+  maybe_stop_after ~interrupt_after Circuit_ga;
+  (* step 2: variation modelling; finished entries live in the cache *)
+  let entries =
+    let n_front = Array.length front in
+    say progress "variation model: %d MC samples x %d designs"
+      scale.mc_samples n_front;
+    let analysed = ref 0 in
+    let entries =
+      timed_phase "variation-mc" @@ fun () ->
+      Variation_model.analyse_front
+        ~options:
+          {
+            Variation_model.samples = scale.mc_samples;
+            process = cfg.process;
+            measure = cfg.measure;
+          }
+        ?builder:(circuit_builder cfg)
+        ~progress:(fun i n ->
+          say progress "variation model: design %d/%d" (i + 1) n)
+        ~cache:(cache, variation_salt cfg)
+        ~on_entry:(fun _ _ ->
+          incr analysed;
+          boundary cfg cache ())
+        ~prng:(Prng.create (cfg.seed + 13))
+        front
+    in
+    if !analysed < n_front then
+      say progress "variation model: %d/%d entries from the eval cache"
+        (n_front - !analysed) n_front;
+    entries
+  in
+  maybe_stop_after ~interrupt_after Variation;
+  (* step 3: combined table model (cheap, pure — rebuilt every run) *)
+  let model =
+    timed_phase "model" @@ fun () ->
+    let model = Perf_table.build entries in
+    (match cfg.model_dir with
+    | Some dir ->
+      Perf_table.save ~dir model;
+      say progress "table model saved to %s" dir
+    | None -> ());
+    model
+  in
+  maybe_stop_after ~interrupt_after Model;
+  (* steps 4-5 *)
+  run_system_level_inner ~progress ~cache ?interrupt_after cfg ~model ~front
+    ~entries

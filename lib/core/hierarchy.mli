@@ -15,14 +15,16 @@
 
     {2 Run lifecycle}
 
-    With [checkpoint_every = Some n] the flow snapshots its state into
-    [model_dir ^ "/run.snapshot"] at every phase boundary and every [n]
-    GA generations / MC samples, using atomic tmp-file+rename writes.
-    With [resume = true] a matching snapshot (same format version and
-    config fingerprint) restarts the flow from the last completed
-    boundary; a missing, corrupt or mismatched snapshot degrades to a
-    loudly-warned cold start.  An interrupted-then-resumed run produces
-    byte-identical artefacts to an uninterrupted one. *)
+    A re-run in the same [model_dir] is the way to resume.  Every
+    finished unit of work — each GA evaluation at both levels and each
+    variation-model entry — is memoised in [model_dir ^ "/eval.cache"],
+    which the flow writes atomically (tmp file + rename) after every GA
+    generation, every Monte-Carlo design, and when it stops or is
+    interrupted.  Running the same command again replays the finished
+    work from the cache without simulating and computes only the rest,
+    so an interrupted-then-re-run flow produces byte-identical
+    artefacts to an uninterrupted one, and a cache that cannot be read
+    warns [cache.cold_start] and starts cold. *)
 
 type scale = {
   vco_population : int;
@@ -51,7 +53,7 @@ val tiny_scale : scale
 
 val tiny_spec : Spec.t
 (** A narrowed 200–280 MHz band spec sized for {!tiny_scale}; used by
-    the checkpoint tests and the CI interrupt-resume smoke job. *)
+    the resume tests and the CI interrupt-resume smoke job. *)
 
 val scale_of_env : unit -> scale
 (** [paper_scale] when {!Repro_engine.Config.full} reports that
@@ -69,7 +71,7 @@ val scale_of_env : unit -> scale
 type circuit = {
   tag : string;
       (** content fingerprint of the template; the only part of the
-          record entering the eval-cache salt and snapshot fingerprints
+          record entering the eval-cache salt and the run fingerprint
           (the closure is never hashed).  Must be non-empty. *)
   bounds : (float * float) array;
       (** design box of the 7 ranged parameters, declaration order *)
@@ -85,11 +87,8 @@ type config = {
   measure : Repro_spice.Vco_measure.options;
   process : Repro_circuit.Process.spec;
   use_variation : bool;
-  model_dir : string option;  (** where to save the .tbl model files *)
-  checkpoint_every : int option;
-      (** flush a snapshot every N generations / MC chunks; [None]
-          disables checkpointing *)
-  resume : bool;  (** restart from [model_dir]'s snapshot if compatible *)
+  model_dir : string option;
+      (** where to save the .tbl model files and the eval cache *)
   circuit : circuit option;
       (** custom circuit front end; [None] is the built-in ring VCO *)
   optimiser : string;
@@ -98,8 +97,7 @@ type config = {
           unscreened; ["de"] always runs behind the surrogate pre-screen
           ({!Repro_moo.Surrogate}), which skips exact evaluation of
           candidates predicted dominated by the current front.  The
-          name and whether it screens are salted into cache keys and
-          snapshot fingerprints. *)
+          name and whether it screens are salted into cache keys. *)
 }
 
 val default_config : ?scale:scale -> unit -> config
@@ -112,19 +110,16 @@ val make_config :
   ?process:Repro_circuit.Process.spec ->
   ?use_variation:bool ->
   ?model_dir:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
   ?circuit:circuit ->
   ?optimiser:string ->
   unit ->
   config
 (** Validating constructor — prefer this over record literals.
     @raise Invalid_argument when a count is non-positive, a population
-    is odd or < 4, [front_max < 2], [checkpoint_every < 1], the spec is
-    inconsistent (see {!Spec.validate}), resume/checkpointing is
-    requested without a [model_dir] to hold the snapshot, [circuit]
-    has an empty tag, the wrong number of bounds, or an empty bound, or
-    [optimiser] is not a registered portfolio member. *)
+    is odd or < 4, [front_max < 2], the spec is inconsistent (see
+    {!Spec.validate}), [circuit] has an empty tag, the wrong number of
+    bounds, or an empty bound, or [optimiser] is not a registered
+    portfolio member. *)
 
 exception Degenerate_front of { stage : string; found : int; minimum : int }
 (** The named Pareto front has too few designs to build a model from. *)
@@ -136,8 +131,7 @@ exception Degenerate_front of { stage : string; found : int; minimum : int }
     with the config fingerprint, phase boundaries with durations,
     per-generation GA convergence entries (front size, spread and the
     exact {!Repro_moo.Hypervolume} indicator against the fixed
-    reference points below), checkpoint flush/resume events and every
-    {!Repro_engine.Telemetry.warn}.  Phases, GA generations, evaluation
+    reference points below) and every {!Repro_engine.Telemetry.warn}.  Phases, GA generations, evaluation
     batches and MC batches additionally emit {!Repro_obs.Trace} spans
     when tracing is enabled (the CLI's [--trace]).  All of it is
     zero-perturbation: artefacts are byte-identical with observability
@@ -190,17 +184,18 @@ val run :
     the shared domain pool ([-j] / HIEROPT_JOBS) and memoised in a
     content-addressed cache; when [model_dir] is set the cache is
     loaded from / saved to [model_dir ^ "/eval.cache"] next to the
-    [.tbl] artefacts.  Results are bit-identical for any worker count
-    and with a cold or warm cache.  Engine telemetry is emitted through
-    [progress].
+    [.tbl] artefacts (see "Run lifecycle" above).  Results are
+    bit-identical for any worker count and with a cold or warm cache.
+    Engine telemetry is emitted through [progress].
 
-    [interrupt_after] is a testing hook: flush the snapshot and raise
+    [interrupt_after] is a testing hook: raise
     {!Repro_engine.Checkpoint.Interrupted} once the given phase
     completes, exactly as an external interrupt at that boundary would.
-    The same exception is raised mid-phase when
+    The same exception is raised after the GA generation or
+    Monte-Carlo design in progress when
     {!Repro_engine.Checkpoint.request_interrupt} fires (e.g. from the
     CLI's SIGINT handler) — in both cases the eval cache is saved
-    before re-raising, so the resumed run starts warm.
+    before re-raising, so running again resumes.
     @raise Degenerate_front when the circuit-level front has fewer than
     2 designs (no oscillating design found — should not happen at the
     default scales). *)
@@ -213,15 +208,16 @@ val run_system_level :
   result
 (** Steps 4–5 only, over an existing model — used by the ablation bench
     to compare variation-aware vs nominal-only optimisation without
-    re-running the expensive circuit level.  Checkpoints (if enabled)
-    go to [model_dir ^ "/system.snapshot"], fingerprinted by config
-    {e and} the input model.
+    re-running the expensive circuit level.  System-level evaluations
+    are cached under a salt that covers the config {e and} a digest of
+    the model, in both this function and {!run}, so a model dir that
+    held another model's evaluations never serves them.
 
     [pll_query] routes every table-model interpolation through an
     external oracle (e.g. [Repro_serve.Remote] against a running model
     server) instead of [model]; a faithful oracle yields bit-identical
-    results, so it is excluded from the snapshot fingerprint just like
-    the worker count. *)
+    results, so it is excluded from the cache salt just like the
+    worker count. *)
 
 val verify_design :
   config -> model:Perf_table.t -> Pll_problem.table2_row -> verification

@@ -37,28 +37,8 @@ let default_options =
     measure = V.default_options;
   }
 
-(* lossless sample codec for Monte-Carlo checkpoint rows *)
-let perf_codec =
-  {
-    Mc.encode =
-      (fun (p : V.performance) ->
-        [| p.V.kvco; p.V.ivco; p.V.jvco; p.V.fmin; p.V.fmax |]);
-    decode =
-      (fun a ->
-        if Array.length a <> 5 then
-          failwith "Variation_model: malformed performance row"
-        else
-          {
-            V.kvco = a.(0);
-            ivco = a.(1);
-            jvco = a.(2);
-            fmin = a.(3);
-            fmax = a.(4);
-          });
-  }
-
-let analyse_design ?(options = default_options) ?builder ?checkpoint
-    ~prng (design : Vco_problem.sized_design) =
+let analyse_design ?(options = default_options) ?builder ~prng
+    (design : Vco_problem.sized_design) =
   let net =
     match builder with
     | Some build -> build design.Vco_problem.params
@@ -71,12 +51,7 @@ let analyse_design ?(options = default_options) ?builder ?checkpoint
     | Ok p -> Ok p
     | Error f -> Error (V.failure_to_string f)
   in
-  let checkpoint =
-    Option.map (fun (ck, key) -> (ck, key, perf_codec)) checkpoint
-  in
-  let mc =
-    Mc.run ~spec:options.process ?checkpoint ~n:options.samples ~prng net trial
-  in
+  let mc = Mc.run ~spec:options.process ~n:options.samples ~prng net trial in
   let n_ok = Array.length mc.Mc.samples in
   let spread get =
     if n_ok < 3 then 0.0
@@ -93,54 +68,69 @@ let analyse_design ?(options = default_options) ?builder ?checkpoint
     mc_failures = mc.Mc.failures;
   }
 
-(* flat 19-float entry encoding for run snapshots: design (7 params +
-   5 objectives) | 5 deltas | mc_samples | mc_failures *)
-let row_of_entry e =
-  Array.concat
-    [
-      Vco_problem.vector_of_design e.design;
-      [| e.d_kvco; e.d_jvco; e.d_ivco; e.d_fmin; e.d_fmax |];
-      [| float_of_int e.mc_samples; float_of_int e.mc_failures |];
-    ]
+(* an entry's eval-cache value: the 5 spreads | mc_samples |
+   mc_failures; the design itself is the caller's, and a value of any
+   other length is a miss *)
+let pack_entry e =
+  [|
+    e.d_kvco;
+    e.d_jvco;
+    e.d_ivco;
+    e.d_fmin;
+    e.d_fmax;
+    float_of_int e.mc_samples;
+    float_of_int e.mc_failures;
+  |]
 
-let entry_of_row row =
-  if Array.length row <> 19 then None
+let unpack_entry design v =
+  if Array.length v <> 7 then None
   else
-    Option.map
-      (fun design ->
-        {
-          design;
-          d_kvco = row.(12);
-          d_jvco = row.(13);
-          d_ivco = row.(14);
-          d_fmin = row.(15);
-          d_fmax = row.(16);
-          mc_samples = int_of_float row.(17);
-          mc_failures = int_of_float row.(18);
-        })
-      (Vco_problem.design_of_vector (Array.sub row 0 12))
+    Some
+      {
+        design;
+        d_kvco = v.(0);
+        d_jvco = v.(1);
+        d_ivco = v.(2);
+        d_fmin = v.(3);
+        d_fmax = v.(4);
+        mc_samples = int_of_float v.(5);
+        mc_failures = int_of_float v.(6);
+      }
 
-let analyse_front ?options ?builder ?progress ?(already = [||])
-    ?on_entry ?checkpoint ~prng designs =
+(* the key covers what the caller's salt cannot: the front index (which
+   fixes the design's PRNG split), the sample count and the sizing *)
+let entry_key ~salt ~samples i (d : Vco_problem.sized_design) =
+  Repro_engine.Cache.key ~sample:i ~kind:("variation:" ^ salt)
+    (Array.append
+       [| float_of_int samples |]
+       (T.vco_vector_of_params d.Vco_problem.params))
+
+let analyse_front ?(options = default_options) ?builder ?progress ?cache
+    ?on_entry ~prng designs =
   let n = Array.length designs in
-  let k = min (Array.length already) n in
   let out = Array.make n None in
   (* every design consumes its prng split in index order, including the
-     restored prefix, so a resumed run sees the same streams *)
+     ones served from the cache, so the analysed designs see the same
+     streams as an uncached run *)
   for i = 0 to n - 1 do
     let prng_i = Repro_util.Prng.split prng in
-    if i < k then out.(i) <- Some already.(i)
-    else begin
+    let key =
+      Option.map
+        (fun (c, salt) ->
+          (c, entry_key ~salt ~samples:options.samples i designs.(i)))
+        cache
+    in
+    let cached =
+      Option.bind key (fun (c, k) ->
+          Option.bind (Repro_engine.Cache.find c k) (unpack_entry designs.(i)))
+    in
+    match cached with
+    | Some e -> out.(i) <- Some e
+    | None ->
       (match progress with Some f -> f i n | None -> ());
-      let design_ck =
-        Option.map (fun ck -> (ck, "mc." ^ string_of_int i)) checkpoint
-      in
-      let e =
-        analyse_design ?options ?builder ?checkpoint:design_ck
-          ~prng:prng_i designs.(i)
-      in
+      let e = analyse_design ~options ?builder ~prng:prng_i designs.(i) in
+      Option.iter (fun (c, k) -> Repro_engine.Cache.store c k (pack_entry e)) key;
       out.(i) <- Some e;
-      match on_entry with Some f -> f i e | None -> ()
-    end
+      Option.iter (fun f -> f i e) on_entry
   done;
   Array.map Option.get out

@@ -26,7 +26,6 @@ val default_options : options
 val analyse_design :
   ?options:options ->
   ?builder:(Repro_circuit.Topologies.vco_params -> Repro_circuit.Netlist.t) ->
-  ?checkpoint:Repro_engine.Checkpoint.t * string ->
   prng:Repro_util.Prng.t ->
   Vco_problem.sized_design ->
   entry
@@ -35,31 +34,27 @@ val analyse_design :
     template); the default is the paper's
     {!Repro_circuit.Topologies.ring_vco}.  Failed trials (non-oscillating corners)
     are counted but excluded from the spread statistics; when fewer than
-    3 trials survive the spreads fall back to 0.  [checkpoint:(ck, key)]
-    persists/restores the completed Monte-Carlo sample prefix under
-    [key] (see {!Repro_spice.Monte_carlo.run}). *)
+    3 trials survive the spreads fall back to 0. *)
 
 val analyse_front :
   ?options:options ->
   ?builder:(Repro_circuit.Topologies.vco_params -> Repro_circuit.Netlist.t) ->
   ?progress:(int -> int -> unit) ->
-  ?already:entry array ->
+  ?cache:Repro_engine.Cache.t * string ->
   ?on_entry:(int -> entry -> unit) ->
-  ?checkpoint:Repro_engine.Checkpoint.t ->
   prng:Repro_util.Prng.t ->
   Vco_problem.sized_design array ->
   entry array
 (** The paper's loop over the whole Pareto front; [progress i n] is
     called before analysing design [i] of [n].
 
-    Resume support: [already] supplies the completed entry prefix
-    (restored designs still consume their PRNG splits, so the remaining
-    designs see the same streams as an uninterrupted run), [on_entry] is
-    called after each {e freshly} analysed design (the caller persists
-    the growing prefix there), and [checkpoint] threads per-design
-    Monte-Carlo sample checkpoints under keys ["mc.<i>"]. *)
-
-val row_of_entry : entry -> float array
-(** Flat 19-float snapshot encoding; round-trips losslessly. *)
-
-val entry_of_row : float array -> entry option
+    [cache:(c, salt)] memoises every finished entry in [c], keyed by
+    the design's front index and sizing, [options.samples] and [salt];
+    [salt] must fingerprint everything else an entry depends on (the
+    seed, the process and measurement set-up, the circuit).  A design
+    whose entry is cached is not analysed again; a cached value of the
+    wrong length is a miss.  Every design consumes its PRNG split in
+    index order, cached or not, so the result is bit-identical to an
+    uncached run.  [on_entry i e] is called after each {e freshly}
+    analysed design, once its entry is in the cache (the flow saves the
+    cache there). *)

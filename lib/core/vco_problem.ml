@@ -58,18 +58,6 @@ let design_of_individual (ind : Repro_moo.Nsga2.individual) =
       }
   else None
 
-let vector_of_design d =
-  Array.append (T.vco_vector_of_params d.params) (objectives_of_perf d.perf)
-
-let design_of_vector v =
-  if Array.length v <> 12 then None
-  else
-    Some
-      {
-        params = T.vco_params_of_vector (Array.sub v 0 7);
-        perf = perf_of_objectives (Array.sub v 7 5);
-      }
-
 let front_designs pop =
   Repro_moo.Nsga2.pareto_front pop
   |> Array.to_list

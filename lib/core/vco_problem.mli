@@ -46,13 +46,6 @@ val design_of_individual : Repro_moo.Nsga2.individual -> sized_design option
 (** Decode an individual back to (sizing, performance); [None] for
     infeasible individuals. *)
 
-val vector_of_design : sized_design -> float array
-(** Flat 12-float encoding (7 sizing parameters | 5 objectives) used by
-    run snapshots; round-trips losslessly through {!design_of_vector}. *)
-
-val design_of_vector : float array -> sized_design option
-(** [None] unless the vector has exactly 12 entries. *)
-
 val front_designs : Repro_moo.Nsga2.individual array -> sized_design array
 (** Feasible rank-0 designs of a population, decoded. *)
 

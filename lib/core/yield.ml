@@ -35,14 +35,7 @@ let check_sample cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
 let count_passes outcomes =
   Array.fold_left (fun acc pass -> if pass then acc + 1 else acc) 0 outcomes
 
-(* checkpoint row codec for pass/fail outcomes *)
-let encode_pass pass = if pass then [| 1.0 |] else [| 0.0 |]
-
-let decode_pass row =
-  if Array.length row = 1 && (row.(0) = 1.0 || row.(0) = 0.0) then row.(0) = 1.0
-  else failwith "Yield: malformed checkpoint row"
-
-let behavioural ?(n = 500) ?pool ?checkpoint ~prng cfg
+let behavioural ?(n = 500) ?pool ~prng cfg
     (row : Pll_problem.table2_row) =
   let module E = Repro_engine in
   let m = cfg.Pll_problem.model in
@@ -72,14 +65,7 @@ let behavioural ?(n = 500) ?pool ?checkpoint ~prng cfg
   in
   let eval pll_cfg = (check_config cfg.Pll_problem.spec pll_cfg).pass in
   let outcomes =
-    E.Telemetry.time "yield.wall" @@ fun () ->
-    match checkpoint with
-    | None -> E.Parmap.map ?pool eval configs
-    | Some (ck, key) ->
-      (* perturbations are all drawn above regardless, so the restored
-         prefix leaves the remaining draws bit-identical *)
-      E.Checkpoint.resumable_map ?pool ck ~key ~encode:encode_pass
-        ~decode:decode_pass eval configs
+    E.Telemetry.time "yield.wall" @@ fun () -> E.Parmap.map ?pool eval configs
   in
   E.Telemetry.incr "yield.samples" ~by:n;
   Repro_util.Stats.yield ~pass:(count_passes outcomes) ~total:n

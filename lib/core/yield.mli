@@ -32,7 +32,6 @@ val check_sample :
 val behavioural :
   ?n:int ->
   ?pool:Repro_engine.Pool.t ->
-  ?checkpoint:Repro_engine.Checkpoint.t * string ->
   prng:Repro_util.Prng.t ->
   Pll_problem.config ->
   Pll_problem.table2_row ->
@@ -41,10 +40,7 @@ val behavioural :
     parallel over [pool] (default: the shared engine pool); all
     perturbations are drawn before dispatch, and the table model is
     queried once for all of them, so the estimate is bit-identical for
-    any worker count.  [checkpoint:(ck, key)]
-    persists/restores the completed-sample prefix under [key] and may
-    raise {!Repro_engine.Checkpoint.Interrupted} at a sample
-    boundary. *)
+    any worker count. *)
 
 val transistor :
   ?n:int ->

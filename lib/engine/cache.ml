@@ -178,26 +178,30 @@ let parse_line line =
     with _ -> None)
   | _ -> None
 
+(* Only newline-terminated lines count: a file cut mid-line (a crash
+   outside [save]'s tmp + rename, a copy interrupted) would otherwise
+   parse its last line's cut-short value as a different float under the
+   right key. *)
 let load ?capacity path =
   let t = create ?capacity () in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      (match input_line ic with
-      | header when header = magic -> ()
-      | _ -> failwith ("Cache.load: not a cache file: " ^ path)
-      | exception End_of_file ->
-        failwith ("Cache.load: empty cache file: " ^ path));
-      (try
-         while true do
-           match parse_line (input_line ic) with
-           | Some (k, v) -> store t k v
-           | None -> () (* skip malformed lines *)
-         done
-       with End_of_file -> ());
-      reset_counters t;
-      t)
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let complete =
+    match String.rindex_opt text '\n' with
+    | None -> []
+    | Some last -> String.split_on_char '\n' (String.sub text 0 last)
+  in
+  (match complete with
+  | header :: lines when header = magic ->
+    List.iter
+      (fun line ->
+        match parse_line line with
+        | Some (k, v) -> store t k v
+        | None -> () (* skip malformed lines *))
+      lines
+  | [] -> failwith ("Cache.load: empty cache file: " ^ path)
+  | _ -> failwith ("Cache.load: not a cache file: " ^ path));
+  reset_counters t;
+  t
 
 let load_if_exists ?capacity path =
   if Sys.file_exists path then try Some (load ?capacity path) with _ -> None

@@ -50,7 +50,9 @@ val save : t -> string -> unit
 
 val load : ?capacity:int -> string -> t
 (** @raise Failure when [path] is not a cache file.  Malformed entry
-    lines are skipped; counters start at zero. *)
+    lines are skipped, and so is a last line without its newline (a
+    file cut mid-line), so every entry loaded is one that was saved,
+    bit for bit; counters start at zero. *)
 
 val load_if_exists : ?capacity:int -> string -> t option
-(** [None] when the file is missing or unreadable. *)
+(** [None] when the file is missing or unreadable; never raises. *)

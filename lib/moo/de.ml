@@ -111,40 +111,3 @@ let optimise ?options ?evaluator ?on_generation problem prng =
     | None -> ()
   done;
   st.population
-
-module Snapshot = Repro_engine.Snapshot
-
-let save_state st snap ~key =
-  Snapshot.set_int snap (key ^ ".generation") st.generation;
-  Snapshot.set_bits snap (key ^ ".prng") (Prng.to_bits st.prng);
-  Snapshot.set_rows snap (key ^ ".population")
-    (Array.map Nsga2.encode_individual st.population)
-
-let clear_state snap ~key =
-  Snapshot.remove snap (key ^ ".generation");
-  Snapshot.remove snap (key ^ ".prng");
-  Snapshot.remove snap (key ^ ".population")
-
-let restore_state ~options problem snap ~key =
-  match
-    ( Snapshot.get_int snap (key ^ ".generation"),
-      Snapshot.get_bits snap (key ^ ".prng"),
-      Snapshot.get_rows snap (key ^ ".population") )
-  with
-  | Some generation, Some bits, Some rows -> (
-    match Prng.of_bits bits with
-    | None -> None
-    | Some prng ->
-      let n_vars = Problem.n_vars problem in
-      let inds = Array.map (Nsga2.decode_individual ~n_vars) rows in
-      if
-        generation < 0
-        || generation > options.generations
-        || Array.length inds <> options.population
-        || Array.exists Option.is_none inds
-      then None
-      else
-        Some
-          { options; prng; generation;
-            population = Array.map Option.get inds })
-  | _ -> None

@@ -31,8 +31,7 @@ val optimise :
     variation randomness drawn first — results are bit-identical for
     any worker count.  [optimise] ≡ [init] + [generations] × [step]. *)
 
-(* ---- step-wise API (checkpointable generation loop), mirroring
-   {!Nsga2}'s ---- *)
+(* ---- step-wise API, mirroring {!Nsga2}'s ---- *)
 
 type state
 
@@ -50,16 +49,3 @@ val step : ?evaluator:Problem.evaluator -> Problem.t -> state -> unit
 val generation : state -> int
 val population : state -> Nsga2.individual array
 
-val save_state : state -> Repro_engine.Snapshot.t -> key:string -> unit
-(** Same key layout as {!Nsga2.save_state}
-    ([".generation" / ".prng" / ".population"]); a restored state
-    continues bit-identically. *)
-
-val restore_state :
-  options:options ->
-  Problem.t ->
-  Repro_engine.Snapshot.t ->
-  key:string ->
-  state option
-
-val clear_state : Repro_engine.Snapshot.t -> key:string -> unit

@@ -141,67 +141,6 @@ let optimise ?options ?evaluator ?on_generation problem prng =
   done;
   st.population
 
-(* ---- state serialisation ------------------------------------------ *)
-(* An individual is one flat row: x | constraint_violation | objectives.
-   The split points are recovered from the problem's n_vars, so a row of
-   the wrong arity fails decoding instead of mis-slicing. *)
-
-let encode_individual ind =
-  Array.concat
-    [ ind.x; [| ind.evaluation.Problem.constraint_violation |];
-      ind.evaluation.Problem.objectives ]
-
-let decode_individual ~n_vars row =
-  let len = Array.length row in
-  if len < n_vars + 1 then None
-  else
-    Some
-      {
-        x = Array.sub row 0 n_vars;
-        evaluation =
-          {
-            Problem.constraint_violation = row.(n_vars);
-            objectives = Array.sub row (n_vars + 1) (len - n_vars - 1);
-          };
-      }
-
-module Snapshot = Repro_engine.Snapshot
-
-let save_state st snap ~key =
-  Snapshot.set_int snap (key ^ ".generation") st.generation;
-  Snapshot.set_bits snap (key ^ ".prng") (Prng.to_bits st.prng);
-  Snapshot.set_rows snap (key ^ ".population")
-    (Array.map encode_individual st.population)
-
-let clear_state snap ~key =
-  Snapshot.remove snap (key ^ ".generation");
-  Snapshot.remove snap (key ^ ".prng");
-  Snapshot.remove snap (key ^ ".population")
-
-let restore_state ~options problem snap ~key =
-  match
-    ( Snapshot.get_int snap (key ^ ".generation"),
-      Snapshot.get_bits snap (key ^ ".prng"),
-      Snapshot.get_rows snap (key ^ ".population") )
-  with
-  | Some generation, Some bits, Some rows -> (
-    match Prng.of_bits bits with
-    | None -> None
-    | Some prng ->
-      let n_vars = Problem.n_vars problem in
-      let inds = Array.map (decode_individual ~n_vars) rows in
-      if
-        generation < 0
-        || generation > options.generations
-        || Array.length inds <> options.population
-        || Array.exists Option.is_none inds
-      then None
-      else
-        Some
-          { options; prng; generation;
-            population = Array.map Option.get inds })
-  | _ -> None
-
 let pareto_front pop =
   let evals = evaluations pop in
   let front = Pareto.non_dominated evals in

@@ -39,9 +39,9 @@ val optimise :
 
     [optimise] is [init] followed by [generations] calls to [step] —
     the step-wise API below gives callers the same loop one generation
-    at a time, for checkpointing. *)
+    at a time ({!Optimiser.S}'s contract). *)
 
-(* ---- step-wise API (checkpointable generation loop) ---- *)
+(* ---- step-wise API ---- *)
 
 type state
 (** A paused GA: options, the evolving PRNG, the generation counter and
@@ -63,27 +63,6 @@ val step : ?evaluator:Problem.evaluator -> Problem.t -> state -> unit
 val generation : state -> int
 val population : state -> individual array
 
-(* ---- state serialisation (resume support) ---- *)
-
-val save_state : state -> Repro_engine.Snapshot.t -> key:string -> unit
-(** Store generation counter, PRNG state and population under
-    [key ^ ".generation" / ".prng" / ".population"].  A restored state
-    continues bit-identically to the saved one. *)
-
-val restore_state :
-  options:options ->
-  Problem.t ->
-  Repro_engine.Snapshot.t ->
-  key:string ->
-  state option
-(** [None] when the keys are absent or the stored state is malformed /
-    inconsistent with [options] and the problem's arity (callers then
-    cold-start). *)
-
-val clear_state : Repro_engine.Snapshot.t -> key:string -> unit
-(** Drop the three state keys (after the phase's final artefact has been
-    persisted, to keep snapshots small). *)
-
 val pareto_front : individual array -> individual array
 (** Feasible rank-0 subset of a population, deduplicated on objective
     vectors. *)
@@ -102,10 +81,3 @@ val select_best : int -> individual array -> individual array
 (** NSGA-II environmental selection: the best [target] individuals by
     (non-domination rank, crowding distance).  Reused as the truncation
     operator by {!De}. *)
-
-val encode_individual : individual -> float array
-(** One flat snapshot row: x | constraint_violation | objectives. *)
-
-val decode_individual : n_vars:int -> float array -> individual option
-(** Inverse of {!encode_individual}; [None] when the row is too short
-    for [n_vars]. *)

@@ -1,5 +1,4 @@
 module Prng = Repro_util.Prng
-module Snapshot = Repro_engine.Snapshot
 
 type options = {
   population : int;
@@ -18,12 +17,6 @@ module type S = sig
   val step : evaluator:Problem.evaluator -> Problem.t -> state -> unit
   val generation : state -> int
   val population : state -> Nsga2.individual array
-  val save_state : state -> Snapshot.t -> key:string -> unit
-
-  val restore_state :
-    options:options -> Problem.t -> Snapshot.t -> key:string -> state option
-
-  val clear_state : Snapshot.t -> key:string -> unit
 end
 
 type t = (module S)
@@ -51,12 +44,6 @@ module Nsga2_optimiser : S = struct
   let step ~evaluator problem st = Nsga2.step ~evaluator problem st
   let generation = Nsga2.generation
   let population = Nsga2.population
-  let save_state = Nsga2.save_state
-
-  let restore_state ~options problem snap ~key =
-    Nsga2.restore_state ~options:(native options) problem snap ~key
-
-  let clear_state = Nsga2.clear_state
 end
 
 module De_optimiser : S = struct
@@ -77,12 +64,6 @@ module De_optimiser : S = struct
   let step ~evaluator problem st = De.step ~evaluator problem st
   let generation = De.generation
   let population = De.population
-  let save_state = De.save_state
-
-  let restore_state ~options problem snap ~key =
-    De.restore_state ~options:(native options) problem snap ~key
-
-  let clear_state = De.clear_state
 end
 
 let all : (string * t) list =

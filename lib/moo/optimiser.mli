@@ -1,5 +1,5 @@
 (** The optimiser portfolio: one first-class module signature over the
-    [init]/[step]/[save_state]/[restore_state] contract, plus a name
+    [init]/[step] contract, plus a name
     registry so callers (Hierarchy, the CLI's [--optimiser] flag, the
     benches) can pick an algorithm at run time.
 
@@ -9,10 +9,10 @@
     more than NSGA-II's IQR over ten seeds; SPEA2 and MOPSO did not and
     are not members.
 
-    Both are real-coded over {!Problem.t}, batch-evaluate through the
-    injected {!Problem.evaluator} (so domain-pool and cached evaluation
-    apply unchanged), and serialise their full generation-loop state
-    into snapshots for bit-identical checkpoint-resume. *)
+    Both are real-coded over {!Problem.t} and batch-evaluate through the
+    injected {!Problem.evaluator}, so domain-pool and cached evaluation
+    apply unchanged: a re-run over a warm eval cache replays every
+    finished generation bit-identically without simulating. *)
 
 type options = {
   population : int;
@@ -42,16 +42,6 @@ module type S = sig
   (** The reporting population (archive-based algorithms return their
       archive view); feed to {!Nsga2.pareto_front} for the front. *)
 
-  val save_state : state -> Repro_engine.Snapshot.t -> key:string -> unit
-
-  val restore_state :
-    options:options ->
-    Problem.t ->
-    Repro_engine.Snapshot.t ->
-    key:string ->
-    state option
-
-  val clear_state : Repro_engine.Snapshot.t -> key:string -> unit
 end
 
 type t = (module S)

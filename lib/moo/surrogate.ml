@@ -36,8 +36,7 @@ let size t = Array.length t.xs
 let archive t = Array.map2 (fun x e -> (x, e)) t.xs t.evs
 
 (* the exactly-evaluated archive, newest last, FIFO-capped so the fit
-   cost stays bounded and a checkpointed archive is exactly the fit
-   input (bit-identical resume needs nothing beyond this window) *)
+   cost stays bounded *)
 let observe t xs evs =
   let xs' = Array.append t.xs xs and evs' = Array.append t.evs evs in
   let n = Array.length xs' in
@@ -172,36 +171,3 @@ let wrap t inner : Problem.evaluator =
           ("avoided", string_of_int (n - paid));
         ];
     out
-
-(* ---- state serialisation (resume support) ------------------------- *)
-(* The archive rows reuse the individual codec (x | violation |
-   objectives).  Restoring it alongside the optimiser state makes every
-   post-resume screening decision identical to the uninterrupted run's. *)
-
-module Snapshot = Repro_engine.Snapshot
-
-let save_state t snap ~key =
-  Snapshot.set_rows snap (key ^ ".points")
-    (Array.map2
-       (fun x e -> Nsga2.encode_individual { Nsga2.x; evaluation = e })
-       t.xs t.evs)
-
-let clear_state snap ~key = Snapshot.remove snap (key ^ ".points")
-
-let restore_state ?(options = default_options) problem snap ~key =
-  match Snapshot.get_rows snap (key ^ ".points") with
-  | None -> None
-  | Some rows ->
-    let n_vars = Problem.n_vars problem in
-    let decoded = Array.map (Nsga2.decode_individual ~n_vars) rows in
-    if
-      Array.length decoded > options.max_points
-      || Array.exists Option.is_none decoded
-    then None
-    else begin
-      let t = create ~options () in
-      let inds = Array.map Option.get decoded in
-      t.xs <- Array.map (fun i -> i.Nsga2.x) inds;
-      t.evs <- Array.map (fun i -> i.Nsga2.evaluation) inds;
-      Some t
-    end

@@ -14,8 +14,8 @@
     non-dominated is {e always} evaluated exactly.
 
     Screening is a pure function of the archive, so runs stay
-    deterministic; checkpointing the archive alongside the optimiser
-    state ({!save_state}) makes interrupted runs resume bit-identically.
+    deterministic, and a re-run over a warm eval cache rebuilds the
+    same archive and makes the same screening decisions.
 
     Reports [eval.avoided] / [eval.paid] telemetry counters. *)
 
@@ -66,17 +66,3 @@ val wrap : t -> Problem.evaluator -> Problem.evaluator
     the wrapped evaluator, append their results to the archive, and
     fill rejected slots with {!rejected_evaluation}.  While the archive
     is below [min_points] every candidate is forwarded. *)
-
-(* ---- state serialisation (resume support) ---- *)
-
-val save_state : t -> Repro_engine.Snapshot.t -> key:string -> unit
-(** Store the archive under [key ^ ".points"] (individual row codec). *)
-
-val restore_state :
-  ?options:options ->
-  Problem.t ->
-  Repro_engine.Snapshot.t ->
-  key:string ->
-  t option
-
-val clear_state : Repro_engine.Snapshot.t -> key:string -> unit

@@ -115,11 +115,6 @@ let record_evals ~label ~avoided ~paid =
           ("paid", int paid);
         ])
 
-let record_checkpoint ~action ~path =
-  with_current (fun t ->
-      event t "checkpoint"
-        [ ("action", Json.Str action); ("path", Json.Str path) ])
-
 let record_warning ~key msg =
   with_current (fun t ->
       event t "warning" [ ("key", Json.Str key); ("message", Json.Str msg) ])

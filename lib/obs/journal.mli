@@ -9,7 +9,7 @@
     report] groups lines by run id.
 
     A process-global "current" journal lets low-level libraries
-    (Telemetry warnings, checkpoint flushes) record structured events
+    (Telemetry warnings, GA convergence) record structured events
     without threading a handle through every call: the [record_*]
     helpers are no-ops when no journal is current. *)
 
@@ -75,5 +75,4 @@ val record_evals : label:string -> avoided:int -> paid:int -> unit
 (** Surrogate pre-screen outcome of one GA run: how many exact
     evaluations were avoided vs paid under [label]. *)
 
-val record_checkpoint : action:string -> path:string -> unit
 val record_warning : key:string -> string -> unit

@@ -248,3 +248,15 @@ let export path =
        (Option.to_seq (Option.map (process_name_json ~pid) label))
        (Seq.map (event_json ~pid) (List.to_seq evs)));
   List.length evs
+
+let record ?label path ~on_export f =
+  start ~gc:true ();
+  Option.iter set_process_label label;
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      on_export
+        (match export path with
+        | n -> Ok n
+        | exception Sys_error msg -> Error msg))
+    (fun () -> span "run" f)

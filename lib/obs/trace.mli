@@ -91,3 +91,16 @@ val export : string -> int
     are microseconds since {!start}.  A top-level ["meta"] object
     records this process's pid, wall-clock epoch, trace id and label so
     that [trace merge] can place several processes on one timeline. *)
+
+val record :
+  ?label:string ->
+  string ->
+  on_export:((int, string) result -> unit) ->
+  (unit -> 'a) ->
+  'a
+(** [record path ~on_export f] is how a traced command runs ([hieropt
+    --trace]): collection starts with GC capture, [label] names the
+    process, and [f] runs under a root ["run"] span, so a profile's
+    self-times telescope to exactly the traced wall time.  The trace is
+    exported to [path] even when [f] raises; [on_export] gets the event
+    count, or the I/O error. *)

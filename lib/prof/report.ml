@@ -78,15 +78,6 @@ let journal ppf events =
                 (Option.value ~default:0.0 (jnum "hypervolume" j)))
           generations)
       labels;
-    let checkpoints = of_event "checkpoint" in
-    if checkpoints <> [] then begin
-      let count a =
-        List.length
-          (List.filter (fun j -> jstr "action" j = Some a) checkpoints)
-      in
-      Format.fprintf ppf "@.checkpoints: %d flushed, %d resumed@."
-        (count "flush") (count "resume")
-    end;
     let warnings = of_event "warning" in
     if warnings <> [] then begin
       Format.fprintf ppf "@.warnings (%d):@." (List.length warnings);

@@ -6,8 +6,8 @@ val journal :
   Format.formatter -> Repro_util.Json.t list -> (unit, string) result
 (** Summarise the newest run of a journal's events (as read by
     {!Repro_obs.Journal.read}): per-phase time breakdown, per-generation
-    front size, spread and hypervolume for each GA level, checkpoint
-    activity, warnings, surrogate pre-screen outcomes and the
+    front size, spread and hypervolume for each GA level, warnings,
+    surrogate pre-screen outcomes and the
     requested/avoided/cached/simulated evaluation split.  [Error] when
     there are no events. *)
 

@@ -6,17 +6,15 @@
     Reads: {!feed} absorbs a chunk and returns every complete request
     it finished (pipelined clients can yield several per feed; a
     partial message yields none and is resumed by the next feed).
-    Limits are the same as the blocking path ({!Http.max_head},
-    {!Http.max_body}, per-line/per-count caps) — a violation yields one
-    [Protocol_error] event after which the connection parses nothing
-    more ({!broken}).
+    Limits are {!Http.max_head}, {!Http.max_body} and
+    {!Http.parse_request_head}'s per-line/per-count caps — a violation
+    yields one [Protocol_error] event after which the connection parses
+    nothing more ({!broken}).
 
-    Writes: {!push_response} serialises through
-    {!Http.render_response} — byte-identical to the blocking writer —
-    into a growable output buffer; the reactor drains it via
-    {!output} / {!output_consumed} as the socket accepts bytes, and
-    applies backpressure (stops reading) when {!output_pending} is
-    high. *)
+    Writes: {!push_response} serialises through {!Http.render_response}
+    into a growable output buffer; the reactor drains it via {!output} /
+    {!output_consumed} as the socket accepts bytes, and applies
+    backpressure (stops reading) when {!output_pending} is high. *)
 
 type t
 

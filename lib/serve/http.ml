@@ -213,7 +213,7 @@ let guard_io f =
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Error `Eof
 
 (* request line + headers from [reader]; the body (if any) is read by
-   the caller — shared between the blocking and incremental paths *)
+   the caller *)
 let request_head_of_reader reader =
   match Reader.read_line reader with
   | None -> Error `Eof
@@ -255,13 +255,6 @@ let response_head_of_reader reader =
             resp_body = "";
           })
     | _ -> Error (`Bad_request "malformed status line"))
-
-let read_request reader =
-  guard_io @@ fun () ->
-  let ( let* ) = Result.bind in
-  let* head = request_head_of_reader reader in
-  let* body = read_body reader head.headers in
-  Ok { head with body }
 
 let read_response reader =
   guard_io @@ fun () ->
@@ -322,11 +315,6 @@ let render_response ?(headers = []) ~keep_alive ~status ~body buf =
     (if keep_alive then "keep-alive" else "close");
   Buffer.add_string buf "\r\n";
   Buffer.add_string buf body
-
-let write_response ?headers ~keep_alive ~status ~body fd =
-  let buf = Buffer.create (256 + String.length body) in
-  render_response ?headers ~keep_alive ~status ~body buf;
-  write_all fd (Buffer.contents buf)
 
 let write_request ?(headers = []) ~meth ~target ~body fd =
   let buf = Buffer.create (256 + String.length body) in

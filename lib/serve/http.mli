@@ -52,7 +52,6 @@ val error_to_string : error -> string
 val header : string -> (string * string) list -> string option
 (** Case-insensitive header lookup (names are stored lowercased). *)
 
-val read_request : Reader.t -> (request, error) result
 val read_response : Reader.t -> (response, error) result
 
 val body_length : (string * string) list -> (int, error) result
@@ -81,22 +80,11 @@ val render_response :
   body:string ->
   Buffer.t ->
   unit
-(** Serialise one response into [buf] — the single source of response
-    bytes, shared by {!write_response} and the event-loop write path so
-    both emit identical wire output. *)
-
-val write_response :
-  ?headers:(string * string) list ->
-  keep_alive:bool ->
-  status:int ->
-  body:string ->
-  Unix.file_descr ->
-  unit
 (** Serialise one response (status line, supplied headers,
-    [Content-Length], [Connection]) and write it fully.
+    [Content-Length], [Connection]) into [buf] — the single source of
+    response bytes, used by the event-loop write path.
     [Content-Type: application/json] is added unless [headers] already
-    carries a content type.
-    @raise Unix.Unix_error when the peer is gone. *)
+    carries a content type. *)
 
 val write_request :
   ?headers:(string * string) list ->

@@ -5,7 +5,7 @@
     Because the server evaluates the very same {!Hieropt.Perf_table}
     code and floats cross the wire losslessly, a remote run is
     bit-identical to a local one — the server is a faithful oracle, and
-    checkpoints taken under either path resume under the other.
+    an eval cache written under either path serves the other.
 
     [fallback] (a locally-loaded table) makes the adapter degrade
     gracefully: if the server stays unreachable after the client's

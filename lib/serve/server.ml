@@ -66,8 +66,8 @@ let handle_events t c events =
   let rec go = function
     | [] -> ()
     | Conn.Protocol_error err :: _ -> (
-      (* same policy as the blocking loop: answer the protocol error,
-         then close; anything pipelined behind it is dropped *)
+      (* answer the protocol error, then close; anything pipelined
+         behind it is dropped *)
       match err with
       | `Bad_request msg ->
         Conn.push_response ~keep_alive:false ~status:400

@@ -16,28 +16,8 @@ type 'a run_result = {
    too-small [failures] field. *)
 let default_warn_threshold = 0.5
 
-type 'a codec = {
-  encode : 'a -> float array;
-  decode : float array -> 'a;
-}
-
-(* checkpoint rows: [| 1.0; payload... |] for Ok, [| 0.0 |] for Error.
-   Failure messages are not persisted — only successful samples and the
-   failure count feed the statistics, so a placeholder restores the run
-   bit-identically. *)
-let encode_outcome codec = function
-  | Ok a -> Array.append [| 1.0 |] (codec.encode a)
-  | Error _ -> [| 0.0 |]
-
-let decode_outcome codec row =
-  if Array.length row >= 1 && row.(0) = 1.0 then
-    Ok (codec.decode (Array.sub row 1 (Array.length row - 1)))
-  else if Array.length row = 1 && row.(0) = 0.0 then
-    Error "failed trial (restored from checkpoint)"
-  else failwith "Monte_carlo: malformed checkpoint row"
-
 let run ?(spec = Process.default) ?pool ?(warn_threshold = default_warn_threshold)
-    ?checkpoint ~n ~prng net trial =
+    ~n ~prng net trial =
   if n <= 0 then invalid_arg "Monte_carlo.run: n must be positive";
   (* per-trial streams are split before dispatch, and outcomes are
      collected in trial order, so results are identical to the serial
@@ -57,19 +37,9 @@ let run ?(spec = Process.default) ?pool ?(warn_threshold = default_warn_threshol
     Repro_obs.Trace.span "mc.batch" ~args:[ ("samples", string_of_int n) ]
     @@ fun () ->
     E.Telemetry.time "mc.wall" @@ fun () ->
-    match checkpoint with
-    | None ->
-      E.Parmap.map_seeded ~pool ~chunk ~prng
-        (fun stream () -> timed_trial stream)
-        (Array.make n ())
-    | Some (ck, key, codec) ->
-      (* same index-stable streams as map_seeded, but evaluated in
-         resumable chunks with the completed prefix persisted under
-         [key] — bit-identical to the un-checkpointed path *)
-      let streams = Prng.split_n prng n in
-      E.Checkpoint.resumable_map ~pool ~chunk ck ~key
-        ~encode:(encode_outcome codec) ~decode:(decode_outcome codec)
-        timed_trial streams
+    E.Parmap.map_seeded ~pool ~chunk ~prng
+      (fun stream () -> timed_trial stream)
+      (Array.make n ())
   in
   let ok = ref [] and failures = ref 0 in
   for i = n - 1 downto 0 do

@@ -11,17 +11,10 @@ type 'a run_result = {
   seeds_used : int;        (** total trials attempted *)
 }
 
-type 'a codec = {
-  encode : 'a -> float array;
-  decode : float array -> 'a;  (** may raise on a malformed row *)
-}
-(** Lossless flat-float serialisation of a sample, for checkpointing. *)
-
 val run :
   ?spec:Repro_circuit.Process.spec ->
   ?pool:Repro_engine.Pool.t ->
   ?warn_threshold:float ->
-  ?checkpoint:Repro_engine.Checkpoint.t * string * 'a codec ->
   n:int ->
   prng:Repro_util.Prng.t ->
   Repro_circuit.Netlist.t ->
@@ -38,15 +31,7 @@ val run :
     ([mc.trials] / [mc.failures] / [mc.wall]), and when the failure
     fraction exceeds [warn_threshold] (default 0.5) a loud
     [mc.degenerate_runs] warning is emitted so a degenerate corner
-    cannot masquerade as a valid spread.
-
-    [checkpoint:(ck, key, codec)] persists the completed-sample prefix
-    under [key] in [ck]'s snapshot (flushed every
-    {!Repro_engine.Checkpoint.every} samples) and resumes from it on
-    restart, skipping the already-completed trials.  Per-trial streams
-    are index-stable, so the checkpointed, resumed and plain paths all
-    produce bit-identical results.  May raise
-    {!Repro_engine.Checkpoint.Interrupted} at a sample boundary. *)
+    cannot masquerade as a valid spread. *)
 
 type spread = {
   nominal : float;      (** measurement of the unperturbed netlist *)

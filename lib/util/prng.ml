@@ -79,29 +79,6 @@ let jump t =
 
 let copy t = { t with spare = t.spare }
 
-(* State capture for checkpointing: the four xoshiro words plus the
-   buffered Box-Muller deviate (flag + payload), 6 words total. *)
-let to_bits t =
-  let spare_flag, spare_bits =
-    match t.spare with
-    | None -> (0L, 0L)
-    | Some v -> (1L, Int64.bits_of_float v)
-  in
-  [| t.s0; t.s1; t.s2; t.s3; spare_flag; spare_bits |]
-
-let of_bits a =
-  if Array.length a <> 6 then None
-  else if a.(4) <> 0L && a.(4) <> 1L then None
-  else
-    Some
-      {
-        s0 = a.(0);
-        s1 = a.(1);
-        s2 = a.(2);
-        s3 = a.(3);
-        spare = (if a.(4) = 1L then Some (Int64.float_of_bits a.(5)) else None);
-      }
-
 (* 53-bit mantissa from the top bits, uniform in [0,1). *)
 let uniform t =
   let x = Int64.shift_right_logical (bits64 t) 11 in

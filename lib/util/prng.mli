@@ -32,16 +32,6 @@ val copy : t -> t
 (** [copy t] duplicates the current state (the copy and the original then
     evolve independently). *)
 
-val to_bits : t -> int64 array
-(** [to_bits t] captures the complete generator state (including any
-    buffered Gaussian deviate) as 6 opaque words, for checkpointing.
-    [of_bits (to_bits t)] restores a generator whose future output is
-    bit-identical to [t]'s. *)
-
-val of_bits : int64 array -> t option
-(** Inverse of {!to_bits}; [None] when the word array is not a valid
-    capture (wrong length or malformed spare flag). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

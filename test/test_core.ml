@@ -376,13 +376,6 @@ let test_make_config_validation () =
          H.Hierarchy.make_config
            ~spec:{ H.Spec.default with H.Spec.f_out_high = 1e6 }
            ()));
-  Alcotest.(check bool) "checkpoint_every 0" true
-    (rejected (fun () ->
-         H.Hierarchy.make_config ~model_dir:"m" ~checkpoint_every:0 ()));
-  Alcotest.(check bool) "checkpointing needs model_dir" true
-    (rejected (fun () -> H.Hierarchy.make_config ~checkpoint_every:1 ()));
-  Alcotest.(check bool) "resume needs model_dir" true
-    (rejected (fun () -> H.Hierarchy.make_config ~resume:true ()));
   ignore (H.Hierarchy.make_config ~optimiser:"de" ());
   List.iter
     (fun name ->
@@ -447,26 +440,27 @@ let with_jobs n f =
   resize n;
   Fun.protect ~finally:(fun () -> resize 0) f
 
+(* [dune runtest] runs in _build/default/test, [dune exec] in the root *)
+let fixture () =
+  H.Perf_table.load
+    ~dir:
+      (List.find Sys.file_exists [ "../perfbench/fixture"; "perfbench/fixture" ])
+
 (* The smallest system level that still selects a design and computes a
-   yield (an 8x1 GA, 10 yield samples), at the seed of the paper's runs:
-   Table 2 and the yield must not move a bit at any job count. *)
+   yield: an 8x1 GA, 10 yield samples *)
+let small_system_scale =
+  {
+    H.Hierarchy.tiny_scale with
+    H.Hierarchy.pll_population = 8;
+    pll_generations = 1;
+    yield_samples = 10;
+  }
+
+(* at the seed of the paper's runs, Table 2 and the yield must not move
+   a bit at any job count *)
 let test_system_level_golden () =
-  (* [dune runtest] runs in _build/default/test, [dune exec] in the root *)
-  let model =
-    H.Perf_table.load
-      ~dir:
-        (List.find Sys.file_exists
-           [ "../perfbench/fixture"; "perfbench/fixture" ])
-  in
-  let scale =
-    {
-      H.Hierarchy.tiny_scale with
-      H.Hierarchy.pll_population = 8;
-      pll_generations = 1;
-      yield_samples = 10;
-    }
-  in
-  let cfg = H.Hierarchy.make_config ~seed:2009 ~scale () in
+  let model = fixture () in
+  let cfg = H.Hierarchy.make_config ~seed:2009 ~scale:small_system_scale () in
   let expected =
     In_channel.with_open_bin
       (List.find Sys.file_exists
@@ -481,6 +475,60 @@ let test_system_level_golden () =
       Alcotest.(check string) (Printf.sprintf "-j %d" jobs) expected
         (table2_text r))
     [ 1; 2 ]
+
+let with_tmpdir f =
+  let dir = Filename.temp_file "hieropt_core" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* Two models saved in turn to one model dir.  The second is the
+   fixture with its Kvco, Jvco and Ivco spreads scaled x3, which keeps
+   the Kvco/Ivco ranges and so the system GA's design space; its
+   system-level evaluations must be simulated, not served from the
+   first model's, and must match a cold run over it. *)
+let test_system_level_cache_per_model () =
+  let first = fixture () in
+  let second =
+    H.Perf_table.build
+      (Array.map
+         (fun (e : H.Variation_model.entry) ->
+           {
+             e with
+             d_kvco = 3.0 *. e.d_kvco;
+             d_jvco = 3.0 *. e.d_jvco;
+             d_ivco = 3.0 *. e.d_ivco;
+           })
+         (H.Perf_table.entries first))
+  in
+  with_tmpdir @@ fun root ->
+  let cfg name =
+    H.Hierarchy.make_config ~seed:2009 ~scale:small_system_scale
+      ~model_dir:(Filename.concat root name) ()
+  in
+  let counted f =
+    let r0 = Repro_engine.Telemetry.counter "eval.runs" in
+    let r = f () in
+    (r, Repro_engine.Telemetry.counter "eval.runs" - r0)
+  in
+  ignore (H.Hierarchy.run_system_level (cfg "shared") ~model:first);
+  let warm, warm_runs =
+    counted (fun () -> H.Hierarchy.run_system_level (cfg "shared") ~model:second)
+  in
+  let cold, cold_runs =
+    counted (fun () -> H.Hierarchy.run_system_level (cfg "cold") ~model:second)
+  in
+  Alcotest.(check bool) "the second model is simulated" true (cold_runs > 0);
+  Alcotest.(check int) "as many simulations as a cold run" cold_runs warm_runs;
+  Alcotest.(check string) "Table 2 of a cold run" (table2_text cold)
+    (table2_text warm)
 
 let suite =
   [
@@ -511,4 +559,6 @@ let suite =
     Alcotest.test_case "micro end-to-end flow" `Slow test_micro_flow;
     Alcotest.test_case "system level golden over the fixture" `Quick
       test_system_level_golden;
+    Alcotest.test_case "system level cache bound to its model" `Quick
+      test_system_level_cache_per_model;
   ]

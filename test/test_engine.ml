@@ -179,7 +179,9 @@ let test_cache_roundtrip () =
           check "value roundtrips losslessly" true
             (E.Cache.find loaded k = Some v))
         entries;
-      check "load_if_exists hit" true (E.Cache.load_if_exists path <> None));
+      check "load_if_exists hit" true (E.Cache.load_if_exists path <> None);
+      (* save writes a tmp file and renames it into place *)
+      check "no tmp residue" false (Sys.file_exists (path ^ ".tmp")));
   check "load_if_exists miss" true
     (E.Cache.load_if_exists "/nonexistent/eval.cache" = None)
 
@@ -238,6 +240,117 @@ let test_cache_malformed_bits () =
       let loaded = E.Cache.load path in
       Alcotest.(check int) "both lines skipped" 0 (E.Cache.length loaded);
       check "no hit for x = [|1.0|]" true (E.Cache.find loaded one = None))
+
+(* ---- cache loader: crash-freedom and cut files ------------------ *)
+
+let with_cache_file bytes f =
+  let path = Filename.temp_file "hieropt" ".cache" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      f path)
+
+let saved_text cache =
+  let path = Filename.temp_file "hieropt" ".cache" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      E.Cache.save cache path;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* a file cut inside its last value must not load a different float
+   under the right key *)
+let test_cache_cut_last_line () =
+  let k = E.Cache.key ~kind:"vco" [| 1.0 |] in
+  let c = E.Cache.create () in
+  E.Cache.store c (E.Cache.key ~kind:"vco" [| 0.5 |]) [| 1.0 |];
+  E.Cache.store c k [| 0x1.3333333333333p-2 |];
+  let text = saved_text c in
+  (* drop the newline and the value's last three characters *)
+  let cut = String.sub text 0 (String.length text - 4) in
+  with_cache_file cut @@ fun path ->
+  let loaded = E.Cache.load path in
+  Alcotest.(check int) "the complete line survives" 1 (E.Cache.length loaded);
+  check "the cut line is skipped" true (E.Cache.find loaded k = None)
+
+(* random caches: a few kinds, with and without sample ids, values of
+   any length; NaN payloads do not survive text, so values avoid NaN *)
+let gen_cache_entries =
+  let open QCheck.Gen in
+  let finite = map (fun v -> if Float.is_nan v then 0.0 else v) float in
+  list_size (int_range 1 8)
+    (quad
+       (oneofl [ "eval:vco:0a1b2c3d"; "variation:0a1b2c3d-2009"; "k" ])
+       (opt (int_bound 100))
+       (array_size (int_bound 4) finite)
+       (array_size (int_bound 6) finite))
+
+let cache_of_entries entries =
+  let c = E.Cache.create () in
+  let keyed =
+    List.map
+      (fun (kind, sample, x, v) -> (E.Cache.key ?sample ~kind x, v))
+      entries
+  in
+  List.iter (fun (k, v) -> E.Cache.store c k v) keyed;
+  (c, keyed)
+
+let bits v = Array.map Int64.bits_of_float v
+
+let prop_cache_prefix_loads_subset =
+  QCheck.Test.make ~count:300
+    ~name:"cache prefix loads only saved entries"
+    QCheck.(pair (make gen_cache_entries) (float_bound_inclusive 1.0))
+    (fun (entries, frac) ->
+      let c, keyed = cache_of_entries entries in
+      let text = saved_text c in
+      let cut =
+        int_of_float (frac *. float_of_int (String.length text))
+      in
+      with_cache_file (String.sub text 0 cut) @@ fun path ->
+      match E.Cache.load_if_exists path with
+      | None -> true
+      | Some loaded ->
+        (* the original keys the prefix kept; first writer wins, so a
+           key's original value is the one [c] holds *)
+        let kept =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun (k, _) ->
+                 if E.Cache.find loaded k <> None then Some k else None)
+               keyed)
+        in
+        E.Cache.length loaded = List.length kept
+        && List.for_all
+             (fun k ->
+               match (E.Cache.find loaded k, E.Cache.find c k) with
+               | Some got, Some v -> bits got = bits v
+               | _ -> false)
+             kept)
+
+let prop_cache_load_never_raises =
+  let mutated =
+    QCheck.Gen.(
+      map3
+        (fun entries flips cut ->
+          let c, _ = cache_of_entries entries in
+          let b = Bytes.of_string (saved_text c) in
+          let n = Bytes.length b in
+          List.iter
+            (fun (pos, ch) -> Bytes.set b (pos mod n) ch)
+            flips;
+          Bytes.sub_string b 0 (cut mod (n + 1)))
+        gen_cache_entries
+        (list_size (int_bound 6) (pair nat char))
+        nat)
+  in
+  QCheck.Test.make ~count:300 ~name:"cache load_if_exists never raises"
+    QCheck.(oneof [ string; make ~print:Fun.id mutated ])
+    (fun bytes ->
+      with_cache_file bytes @@ fun path ->
+      ignore (E.Cache.load_if_exists path);
+      true)
 
 (* ---- telemetry --------------------------------------------------- *)
 
@@ -534,4 +647,8 @@ let suite =
     Alcotest.test_case "cache concurrent access" `Quick test_cache_concurrent;
     Alcotest.test_case "cache skips malformed key bits" `Quick
       test_cache_malformed_bits;
+    Alcotest.test_case "cache skips a cut last line" `Quick
+      test_cache_cut_last_line;
+    QCheck_alcotest.to_alcotest prop_cache_prefix_loads_subset;
+    QCheck_alcotest.to_alcotest prop_cache_load_never_raises;
   ]

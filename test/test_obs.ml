@@ -188,7 +188,7 @@ let test_journal_roundtrip () =
   Obs.Journal.record_ga_generation ~label:"circuit-ga" ~generation:1
     ~front_size:7 ~spread:0.25 ~hypervolume:3.5;
   Obs.Journal.record_phase_finish "circuit-ga" ~seconds:1.5;
-  Obs.Journal.record_checkpoint ~action:"flush" ~path:"snap";
+  Obs.Journal.record_evals ~label:"circuit" ~avoided:2 ~paid:6;
   Repro_engine.Telemetry.warn ~key:"obs.test.warn" "journal %s" "mirror";
   Obs.Journal.run_finish j ~seconds:2.5 [];
   Obs.Journal.clear_current ();
@@ -215,7 +215,7 @@ let test_journal_roundtrip () =
   in
   Alcotest.(check (list string)) "event sequence"
     [ "run.start"; "phase.start"; "ga.generation"; "phase.finish";
-      "checkpoint"; "warning"; "run.finish" ]
+      "evals"; "warning"; "run.finish" ]
     events;
   (* spot-check the structured payloads *)
   let nth n = List.nth parsed n in
@@ -335,7 +335,7 @@ let test_journal_record_noops_without_current () =
   Obs.Journal.record_phase_finish "p" ~seconds:0.0;
   Obs.Journal.record_ga_generation ~label:"l" ~generation:0 ~front_size:0
     ~spread:0.0 ~hypervolume:0.0;
-  Obs.Journal.record_checkpoint ~action:"flush" ~path:"x";
+  Obs.Journal.record_evals ~label:"l" ~avoided:0 ~paid:0;
   Obs.Journal.record_warning ~key:"k" "msg";
   Alcotest.(check bool) "still inactive" false (Obs.Journal.active ())
 

@@ -273,88 +273,55 @@ let test_surrogate_screens_dominated_region () =
   Alcotest.(check bool) "non-dominated candidates are paid" true
     (Array.for_all (fun e -> not (M.Surrogate.is_rejected e)) evs)
 
-(* ---- checkpoint/resume ---- *)
+(* ---- resume by re-running over the eval cache ---- *)
 
-let resume_bit_identical name =
+exception Stop
+
+(* DE behind the surrogate pre-screen, as the flow runs it: a run
+   stopped after generation 2 and then run again over the same cache
+   must end with the uninterrupted run's population and avoided/paid
+   split, simulating only what the first run did not finish *)
+let test_de_resume () =
   let problem = zdt1 4 in
   let options = { O.population = 10; generations = 6 } in
-  let opt = Option.get (O.of_name name) in
-  let module A = (val opt : O.S) in
-  let evaluator = M.Problem.serial_evaluator in
-  (* straight-through run *)
-  let full = A.init ~options ~evaluator problem (Prng.create 3) in
-  while A.generation full < 6 do
-    A.step ~evaluator problem full
-  done;
-  (* interrupted at generation 2, snapshotted, restored, continued *)
-  let first = A.init ~options ~evaluator problem (Prng.create 3) in
-  while A.generation first < 2 do
-    A.step ~evaluator problem first
-  done;
-  let snap = E.Snapshot.create ~fingerprint:"portfolio-test" in
-  A.save_state first snap ~key:"ga";
-  let dir = Filename.temp_file "portfolio" ".snapshot" in
-  E.Snapshot.save snap dir;
-  let snap2 =
-    match E.Snapshot.load ~fingerprint:"portfolio-test" dir with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "load: %s" (E.Snapshot.load_error_to_string e)
+  let de = Option.get (O.of_name "de") in
+  let run ?stop_after cache =
+    let evaluator =
+      M.Surrogate.wrap (M.Surrogate.create ())
+        (M.Problem.parallel_evaluator ~cache ())
+    in
+    O.optimise de ~options ~evaluator
+      ~on_generation:(fun g _ -> if Some g = stop_after then raise Stop)
+      problem (Prng.create 3)
   in
-  Sys.remove dir;
-  let resumed =
-    match A.restore_state ~options problem snap2 ~key:"ga" with
-    | Some st -> st
-    | None -> Alcotest.failf "%s: restore failed" name
+  let counted f =
+    let names = [ "eval.runs"; "eval.avoided"; "eval.paid" ] in
+    let c0 = List.map E.Telemetry.counter names in
+    let r = f () in
+    (r, List.map2 (fun n c -> E.Telemetry.counter n - c) names c0)
   in
-  Alcotest.(check int) "resumed at the right generation" 2
-    (A.generation resumed);
-  while A.generation resumed < 6 do
-    A.step ~evaluator problem resumed
-  done;
-  Alcotest.(check bool)
-    (name ^ ": interrupted+resumed = uninterrupted, bit-exactly")
-    true
-    (objectives (A.population full) = objectives (A.population resumed)
-    && Array.for_all2
-         (fun a b -> a.M.Nsga2.x = b.M.Nsga2.x)
-         (A.population full) (A.population resumed))
-
-let test_de_resume () = resume_bit_identical "de"
-
-let test_restore_rejects_mismatch () =
-  let problem = zdt1 4 in
-  let options = { O.population = 10; generations = 6 } in
-  let opt = Option.get (O.of_name "de") in
-  let module A = (val opt : O.S) in
-  let st =
-    A.init ~options ~evaluator:M.Problem.serial_evaluator problem
-      (Prng.create 3)
+  let full, full_counts = counted (fun () -> run (E.Cache.create ())) in
+  let cache = E.Cache.create () in
+  let (), first_counts =
+    counted (fun () ->
+        match run ~stop_after:2 cache with
+        | _ -> Alcotest.fail "expected the run to stop"
+        | exception Stop -> ())
   in
-  let snap = E.Snapshot.create ~fingerprint:"fp" in
-  A.save_state st snap ~key:"ga";
-  Alcotest.(check bool) "population-size mismatch rejected" true
-    (A.restore_state
-       ~options:{ options with O.population = 12 }
-       problem snap ~key:"ga"
-    = None);
-  Alcotest.(check bool) "missing key rejected" true
-    (A.restore_state ~options problem snap ~key:"other" = None)
-
-let test_surrogate_state_roundtrip () =
-  let problem = zdt1 4 in
-  let prng = Prng.create 13 in
-  let s = M.Surrogate.create () in
-  let pts = Array.init 20 (fun _ -> M.Problem.random_point problem prng) in
-  M.Surrogate.observe s pts (M.Problem.serial_evaluator problem pts);
-  let snap = E.Snapshot.create ~fingerprint:"fp" in
-  M.Surrogate.save_state s snap ~key:"sur";
-  match M.Surrogate.restore_state problem snap ~key:"sur" with
-  | None -> Alcotest.fail "restore failed"
-  | Some s2 ->
-    Alcotest.(check int) "archive size survives" (M.Surrogate.size s)
-      (M.Surrogate.size s2);
-    Alcotest.(check bool) "archive contents survive bit-exactly" true
-      (M.Surrogate.archive s = M.Surrogate.archive s2)
+  let resumed, rest_counts = counted (fun () -> run cache) in
+  Alcotest.(check bool) "interrupted + re-run = uninterrupted, bit-exactly" true
+    (objectives full = objectives resumed
+    && Array.for_all2 (fun a b -> a.M.Nsga2.x = b.M.Nsga2.x) full resumed);
+  match (full_counts, first_counts, rest_counts) with
+  | [ full_runs; full_avoided; full_paid ], [ first_runs; _; _ ],
+    [ rest_runs; rest_avoided; rest_paid ] ->
+    Alcotest.(check bool) "the first run simulated something" true
+      (first_runs > 0 && first_runs < full_runs);
+    Alcotest.(check int) "no finished evaluation simulated again" full_runs
+      (first_runs + rest_runs);
+    Alcotest.(check (pair int int)) "the re-run's avoided/paid split"
+      (full_avoided, full_paid) (rest_avoided, rest_paid)
+  | _ -> assert false
 
 let suite =
   [
@@ -374,8 +341,4 @@ let suite =
       test_surrogate_screens_dominated_region;
     Alcotest.test_case "DE interrupt/resume bit-identical" `Quick
       test_de_resume;
-    Alcotest.test_case "restore rejects mismatch" `Quick
-      test_restore_rejects_mismatch;
-    Alcotest.test_case "surrogate state roundtrip" `Quick
-      test_surrogate_state_roundtrip;
   ]

@@ -573,8 +573,9 @@ let test_check_trace_id () =
 (* ---- report: golden text of the three renderings ------------------ *)
 
 (* an older run, then the run the report covers: phases, two GA
-   levels, checkpoints, a warning, a surrogate outcome, the evaluation
-   split, and a line torn by a kill *)
+   levels, the checkpoint events older builds journaled (no longer
+   rendered), a warning, a surrogate outcome, the evaluation split, and
+   a line torn by a kill *)
 let golden_journal =
   String.concat "\n"
     [
@@ -652,8 +653,6 @@ circuit-level convergence:
 system-level convergence:
    gen  front        spread   hypervolume
      0      1             0    1.2841e-20
-
-checkpoints: 2 flushed, 1 resumed
 
 warnings (1):
   [mc.fail] sample 3 "diverged"
@@ -997,6 +996,92 @@ let prop_trace_decoder_wrong_types =
     (QCheck.make ~print:Json.to_string wrong_types_gen)
     (fun doc -> decodes_and_renders (Json.to_string doc))
 
+(* ---- a traced flow, as `hieropt flow --trace` records it ---- *)
+
+(* The smallest flow that still finds a two-design front at the default
+   seed, at -j 2 under [Trace.record] (the CLI's --trace path) with a
+   journal in its model dir: its decoded trace, journal events and
+   profile text, shared by the two tests below. *)
+let traced_flow =
+  lazy
+    (with_dir @@ fun dir ->
+     let cfg =
+       Hieropt.Hierarchy.make_config
+         ~scale:
+           {
+             Hieropt.Hierarchy.vco_population = 4;
+             vco_generations = 1;
+             mc_samples = 2;
+             front_max = 2;
+             pll_population = 4;
+             pll_generations = 1;
+             yield_samples = 4;
+           }
+         ~spec:Hieropt.Hierarchy.tiny_spec ~model_dir:dir ()
+     in
+     let path = Filename.concat dir "trace.json" in
+     Test_core.with_jobs 2 (fun () ->
+         Repro_obs.Trace.record ~label:"coordinator" path
+           ~on_export:(function Ok _ -> () | Error e -> Alcotest.fail e)
+           (fun () -> ignore (Hieropt.Hierarchy.run cfg)));
+     let p = load_ok path in
+     let journal =
+       match Repro_obs.Journal.read (Filename.concat dir "run.journal") with
+       | Ok events -> events
+       | Error e -> Alcotest.fail e
+     in
+     match render (fun ppf -> Repro_prof.Report.profile ppf ~path ~top:10 p) with
+     | Ok (), profile -> (p, journal, profile)
+     | Error e, _ -> Alcotest.fail e)
+
+let test_traced_flow_trace_and_journal () =
+  let p, journal, _ = Lazy.force traced_flow in
+  Alcotest.(check bool) "non-empty trace" true (p.M.events <> []);
+  Alcotest.(check int) "begin/end balanced on every thread" 0
+    (Ev.unbalanced p.M.events);
+  let spans =
+    List.filter_map
+      (fun (e : Ev.t) -> if e.ph = 'B' then Some e.name else None)
+      p.M.events
+  in
+  List.iter
+    (fun want ->
+      Alcotest.(check bool) ("span " ^ want) true (List.mem want spans))
+    [ "phase.circuit-ga"; "nsga2.generation"; "eval.batch" ];
+  let event j =
+    match Json.member "event" j with Some (Json.Str e) -> e | _ -> ""
+  in
+  List.iter
+    (fun want ->
+      Alcotest.(check bool) ("journal event " ^ want) true
+        (List.exists (fun j -> event j = want) journal))
+    [ "run.start"; "phase.finish"; "ga.generation"; "run.finish" ];
+  Alcotest.(check bool) "a generation records its hypervolume" true
+    (List.exists
+       (fun j ->
+         event j = "ga.generation" && Json.member "hypervolume" j <> None)
+       journal)
+
+(* the share [report --profile] prints as "(NN.N%) attributed" *)
+let attributed_share text =
+  let marker = "%) attributed" in
+  let rec find i =
+    if i + String.length marker > String.length text then None
+    else if String.sub text i (String.length marker) = marker then Some i
+    else find (i + 1)
+  in
+  Option.bind (find 0) (fun stop ->
+      Option.bind (String.rindex_from_opt text stop '(') (fun start ->
+          float_of_string_opt (String.sub text (start + 1) (stop - start - 1))))
+
+let test_traced_flow_attribution () =
+  let _, _, profile = Lazy.force traced_flow in
+  match attributed_share profile with
+  | None -> Alcotest.failf "no attributed share in:\n%s" profile
+  | Some share ->
+    if share < 95.0 then
+      Alcotest.failf "only %.1f%% of the wall time attributed" share
+
 let suite =
   [
     Alcotest.test_case "span reconstruction" `Quick test_span_reconstruction;
@@ -1033,4 +1118,8 @@ let suite =
       test_report_journal_simulator;
     Alcotest.test_case "report journal behavioural PLL line" `Quick
       test_report_journal_pll_line;
+    Alcotest.test_case "traced flow trace and journal" `Slow
+      test_traced_flow_trace_and_journal;
+    Alcotest.test_case "traced flow profile attribution" `Slow
+      test_traced_flow_attribution;
   ]
