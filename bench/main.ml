@@ -281,8 +281,7 @@ let serve_bench (result : H.Hierarchy.result) =
   in
   let duration = 1.5 and warmup = 0.3 and reps = 3 in
   let bench_reactors (reactors, connections) =
-    let registry = S.Registry.create ~root:dir () in
-    let api = S.Api.create ~registry () in
+    let api = S.Api.create ~model:local () in
     let server = S.Server.start ~port:0 ~reactors ~api () in
     let port = S.Server.port server in
     Fun.protect

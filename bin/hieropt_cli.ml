@@ -8,7 +8,7 @@
      system        re-run the system level over a saved table model
      yield         Monte-Carlo a design point from a saved table model
      export        render a saved table model as Verilog-A or SPICE
-     serve         serve saved table models over HTTP
+     serve         serve a saved table model over HTTP
      query         query a table model (local dir or running server)
      report        summarise a run journal (and optionally a trace)
 
@@ -66,15 +66,6 @@ let seed_t =
     & opt int 2009
     & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (flows are deterministic).")
 
-let full_t =
-  Arg.(
-    value & flag
-    & info [ "full" ]
-        ~doc:
-          "Use the paper-scale workload (100x30 circuit GA, 100 MC \
-           samples/point, 500 yield samples) instead of the fast bench \
-           scale.  Equivalent to HIEROPT_FULL=1 or --scale paper.")
-
 let scale_t =
   Arg.(
     value
@@ -84,18 +75,16 @@ let scale_t =
         ~doc:
           "Workload scale: $(b,tiny) (seconds; also narrows the spec to \
            the smoke-test band), $(b,bench) (minutes) or $(b,paper) (the \
-           paper's settings).  Overrides --full.")
+           paper's settings).  Defaults to $(b,paper) when HIEROPT_FULL \
+           is set, else $(b,bench).")
 
-(* --scale wins over --full; tiny swaps in the smoke-test spec too *)
-let resolve_scale full scale =
+(* tiny swaps in the smoke-test spec too *)
+let resolve_scale scale =
   match scale with
   | Some `Tiny -> (Hieropt.Hierarchy.tiny_scale, Some Hieropt.Hierarchy.tiny_spec)
   | Some `Bench -> (Hieropt.Hierarchy.bench_scale, None)
   | Some `Paper -> (Hieropt.Hierarchy.paper_scale, None)
-  | None ->
-    ( (if full then Hieropt.Hierarchy.paper_scale
-       else Hieropt.Hierarchy.scale_of_env ()),
-      None )
+  | None -> (Hieropt.Hierarchy.scale_of_env (), None)
 
 let jobs_t =
   Arg.(
@@ -385,11 +374,11 @@ let flow_cmd =
              (the method of the paper's reference [10]); for the ablation \
              comparison.")
   in
-  let run seed full scale jobs nominal_only optimiser netlist model_dir
+  let run seed scale jobs nominal_only optimiser netlist model_dir
       interrupt_after trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
-    let scale, spec = resolve_scale full scale in
+    let scale, spec = resolve_scale scale in
     let make ?circuit () =
       Hieropt.Hierarchy.make_config ~seed ~scale ?spec
         ~use_variation:(not nominal_only) ~optimiser ~model_dir ?circuit ()
@@ -436,7 +425,7 @@ let flow_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ seed_t $ full_t $ scale_t $ jobs_t $ ablation_t
+      const run $ seed_t $ scale_t $ jobs_t $ ablation_t
       $ optimiser_t $ netlist_t $ model_dir_t $ interrupt_after_t $ trace_t
       $ verbose_t)
 
@@ -446,14 +435,14 @@ let remote_t =
   Arg.(
     value
     & opt (some string) None
-    & info [ "remote" ] ~docv:"HOST:PORT[/MODEL]"
+    & info [ "remote" ] ~docv:"HOST:PORT"
         ~doc:
           "Evaluate candidates against a running $(b,hieropt serve) \
-           instance instead of the in-process table (MODEL defaults to \
-           $(b,default)).  The server runs the same interpolation code \
-           and floats cross the wire losslessly, so results are \
-           bit-identical to a local run; if the server becomes \
-           unreachable the run falls back to the local model.")
+           instance instead of the in-process table.  The server runs \
+           the same interpolation code and floats cross the wire \
+           losslessly, so results are bit-identical to a local run; if \
+           the server becomes unreachable the run falls back to the \
+           local model.")
 
 let pll_query_of_remote ~fallback remote =
   match remote with
@@ -461,19 +450,21 @@ let pll_query_of_remote ~fallback remote =
   | Some spec -> (
     match Repro_serve.Remote.parse_endpoint spec with
     | Error msg -> die exit_serve "--remote %s: %s" spec msg
-    | Ok (host, port, model) ->
+    | Ok (host, port) ->
       let client = Repro_serve.Client.create ~host ~port () in
       if not (Repro_serve.Client.wait_ready ~deadline:5. client) then
         die exit_serve "--remote %s: server not reachable" spec;
-      Some (Repro_serve.Remote.model_query ~fallback ~client ~model ()))
+      Some
+        (Repro_serve.Remote.model_query ~fallback ~client
+           ~model:Repro_serve.Api.model_id ()))
 
 let system_cmd =
-  let run seed full scale jobs optimiser model_dir remote trace verbose =
+  let run seed scale jobs optimiser model_dir remote trace verbose =
     setup_logging verbose;
     setup_jobs jobs;
     let model = load_model model_dir in
     let pll_query = pll_query_of_remote ~fallback:model remote in
-    let scale, spec = resolve_scale full scale in
+    let scale, spec = resolve_scale scale in
     let cfg =
       Hieropt.Hierarchy.make_config ~seed ~scale ?spec ~optimiser ~model_dir
         ()
@@ -495,7 +486,7 @@ let system_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ seed_t $ full_t $ scale_t $ jobs_t $ optimiser_t
+      const run $ seed_t $ scale_t $ jobs_t $ optimiser_t
       $ model_dir_t $ remote_t $ trace_t $ verbose_t)
 
 (* ---- yield ---- *)
@@ -592,7 +583,7 @@ let export_cmd =
       ~doc:
         "Render a saved table model as a Verilog-A behavioural module or \
          a SPICE subcircuit (byte-identical to the server's \
-         /v1/models/:id/export)."
+         /v1/models/default/export)."
   in
   Cmd.v info Term.(const run $ model_dir_t $ format_t $ output_t $ verbose_t)
 
@@ -616,21 +607,14 @@ let serve_cmd =
       & info [ "reactors" ] ~docv:"N"
           ~doc:"Reactor domains (event loops) handling connections.")
   in
-  let timeout_t =
-    Arg.(
-      value & opt float 10.
-      & info [ "request-timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-connection idle/stall timeout.")
-  in
-  let run model_dir addr port reactors request_timeout trace verbose =
+  let run model_dir addr port reactors trace verbose =
     setup_logging verbose;
-    let registry = Repro_serve.Registry.create ~root:model_dir () in
-    let api = Repro_serve.Api.create ~version ~registry () in
+    (* loaded before the bind, so the "serving" line means ready *)
+    let model = load_model model_dir in
+    let api = Repro_serve.Api.create ~version ~model () in
     with_trace ~label:"serve" trace @@ fun () ->
     let server =
-      match
-        Repro_serve.Server.start ~addr ~port ~reactors ~request_timeout ~api ()
-      with
+      match Repro_serve.Server.start ~addr ~port ~reactors ~api () with
       | server -> server
       | exception Unix.Unix_error (code, _, _) ->
         die exit_serve "cannot bind %s:%d: %s" addr port
@@ -646,12 +630,15 @@ let serve_cmd =
   in
   let info =
     Cmd.info "serve"
-      ~doc:"Serve saved table models over HTTP (SIGTERM drains gracefully)."
+      ~doc:
+        "Serve the saved table model in --model-dir over HTTP as model \
+         $(b,default) (SIGTERM drains gracefully; restart to serve \
+         another model)."
   in
   Cmd.v info
     Term.(
-      const run $ model_dir_t $ addr_t $ port_t $ reactors_t $ timeout_t
-      $ trace_t $ verbose_t)
+      const run $ model_dir_t $ addr_t $ port_t $ reactors_t $ trace_t
+      $ verbose_t)
 
 (* ---- query ---- *)
 
@@ -671,15 +658,6 @@ let query_cmd =
       & info [ "metrics" ]
           ~doc:"Print the telemetry snapshot (server's when --remote).")
   in
-  let verify_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "verify" ] ~docv:"KVCO,IVCO,JVCO,FMIN,FMAX"
-          ~doc:
-            "Map a 5-performance point back to the 7 transistor \
-             dimensions instead of querying performances.")
-  in
   let wait_t =
     Arg.(
       value
@@ -687,43 +665,31 @@ let query_cmd =
       & info [ "wait-ready" ] ~docv:"SECONDS"
           ~doc:"Poll the server's /healthz up to $(docv) before querying.")
   in
-  let parse_fields ~what ~n s =
-    let fields = String.split_on_char ',' s in
-    if List.length fields <> n then
-      die 124 "%s: expected %d comma-separated values, got %S" what n s;
-    match List.map Repro_util.Si.parse fields with
-    | values -> Array.of_list values
-    | exception Invalid_argument msg -> die 124 "%s: %s" what msg
+  let parse_point s =
+    match List.map Repro_util.Si.parse (String.split_on_char ',' s) with
+    | [ kvco; ivco ] -> (kvco, ivco)
+    | _ -> die 124 "--point: expected 2 comma-separated values, got %S" s
+    | exception Invalid_argument msg -> die 124 "--point: %s" msg
   in
   let print_json j = Fmt.pr "%s@." (Json.to_string j) in
-  let run model_dir remote points metrics verify wait_ready verbose =
+  let print_results results =
+    print_json
+      (Json.Obj
+         [
+           ( "results",
+             Json.Arr
+               (Array.to_list
+                  (Array.map Repro_serve.Api.point_eval_to_json results)) );
+         ])
+  in
+  let run model_dir remote points metrics wait_ready verbose =
     setup_logging verbose;
-    let points =
-      List.map
-        (fun s ->
-          let v = parse_fields ~what:"--point" ~n:2 s in
-          (v.(0), v.(1)))
-        points
-      |> Array.of_list
-    in
-    let perf =
-      Option.map
-        (fun s ->
-          let v = parse_fields ~what:"--verify" ~n:5 s in
-          {
-            Repro_spice.Vco_measure.kvco = v.(0);
-            ivco = v.(1);
-            jvco = v.(2);
-            fmin = v.(3);
-            fmax = v.(4);
-          })
-        verify
-    in
-    if points = [||] && perf = None && not metrics then
-      die 124 "nothing to do: pass --point, --verify and/or --metrics";
+    let points = Array.of_list (List.map parse_point points) in
+    if points = [||] && not metrics then
+      die 124 "nothing to do: pass --point and/or --metrics";
     match remote with
-    | Some spec -> (
-      let host, port, model =
+    | Some spec ->
+      let host, port =
         match Repro_serve.Remote.parse_endpoint spec with
         | Ok v -> v
         | Error msg -> die exit_serve "--remote %s: %s" spec msg
@@ -739,58 +705,19 @@ let query_cmd =
         | Error e ->
           die exit_serve "%s" (Repro_serve.Client.error_to_string e)
       in
-      if Array.length points > 0 then begin
-        let results = check (Repro_serve.Client.query_points client ~model points) in
-        print_json
-          (Json.Obj
-             [
-               ( "results",
-                 Json.Arr
-                   (Array.to_list
-                      (Array.map Repro_serve.Api.point_eval_to_json results)) );
-             ])
-      end;
-      (match perf with
-      | Some perf ->
-        let params = check (Repro_serve.Client.verify_point client ~model perf) in
-        print_json
-          (Json.Obj
-             [
-               ( "params",
-                 Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) params) );
-             ])
-      | None -> ());
+      if Array.length points > 0 then
+        print_results
+          (check
+             (Repro_serve.Client.query_points client
+                ~model:Repro_serve.Api.model_id points));
       if metrics then
-        print_json (check (Repro_serve.Client.get_json client "/v1/metrics")))
+        print_json (check (Repro_serve.Client.get_json client "/v1/metrics"))
     | None ->
       (* local mode shares the remote path's JSON rendering, so the CI
          smoke test can diff the two outputs byte-for-byte *)
-      let model = if points = [||] && perf = None then None
-        else Some (load_model model_dir)
-      in
-      Option.iter
-        (fun table ->
-          if Array.length points > 0 then
-            print_json
-              (Json.Obj
-                 [
-                   ( "results",
-                     Json.Arr
-                       (Array.to_list
-                          (Array.map Repro_serve.Api.point_eval_to_json
-                             (Hieropt.Perf_table.eval_points table points))) );
-                 ]);
-          match perf with
-          | Some perf ->
-            print_json
-              (Json.Obj
-                 [
-                   ( "params",
-                     Repro_serve.Api.params_to_json
-                       (Hieropt.Perf_table.params_of_perf table perf) );
-                 ])
-          | None -> ())
-        model;
+      if Array.length points > 0 then
+        print_results
+          (Hieropt.Perf_table.eval_points (load_model model_dir) points);
       if metrics then print_json (Repro_serve.Api.metrics_json ())
   in
   let info =
@@ -801,8 +728,8 @@ let query_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ model_dir_t $ remote_t $ point_t $ metrics_t $ verify_t
-      $ wait_t $ verbose_t)
+      const run $ model_dir_t $ remote_t $ point_t $ metrics_t $ wait_t
+      $ verbose_t)
 
 (* ---- loadgen ---- *)
 
@@ -816,12 +743,6 @@ let loadgen_cmd =
   let port_t =
     Arg.(
       value & opt int 8190 & info [ "port" ] ~docv:"PORT" ~doc:"Server port.")
-  in
-  let model_t =
-    Arg.(
-      value
-      & opt string "default"
-      & info [ "model" ] ~docv:"ID" ~doc:"Model id to query.")
   in
   let connections_t =
     Arg.(
@@ -876,7 +797,7 @@ let loadgen_cmd =
             "Do not fail on request errors (e.g. when the server is \
              deliberately drained mid-run).")
   in
-  let run model_dir host port model connections duration warmup target_qps
+  let run model_dir host port connections duration warmup target_qps
       batch assert_qps assert_p99 allow_errors verbose =
     setup_logging verbose;
     (* sample points spanning the served model's own input ranges, so
@@ -905,7 +826,8 @@ let loadgen_cmd =
     in
     let r =
       Repro_serve.Loadgen.run ~mode ~connections ~duration ~warmup ~host ~port
-        ~target:(Printf.sprintf "/v1/models/%s/query" model)
+        ~target:
+          (Printf.sprintf "/v1/models/%s/query" Repro_serve.Api.model_id)
         ~body ()
     in
     Repro_serve.Loadgen.pp stdout r;
@@ -936,7 +858,7 @@ let loadgen_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ model_dir_t $ host_t $ port_t $ model_t $ connections_t
+      const run $ model_dir_t $ host_t $ port_t $ connections_t
       $ duration_t $ warmup_t $ target_qps_t $ batch_t $ assert_qps_t
       $ assert_p99_t $ allow_errors_t $ verbose_t)
 

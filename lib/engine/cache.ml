@@ -80,7 +80,8 @@ let find t k =
 
 let store t k v =
   locked t (fun () ->
-      if not (Tbl.mem t.table k) then begin
+      if Tbl.mem t.table k then Tbl.replace t.table k (Array.copy v)
+      else begin
         while Tbl.length t.table >= t.capacity do
           match Queue.take_opt t.order with
           | None -> Tbl.reset t.table (* unreachable: order covers table *)

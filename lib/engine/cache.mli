@@ -30,7 +30,10 @@ val find : t -> key -> float array option
 (** Counted lookup (a copy of the stored value is returned). *)
 
 val store : t -> key -> float array -> unit
-(** Insert (first writer wins; re-storing an existing key is a no-op). *)
+(** Insert, or replace the value of an existing key.  A replaced key
+    keeps its FIFO position and is not queued twice, so a caller that
+    found a stored value unusable (say, of the wrong length) and
+    recomputed it repairs the entry in place. *)
 
 val find_or_compute : t -> key -> (unit -> float array) -> float array
 

@@ -8,7 +8,7 @@
 
     Both renderers are pure functions of the table (no timestamps, no
     environment), so the CLI [export] command and the model server's
-    [GET /v1/models/:id/export] serve byte-identical artefacts. *)
+    [GET /v1/models/default/export] serve byte-identical artefacts. *)
 
 val spice :
   ?stages:int -> ?vdd:float -> ?vctl:float -> Hieropt.Perf_table.t -> string

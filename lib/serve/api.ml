@@ -3,12 +3,13 @@ module Telemetry = Repro_engine.Telemetry
 module Histogram = Repro_obs.Histogram
 module Perf_table = Hieropt.Perf_table
 
-type t = { registry : Registry.t; version : string; started : float }
+type t = { model : Perf_table.t; version : string; started : float }
 
-let create ?(version = "dev") ~registry () =
-  { registry; version; started = Unix.gettimeofday () }
+let model_id = "default"
 
-let registry t = t.registry
+let create ?(version = "dev") ~model () =
+  { model; version; started = Unix.gettimeofday () }
+
 let max_batch = 65536
 
 (* --- wire codec ------------------------------------------------------- *)
@@ -76,25 +77,6 @@ let points_of_body body =
     let* p = point_of_json "request" j in
     Ok [| p |]
 
-let performance_of_body body =
-  let ( let* ) = Result.bind in
-  let* j = Json.of_string body in
-  let field name = Json.get_float name j in
-  let* kvco = field "kvco" in
-  let* ivco = field "ivco" in
-  let* jvco = field "jvco" in
-  let* fmin = field "fmin" in
-  let* fmax = field "fmax" in
-  Ok { Repro_spice.Vco_measure.kvco; ivco; jvco; fmin; fmax }
-
-let params_to_json (p : Repro_circuit.Topologies.vco_params) =
-  let values = [| p.wn; p.ln; p.wp; p.lp; p.wcn; p.wcp; p.lc |] in
-  Json.Obj
-    (Array.to_list
-       (Array.map2
-          (fun name v -> (name, Json.Num v))
-          Repro_circuit.Topologies.vco_param_names values))
-
 (* --- responses -------------------------------------------------------- *)
 
 let json_body j = Json.to_string j
@@ -106,16 +88,12 @@ let not_found () = (404, [], error_body "not found")
 let method_not_allowed allow =
   (405, [ ("Allow", allow) ], error_body "method not allowed")
 
-let registry_error = function
-  | Registry.Unknown_model _ as e -> (404, [], error_body (Registry.error_to_string e))
-  | Registry.Invalid_id _ as e -> (404, [], error_body (Registry.error_to_string e))
-  | Registry.Load_failure _ as e ->
-    (500, [], error_body (Registry.error_to_string e))
+let unknown_model id =
+  (404, [], error_body (Printf.sprintf "unknown model %S" id))
 
 (* --- endpoints -------------------------------------------------------- *)
 
 let healthz t =
-  let models = List.length (Registry.list t.registry) in
   ok
     (json_body
        (Json.Obj
@@ -124,9 +102,6 @@ let healthz t =
             ("version", Json.Str t.version);
             ("started_at", Json.Num t.started);
             ("uptime_seconds", Json.Num (Unix.gettimeofday () -. t.started));
-            ("models", Json.Num (float_of_int models));
-            ( "models_loaded",
-              Json.Num (float_of_int (Registry.loaded_count t.registry)) );
           ]))
 
 (* counters/timers straight from the Telemetry snapshot plus quantile
@@ -185,151 +160,36 @@ let query_param (req : Http.request) name =
         | _ -> None)
       (String.split_on_char '&' qs)
 
-let prom_content_type =
-  [ ("Content-Type", "text/plain; version=0.0.4; charset=utf-8") ]
-
-(* JSON is the default; ?format=prom renders the same snapshot surface
-   as Prometheus text exposition *)
-let metrics req =
-  match Option.value ~default:"json" (query_param req "format") with
-  | "json" -> ok (json_body (metrics_json ()))
-  | "prom" | "prometheus" -> (200, prom_content_type, Repro_prof.Prom.render ())
-  | other ->
-    bad_request (Printf.sprintf "format: expected json or prom, got %S" other)
-
-let models t =
-  let infos = Registry.list t.registry in
-  let entry (i : Registry.info) =
-    Json.Obj
-      [
-        ("id", Json.Str i.id);
-        ("loaded", Json.Bool i.loaded);
-        ( "entries",
-          match i.entries with
-          | Some n -> Json.Num (float_of_int n)
-          | None -> Json.Null );
-      ]
-  in
-  ok (json_body (Json.Obj [ ("models", Json.Arr (List.map entry infos)) ]))
-
-(* --- per-reactor hot-path state --------------------------------------- *)
-
-(* Each reactor domain keeps its own model handles (revalidated against
-   the on-disk fingerprint with one lock-free stat per request — the
-   shared LRU mutex is only taken on miss/reload) and a reusable
-   serialisation buffer, so the hot query route neither contends nor
-   allocates scratch per request. *)
-type scratch = {
-  buf : Buffer.t;
-  handles : (string, Perf_table.t * float * int) Hashtbl.t;
-}
-
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { buf = Buffer.create 4096; handles = Hashtbl.create 4 })
-
-let local_table t sc id =
-  match Registry.fingerprint t.registry id with
-  | Error e ->
-    Hashtbl.remove sc.handles id;
-    Error e
-  | Ok (mtime, size) -> (
-    match Hashtbl.find_opt sc.handles id with
-    | Some (table, m, s) when m = mtime && s = size -> Ok table
-    | _ -> (
-      match Registry.get t.registry id with
-      | Error e ->
-        Hashtbl.remove sc.handles id;
-        Error e
-      | Ok table ->
-        Hashtbl.replace sc.handles id (table, mtime, size);
-        Ok table))
-
-(* direct serialisation of the query response into the reactor's
-   scratch buffer — byte-for-byte what [Json.to_string] produces for
-   the equivalent tree (asserted by test), without building the tree *)
-let render_query_response sc ~id results =
-  let buf = sc.buf in
-  Buffer.clear buf;
-  let num x = Buffer.add_string buf (Json.float_repr x) in
-  let triple name (nominal, lo, hi) =
-    Buffer.add_string buf name;
-    Buffer.add_string buf "{\"nominal\":";
-    num nominal;
-    Buffer.add_string buf ",\"min\":";
-    num lo;
-    Buffer.add_string buf ",\"max\":";
-    num hi;
-    Buffer.add_char buf '}'
-  in
-  (* the id passed the registry's safe-name check: no characters that
-     need JSON escaping *)
-  Buffer.add_string buf "{\"model\":\"";
-  Buffer.add_string buf id;
-  Buffer.add_string buf "\",\"count\":";
-  num (float_of_int (Array.length results));
-  Buffer.add_string buf ",\"results\":[";
-  Array.iteri
-    (fun i (pe : Perf_table.point_eval) ->
-      if i > 0 then Buffer.add_char buf ',';
-      triple "{\"kvco\":" pe.q_kvco;
-      triple ",\"ivco\":" pe.q_ivco;
-      triple ",\"jvco\":" pe.q_jvco;
-      Buffer.add_string buf ",\"fmin\":";
-      num pe.q_fmin;
-      Buffer.add_string buf ",\"fmax\":";
-      num pe.q_fmax;
-      Buffer.add_char buf '}')
-    results;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
-let query t id body =
-  let sc = Domain.DLS.get scratch_key in
-  match local_table t sc id with
-  | Error e -> registry_error e
-  | Ok table -> (
-    match points_of_body body with
-    | Error msg -> bad_request msg
-    | Ok points ->
-      let results = Perf_table.eval_points table points in
-      Telemetry.incr "serve.queries";
-      Telemetry.incr ~by:(Array.length points) "serve.points_queried";
-      ok (render_query_response sc ~id results))
+let query t body =
+  match points_of_body body with
+  | Error msg -> bad_request msg
+  | Ok points ->
+    let results = Perf_table.eval_points t.model points in
+    Telemetry.incr "serve.queries";
+    Telemetry.incr ~by:(Array.length points) "serve.points_queried";
+    ok
+      (json_body
+         (Json.Obj
+            [
+              ("model", Json.Str model_id);
+              ("count", Json.Num (float_of_int (Array.length results)));
+              ( "results",
+                Json.Arr (Array.to_list (Array.map point_eval_to_json results))
+              );
+            ]))
 
 (* renderers are pure functions of the table, so the body is
    byte-identical to `hieropt export` over the same model directory *)
-let export t (req : Http.request) id =
-  let sc = Domain.DLS.get scratch_key in
-  match local_table t sc id with
-  | Error e -> registry_error e
-  | Ok table -> (
-    let render f =
-      Telemetry.incr "serve.exports";
-      ( 200,
-        [ ("Content-Type", "text/plain; charset=utf-8") ],
-        f table )
-    in
-    match Option.value ~default:"va" (query_param req "format") with
-    | "va" | "verilog-a" -> render Repro_netlist.Export.verilog_a
-    | "spice" -> render (fun table -> Repro_netlist.Export.spice table)
-    | other ->
-      bad_request
-        (Printf.sprintf "format: expected va or spice, got %S" other))
-
-let verify t id body =
-  let sc = Domain.DLS.get scratch_key in
-  match local_table t sc id with
-  | Error e -> registry_error e
-  | Ok table -> (
-    match performance_of_body body with
-    | Error msg -> bad_request msg
-    | Ok perf ->
-      let params = Perf_table.params_of_perf table perf in
-      Telemetry.incr "serve.verifies";
-      ok
-        (json_body
-           (Json.Obj [ ("model", Json.Str id); ("params", params_to_json params) ])))
+let export t (req : Http.request) =
+  let render f =
+    Telemetry.incr "serve.exports";
+    (200, [ ("Content-Type", "text/plain; charset=utf-8") ], f t.model)
+  in
+  match Option.value ~default:"va" (query_param req "format") with
+  | "va" | "verilog-a" -> render Repro_netlist.Export.verilog_a
+  | "spice" -> render (fun table -> Repro_netlist.Export.spice table)
+  | other ->
+    bad_request (Printf.sprintf "format: expected va or spice, got %S" other)
 
 (* every route lives under /v1; an unversioned path routes as the
    empty path, which no endpoint matches *)
@@ -341,9 +201,7 @@ let route_path (req : Http.request) =
 let endpoint_of_path = function
   | [ "healthz" ] -> "healthz"
   | [ "metrics" ] -> "metrics"
-  | [ "models" ] -> "models"
   | [ "models"; _; "query" ] -> "query"
-  | [ "models"; _; "verify" ] -> "verify"
   | [ "models"; _; "export" ] -> "export"
   | _ -> "other"
 
@@ -369,14 +227,13 @@ let handle t (req : Http.request) =
   match
     match (req.meth, path) with
     | "GET", [ "healthz" ] -> healthz t
-    | "GET", [ "metrics" ] -> metrics req
-    | "GET", [ "models" ] -> models t
-    | "POST", [ "models"; id; "query" ] -> query t id req.body
-    | "POST", [ "models"; id; "verify" ] -> verify t id req.body
-    | "GET", [ "models"; id; "export" ] -> export t req id
-    | _, [ "healthz" ] | _, [ "metrics" ] | _, [ "models" ] ->
-      method_not_allowed "GET"
-    | _, [ "models"; _; ("query" | "verify") ] -> method_not_allowed "POST"
+    | "GET", [ "metrics" ] -> ok (json_body (metrics_json ()))
+    | _, [ "models"; id; ("query" | "export") ] when id <> model_id ->
+      unknown_model id
+    | "POST", [ "models"; _; "query" ] -> query t req.body
+    | "GET", [ "models"; _; "export" ] -> export t req
+    | _, ([ "healthz" ] | [ "metrics" ]) -> method_not_allowed "GET"
+    | _, [ "models"; _; "query" ] -> method_not_allowed "POST"
     | _, [ "models"; _; "export" ] -> method_not_allowed "GET"
     | _ -> not_found ()
   with

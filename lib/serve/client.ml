@@ -239,33 +239,6 @@ let query_points t ~model points =
       end
     | _ -> Error (Protocol_error "missing results array"))
 
-let verify_point t ~model (perf : Repro_spice.Vco_measure.performance) =
-  let body =
-    Json.to_string
-      (Json.Obj
-         [
-           ("kvco", Json.Num perf.kvco);
-           ("ivco", Json.Num perf.ivco);
-           ("jvco", Json.Num perf.jvco);
-           ("fmin", Json.Num perf.fmin);
-           ("fmax", Json.Num perf.fmax);
-         ])
-  in
-  match post_json t (Printf.sprintf "/v1/models/%s/verify" model) ~body with
-  | Error _ as e -> e
-  | Ok j -> (
-    match Json.member "params" j with
-    | Some (Json.Obj fields) -> (
-      let pair (name, v) =
-        match v with
-        | Json.Num x -> (name, x)
-        | _ -> failwith ("params." ^ name ^ ": expected a number")
-      in
-      match List.map pair fields with
-      | params -> Ok params
-      | exception Failure msg -> Error (Protocol_error msg))
-    | _ -> Error (Protocol_error "missing params object"))
-
 let wait_ready ?(deadline = 5.) t =
   let stop_at = Unix.gettimeofday () +. deadline in
   let rec poll () =

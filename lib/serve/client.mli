@@ -59,15 +59,8 @@ val query_points :
   (float * float) array ->
   (Hieropt.Perf_table.point_eval array, error) result
 (** POST the (kvco, ivco) batch to [/v1/models/:model/query] and decode
-    the results, checking count and order. *)
-
-val verify_point :
-  t ->
-  model:string ->
-  Repro_spice.Vco_measure.performance ->
-  ((string * float) list, error) result
-(** POST to [/v1/models/:model/verify]; returns the recovered parameter
-    (name, value) pairs in vector order. *)
+    the results, checking count and order.  A server answers only
+    [~model:]{!Api.model_id}; any other id is an [Http_error] 404. *)
 
 val wait_ready : ?deadline:float -> t -> bool
 (** Poll [/v1/healthz] until it answers 200 or [deadline] seconds

@@ -10,7 +10,7 @@
     server rather than hidden by coordinated omission.
 
     The first [warmup] seconds are excluded from the recorded window
-    (model loads, cache warmup); latencies go through
+    (connection set-up, cache warmup); latencies go through
     {!Repro_obs.Histogram} with fine sub-millisecond buckets.
     Non-200s and transport failures count as [errors] and are never
     retried. *)

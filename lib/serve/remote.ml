@@ -18,19 +18,12 @@ let model_query ?fallback ~client ~model () : Hieropt.Pll_problem.model_query =
     | None -> raise (Remote_unavailable msg))
 
 let parse_endpoint spec =
-  let hostport, model =
-    match String.index_opt spec '/' with
-    | Some i ->
-      ( String.sub spec 0 i,
-        String.sub spec (i + 1) (String.length spec - i - 1) )
-    | None -> (spec, "default")
-  in
-  match String.rindex_opt hostport ':' with
-  | None -> Error "expected HOST:PORT or HOST:PORT/MODEL"
+  let bad = Error "expected HOST:PORT" in
+  match String.rindex_opt spec ':' with
+  | None -> bad
   | Some i -> (
-    let host = String.sub hostport 0 i in
-    let port = String.sub hostport (i + 1) (String.length hostport - i - 1) in
+    let host = String.sub spec 0 i in
+    let port = String.sub spec (i + 1) (String.length spec - i - 1) in
     match int_of_string_opt port with
-    | Some p when p > 0 && p < 65536 && host <> "" && model <> "" ->
-      Ok (host, p, model)
-    | _ -> Error "expected HOST:PORT or HOST:PORT/MODEL")
+    | Some p when p > 0 && p < 65536 && host <> "" -> Ok (host, p)
+    | _ -> bad)

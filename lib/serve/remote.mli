@@ -21,7 +21,10 @@ val model_query :
   model:string ->
   unit ->
   Hieropt.Pll_problem.model_query
+(** [model] is the id in the query URL; a server answers only
+    {!Api.model_id}. *)
 
-val parse_endpoint : string -> (string * int * string, string) result
-(** Parse a [HOST:PORT] or [HOST:PORT/MODEL] spec (model defaults to
-    ["default"]) as taken by the CLI's [--remote] flags. *)
+val parse_endpoint : string -> (string * int, string) result
+(** Parse a [HOST:PORT] spec, as taken by the CLI's [--remote] flags,
+    into host and port.  A server serves one model, so there is no
+    model part. *)

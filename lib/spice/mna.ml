@@ -6,7 +6,6 @@ module Matrix = Repro_linalg.Matrix
 module Sparse = Repro_linalg.Sparse
 module Sparse_lu = Repro_linalg.Sparse_lu
 module Telemetry = Repro_engine.Telemetry
-module Trace = Repro_obs.Trace
 module Histogram = Repro_obs.Histogram
 
 type res = { ra : int; rb : int; g : float }
@@ -799,8 +798,4 @@ let newton ?(max_iter = 50) ?(vtol = 1e-6) ?(rtol = 1e-6) ?(itol = 1e-9)
     in
     loop 0 infinity
   in
-  if Trace.enabled () then
-    Trace.span "mna.newton"
-      ~args:[ ("n", string_of_int n) ]
-      (fun () -> with_factoriser run)
-  else with_factoriser run
+  with_factoriser run

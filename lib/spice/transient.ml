@@ -61,6 +61,8 @@ let run_result ?solver:_ ?workspace compiled opts =
     Telemetry.incr "tran.halvings" ~by:!halvings;
     Telemetry.incr "tran.newton" ~by:!newton_total
   in
+  (* one span per transient; [tran.newton] counts its Newton solves *)
+  Repro_obs.Trace.span "tran.run" @@ fun () ->
   match
     begin
   let n = Mna.size compiled in

@@ -32,8 +32,8 @@ val shortest : float -> string
 
 val float_repr : float -> string
 (** The encoder's float rendering: {!shortest}, or [null] when not
-    finite.  Exposed so other text formats (Prometheus, hand-built
-    responses) print floats the same way the wire does. *)
+    finite.  Exposed so text outside a JSON document (the trace merge's
+    span arguments) prints floats the same way the wire does. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. *)

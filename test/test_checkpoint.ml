@@ -125,17 +125,9 @@ let mc_reference =
      Alcotest.(check (list int)) "every design analysed" [ 1; 0 ] !analysed;
      (cache, entries))
 
-let test_variation_entries_cached () =
-  let cache, reference = Lazy.force mc_reference in
-  let called = ref 0 in
-  let again, n = trials (fun () -> analyse ~on_entry:(fun _ _ -> incr called) cache) in
-  Alcotest.(check int) "no trial run again" 0 n;
-  Alcotest.(check int) "no design analysed again" 0 !called;
-  Alcotest.(check bool) "identical entries" true (compare reference again = 0);
-  (* a saved value of the wrong length (design 1's, its last float
-     dropped) is a miss: that design alone is analysed again *)
-  with_tmpdir @@ fun dir ->
-  let path = Filename.concat dir "eval.cache" in
+(* [cache] saved to [path] with design 1's variation value cut by its
+   last float, and loaded back *)
+let damaged_copy cache path =
   E.Cache.save cache path;
   let cut_value line =
     match String.split_on_char '\t' line with
@@ -150,11 +142,39 @@ let test_variation_entries_cached () =
   write_file path
     (String.concat "\n"
        (List.map cut_value (String.split_on_char '\n' (read_file path))));
-  let damaged = E.Cache.load path in
+  E.Cache.load path
+
+let test_variation_entries_cached () =
+  let cache, reference = Lazy.force mc_reference in
+  let called = ref 0 in
+  let again, n = trials (fun () -> analyse ~on_entry:(fun _ _ -> incr called) cache) in
+  Alcotest.(check int) "no trial run again" 0 n;
+  Alcotest.(check int) "no design analysed again" 0 !called;
+  Alcotest.(check bool) "identical entries" true (compare reference again = 0);
+  (* a saved value of the wrong length (design 1's, its last float
+     dropped) is a miss: that design alone is analysed again *)
+  with_tmpdir @@ fun dir ->
+  let damaged = damaged_copy cache (Filename.concat dir "eval.cache") in
   let repaired, n = trials (fun () -> analyse damaged) in
   Alcotest.(check int) "one design's trials" mc_options.samples n;
   Alcotest.(check bool) "identical entries after the miss" true
     (compare reference repaired = 0)
+
+(* ... and repaired: the re-analysed entry replaces the short value, so
+   the next call and a re-run over the saved cache analyse nothing *)
+let test_variation_wrong_length_repaired () =
+  let cache, reference = Lazy.force mc_reference in
+  with_tmpdir @@ fun dir ->
+  let path = Filename.concat dir "eval.cache" in
+  let damaged = damaged_copy cache path in
+  let _, first = trials (fun () -> analyse damaged) in
+  let again, second = trials (fun () -> analyse damaged) in
+  E.Cache.save damaged path;
+  let rerun, third = trials (fun () -> analyse (E.Cache.load path)) in
+  Alcotest.(check (list int)) "trials per call" [ mc_options.samples; 0; 0 ]
+    [ first; second; third ];
+  Alcotest.(check bool) "identical entries" true
+    (compare reference again = 0 && compare reference rerun = 0)
 
 (* stopped after the first design, then run again over the same cache:
    the second design sees the same PRNG split as in the uninterrupted
@@ -307,6 +327,8 @@ let suite =
       test_nsga2_rerun_midrun;
     Alcotest.test_case "variation entries served from the cache" `Quick
       test_variation_entries_cached;
+    Alcotest.test_case "variation entry of the wrong length is repaired" `Quick
+      test_variation_wrong_length_repaired;
     Alcotest.test_case "variation interrupt mid-front" `Quick
       test_variation_interrupt_midfront;
     Alcotest.test_case "unreadable eval cache starts cold" `Quick

@@ -157,6 +157,30 @@ let test_cache_counters_eviction () =
   check "then caches" true
     (E.Cache.find cache (E.Cache.key ~kind:"k" [| 9.0 |]) = Some [| 90.0 |])
 
+(* re-storing a key replaces its value in place: the entry is neither
+   queued twice nor moved to the back of the eviction order *)
+let test_cache_store_replaces () =
+  let cache = E.Cache.create ~capacity:3 () in
+  let k i = E.Cache.key ~kind:"k" [| float_of_int i |] in
+  E.Cache.store cache (k 0) [| 1.0 |];
+  E.Cache.store cache (k 1) [| 10.0 |];
+  E.Cache.store cache (k 0) [| 0.0; 0.5 |];
+  check "the later value wins" true
+    (E.Cache.find cache (k 0) = Some [| 0.0; 0.5 |]);
+  Alcotest.(check int) "one entry per key" 2 (E.Cache.length cache);
+  E.Cache.store cache (k 2) [| 20.0 |];
+  E.Cache.store cache (k 3) [| 30.0 |];
+  check "the replaced key is still the oldest" true
+    (E.Cache.find cache (k 0) = None);
+  check "the next one is kept" true
+    (E.Cache.find cache (k 1) = Some [| 10.0 |]);
+  Alcotest.(check int) "one eviction" 1 (E.Cache.evictions cache);
+  let path = Filename.temp_file "hieropt" ".cache" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  E.Cache.save cache path;
+  Alcotest.(check int) "each key saved once" 4
+    (List.length (In_channel.with_open_text path In_channel.input_lines))
+
 let test_cache_roundtrip () =
   let cache = E.Cache.create () in
   let entries =
@@ -645,6 +669,8 @@ let suite =
     Alcotest.test_case "yield identical at 1 vs 4 workers" `Quick
       test_yield_deterministic_under_parallelism;
     Alcotest.test_case "cache concurrent access" `Quick test_cache_concurrent;
+    Alcotest.test_case "cache store replaces in place" `Quick
+      test_cache_store_replaces;
     Alcotest.test_case "cache skips malformed key bits" `Quick
       test_cache_malformed_bits;
     Alcotest.test_case "cache skips a cut last line" `Quick

@@ -220,6 +220,36 @@ let test_cache_wrong_arity_is_a_miss () =
       ("empty", "", 1, 0);
     ]
 
+(* the miss above is also repaired: the recomputed value replaces the
+   stored one, so the point is simulated once, not on every call and
+   every re-run over the saved cache *)
+let test_cache_wrong_arity_is_repaired () =
+  let module E = Repro_engine in
+  let problem =
+    P.create ~name:"repair" ~bounds:[| (0.0, 1.0) |]
+      ~objective_names:[| "a"; "b" |]
+      (fun x -> ev [| x.(0); 1.0 -. x.(0) |])
+  in
+  let x = [| 0.5 |] in
+  let key = E.Cache.key ~kind:"eval:repair" x in
+  let cache = E.Cache.create () in
+  E.Cache.store cache key [| 0.5 |];
+  let path = Filename.temp_file "hieropt" ".cache" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let runs = E.Telemetry.counter "eval.runs" in
+  let first = P.parallel_evaluator ~cache () problem [| x |] in
+  let second = P.parallel_evaluator ~cache () problem [| x |] in
+  E.Cache.save cache path;
+  let reloaded = E.Cache.load path in
+  let third = P.parallel_evaluator ~cache:reloaded () problem [| x |] in
+  Alcotest.(check int) "simulated once" 1
+    (E.Telemetry.counter "eval.runs" - runs);
+  Alcotest.(check bool) "same evaluation every time" true
+    (first = [| problem.P.evaluate x |] && second = first && third = first);
+  Alcotest.(check (option int)) "saved value has the right length"
+    (Some (1 + 2))
+    (Option.map Array.length (E.Cache.find reloaded key))
+
 let test_nsga2_converges_zdt1 () =
   let prng = Repro_util.Prng.create 7 in
   let pop =
@@ -425,4 +455,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ranks_consistent;
     Alcotest.test_case "cache entry of the wrong arity is a miss" `Quick
       test_cache_wrong_arity_is_a_miss;
+    Alcotest.test_case "cache entry of the wrong arity is repaired" `Quick
+      test_cache_wrong_arity_is_repaired;
   ]

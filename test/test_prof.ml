@@ -1,7 +1,7 @@
 (* repro_prof: span reconstruction, self-time / GC / utilization
-   analyses, the Prometheus rendering, the multi-process trace merge,
-   trace decoding and the [report] renderings — including QCheck
-   properties over synthetic span forests and hostile trace files. *)
+   analyses, the multi-process trace merge, trace decoding and the
+   [report] renderings — including QCheck properties over synthetic span
+   forests and hostile trace files. *)
 
 module Ev = Repro_prof.Event
 module A = Repro_prof.Analysis
@@ -378,49 +378,6 @@ let test_live_gc_capture_roundtrip () =
         "child gc <= parent gc" true
         (Ev.gc_field s "gc.minor_w"
         <= Ev.gc_field outer "gc.minor_w" +. 1e-9))
-
-(* ---- Prometheus rendering ----------------------------------------- *)
-
-let test_prom_matches_snapshot () =
-  let module T = Repro_engine.Telemetry in
-  T.incr "proftest.requests" ~by:3;
-  T.set "proftest.gauge" 7;
-  T.add_time "proftest.elapsed" 0.25;
-  let h = Repro_obs.Histogram.get "proftest.latency" in
-  Repro_obs.Histogram.observe h 0.5;
-  let prom = Repro_prof.Prom.render () in
-  let contains line =
-    List.exists (String.equal line) (String.split_on_char '\n' prom)
-  in
-  Alcotest.(check bool)
-    "counter rendered" true
-    (contains "hieropt_proftest_requests 3");
-  Alcotest.(check bool)
-    "set counter rendered" true
-    (contains "hieropt_proftest_gauge 7");
-  Alcotest.(check bool)
-    "timer rendered" true
-    (contains "hieropt_proftest_elapsed_seconds 0.25");
-  Alcotest.(check bool)
-    "histogram sum rendered" true
-    (contains "hieropt_proftest_latency_seconds_sum 0.5");
-  Alcotest.(check bool)
-    "histogram count rendered" true
-    (contains "hieropt_proftest_latency_seconds_count 1");
-  (* the same snapshot surface the JSON /v1/metrics endpoint renders:
-     values must agree between the two formats *)
-  let json = Repro_serve.Api.metrics_json () in
-  let module J = Repro_util.Json in
-  (match Option.bind (J.member "counters" json) (J.member "proftest.requests")
-   with
-  | Some (J.Num v) -> Alcotest.(check (float 0.0)) "json counter" 3.0 v
-  | _ -> Alcotest.fail "counter missing from JSON metrics");
-  match
-    Option.bind (J.member "histograms" json) (J.member "proftest.latency")
-    |> Fun.flip Option.bind (J.member "count")
-  with
-  | Some (J.Num v) -> Alcotest.(check (float 0.0)) "json histogram" 1.0 v
-  | _ -> Alcotest.fail "histogram missing from JSON metrics"
 
 (* ---- trace files: encoding, decoding, merging --------------------- *)
 
@@ -1098,8 +1055,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_validate_no_orphans;
     Alcotest.test_case "validate containment" `Quick test_validate_containment;
     Alcotest.test_case "live gc capture" `Quick test_live_gc_capture_roundtrip;
-    Alcotest.test_case "prometheus rendering" `Quick
-      test_prom_matches_snapshot;
     Alcotest.test_case "export golden bytes" `Quick test_export_golden;
     Alcotest.test_case "merge names each process once" `Quick
       test_merge_names_each_process_once;

@@ -1,6 +1,6 @@
 (* The model server end to end: JSON codec exactness, HTTP parsing,
-   registry lifecycle, and a loopback server whose answers must be
-   bit-identical to querying the in-process table. *)
+   and a loopback server whose answers must be bit-identical to
+   querying the in-process table. *)
 
 module H = Hieropt
 module S = Repro_serve
@@ -196,7 +196,7 @@ let test_conn_response_bytes () =
   S.Conn.push_response ~keep_alive:false ~status:503 ~body:"x" conn;
   Alcotest.(check bool) "close requested" true (S.Conn.close_after_flush conn)
 
-(* ---- registry ---- *)
+(* ---- loopback server ---- *)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -215,127 +215,28 @@ let with_root f =
   let root = temp_root () in
   Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
 
-(* a second, distinguishable model: same grid, different jitter *)
-let other_entries =
-  Array.map
-    (fun e ->
-      {
-        e with
-        Hieropt.Variation_model.design =
-          {
-            e.Hieropt.Variation_model.design with
-            Hieropt.Vco_problem.perf =
-              {
-                e.Hieropt.Variation_model.design.Hieropt.Vco_problem.perf with
-                Repro_spice.Vco_measure.jvco =
-                  e.Hieropt.Variation_model.design.Hieropt.Vco_problem.perf
-                    .Repro_spice.Vco_measure.jvco *. 2.0;
-              };
-          };
-      })
-    Test_core.synthetic_entries
-
-let other_model = H.Perf_table.build other_entries
-
-let test_registry_load_and_ids () =
-  with_root @@ fun root ->
-  H.Perf_table.save ~dir:root Test_core.model;
-  let reg = S.Registry.create ~root () in
-  (match S.Registry.get reg "default" with
-  | Ok table -> Alcotest.(check int) "entries" 8 (H.Perf_table.size table)
-  | Error e -> Alcotest.failf "load failed: %s" (S.Registry.error_to_string e));
-  (match S.Registry.get reg "../etc" with
-  | Error (S.Registry.Invalid_id _) -> ()
-  | _ -> Alcotest.fail "path traversal must be an invalid id");
-  (match S.Registry.get reg "no_such_model" with
-  | Error (S.Registry.Unknown_model _) -> ()
-  | _ -> Alcotest.fail "missing dir must be unknown");
-  Alcotest.(check int) "one model cached" 1 (S.Registry.loaded_count reg)
-
-let test_registry_invalidation () =
-  with_root @@ fun root ->
-  H.Perf_table.save ~dir:root Test_core.model;
-  let reg = S.Registry.create ~root () in
-  let jvco_of reg =
-    match S.Registry.get reg "default" with
-    | Ok t -> H.Perf_table.jvco_of t ~kvco:400e6 ~ivco:3e-3
-    | Error e -> Alcotest.failf "load failed: %s" (S.Registry.error_to_string e)
+(* [hieropt serve] serves what it loads from disk, and the archive keeps
+   10 significant digits (%.9e) — so by default the server gets
+   [Test_core.model] through a save and a load, and bit-identity claims
+   compare against that loaded table, exactly as a real run would *)
+let with_server ?(reactors = 2) ?request_timeout ?model f =
+  let serve loaded =
+    let api = S.Api.create ~version:"test" ~model:loaded () in
+    let server = S.Server.start ~port:0 ~reactors ?request_timeout ~api () in
+    Fun.protect
+      ~finally:(fun () ->
+        S.Server.stop ~drain_timeout:2. server;
+        S.Server.wait server)
+      (fun () ->
+        f ~loaded server
+          (S.Client.create ~port:(S.Server.port server) ~retries:1 ()))
   in
-  let before = jvco_of reg in
-  (* overwrite the model on disk and force a different mtime — a cached
-     table must not survive its archive changing under it *)
-  H.Perf_table.save ~dir:root other_model;
-  let bumped = Unix.time () +. 10. in
-  Unix.utimes (Filename.concat root "pareto.tbl") bumped bumped;
-  let after = jvco_of reg in
-  Alcotest.(check bool) "reloaded" true (bits after <> bits before);
-  Alcotest.(check (float 1e-30)) "doubled jitter" (before *. 2.0) after
-
-let test_registry_concurrent () =
-  (* several threads resolve the same ids through an LRU registry whose
-     capacity forces constant eviction/reload churn; every get must
-     return a structurally complete table and the registry must stay
-     within capacity afterwards *)
-  with_root @@ fun root ->
-  List.iter
-    (fun id ->
-      let dir = Filename.concat root id in
-      Unix.mkdir dir 0o755;
-      H.Perf_table.save ~dir Test_core.model)
-    [ "a"; "b"; "c" ];
-  let reg = S.Registry.create ~capacity:1 ~root () in
-  let failures = Atomic.make 0 in
-  let worker seed () =
-    let ids = [| "a"; "b"; "c" |] in
-    for i = 0 to 149 do
-      match S.Registry.get reg ids.((i + seed) mod 3) with
-      | Ok table ->
-        if H.Perf_table.size table <> 8 then Atomic.incr failures
-      | Error _ -> Atomic.incr failures
-    done
-  in
-  let threads = [ Thread.create (worker 0) (); Thread.create (worker 1) () ] in
-  List.iter Thread.join threads;
-  Alcotest.(check int) "every concurrent get succeeded" 0
-    (Atomic.get failures);
-  Alcotest.(check int) "capacity respected after churn" 1
-    (S.Registry.loaded_count reg)
-
-let test_registry_lru () =
-  with_root @@ fun root ->
-  List.iter
-    (fun id ->
-      let dir = Filename.concat root id in
-      Unix.mkdir dir 0o755;
-      H.Perf_table.save ~dir Test_core.model)
-    [ "a"; "b" ];
-  let reg = S.Registry.create ~capacity:1 ~root () in
-  ignore (S.Registry.get reg "a");
-  Alcotest.(check int) "a loaded" 1 (S.Registry.loaded_count reg);
-  ignore (S.Registry.get reg "b");
-  Alcotest.(check int) "a evicted for b" 1 (S.Registry.loaded_count reg);
-  let ids = List.map (fun i -> i.S.Registry.id) (S.Registry.list reg) in
-  Alcotest.(check (list string)) "listing" [ "a"; "b" ] ids
-
-(* ---- loopback server ---- *)
-
-(* the server serves what it loads from disk, and the archive keeps 10
-   significant digits (%.9e) — so bit-identity claims must compare
-   against the same loaded table, exactly as a real run would *)
-let with_server ?(reactors = 2) ?request_timeout f =
-  with_root @@ fun root ->
-  H.Perf_table.save ~dir:root Test_core.model;
-  let loaded = H.Perf_table.load ~dir:root in
-  let registry = S.Registry.create ~root () in
-  let api = S.Api.create ~version:"test" ~registry () in
-  let server = S.Server.start ~port:0 ~reactors ?request_timeout ~api () in
-  Fun.protect
-    ~finally:(fun () ->
-      S.Server.stop ~drain_timeout:2. server;
-      S.Server.wait server)
-    (fun () ->
-      f ~loaded server
-        (S.Client.create ~port:(S.Server.port server) ~retries:1 ()))
+  match model with
+  | Some table -> serve table
+  | None ->
+    with_root @@ fun root ->
+    H.Perf_table.save ~dir:root Test_core.model;
+    serve (H.Perf_table.load ~dir:root)
 
 let query_batch =
   (* sample points, interpolated points, and out-of-range clamps *)
@@ -356,24 +257,6 @@ let test_serve_query_bit_identical () =
       if l <> remote.(i) then
         Alcotest.failf "point %d differs after the HTTP roundtrip" i)
     local
-
-let test_serve_verify () =
-  with_server @@ fun ~loaded _server client ->
-  let e = Test_core.synthetic_entries.(3) in
-  let perf = e.H.Variation_model.design.H.Vco_problem.perf in
-  let params = check_client (S.Client.verify_point client ~model:"default" perf) in
-  let expected =
-    Repro_circuit.Topologies.vco_vector_of_params
-      (H.Perf_table.params_of_perf loaded perf)
-  in
-  Alcotest.(check int) "7 params" 7 (List.length params);
-  List.iteri
-    (fun i (name, v) ->
-      Alcotest.(check string)
-        "param order" Repro_circuit.Topologies.vco_param_names.(i) name;
-      if bits v <> bits expected.(i) then
-        Alcotest.failf "param %s differs after the HTTP roundtrip" name)
-    params
 
 let test_serve_endpoints () =
   with_server @@ fun ~loaded:_ _server client ->
@@ -403,11 +286,6 @@ let test_serve_endpoints () =
     (counter "serve.queries" after -. counter "serve.queries" before);
   Alcotest.(check bool) "serve.requests grows" true
     (counter "serve.requests" after > counter "serve.requests" before);
-  (* model listing *)
-  let models = check_client (S.Client.get_json client "/v1/models") in
-  (match Json.member "models" models with
-  | Some (Json.Arr (_ :: _)) -> ()
-  | _ -> Alcotest.fail "models listing");
   (* status mapping *)
   let status path meth body =
     match
@@ -419,14 +297,37 @@ let test_serve_endpoints () =
   in
   Alcotest.(check int) "404 unknown path" 404 (status "/nope" "GET" "");
   Alcotest.(check int) "404 unknown v1 path" 404 (status "/v1/nope" "GET" "");
-  Alcotest.(check int) "404 unknown model" 404
-    (status "/v1/models/missing/query" "POST" "{\"kvco\":1,\"ivco\":1}");
+  (* a server serves one model: any other id is a 404, whatever the
+     verb, and never a filesystem lookup *)
+  List.iter
+    (fun (path, meth) ->
+      Alcotest.(check int) ("404 " ^ meth ^ " " ^ path) 404
+        (status path meth "{\"kvco\":1,\"ivco\":1}"))
+    [
+      ("/v1/models/missing/query", "POST");
+      ("/v1/models/missing/query", "GET");
+      ("/v1/models/../export", "GET");
+      ("/v1/models/missing/export", "GET");
+      ("/v1/models", "GET");
+      ("/v1/models/default/verify", "POST");
+      ("/v1/models/default", "GET");
+    ];
   Alcotest.(check int) "405 wrong verb" 405
     (status "/v1/models/default/query" "GET" "");
   Alcotest.(check int) "400 bad body" 400
     (status "/v1/models/default/query" "POST" "{");
   Alcotest.(check int) "400 missing field" 400
-    (status "/v1/models/default/query" "POST" "{\"kvco\":1}")
+    (status "/v1/models/default/query" "POST" "{\"kvco\":1}");
+  (* /v1/metrics is the JSON document whatever its query string *)
+  List.iter
+    (fun path ->
+      match S.Client.get_json client path with
+      | Ok m ->
+        Alcotest.(check bool) (path ^ " is the JSON snapshot") true
+          (Json.member "histograms" m <> None)
+      | Error e ->
+        Alcotest.failf "GET %s: %s" path (S.Client.error_to_string e))
+    [ "/v1/metrics?format=prom"; "/v1/metrics?format=xml"; "/v1/metrics?x" ]
 
 let test_serve_export () =
   with_server @@ fun ~loaded _server client ->
@@ -465,26 +366,6 @@ let test_serve_export () =
   | Ok r -> Alcotest.(check int) "wrong verb is a 405" 405 r.Http.status
   | Error e -> Alcotest.failf "POST export: %s" (S.Client.error_to_string e)
 
-let test_serve_metrics_prom () =
-  with_server @@ fun ~loaded:_ _server client ->
-  let get path =
-    match S.Client.get client path with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "GET %s: %s" path (S.Client.error_to_string e)
-  in
-  let prom = get "/v1/metrics?format=prom" in
-  Alcotest.(check int) "prom status" 200 prom.Http.status;
-  Alcotest.(check (option string))
-    "exposition content type"
-    (Some "text/plain; version=0.0.4; charset=utf-8")
-    (Http.header "content-type" prom.Http.resp_headers);
-  Alcotest.(check bool) "a hieropt_ sample line" true
-    (List.exists
-       (fun line -> String.starts_with ~prefix:"hieropt_" line)
-       (String.split_on_char '\n' prom.Http.resp_body));
-  Alcotest.(check int) "unknown format is a 400" 400
-    (get "/v1/metrics?format=xml").Http.status
-
 let test_serve_unversioned_404 () =
   with_server @@ fun ~loaded:_ _server client ->
   let status path =
@@ -492,15 +373,31 @@ let test_serve_unversioned_404 () =
     | Ok r -> r.Http.status
     | Error e -> Alcotest.failf "GET %s: %s" path (S.Client.error_to_string e)
   in
-  Alcotest.(check int) "/v1/models" 200 (status "/v1/models");
+  Alcotest.(check int) "/v1/healthz" 200 (status "/v1/healthz");
   List.iter
     (fun path -> Alcotest.(check int) path 404 (status path))
     [ "/healthz"; "/metrics"; "/models"; "/models/default/export" ]
 
-(* the hot-path serialiser must emit byte-for-byte what Json.to_string
-   produces for the equivalent tree — the property the bit-identity
-   guarantee (and every JSON consumer) rests on *)
-let test_serve_query_fast_path_bytes () =
+(* the query response on the wire is byte-for-byte what Json.to_string
+   produces for the result tree — the property the bit-identity
+   guarantee (and every JSON consumer) rests on — and, over the
+   committed fixture model, these exact bytes *)
+let fixture_query_body =
+  {|{"points":[{"kvco":400000000,"ivco":0.003},{"kvco":512500000,"ivco":0.00425}]}|}
+
+let fixture_query_golden =
+  {|{"model":"default","count":2,"results":[{"kvco":{"nominal":400000000,"min":390168812.588,"max":409831187.412},"ivco":{"nominal":0.003,"min":0.00293383633488,"max":0.00306616366512},"jvco":{"nominal":2.2028582237621793e-13,"min":1.430213662744001e-13,"max":2.9755027847803577e-13},"fmin":339464348.638873,"fmax":1344428975.1042397},{"kvco":{"nominal":512500000,"min":498811696.3633755,"max":526188303.6366245},"ivco":{"nominal":0.00425,"min":0.00420982155724307,"max":0.0042901784427569305},"jvco":{"nominal":1.9850973847549323e-13,"min":1.6929502325424693e-13,"max":2.2772445369673953e-13},"fmin":262367139.070412,"fmax":1290630289.2807574}]}|}
+
+let test_serve_query_wire_bytes_golden () =
+  (with_server ~model:(Test_core.fixture ()) @@ fun ~loaded:_ _server client ->
+   match
+     S.Client.post client "/v1/models/default/query" ~body:fixture_query_body
+   with
+   | Error e -> Alcotest.failf "query: %s" (S.Client.error_to_string e)
+   | Ok r ->
+     Alcotest.(check int) "fixture 200" 200 r.Http.status;
+     Alcotest.(check string) "fixture wire bytes = golden" fixture_query_golden
+       r.Http.resp_body);
   with_server @@ fun ~loaded server _client ->
   let results = H.Perf_table.eval_points loaded query_batch in
   let triple (nominal, lo, hi) =
@@ -552,9 +449,6 @@ let test_serve_query_fast_path_bytes () =
 
 let test_serve_healthz_info () =
   with_server @@ fun ~loaded:_ _server client ->
-  (* load a model so models_loaded is non-zero *)
-  ignore
-    (check_client (S.Client.query_points client ~model:"default" query_batch));
   let health = check_client (S.Client.get_json client "/v1/healthz") in
   let num name =
     match Json.member name health with
@@ -566,8 +460,12 @@ let test_serve_healthz_info () =
   | _ -> Alcotest.fail "healthz version");
   Alcotest.(check bool) "started_at plausible" true (num "started_at" > 0.0);
   Alcotest.(check bool) "uptime non-negative" true (num "uptime_seconds" >= 0.0);
-  Alcotest.(check (float 0.0)) "one servable model" 1.0 (num "models");
-  Alcotest.(check (float 0.0)) "one loaded model" 1.0 (num "models_loaded")
+  match health with
+  | Json.Obj fields ->
+    Alcotest.(check (list string)) "no model counts"
+      [ "status"; "version"; "started_at"; "uptime_seconds" ]
+      (List.map fst fields)
+  | _ -> Alcotest.fail "healthz is not an object"
 
 let test_serve_metrics_histograms () =
   with_server @@ fun ~loaded:_ _server client ->
@@ -784,16 +682,17 @@ let test_parse_endpoint () =
     | Ok v -> v
     | Error e -> Alcotest.failf "parse_endpoint %S: %s" s e
   in
-  Alcotest.(check (triple string int string)) "host:port"
-    ("localhost", 8190, "default") (ok "localhost:8190");
-  Alcotest.(check (triple string int string)) "with model"
-    ("10.0.0.1", 9000, "vco_a") (ok "10.0.0.1:9000/vco_a");
+  Alcotest.(check (pair string int)) "host:port" ("localhost", 8190)
+    (ok "localhost:8190");
+  Alcotest.(check (pair string int)) "address" ("10.0.0.1", 9000)
+    (ok "10.0.0.1:9000");
   List.iter
     (fun s ->
       match S.Remote.parse_endpoint s with
       | Ok _ -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
-    [ "localhost"; "host:"; ":80"; "host:0"; "host:99999"; "host:80/" ]
+    [ "localhost"; "host:"; ":80"; "host:0"; "host:99999"; "host:80/";
+      "host:80/vco_a" ]
 
 let suite =
   [
@@ -809,22 +708,14 @@ let suite =
     Alcotest.test_case "conn protocol error breaks" `Quick
       test_conn_protocol_error_breaks;
     Alcotest.test_case "conn response bytes" `Quick test_conn_response_bytes;
-    Alcotest.test_case "registry load and ids" `Quick test_registry_load_and_ids;
-    Alcotest.test_case "registry invalidation" `Quick test_registry_invalidation;
-    Alcotest.test_case "registry lru" `Quick test_registry_lru;
-    Alcotest.test_case "registry concurrent gets" `Quick
-      test_registry_concurrent;
     Alcotest.test_case "serve query bit-identical" `Quick
       test_serve_query_bit_identical;
-    Alcotest.test_case "serve verify" `Quick test_serve_verify;
     Alcotest.test_case "serve endpoints" `Quick test_serve_endpoints;
     Alcotest.test_case "serve export" `Quick test_serve_export;
-    Alcotest.test_case "serve metrics prometheus" `Quick
-      test_serve_metrics_prom;
     Alcotest.test_case "unversioned paths answer 404" `Quick
       test_serve_unversioned_404;
-    Alcotest.test_case "serve query fast-path bytes" `Quick
-      test_serve_query_fast_path_bytes;
+    Alcotest.test_case "serve query wire-bytes golden" `Quick
+      test_serve_query_wire_bytes_golden;
     Alcotest.test_case "serve healthz info" `Quick test_serve_healthz_info;
     Alcotest.test_case "serve metrics histograms" `Quick
       test_serve_metrics_histograms;
