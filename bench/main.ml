@@ -330,12 +330,12 @@ let serve_bench (result : H.Hierarchy.result) =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
-(* moo section: optimiser portfolio + surrogate pre-screen             *)
+(* moo section: optimiser choice + surrogate pre-screen                *)
 (* ------------------------------------------------------------------ *)
 
 (* the standard two-objective ZDT1 kernel: cheap, convex true front,
-   so hypervolume at a small fixed budget separates the portfolio
-   members cleanly *)
+   so hypervolume at a small fixed budget separates the two optimisers
+   cleanly *)
 let zdt1_problem () =
   Repro_moo.Problem.create ~name:"zdt1"
     ~bounds:(Array.make 10 (0.0, 1.0))
@@ -352,24 +352,24 @@ let zdt1_problem () =
         constraint_violation = 0.0;
       })
 
-(* Portfolio shoot-out at one identical evaluation budget on ZDT1,
+(* The flow's two optimisers at one identical evaluation budget on ZDT1,
    scored by the exact 2-D hypervolume, then the surrogate pre-screen
    on the flow's own circuit-level GA: the avoided/paid split from the
    telemetry counters and whether the screened front still agrees with
    the exhaustive one. *)
 let moo_bench () =
-  let module O = Repro_moo.Optimiser in
   let zdt1 = zdt1_problem () in
   let pop = 24 and gens = 30 in
-  let options = { O.population = pop; generations = gens } in
   let reference = [| 1.1; 1.1 |] in
   Printf.printf "ZDT1 at an identical budget (%d evaluations each):\n"
     (pop * (gens + 1));
   List.iter
-    (fun (name, opt) ->
+    (fun opt ->
+      let name = H.Hierarchy.optimiser_name opt in
       let t0 = Unix.gettimeofday () in
       let final =
-        O.optimise opt ~options zdt1 (Repro_util.Prng.create 29)
+        H.Hierarchy.optimise opt ~population:pop ~generations:gens zdt1
+          (Repro_util.Prng.create 29)
       in
       let dt = Unix.gettimeofday () -. t0 in
       let front = Repro_moo.Nsga2.pareto_front final in
@@ -381,7 +381,7 @@ let moo_bench () =
       Printf.printf
         "  %-8s %2d front designs, hypervolume %.4f   (%.2f s)\n" name
         (Array.length front) hv dt)
-    O.all;
+    H.Hierarchy.optimisers;
   (* surrogate leg: the reference flow's circuit-level problem (tiny
      spec), same seed with screening off then on.  A fresh cold cache
      per leg keeps the wall times comparable and the avoided/paid
@@ -397,8 +397,6 @@ let moo_bench () =
   in
   let problem = H.Hierarchy.circuit_problem cfg in
   let ga_pop = 16 and ga_gens = 14 in
-  let ga_options = { O.population = ga_pop; generations = ga_gens } in
-  let de = Option.get (O.of_name "de") in
   let sur_options =
     { Repro_moo.Surrogate.default_options with Repro_moo.Surrogate.guard = 0.05 }
   in
@@ -417,7 +415,8 @@ let moo_bench () =
     let avoided0 = counter "eval.avoided" in
     let t0 = Unix.gettimeofday () in
     let final =
-      O.optimise de ~options:ga_options ~evaluator problem
+      H.Hierarchy.optimise H.Hierarchy.De ~population:ga_pop
+        ~generations:ga_gens ~evaluator problem
         (Repro_util.Prng.create cfg.H.Hierarchy.seed)
     in
     let wall = Unix.gettimeofday () -. t0 in
@@ -556,7 +555,7 @@ let run_experiments ~scale ~spec () =
   section "Ablation — optimiser choice at the system level (equal budget)";
   print_string (optimiser_ablation result);
   telemetry_line ();
-  section "Moo — optimiser portfolio + surrogate pre-screen";
+  section "Moo — optimiser choice + surrogate pre-screen";
   moo_bench ();
   telemetry_line ();
   section "Solver — sparse MNA kernel (reference VCO)";

@@ -99,15 +99,14 @@ let jobs_t =
 
 let setup_jobs jobs = Option.iter Repro_engine.Config.set_jobs jobs
 
-(* ---- optimiser-portfolio flags ---- *)
+(* ---- optimiser choice ---- *)
 
 let optimiser_t =
-  let choices =
-    List.map (fun n -> (n, n)) Repro_moo.Optimiser.names
-  in
+  let module H = Hieropt.Hierarchy in
+  let choices = List.map (fun o -> (H.optimiser_name o, o)) H.optimisers in
   Arg.(
     value
-    & opt (enum choices) "nsga2"
+    & opt (enum choices) H.Nsga2
     & info [ "optimiser" ] ~docv:"ALGO"
         ~doc:
           "Optimiser running both GA levels: $(b,nsga2) (the paper's, \

@@ -21,12 +21,19 @@ Cl out 0 50f
 .end
 |}
 
+(* a solver error ends the example with its message *)
+let or_exit = function
+  | Ok r -> r
+  | Error e ->
+    prerr_endline (S.Solver_error.to_string e);
+    exit 1
+
 let () =
   Format.printf "deck:@.%s@." deck;
   let net = Repro_netlist.Elab.netlist_of_string deck in
   let cm = S.Mna.compile net in
   (* DC operating point with the input low *)
-  let dc = S.Dcop.solve cm in
+  let dc = or_exit (S.Dcop.solve_result cm) in
   Format.printf "DC operating point (%s, %d Newton iterations):@."
     dc.S.Dcop.strategy dc.S.Dcop.iterations;
   List.iter
@@ -34,7 +41,11 @@ let () =
       Format.printf "  v(%s) = %.4f V@." node (S.Dcop.node_voltage cm dc node))
     [ "in"; "ing"; "out" ];
   (* transient over a few input periods *)
-  let res = S.Transient.run cm (S.Transient.default_options ~t_stop:12e-9 ~dt:10e-12) in
+  let res =
+    or_exit
+      (S.Transient.run_result cm
+         (S.Transient.default_options ~t_stop:12e-9 ~dt:10e-12))
+  in
   let vout = S.Transient.node_wave res "out" in
   let idd = S.Transient.source_current_wave res "Vdd" in
   Format.printf "@.transient (12 ns, %d points):@." (Array.length (S.Transient.times res));
@@ -54,7 +65,9 @@ let () =
       let cnet = C.Process.corner corner net in
       let ccm = S.Mna.compile cnet in
       let cres =
-        S.Transient.run ccm (S.Transient.default_options ~t_stop:4e-9 ~dt:10e-12)
+        or_exit
+          (S.Transient.run_result ccm
+             (S.Transient.default_options ~t_stop:4e-9 ~dt:10e-12))
       in
       let w = S.Transient.node_wave cres "out" in
       let falls = S.Waveform.crossings ~direction:S.Waveform.Falling w ~level:0.6 in

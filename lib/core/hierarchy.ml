@@ -62,6 +62,26 @@ let tiny_spec =
 
 let scale_of_env () = if E.Config.full () then paper_scale else bench_scale
 
+(* the paper's optimiser, and the one alternative the flow offers *)
+type optimiser = Nsga2 | De
+
+let optimisers = [ Nsga2; De ]
+let optimiser_name = function Nsga2 -> "nsga2" | De -> "de"
+
+(* each algorithm at its library defaults except the two counts the
+   scales set *)
+let optimise optimiser ~population ~generations ?evaluator ?on_generation
+    problem prng =
+  match optimiser with
+  | Nsga2 ->
+    Nsga2.optimise
+      ~options:{ Nsga2.default_options with population; generations }
+      ?evaluator ?on_generation problem prng
+  | De ->
+    Repro_moo.De.optimise
+      ~options:{ Repro_moo.De.default_options with population; generations }
+      ?evaluator ?on_generation problem prng
+
 (* a pluggable circuit front end: how to turn the 7-float sizing vector
    into a measurable netlist.  [tag] is the template's content
    fingerprint — the only part of the record that may enter cache salts
@@ -83,21 +103,8 @@ type config = {
   use_variation : bool;
   model_dir : string option;
   circuit : circuit option;
-  optimiser : string;
+  optimiser : optimiser;
 }
-
-let default_config ?(scale = bench_scale) () =
-  {
-    seed = 2009;
-    scale;
-    spec = Spec.default;
-    measure = V.default_options;
-    process = Repro_circuit.Process.default;
-    use_variation = true;
-    model_dir = None;
-    circuit = None;
-    optimiser = "nsga2";
-  }
 
 let validate_scale s =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
@@ -134,15 +141,10 @@ let validate_circuit c =
 
 let make_config ?(seed = 2009) ?(scale = bench_scale) ?(spec = Spec.default)
     ?(measure = V.default_options) ?(process = Repro_circuit.Process.default)
-    ?(use_variation = true) ?model_dir ?circuit ?(optimiser = "nsga2") () =
+    ?(use_variation = true) ?model_dir ?circuit ?(optimiser = Nsga2) () =
   validate_scale scale;
   Spec.validate spec;
   Option.iter validate_circuit circuit;
-  if Repro_moo.Optimiser.of_name optimiser = None then
-    Printf.ksprintf invalid_arg
-      "Hierarchy.make_config: unknown optimiser %S (expected one of %s)"
-      optimiser
-      (String.concat ", " Repro_moo.Optimiser.names);
   { seed; scale; spec; measure; process; use_variation; model_dir; circuit;
     optimiser }
 
@@ -164,13 +166,6 @@ let phase_name = function
   | Variation -> "variation"
   | Model -> "model"
   | System_ga -> "system-ga"
-
-let phase_of_string = function
-  | "circuit-ga" -> Some Circuit_ga
-  | "variation" -> Some Variation
-  | "model" -> Some Model
-  | "system-ga" -> Some System_ga
-  | _ -> None
 
 type verification = {
   requested : V.performance;
@@ -287,7 +282,7 @@ let circuit_tag cfg =
    does: screened DE is the only pairing that beat plain NSGA-II's
    hypervolume per wall second on the circuit problem (README,
    "Optimiser portfolio") *)
-let screened cfg = cfg.optimiser = "de"
+let screened cfg = cfg.optimiser = De
 
 let config_salt cfg =
   Printf.sprintf "%08x"
@@ -298,8 +293,9 @@ let config_salt cfg =
          cfg.use_variation,
          circuit_tag cfg,
          (* optimiser choice and screening are salted so a screened
-            run's cache can never alias an exhaustive run's *)
-         (cfg.optimiser, screened cfg) ))
+            run's cache can never alias an exhaustive run's; the name,
+            not the constructor, keeps the salt of earlier caches *)
+         (optimiser_name cfg.optimiser, screened cfg) ))
 
 (* A variation-model entry also depends on the seed, which fixes the
    Monte-Carlo streams; the front index, sample count and sizing are in
@@ -359,20 +355,9 @@ let boundary cfg cache () =
 let evaluator_of ~salt cache =
   Repro_moo.Problem.parallel_evaluator ~cache ~salt ()
 
-let portfolio_of cfg =
-  match Repro_moo.Optimiser.of_name cfg.optimiser with
-  | Some m -> m
-  | None ->
-    (* reachable only through hand-built config records; [make_config]
-       validates the name *)
-    invalid_arg ("Hierarchy: unknown optimiser " ^ cfg.optimiser)
-
 (* the human-facing algorithm label for progress lines *)
 let optimiser_label cfg =
-  (match cfg.optimiser with
-  | "nsga2" -> "NSGA-II"
-  | "de" -> "DE"
-  | other -> other)
+  (match cfg.optimiser with Nsga2 -> "NSGA-II" | De -> "DE")
   ^ if screened cfg then "+surrogate" else ""
 
 (* ---- circuit front end -------------------------------------------- *)
@@ -413,7 +398,7 @@ let fingerprint ?(extra = "") cfg =
          cfg.process,
          cfg.use_variation,
          circuit_tag cfg,
-         (cfg.optimiser, screened cfg) ))
+         (optimiser_name cfg.optimiser, screened cfg) ))
     extra
 
 (* the testing hook: stop at a phase boundary exactly as an external
@@ -443,13 +428,14 @@ let with_run ~progress ~fingerprint cfg f =
         save_cache ~progress cfg cache;
         raise e)
 
-(* one optimiser run over any portfolio member, with [at_generation]
-   called after the initial population and after every generation.
-   With [surrogate] the evaluator is wrapped in a pre-screen; the
+(* one run of the config's optimiser, with [at_generation] called after
+   the initial population and after every generation.  A screened
+   optimiser's evaluator is wrapped in the surrogate pre-screen; the
    screen is a pure function of the evaluations it has seen, so a
    re-run over a warm cache makes the same decisions. *)
-let run_ga ~progress ~label ~optimiser ~options ~evaluator ~surrogate ~hv_of
+let run_ga ~progress ~label cfg ~population ~generations ~evaluator ~hv_of
     ~at_generation problem prng =
+  let surrogate = screened cfg in
   let evaluator =
     if surrogate then
       Repro_moo.Surrogate.wrap (Repro_moo.Surrogate.create ()) evaluator
@@ -473,7 +459,7 @@ let run_ga ~progress ~label ~optimiser ~options ~evaluator ~surrogate ~hv_of
     end
   in
   let pop =
-    Repro_moo.Optimiser.optimise optimiser ~options ~evaluator
+    optimise cfg.optimiser ~population ~generations ~evaluator
       ~on_generation:(fun generation pop ->
         record generation pop;
         at_generation ())
@@ -534,14 +520,9 @@ let run_system_level_inner ~progress ~cache ?interrupt_after ?pll_query cfg
   let pll_problem = Pll_problem.problem pll_cfg in
   let pll_pop =
     timed_phase "system-ga" @@ fun () ->
-    run_ga ~progress ~label:"system" ~optimiser:(portfolio_of cfg)
-      ~options:
-        {
-          Repro_moo.Optimiser.population = scale.pll_population;
-          generations = scale.pll_generations;
-        }
+    run_ga ~progress ~label:"system" cfg ~population:scale.pll_population
+      ~generations:scale.pll_generations
       ~evaluator:(evaluator_of ~salt:(system_salt cfg model) cache)
-      ~surrogate:(screened cfg)
       ~hv_of:(Repro_moo.Hypervolume.of_front ~reference:system_hv_reference)
       ~at_generation:(boundary cfg cache) pll_problem prng
   in
@@ -597,14 +578,9 @@ let run ?(progress = fun _ -> ()) ?interrupt_after cfg =
       (optimiser_label cfg) scale.vco_population scale.vco_generations;
     let pop =
       timed_phase "circuit-ga" @@ fun () ->
-      run_ga ~progress ~label:"circuit" ~optimiser:(portfolio_of cfg)
-        ~options:
-          {
-            Repro_moo.Optimiser.population = scale.vco_population;
-            generations = scale.vco_generations;
-          }
+      run_ga ~progress ~label:"circuit" cfg ~population:scale.vco_population
+        ~generations:scale.vco_generations
         ~evaluator:(evaluator_of ~salt:(config_salt cfg) cache)
-        ~surrogate:(screened cfg)
         ~hv_of:
           (Repro_moo.Hypervolume.of_front ~dims:circuit_hv_dims
              ~reference:circuit_hv_reference)

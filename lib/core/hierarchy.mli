@@ -59,6 +59,39 @@ val scale_of_env : unit -> scale
 (** [paper_scale] when {!Repro_engine.Config.full} reports that
     HIEROPT_FULL is set, else [bench_scale]. *)
 
+(** {2 The optimiser choice} *)
+
+type optimiser =
+  | Nsga2  (** the paper's optimiser at both levels; runs unscreened *)
+  | De
+      (** differential evolution ({!Repro_moo.De}), always behind the
+          surrogate pre-screen ({!Repro_moo.Surrogate}), which skips
+          exact evaluation of candidates predicted dominated by the
+          current front *)
+
+val optimisers : optimiser list
+(** [[Nsga2; De]], the choices the CLI's [--optimiser] offers. *)
+
+val optimiser_name : optimiser -> string
+(** ["nsga2"], ["de"]: the CLI spelling, and what the cache salt and
+    the run fingerprint hash. *)
+
+val optimise :
+  optimiser ->
+  population:int ->
+  generations:int ->
+  ?evaluator:Repro_moo.Problem.evaluator ->
+  ?on_generation:(int -> Repro_moo.Nsga2.individual array -> unit) ->
+  Repro_moo.Problem.t ->
+  Repro_util.Prng.t ->
+  Repro_moo.Nsga2.individual array
+(** Run the optimiser with every knob at its library default
+    ({!Repro_moo.Nsga2.default_options}, {!Repro_moo.De.default_options})
+    except [population] and [generations]; see the algorithm's
+    [optimise] for [evaluator] and [on_generation].  Screening is the
+    flow's business, not this function's.
+    @raise Invalid_argument on a population the algorithm rejects. *)
+
 (** {2 Pluggable circuit front end}
 
     By default the flow sizes the built-in
@@ -91,16 +124,10 @@ type config = {
       (** where to save the .tbl model files and the eval cache *)
   circuit : circuit option;
       (** custom circuit front end; [None] is the built-in ring VCO *)
-  optimiser : string;
-      (** portfolio member running both GA levels: one of
-          {!Repro_moo.Optimiser.names}.  ["nsga2"] (the paper's) runs
-          unscreened; ["de"] always runs behind the surrogate pre-screen
-          ({!Repro_moo.Surrogate}), which skips exact evaluation of
-          candidates predicted dominated by the current front.  The
-          name and whether it screens are salted into cache keys. *)
+  optimiser : optimiser;
+      (** the optimiser running both GA levels; its name and whether it
+          screens are salted into cache keys *)
 }
-
-val default_config : ?scale:scale -> unit -> config
 
 val make_config :
   ?seed:int ->
@@ -111,15 +138,15 @@ val make_config :
   ?use_variation:bool ->
   ?model_dir:string ->
   ?circuit:circuit ->
-  ?optimiser:string ->
+  ?optimiser:optimiser ->
   unit ->
   config
 (** Validating constructor — prefer this over record literals.
+    [optimiser] defaults to [Nsga2].
     @raise Invalid_argument when a count is non-positive, a population
     is odd or < 4, [front_max < 2], the spec is inconsistent (see
-    {!Spec.validate}), [circuit] has an empty tag, the wrong number of
-    bounds, or an empty bound, or [optimiser] is not a registered
-    portfolio member. *)
+    {!Spec.validate}), or [circuit] has an empty tag, the wrong number
+    of bounds, or an empty bound. *)
 
 exception Degenerate_front of { stage : string; found : int; minimum : int }
 (** The named Pareto front has too few designs to build a model from. *)
@@ -151,8 +178,6 @@ type phase = Circuit_ga | Variation | Model | System_ga
 
 val phase_name : phase -> string
 (** ["circuit-ga"], ["variation"], ["model"], ["system-ga"]. *)
-
-val phase_of_string : string -> phase option
 
 type verification = {
   requested : Repro_spice.Vco_measure.performance;

@@ -1,6 +1,4 @@
 module B = Repro_behave
-module V = Repro_spice.Vco_measure
-module T = Repro_circuit.Topologies
 module Prng = Repro_util.Prng
 
 type outcome = {
@@ -66,31 +64,6 @@ let behavioural ?(n = 500) ?pool ~prng cfg
   let eval pll_cfg = (check_config cfg.Pll_problem.spec pll_cfg).pass in
   let outcomes =
     E.Telemetry.time "yield.wall" @@ fun () -> E.Parmap.map ?pool eval configs
-  in
-  E.Telemetry.incr "yield.samples" ~by:n;
-  Repro_util.Stats.yield ~pass:(count_passes outcomes) ~total:n
-
-let transistor ?(n = 20) ?pool ?(process = Repro_circuit.Process.default)
-    ?(measure = V.default_options) ~prng cfg ~sizing
-    ~(row : Pll_problem.table2_row) =
-  let module E = Repro_engine in
-  let net =
-    T.ring_vco ~stages:measure.V.stages ~vdd:measure.V.vdd
-      ~vctl:measure.V.vctl_lo sizing
-  in
-  let outcomes =
-    E.Telemetry.time "yield.wall" @@ fun () ->
-    E.Parmap.map_seeded ?pool ~prng
-      (fun stream () ->
-        let perturbed = Repro_circuit.Process.sample process stream net in
-        match V.characterise_netlist ~options:measure perturbed with
-        | Error _ -> false (* dead oscillator: counted as a fail *)
-        | Ok perf ->
-          (check_sample cfg ~kvco:perf.V.kvco ~ivco:perf.V.ivco
-             ~c1:row.Pll_problem.c1 ~c2:row.Pll_problem.c2
-             ~r1:row.Pll_problem.r1)
-            .pass)
-      (Array.make n ())
   in
   E.Telemetry.incr "yield.samples" ~by:n;
   Repro_util.Stats.yield ~pass:(count_passes outcomes) ~total:n

@@ -1,16 +1,12 @@
-(** Yield prediction and verification (§4.5 end): Monte-Carlo analysis of
-    the selected system design against the specification.
+(** Yield prediction (§4.5 end): Monte-Carlo analysis of the selected
+    system design against the specification.
 
-    Two levels, mirroring the paper's verification story:
-
-    - {!behavioural}: 500-sample MC at the behavioural level — Kvco and
-      Ivco are drawn from the variation model's spreads, the PLL is
-      re-evaluated, and the sample passes when it locks within the
-      spec's time and current budgets (this is the "yield of 100%"
-      check).
-    - {!transistor}: the bottom-up cross-check — full process-perturbed
-      transistor-level VCO characterisations feeding the same PLL
-      evaluation (much slower; used with smaller N). *)
+    {!behavioural} runs the paper's 500-sample MC at the behavioural
+    level — Kvco and Ivco are drawn from the variation model's spreads,
+    the PLL is re-evaluated, and the sample passes when it locks within
+    the spec's time and current budgets (this is the "yield of 100%"
+    check).  The transistor-level cross-check of the selected design is
+    {!Hierarchy.verify_design}'s re-simulation. *)
 
 type outcome = {
   pass : bool;
@@ -41,18 +37,3 @@ val behavioural :
     perturbations are drawn before dispatch, and the table model is
     queried once for all of them, so the estimate is bit-identical for
     any worker count. *)
-
-val transistor :
-  ?n:int ->
-  ?pool:Repro_engine.Pool.t ->
-  ?process:Repro_circuit.Process.spec ->
-  ?measure:Repro_spice.Vco_measure.options ->
-  prng:Repro_util.Prng.t ->
-  Pll_problem.config ->
-  sizing:Repro_circuit.Topologies.vco_params ->
-  row:Pll_problem.table2_row ->
-  Repro_util.Stats.yield_estimate
-(** [n] defaults to 20.  Each trial perturbs the transistor netlist,
-    re-measures Kvco/Ivco/Jvco, and re-evaluates the PLL with the
-    measured values.  Trials whose VCO fails to oscillate count as
-    fails. *)

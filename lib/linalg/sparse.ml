@@ -67,7 +67,6 @@ let values t = t.values
 let row_ptr t = t.row_ptr
 let col_idx t = t.col_idx
 let fingerprint t = t.fingerprint
-let clear_values t = Array.fill t.values 0 (Array.length t.values) 0.0
 let like t = { t with values = Array.make (Array.length t.values) 0.0 }
 
 let index t i j =

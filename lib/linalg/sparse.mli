@@ -45,9 +45,6 @@ val col_idx : t -> int array
 (** Raw CSR pattern arrays (treat as read-only; shared across {!like}
     copies). *)
 
-val clear_values : t -> unit
-(** Zero every stored value, keeping the pattern. *)
-
 val like : t -> t
 (** A matrix sharing [t]'s pattern with a fresh zero value array —
     the per-worker restamping target. *)

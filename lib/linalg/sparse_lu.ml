@@ -41,7 +41,6 @@ type numeric = {
 exception Singular of int
 
 let symbolic num = num.sym
-let lu_nnz sym = sym.n + Array.length sym.u_rows + Array.length sym.l_rows
 
 let create_numeric sym =
   {

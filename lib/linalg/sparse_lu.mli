@@ -58,10 +58,6 @@ val solve : numeric -> float array -> float array
 val det : numeric -> float
 (** Determinant from the factors (permutation sign included). *)
 
-val lu_nnz : symbolic -> int
-(** Stored nonzeros of L + U including the diagonal (fill-in
-    reporting). *)
-
 (** {2 Shared symbolic registry}
 
     Monte-Carlo samples and pool workers compile structurally identical

@@ -5,8 +5,9 @@
     alongside their parents and NSGA-II (rank, crowding) truncation
     restores the population size.
 
-    Part of the optimiser portfolio ({!Optimiser}): DE variants tend to
-    need fewer evaluations than GAs on smooth analog-sizing landscapes
+    The flow's one alternative to {!Nsga2} ([Hieropt.Hierarchy.De],
+    always behind the {!Surrogate} pre-screen): DE variants tend to need
+    fewer evaluations than GAs on smooth analog-sizing landscapes
     (Rashid et al., arXiv:2310.12440). *)
 
 type options = {
@@ -29,23 +30,6 @@ val optimise :
 (** Run DE and return the final population.  Each generation's trial
     vectors are evaluated as one batch through [evaluator], with all
     variation randomness drawn first — results are bit-identical for
-    any worker count.  [optimise] ≡ [init] + [generations] × [step]. *)
-
-(* ---- step-wise API, mirroring {!Nsga2}'s ---- *)
-
-type state
-
-val init :
-  ?options:options ->
-  ?evaluator:Problem.evaluator ->
-  Problem.t ->
-  Repro_util.Prng.t ->
-  state
-(** Draw and evaluate the initial population (generation 0).
+    any worker count.  [on_generation g pop] is called with the initial
+    population as generation 0 and after every generation.
     @raise Invalid_argument on out-of-range options. *)
-
-val step : ?evaluator:Problem.evaluator -> Problem.t -> state -> unit
-
-val generation : state -> int
-val population : state -> Nsga2.individual array
-

@@ -33,43 +33,19 @@ val optimise :
     the serial path; pass {!Problem.parallel_evaluator} to spread
     evaluations over a domain pool and/or a cache — results are
     identical because all variation randomness is drawn before the
-    batch is dispatched).  [on_generation] is called after each
-    generation with the current population (for progress logging and
-    convergence traces).
-
-    [optimise] is [init] followed by [generations] calls to [step] —
-    the step-wise API below gives callers the same loop one generation
-    at a time ({!Optimiser.S}'s contract). *)
-
-(* ---- step-wise API ---- *)
-
-type state
-(** A paused GA: options, the evolving PRNG, the generation counter and
-    the current (already evaluated) population. *)
-
-val init :
-  ?options:options ->
-  ?evaluator:Problem.evaluator ->
-  Problem.t ->
-  Repro_util.Prng.t ->
-  state
-(** Draw and evaluate the initial population (generation 0).
+    batch is dispatched).  [on_generation g pop] is called with the
+    initial population as generation 0 and after every generation (for
+    progress logging and convergence traces).
     @raise Invalid_argument unless the population is even and >= 4. *)
 
-val step : ?evaluator:Problem.evaluator -> Problem.t -> state -> unit
-(** Advance one generation.  [optimise] ≡ [init] + [generations] × [step]
-    bit-exactly. *)
-
-val generation : state -> int
-val population : state -> individual array
-
 val pareto_front : individual array -> individual array
-(** Feasible rank-0 subset of a population, deduplicated on objective
-    vectors. *)
+(** Feasible rank-0 subset of a population, keeping one individual per
+    objective vector (vectors compared element-wise as floats, so
+    [-0.0] and [0.0] are equal). *)
 
 val evaluations : individual array -> Problem.evaluation array
 
-(* ---- building blocks shared by the optimiser portfolio ---- *)
+(* ---- building blocks shared with DE and SPEA2 ---- *)
 
 val eval_batch :
   Problem.evaluator -> Problem.t -> float array array -> individual array

@@ -100,15 +100,6 @@ let non_dominated evals =
   let _, fronts = non_dominated_sort evals in
   if Array.length fronts = 0 then [||] else fronts.(0)
 
-let filter_front tagged =
-  let evals = Array.map snd tagged in
-  let front = non_dominated evals in
-  Array.of_list
-    (List.filter_map
-       (fun i ->
-         if Problem.feasible evals.(i) then Some tagged.(i) else None)
-       (Array.to_list front))
-
 let hypervolume_2d ~reference evals =
   Array.iter
     (fun (e : Problem.evaluation) ->

@@ -23,9 +23,6 @@ val crowding_distance :
 val non_dominated : Problem.evaluation array -> int array
 (** Indices of front 0 only. *)
 
-val filter_front : ('a * Problem.evaluation) array -> ('a * Problem.evaluation) array
-(** Keep the non-dominated, feasible subset of tagged evaluations. *)
-
 val hypervolume_2d :
   reference:float array -> Problem.evaluation array -> float
 (** Exact hypervolume of the minimisation front w.r.t. [reference]

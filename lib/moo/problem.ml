@@ -35,15 +35,6 @@ let clamp t x =
 let random_point t prng =
   Array.map (fun (lo, hi) -> Repro_util.Prng.range prng lo hi) t.bounds
 
-let violation_of_bounds ~lo ~hi x =
-  if x < lo then lo -. x else if x > hi then x -. hi else 0.0
-
-let infeasible_evaluation t ~penalty =
-  {
-    objectives = Array.make (n_objectives t) infinity;
-    constraint_violation = Float.max penalty 1.0;
-  }
-
 (* ---- batch evaluation -------------------------------------------- *)
 
 type evaluator = t -> float array array -> evaluation array

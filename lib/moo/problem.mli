@@ -35,14 +35,6 @@ val clamp : t -> float array -> float array
 
 val random_point : t -> Repro_util.Prng.t -> float array
 
-val violation_of_bounds : lo:float -> hi:float -> float -> float
-(** Helper: 0 inside [lo, hi], distance outside (for building
-    [constraint_violation] sums). *)
-
-val infeasible_evaluation : t -> penalty:float -> evaluation
-(** An evaluation marking a failed (un-simulatable) design: worst-case
-    objectives and the given violation. *)
-
 type evaluator = t -> float array array -> evaluation array
 (** Batch evaluation strategy.  Must return one evaluation per input, in
     input order, equal to what [t.evaluate] would return — optimisers

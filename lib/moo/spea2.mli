@@ -5,7 +5,7 @@
     Provided as a second multi-objective optimiser over the same
     {!Problem} abstraction — the optimiser-choice ablation in the bench
     compares it with {!Nsga2} on the system-level problem.  It is not a
-    flow optimiser ({!Optimiser.all}).  Constraint
+    flow optimiser.  Constraint
     handling reuses {!Pareto.compare_dominance} (Deb constraint
     domination). *)
 

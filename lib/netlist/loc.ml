@@ -1,7 +1,5 @@
 type pos = { line : int; col : int }
 
-let pp_pos ppf p = Format.fprintf ppf "%d:%d" p.line p.col
-
 exception Netlist_error of { file : string option; pos : pos; msg : string }
 
 let fail ?file pos fmt =

@@ -9,8 +9,6 @@ type pos = { line : int; col : int }
 (** 1-based position in the original source text — columns refer to the
     physical line, before continuation-line joining. *)
 
-val pp_pos : Format.formatter -> pos -> unit
-
 exception
   Netlist_error of { file : string option; pos : pos; msg : string }
 (** The only exception the front end raises on malformed input. *)

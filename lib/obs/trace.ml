@@ -46,8 +46,6 @@ let sink_key =
       s)
 
 let enabled () = Atomic.get enabled_flag
-let gc_capture () = Atomic.get gc_flag
-let set_gc_capture on = Atomic.set gc_flag on
 let id () = !trace_id
 let set_process_label label = process_label := Some label
 
@@ -131,7 +129,7 @@ let span ?(args = []) name f =
   if not (enabled ()) then f ()
   else begin
     let s = Domain.DLS.get sink_key in
-    let g0 = if gc_capture () then Some (gc_sample ()) else None in
+    let g0 = if Atomic.get gc_flag then Some (gc_sample ()) else None in
     let id = emit_to s 'B' name args in
     s.stack <- id :: s.stack;
     Fun.protect

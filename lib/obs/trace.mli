@@ -34,9 +34,6 @@ val stop : unit -> unit
 
 val enabled : unit -> bool
 
-val gc_capture : unit -> bool
-val set_gc_capture : bool -> unit
-
 val id : unit -> string
 (** The current trace id (minted by {!start}; [""] before the first
     start).  Carried across processes by the model-server client's HTTP

@@ -269,9 +269,6 @@ let read_response reader =
 let parse_request_head s =
   guard_io @@ fun () -> request_head_of_reader (Reader.of_string s)
 
-let parse_response_head s =
-  guard_io @@ fun () -> response_head_of_reader (Reader.of_string s)
-
 let keep_alive req =
   match (req.version, header "connection" req.headers) with
   | _, Some c when String.lowercase_ascii c = "close" -> false

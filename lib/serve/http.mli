@@ -64,9 +64,6 @@ val parse_request_head : string -> (request, error) result
     blank line — delivered by the incremental state machine.  The
     returned [body] is [""]; callers read {!body_length} more bytes. *)
 
-val parse_response_head : string -> (response, error) result
-(** Same, for the client side ([resp_body] is [""]). *)
-
 val keep_alive : request -> bool
 (** HTTP/1.1 defaults to persistent connections; [Connection: close]
     (or HTTP/1.0 without [Connection: keep-alive]) turns it off. *)

@@ -6,8 +6,6 @@ type result = {
   strategy : string;
 }
 
-exception No_convergence of string
-
 let try_newton ?max_iter ~workspace c x ~gmin ~source_scale =
   Mna.newton ?max_iter ~workspace c ~x ~time:0.0 ~gmin ~source_scale
     ~cap_mode:Mna.Dc
@@ -26,7 +24,8 @@ let solve_result ?x0 ?workspace c =
   let fresh () =
     match x0 with
     | Some x ->
-      if Array.length x <> n then invalid_arg "Dcop.solve: x0 size mismatch";
+      if Array.length x <> n then
+        invalid_arg "Dcop.solve_result: x0 size mismatch";
       Vec.copy x
     | None -> Vec.create n
   in
@@ -73,15 +72,6 @@ let solve_result ?x0 ?workspace c =
       else fail "direct, gmin and source stepping all failed"
     end
   end
-
-let solve ?x0 ?workspace c =
-  match solve_result ?x0 ?workspace c with
-  | Ok r -> r
-  | Error (Solver_error.No_convergence { detail; _ }) ->
-    raise (No_convergence detail)
-  | Error (Solver_error.Step_underflow _ as e) ->
-    (* unreachable from DC analysis, but keep the wrapper total *)
-    raise (No_convergence (Solver_error.to_string e))
 
 let node_voltage c result name =
   let node = Mna.node_of_name c name in

@@ -1,5 +1,6 @@
-(** The shared failure type of the non-raising solver entry points
-    ({!Dcop.solve_result}, {!Transient.run_result}).
+(** The shared failure type of the solver entry points
+    ({!Dcop.solve_result}, {!Transient.run_result}), which return it
+    instead of raising.
 
     Carries structured context (which continuation stage gave up, the
     simulation time at which the step size underflowed) instead of a

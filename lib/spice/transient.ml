@@ -15,8 +15,6 @@ let default_options ~t_stop ~dt =
   { t_stop; dt; dt_min = dt /. 1024.0; ic = []; skip_dcop = false;
     max_newton = 30; noise = None }
 
-exception Step_failure of float
-
 type result = {
   compiled : Mna.compiled;
   rtimes : float array;
@@ -37,7 +35,6 @@ let node_wave r name =
 
 let source_current_wave r name = wave_of_index r (Mna.branch_index r.compiled name)
 
-let final_solution r = r.states.(Array.length r.states - 1)
 let total_newton_iterations r = r.newton_total
 
 (* internal control-flow escape for the result-based driver *)
@@ -158,10 +155,3 @@ let run_result ?solver:_ ?workspace compiled opts =
   | exception Abort e ->
     publish ();
     Error e
-
-let run ?workspace compiled opts =
-  match run_result ?workspace compiled opts with
-  | Ok r -> r
-  | Error (Solver_error.Step_underflow { time }) -> raise (Step_failure time)
-  | Error (Solver_error.No_convergence { detail; _ }) ->
-    raise (Dcop.No_convergence detail)

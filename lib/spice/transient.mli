@@ -4,7 +4,9 @@
 type options = {
   t_stop : float;
   dt : float;             (** nominal step *)
-  dt_min : float;         (** below this a failing step raises *)
+  dt_min : float;
+      (** below this a failing step ends the run with
+          {!Solver_error.Step_underflow} *)
   ic : (string * float) list;
       (** node-voltage overrides applied on top of the DC solution —
           the oscillator start-up "kick" *)
@@ -19,9 +21,6 @@ type options = {
 
 val default_options : t_stop:float -> dt:float -> options
 
-exception Step_failure of float
-(** Raised with the simulation time at which the step size underflowed. *)
-
 type result
 
 val run_result :
@@ -31,24 +30,14 @@ val run_result :
   options ->
   (result, Solver_error.t) Stdlib.result
 (** Run the transient analysis.  DC-start non-convergence and step-size
-    underflow are returned as structured {!Solver_error.t} values — this
-    is the primary entry point; {!run} is a thin raising wrapper kept
-    for compatibility.  [workspace] defaults to {!Mna.domain_workspace}
-    and is shared between the DC start and the stepping loop (a pure
-    performance hint; results are identical either way).  [solver] is
+    underflow are returned as structured {!Solver_error.t} values.
+    [workspace] defaults to {!Mna.domain_workspace} and is shared
+    between the DC start and the stepping loop (a pure performance hint;
+    results are identical either way).  [solver] is
     ignored: it is kept only because [perfbench/main.ml] passes it, and
     goes together with {!Repro_engine.Config.solver_mode}.
     @raise Invalid_argument on non-positive [t_stop]/[dt] or an [ic]
     override of ground (programming errors, not solver failures). *)
-
-val run :
-  ?workspace:Mna.workspace ->
-  Mna.compiled ->
-  options ->
-  result
-(** Raising wrapper over {!run_result}.
-    @raise Step_failure on step-size underflow.
-    @raise Dcop.No_convergence when the starting DC solve fails. *)
 
 val times : result -> float array
 
@@ -58,7 +47,5 @@ val node_wave : result -> string -> Waveform.t
 
 val source_current_wave : result -> string -> Waveform.t
 (** Branch-current waveform of a named voltage source. *)
-
-val final_solution : result -> Repro_linalg.Vec.t
 
 val total_newton_iterations : result -> int

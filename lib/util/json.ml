@@ -354,11 +354,3 @@ let get_string key v =
   | Ok f ->
     Error (Printf.sprintf "field %S: expected a string, found %s" key
              (type_name f))
-
-let get_list key v =
-  match get_field key v with
-  | Error e -> Error e
-  | Ok (Arr items) -> Ok items
-  | Ok f ->
-    Error (Printf.sprintf "field %S: expected an array, found %s" key
-             (type_name f))

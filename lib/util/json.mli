@@ -53,5 +53,4 @@ val duplicate_key : t -> string option
 val get_field : string -> t -> (t, string) result
 val get_float : string -> t -> (float, string) result
 val get_string : string -> t -> (string, string) result
-val get_list : string -> t -> (t list, string) result
 val to_float : t -> (float, string) result

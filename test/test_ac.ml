@@ -6,7 +6,7 @@ module Netlist = C.Netlist
 
 let linearised net =
   let cm = S.Mna.compile net in
-  let op = S.Dcop.solve cm in
+  let op = Test_spice.dcop cm in
   S.Ac.linearise cm op
 
 let test_rc_transfer_exact () =

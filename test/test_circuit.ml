@@ -206,7 +206,7 @@ Rload tap 0 1meg
     (Netlist.find_node net "tap" <> None);
   (* the divider actually divides under DC *)
   let cm = Repro_spice.Mna.compile net in
-  let r = Repro_spice.Dcop.solve cm in
+  let r = Test_spice.dcop cm in
   Alcotest.(check (float 2e-3)) "divider works" 1.0
     (Repro_spice.Dcop.node_voltage cm r "tap")
 
@@ -241,7 +241,7 @@ Xp in 0 pair
   let net = parse deck in
   (* two leaf resistors in series: 4k total from 1 V -> 0.25 mA *)
   let cm = Repro_spice.Mna.compile net in
-  let r = Repro_spice.Dcop.solve cm in
+  let r = Test_spice.dcop cm in
   Alcotest.(check (float 1e-7)) "series through nested subckts" (-2.5e-4)
     (Repro_spice.Dcop.source_current cm r "V1");
   Alcotest.(check bool) "doubly-prefixed node" true

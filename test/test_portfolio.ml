@@ -1,7 +1,7 @@
-(* The optimiser portfolio (DE, the Optimiser registry) and the
-   surrogate pre-screen *)
+(* The flow's optimiser choice (NSGA-II or DE, through
+   [Hierarchy.optimise]) and the surrogate pre-screen *)
 module M = Repro_moo
-module O = Repro_moo.Optimiser
+module H = Hieropt.Hierarchy
 module E = Repro_engine
 module Prng = Repro_util.Prng
 
@@ -49,39 +49,30 @@ let in_bounds problem pop =
            (Array.init (Array.length bounds) Fun.id))
     pop
 
-(* ---- registry ---- *)
+(* ---- the choice ---- *)
 
+(* the names are the CLI's spellings and what the cache salt hashes *)
 let test_registry () =
   Alcotest.(check (list string))
-    "names" [ "nsga2"; "de" ] O.names;
-  List.iter
-    (fun n ->
-      match O.of_name n with
-      | None -> Alcotest.failf "of_name %s" n
-      | Some o -> Alcotest.(check string) "name roundtrip" n (O.name o))
-    O.names;
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " rejected") true (O.of_name n = None))
-    [ "cmaes"; "spea2"; "mopso" ]
+    "names" [ "nsga2"; "de" ]
+    (List.map H.optimiser_name H.optimisers)
 
 let test_every_member_runs () =
   let problem = zdt1 5 in
   List.iter
-    (fun (name, opt) ->
+    (fun opt ->
+      let name = H.optimiser_name opt in
       let pop =
-        O.optimise opt
-          ~options:{ O.population = 12; generations = 3 }
-          problem (Prng.create 5)
+        H.optimise opt ~population:12 ~generations:3 problem (Prng.create 5)
       in
       if Array.length pop = 0 then Alcotest.failf "%s: empty population" name;
       if Array.length (M.Nsga2.pareto_front pop) = 0 then
         Alcotest.failf "%s: empty front" name;
       if not (in_bounds problem pop) then
         Alcotest.failf "%s: escaped the bounds" name)
-    O.all
+    H.optimisers
 
-(* ---- convergence (the portfolio members actually optimise) ---- *)
+(* ---- convergence (both optimisers actually optimise) ---- *)
 
 let test_de_converges_zdt1 () =
   let final =
@@ -134,40 +125,17 @@ let prop_de_bounds =
       in
       in_bounds problem final)
 
-let prop_optimise_is_init_plus_steps =
-  QCheck.Test.make
-    ~name:"optimise = init + steps, bit-exactly, for every member"
-    ~count:10 seed_gen (fun seed ->
-      let problem = zdt1 4 in
-      let options = { O.population = 10; generations = 3 } in
-      List.for_all
-        (fun (_, opt) ->
-          let direct =
-            O.optimise opt ~options problem (Prng.create seed)
-          in
-          let module A = (val opt : O.S) in
-          let st =
-            A.init ~options ~evaluator:M.Problem.serial_evaluator problem
-              (Prng.create seed)
-          in
-          while A.generation st < options.O.generations do
-            A.step ~evaluator:M.Problem.serial_evaluator problem st
-          done;
-          objectives direct = objectives (A.population st))
-        O.all)
-
 let prop_worker_count_invariance =
   QCheck.Test.make
     ~name:"1-worker and 4-worker evaluation are bit-identical (DE)"
     ~count:5 seed_gen (fun seed ->
       let problem = zdt1 4 in
-      let options = { O.population = 10; generations = 3 } in
-      let opt = Option.get (O.of_name "de") in
       let run n =
         E.Pool.with_pool ~size:n (fun pool ->
             let evaluator = M.Problem.parallel_evaluator ~pool () in
             objectives
-              (O.optimise opt ~options ~evaluator problem (Prng.create seed)))
+              (H.optimise H.De ~population:10 ~generations:3 ~evaluator problem
+                 (Prng.create seed)))
       in
       run 1 = run 4)
 
@@ -283,14 +251,12 @@ exception Stop
    split, simulating only what the first run did not finish *)
 let test_de_resume () =
   let problem = zdt1 4 in
-  let options = { O.population = 10; generations = 6 } in
-  let de = Option.get (O.of_name "de") in
   let run ?stop_after cache =
     let evaluator =
       M.Surrogate.wrap (M.Surrogate.create ())
         (M.Problem.parallel_evaluator ~cache ())
     in
-    O.optimise de ~options ~evaluator
+    H.optimise H.De ~population:10 ~generations:6 ~evaluator
       ~on_generation:(fun g _ -> if Some g = stop_after then raise Stop)
       problem (Prng.create 3)
   in
@@ -330,7 +296,8 @@ let suite =
     Alcotest.test_case "DE converges on ZDT1" `Quick test_de_converges_zdt1;
     Alcotest.test_case "invalid options" `Quick test_invalid_options;
     QCheck_alcotest.to_alcotest prop_de_bounds;
-    QCheck_alcotest.to_alcotest prop_optimise_is_init_plus_steps;
+    Alcotest.test_case "DE interrupt/resume bit-identical" `Quick
+      test_de_resume;
     QCheck_alcotest.to_alcotest prop_worker_count_invariance;
     QCheck_alcotest.to_alcotest prop_surrogate_guard_band;
     Alcotest.test_case "surrogate warmup pays all" `Quick
@@ -339,6 +306,4 @@ let suite =
       test_rejected_marker_never_reaches_front;
     Alcotest.test_case "surrogate screens dominated region" `Quick
       test_surrogate_screens_dominated_region;
-    Alcotest.test_case "DE interrupt/resume bit-identical" `Quick
-      test_de_resume;
   ]

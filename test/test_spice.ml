@@ -7,9 +7,17 @@ module Netlist = C.Netlist
 
 let checkf tol msg = Alcotest.(check (float tol)) msg
 
+(* the solvers' results; a solver error fails the test with its text *)
+let ok_or_fail = function
+  | Ok r -> r
+  | Error e -> Alcotest.fail (S.Solver_error.to_string e)
+
+let dcop ?x0 cm = ok_or_fail (S.Dcop.solve_result ?x0 cm)
+let transient cm opts = ok_or_fail (S.Transient.run_result cm opts)
+
 let solve_dc net =
   let cm = S.Mna.compile net in
-  (cm, S.Dcop.solve cm)
+  (cm, dcop cm)
 
 (* ---- DC ---- *)
 
@@ -88,8 +96,8 @@ let test_common_source_gain () =
 let test_dcop_seed_reuse () =
   let net = C.Topologies.voltage_divider ~r1:1e3 ~r2:1e3 ~vin:1.0 in
   let cm = S.Mna.compile net in
-  let r1 = S.Dcop.solve cm in
-  let r2 = S.Dcop.solve ~x0:r1.S.Dcop.solution cm in
+  let r1 = dcop cm in
+  let r2 = dcop ~x0:r1.S.Dcop.solution cm in
   Alcotest.(check bool) "seeded solve converges fast" true
     (r2.S.Dcop.iterations <= r1.S.Dcop.iterations)
 
@@ -103,7 +111,7 @@ let step_source =
 let test_rc_step_response () =
   let net = C.Topologies.rc_lowpass ~r:1e3 ~c:1e-9 ~vin:step_source in
   let cm = S.Mna.compile net in
-  let res = S.Transient.run cm (S.Transient.default_options ~t_stop:5e-6 ~dt:5e-9) in
+  let res = transient cm (S.Transient.default_options ~t_stop:5e-6 ~dt:5e-9) in
   let w = S.Transient.node_wave res "out" in
   (* compare against v(t) = 1 - exp(-t/tau) at several taus *)
   List.iter
@@ -119,7 +127,9 @@ let test_rc_charge_conservation () =
   (* current through R equals C dv/dt: check final equilibrium *)
   let net = C.Topologies.rc_lowpass ~r:1e3 ~c:1e-9 ~vin:step_source in
   let cm = S.Mna.compile net in
-  let res = S.Transient.run cm (S.Transient.default_options ~t_stop:20e-6 ~dt:10e-9) in
+  let res =
+    transient cm (S.Transient.default_options ~t_stop:20e-6 ~dt:10e-9)
+  in
   let w = S.Transient.node_wave res "out" in
   checkf 1e-3 "settles to input" 1.0
     (S.Waveform.value_at w 20e-6)
@@ -134,7 +144,7 @@ let test_rc_sine_attenuation () =
   in
   let cm = S.Mna.compile net in
   let res =
-    S.Transient.run cm (S.Transient.default_options ~t_stop:40e-6 ~dt:20e-9)
+    transient cm (S.Transient.default_options ~t_stop:40e-6 ~dt:20e-9)
   in
   let w = S.Transient.node_wave res "out" in
   let settled = S.Waveform.window w ~t_start:20e-6 ~t_end:40e-6 in
@@ -148,7 +158,7 @@ let test_transient_ic_override () =
     { (S.Transient.default_options ~t_stop:3e-6 ~dt:5e-9) with
       S.Transient.ic = [ ("out", 1.0) ] }
   in
-  let res = S.Transient.run cm opts in
+  let res = transient cm opts in
   let w = S.Transient.node_wave res "out" in
   (* discharges through R: v(tau) = exp(-1) *)
   checkf 5e-3 "discharge from IC" (exp (-1.0)) (S.Waveform.value_at w 1e-6)
@@ -156,7 +166,7 @@ let test_transient_ic_override () =
 let test_transient_records_branch_current () =
   let net = C.Topologies.rc_lowpass ~r:1e3 ~c:1e-9 ~vin:step_source in
   let cm = S.Mna.compile net in
-  let res = S.Transient.run cm (S.Transient.default_options ~t_stop:1e-6 ~dt:5e-9) in
+  let res = transient cm (S.Transient.default_options ~t_stop:1e-6 ~dt:5e-9) in
   let i = S.Transient.source_current_wave res "Vin" in
   (* just after the step the full 1 V sits across R: i = -1 mA through the
      source (current convention: + to - inside the source) *)
@@ -170,7 +180,7 @@ let test_ring_oscillator_oscillates () =
     { (S.Transient.default_options ~t_stop:10e-9 ~dt:3e-12) with
       S.Transient.ic = [ ("s1", 1.2); ("s2", 0.0); ("s3", 1.2); ("s4", 0.0); ("s5", 0.6) ] }
   in
-  let res = S.Transient.run cm opts in
+  let res = transient cm opts in
   let w =
     S.Waveform.window (S.Transient.node_wave res "s1") ~t_start:5e-9 ~t_end:10e-9
   in
@@ -206,7 +216,7 @@ let test_transient_noise_jitter () =
           [ ("s1", 1.2); ("s2", 0.0); ("s3", 1.2); ("s4", 0.0); ("s5", 0.6) ];
         noise }
     in
-    let res = S.Transient.run cm opts in
+    let res = transient cm opts in
     let w =
       S.Waveform.window (S.Transient.node_wave res "s1") ~t_start:12e-9
         ~t_end:40e-9
@@ -233,7 +243,7 @@ let test_monte_carlo_counts () =
   let mc =
     S.Monte_carlo.run ~n:10 ~prng net (fun perturbed ->
         let cm = S.Mna.compile perturbed in
-        let r = S.Dcop.solve cm in
+        let r = dcop cm in
         Ok (S.Dcop.node_voltage cm r "out"))
   in
   Alcotest.(check int) "all samples ok" 10 (Array.length mc.S.Monte_carlo.samples);
@@ -261,20 +271,29 @@ let test_spread_of_samples () =
 
 (* ---- result-based solver API ---- *)
 
-let test_solve_result_matches_solve () =
+(* solver failures are values: a converging DC solve and transient are
+   [Ok], and a transient without a Newton budget underflows its first
+   step instead of raising *)
+let test_result_api () =
   let net = C.Topologies.voltage_divider ~r1:1e3 ~r2:3e3 ~vin:2.0 in
   let cm = S.Mna.compile net in
   (match S.Dcop.solve_result cm with
   | Error e -> Alcotest.failf "solve_result: %s" (S.Solver_error.to_string e)
   | Ok r ->
-    Alcotest.(check bool) "same solution as the raising API" true
-      (compare r (S.Dcop.solve cm) = 0));
+    Alcotest.(check string) "direct Newton" "direct" r.S.Dcop.strategy;
+    checkf 1e-6 "divider" 1.5 (S.Dcop.node_voltage cm r "out"));
   let opts = S.Transient.default_options ~t_stop:1e-6 ~dt:1e-8 in
-  match S.Transient.run_result cm opts with
+  (match S.Transient.run_result cm opts with
   | Error e -> Alcotest.failf "run_result: %s" (S.Solver_error.to_string e)
   | Ok res ->
-    Alcotest.(check bool) "same transient as the raising API" true
-      (compare res (S.Transient.run cm opts) = 0)
+    Alcotest.(check int) "every step recorded" 101
+      (Array.length (S.Transient.times res)));
+  match S.Transient.run_result cm { opts with S.Transient.max_newton = 0 } with
+  | Error (S.Solver_error.Step_underflow { time }) ->
+    checkf 0.0 "underflow at the first step" 0.0 time
+  | Error e ->
+    Alcotest.failf "not an underflow: %s" (S.Solver_error.to_string e)
+  | Ok _ -> Alcotest.fail "converged without a Newton iteration"
 
 let test_solver_error_rendering () =
   Alcotest.(check string) "no-convergence"
@@ -407,7 +426,7 @@ let suite =
     Alcotest.test_case "monte carlo counts" `Quick test_monte_carlo_counts;
     Alcotest.test_case "monte carlo failures" `Quick test_monte_carlo_failures_counted;
     Alcotest.test_case "spread of samples" `Quick test_spread_of_samples;
-    Alcotest.test_case "result-based solver API" `Quick test_solve_result_matches_solve;
+    Alcotest.test_case "result-based solver API" `Quick test_result_api;
     Alcotest.test_case "solver error rendering" `Quick test_solver_error_rendering;
     Alcotest.test_case "characterise bits golden" `Quick
       test_characterise_bits_golden;
