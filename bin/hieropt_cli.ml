@@ -15,6 +15,7 @@
    Exit codes: 0 success; 1 generic failure; 3 circuit solver error;
    4 invalid/unloadable table model; 5 model-server error (bind,
    unreachable, bad response); 6 netlist parse/elaboration error;
+   124 usage error (cmdliner's, bad numeric flags included);
    130 interrupted. *)
 
 open Cmdliner
@@ -33,6 +34,29 @@ let die code fmt =
       Fmt.epr "%s@." msg;
       exit code)
     fmt
+
+(* Every SI-valued flag parses through [si], so a malformed or
+   non-finite value is a usage error naming the flag (exit 124) before
+   any work starts; [positive] adds the range the callee needs. *)
+let si =
+  let parse s =
+    match Repro_util.Si.parse_opt s with
+    | Some v when Float.is_finite v -> Ok v
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "%S is not a finite number in SPICE notation" s))
+  in
+  Arg.conv ~docv:"VAL"
+    (parse, fun ppf v -> Fmt.string ppf (Repro_util.Si.format v))
+
+let positive conv ~zero =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when v > zero -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not positive" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
 (* every netlist front-end entry point funnels through here so a bad
    deck always exits 6 with a file:line:col diagnostic *)
@@ -183,14 +207,16 @@ let simulate_cmd =
   let tstop_t =
     Arg.(
       value
-      & opt string "10n"
-      & info [ "t-stop" ] ~docv:"TIME" ~doc:"Transient length (SPICE units).")
+      & opt (positive si ~zero:0.0) (Repro_util.Si.parse "10n")
+      & info [ "t-stop" ] ~absent:"10n" ~docv:"TIME"
+          ~doc:"Transient length (SPICE units).")
   in
   let dt_t =
     Arg.(
       value
-      & opt string "10p"
-      & info [ "dt" ] ~docv:"TIME" ~doc:"Transient step (SPICE units).")
+      & opt (positive si ~zero:0.0) (Repro_util.Si.parse "10p")
+      & info [ "dt" ] ~absent:"10p" ~docv:"TIME"
+          ~doc:"Transient step (SPICE units).")
   in
   let node_t =
     Arg.(
@@ -198,7 +224,7 @@ let simulate_cmd =
       & opt_all string []
       & info [ "probe" ] ~docv:"NODE" ~doc:"Node(s) to report (repeatable).")
   in
-  let run deck tstop dt probes verbose =
+  let run deck t_stop dt probes verbose =
     setup_logging verbose;
     let net =
       with_netlist_errors (fun () -> Repro_netlist.Elab.netlist_of_file deck)
@@ -214,7 +240,6 @@ let simulate_cmd =
     in
     Fmt.pr "DC operating point (%s, %d iterations)@."
       dc.Repro_spice.Dcop.strategy dc.Repro_spice.Dcop.iterations;
-    let t_stop = Repro_util.Si.parse tstop and dt = Repro_util.Si.parse dt in
     let res =
       match
         Repro_spice.Transient.run_result cm
@@ -260,9 +285,19 @@ let characterise_cmd =
       "The 7 designable parameters wn,ln,wp,lp,wcn,wcp,lc with SPICE \
        suffixes, e.g. '20u,0.2u,40u,0.2u,30u,60u,0.24u'."
     in
+    let seven =
+      let sizes = Arg.(array (positive si ~zero:0.0)) in
+      let parse s =
+        match Arg.conv_parser sizes s with
+        | Ok v when Array.length v = 7 -> Ok v
+        | Ok _ -> Error (`Msg "need exactly 7 comma-separated values")
+        | Error _ as e -> e
+      in
+      Arg.conv ~docv:"VAL,..." (parse, Arg.conv_printer sizes)
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some seven) None
       & info [ "sizing" ] ~docv:"W/L LIST" ~doc)
   in
   let run sizing verbose =
@@ -270,12 +305,7 @@ let characterise_cmd =
     let params =
       match sizing with
       | None -> Repro_circuit.Topologies.vco_default
-      | Some s ->
-        let fields = String.split_on_char ',' s in
-        if List.length fields <> 7 then
-          failwith "need exactly 7 comma-separated values";
-        Repro_circuit.Topologies.vco_params_of_vector
-          (Array.of_list (List.map Repro_util.Si.parse fields))
+      | Some v -> Repro_circuit.Topologies.vco_params_of_vector v
     in
     match Repro_spice.Vco_measure.characterise params with
     | Ok perf -> Fmt.pr "%a@." Repro_spice.Vco_measure.pp_performance perf
@@ -494,31 +524,33 @@ let yield_cmd =
   let kvco_t =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some si) None
       & info [ "kvco" ] ~docv:"HZ_PER_V" ~doc:"VCO gain, e.g. 400meg.")
   in
   let ivco_t =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some si) None
       & info [ "ivco" ] ~docv:"A" ~doc:"VCO current, e.g. 8m.")
   in
   let filt_t name ~doc ~default =
-    Arg.(value & opt string default & info [ name ] ~doc)
+    Arg.(
+      value
+      & opt (positive si ~zero:0.0) (Repro_util.Si.parse default)
+      & info [ name ] ~absent:default ~doc)
   in
   let samples_t =
-    Arg.(value & opt int 500 & info [ "samples" ] ~doc:"MC sample count.")
+    Arg.(
+      value
+      & opt (positive int ~zero:0) 500
+      & info [ "samples" ] ~doc:"MC sample count.")
   in
   let run model_dir kvco ivco c1 c2 r1 samples seed jobs verbose =
     setup_logging verbose;
     setup_jobs jobs;
     let model = load_model model_dir in
     let cfg = Hieropt.Pll_problem.default_config ~model in
-    let p = Repro_util.Si.parse in
-    match
-      Hieropt.Pll_problem.evaluate_point cfg ~kvco:(p kvco) ~ivco:(p ivco)
-        ~c1:(p c1) ~c2:(p c2) ~r1:(p r1)
-    with
+    match Hieropt.Pll_problem.evaluate_point cfg ~kvco ~ivco ~c1 ~c2 ~r1 with
     | Error e ->
       Fmt.epr "design point failed: %s@." e;
       exit 1
@@ -645,7 +677,7 @@ let query_cmd =
   let point_t =
     Arg.(
       value
-      & opt_all string []
+      & opt_all (pair si si) []
       & info [ "point" ] ~docv:"KVCO,IVCO"
           ~doc:
             "Query point with SPICE suffixes, e.g. '400meg,8m' \
@@ -664,12 +696,6 @@ let query_cmd =
       & info [ "wait-ready" ] ~docv:"SECONDS"
           ~doc:"Poll the server's /healthz up to $(docv) before querying.")
   in
-  let parse_point s =
-    match List.map Repro_util.Si.parse (String.split_on_char ',' s) with
-    | [ kvco; ivco ] -> (kvco, ivco)
-    | _ -> die 124 "--point: expected 2 comma-separated values, got %S" s
-    | exception Invalid_argument msg -> die 124 "--point: %s" msg
-  in
   let print_json j = Fmt.pr "%s@." (Json.to_string j) in
   let print_results results =
     print_json
@@ -683,7 +709,7 @@ let query_cmd =
   in
   let run model_dir remote points metrics wait_ready verbose =
     setup_logging verbose;
-    let points = Array.of_list (List.map parse_point points) in
+    let points = Array.of_list points in
     if points = [||] && not metrics then
       die 124 "nothing to do: pass --point and/or --metrics";
     match remote with

@@ -39,7 +39,20 @@ type sim_result = {
   cp_duty : float;
 }
 
-let simulate ?prng cfg opts =
+(* [Float.floor]'s exact bits without the libm call: on 0 < x < 2^52
+   truncation is floor and both conversions are exact; -0.0, negatives,
+   nan and larger magnitudes go to [Float.floor].  A copy of
+   [Vco_model.floor], because a call across modules boxes the argument
+   and the result on every step. *)
+let[@inline] floor x =
+  if 0.0 < x && x < 0x1p52 then Float.of_int (Float.to_int x)
+  else Float.floor x
+
+(* The one stepping loop behind [simulate] and [evaluate].  Without
+   [record] it allocates, fills and converts no trace arrays: [evaluate]
+   reads only the lock time and the pump duty, and the traces' fresh
+   tuples would otherwise be promoted on every call. *)
+let run ~record ?prng cfg opts =
   Loop_filter.validate cfg.filter;
   Vco_model.validate cfg.vco;
   if opts.dt <= 0.0 || opts.t_stop <= opts.dt then
@@ -70,7 +83,9 @@ let simulate ?prng cfg opts =
   let node = Loop_filter.initial cfg.vctl_init in
   let f_target = target_frequency cfg in
   let n_steps = int_of_float (Float.ceil (opts.t_stop /. dt)) in
-  let n_records = ((n_steps - 1) / opts.record_stride) + 1 in
+  let n_records =
+    if record then ((n_steps - 1) / opts.record_stride) + 1 else 0
+  in
   let vctl_rec = Array.make n_records 0.0
   and freq_rec = Array.make n_records 0.0 in
   let ref_phase = ref 0.0 and ref_floor = ref 0.0 in
@@ -88,7 +103,7 @@ let simulate ?prng cfg opts =
     let t = float_of_int step *. dt in
     (* reference edge; the previous step's floor is carried over *)
     ref_phase := !ref_phase +. ref_increment;
-    let floor_now = Float.floor !ref_phase in
+    let floor_now = floor !ref_phase in
     let ref_edge_now = floor_now > !ref_floor in
     ref_floor := floor_now;
     if ref_edge_now then Pfd.ref_edge pfd;
@@ -134,7 +149,7 @@ let simulate ?prng cfg opts =
         locked := false
       end
     end;
-    if step mod opts.record_stride = 0 then begin
+    if record && step mod opts.record_stride = 0 then begin
       let i = step / opts.record_stride in
       vctl_rec.(i) <- node.Loop_filter.vctl;
       freq_rec.(i) <- (if !have_cycle_avg then !f_cycle_avg else f)
@@ -171,6 +186,8 @@ let simulate ?prng cfg opts =
     cp_duty;
   }
 
+let simulate ?prng cfg opts = run ~record:true ?prng cfg opts
+
 type performance = {
   lock_time : float;
   jitter_sum : float;
@@ -189,10 +206,7 @@ let loop_of_config cfg =
     filter = cfg.filter;
   }
 
-let evaluate ?sim_options cfg =
-  let opts =
-    match sim_options with Some o -> o | None -> default_sim_options cfg
-  in
+let evaluate cfg =
   match Pll_linear.analyse (loop_of_config cfg) with
   | None -> Error "loop has no unity-gain crossing"
   | Some a ->
@@ -205,7 +219,7 @@ let evaluate ?sim_options cfg =
          already models the discrete charge-pump granularity, so loops
          with bandwidth too close to the reference simply fail to settle
          and are caught by the lock check below. *)
-      let sim = simulate cfg opts in
+      let sim = run ~record:false cfg (default_sim_options cfg) in
       match sim.lock_time with
       | None -> Error "did not lock within the simulated window"
       | Some lock_time ->

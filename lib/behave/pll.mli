@@ -44,9 +44,10 @@ type sim_result = {
 }
 
 val simulate : ?prng:Repro_util.Prng.t -> config -> sim_options -> sim_result
-(** Time-domain transient from [vctl_init].  Passing [prng] enables VCO
-    jitter injection (Listing 2's [$rdist_normal]).  Each call adds 1 to
-    the [pll.sims] telemetry counter and its step count to [pll.steps].
+(** Time-domain transient from [vctl_init], recording both traces every
+    [record_stride] steps (Figure 8).  Passing [prng] enables VCO jitter
+    injection (Listing 2's [$rdist_normal]).  Each call adds 1 to the
+    [pll.sims] telemetry counter and its step count to [pll.steps].
     @raise Invalid_argument on invalid filter or VCO parameters, or when
     [dt <= 0], [t_stop <= dt] or [record_stride <= 0]. *)
 
@@ -58,11 +59,14 @@ type performance = {
 
 val pp_performance : Format.formatter -> performance -> unit
 
-val evaluate :
-  ?sim_options:sim_options -> config -> (performance, string) result
+val evaluate : config -> (performance, string) result
 (** Full evaluation: linear stability screen, transient lock check, and
     the three Table-2 performances.  [Error] explains unstable /
-    unlocked configurations. *)
+    unlocked configurations.  The transient is {!simulate}'s stepping
+    loop at {!default_sim_options}, bit for bit, without a [prng] and
+    without recording traces, so a call promotes next to nothing to the
+    major heap; it counts in [pll.sims] and [pll.steps] like
+    {!simulate}. *)
 
 val measured_output_jitter :
   prng:Repro_util.Prng.t -> config -> cycles:int -> float

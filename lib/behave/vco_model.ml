@@ -20,6 +20,15 @@ let frequency p vctl =
   let f = p.f0 +. (p.kvco *. (vctl -. p.v0)) in
   if f < p.fmin then p.fmin else if f > p.fmax then p.fmax else f
 
+(* [Float.floor]'s exact bits without the libm call: on 0 < x < 2^52
+   truncation is floor and both conversions are exact; -0.0, negatives,
+   nan and larger magnitudes go to [Float.floor].  [advance] inlines it,
+   which a caller in another module cannot: its call boxes the argument
+   and the result. *)
+let[@inline] floor x =
+  if 0.0 < x && x < 0x1p52 then Float.of_int (Float.to_int x)
+  else Float.floor x
+
 (* all-float, so the per-step updates store in place *)
 type osc = {
   mutable f : float; (* Hz, set by [tune] *)
@@ -62,9 +71,9 @@ let advance t ~dt =
       end
   in
   osc.phi <- osc.phi +. Float.max 0.0 (dphi +. noise);
-  let floor = Float.floor osc.phi in
-  let edges = int_of_float floor - int_of_float osc.phi_floor in
-  osc.phi_floor <- floor;
+  let phi_floor = floor osc.phi in
+  let edges = int_of_float phi_floor - int_of_float osc.phi_floor in
+  osc.phi_floor <- phi_floor;
   edges
 
 let reset t =

@@ -21,6 +21,11 @@ val validate : params -> unit
 val frequency : params -> float -> float
 (** Instantaneous (clamped) frequency at a control voltage. *)
 
+val floor : float -> float
+(** [Float.floor], bit for bit, computed without a libm call where
+    0 < x < 2{^52}.  {!advance} inlines it; a call from another module
+    boxes its argument and result. *)
+
 type t
 
 val create : ?prng:Repro_util.Prng.t -> params -> t

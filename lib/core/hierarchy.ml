@@ -106,11 +106,14 @@ type config = {
   optimiser : optimiser;
 }
 
-let validate_scale s =
+let validate_scale optimiser s =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   let even_pop name v =
     if v < 4 || v mod 2 <> 0 then
-      fail "Hierarchy.make_config: %s must be even and >= 4 (got %d)" name v
+      fail "Hierarchy.make_config: %s must be even and >= 4 (got %d)" name v;
+    (* DE/rand/1 needs the target plus three distinct donors *)
+    if optimiser = De && v < 5 then
+      fail "Hierarchy.make_config: %s must be >= 5 for de (got %d)" name v
   in
   let positive name v =
     if v <= 0 then fail "Hierarchy.make_config: %s must be positive (got %d)" name v
@@ -142,7 +145,7 @@ let validate_circuit c =
 let make_config ?(seed = 2009) ?(scale = bench_scale) ?(spec = Spec.default)
     ?(measure = V.default_options) ?(process = Repro_circuit.Process.default)
     ?(use_variation = true) ?model_dir ?circuit ?(optimiser = Nsga2) () =
-  validate_scale scale;
+  validate_scale optimiser scale;
   Spec.validate spec;
   Option.iter validate_circuit circuit;
   { seed; scale; spec; measure; process; use_variation; model_dir; circuit;
@@ -529,8 +532,11 @@ let run_system_level_inner ~progress ~cache ?interrupt_after ?pll_query cfg
   maybe_stop_after ~interrupt_after System_ga;
   let pll_front = Nsga2.pareto_front pll_pop in
   say progress "system level: %d Pareto solutions" (Array.length pll_front);
-  (* rows, selection, verification and yield are cheap, pure functions
-     of the GA output and the model — recomputed by every run *)
+  (* rows, selection, verification and yield are pure functions of the
+     GA output and the model, recomputed by every run rather than
+     cached.  They are not free: over the bench fixture, verification's
+     one transistor-level characterisation takes about a tenth of the
+     system level's wall time and a 500-sample yield about a fifth *)
   let rows =
     Array.to_list pll_front
     |> List.filter_map (Pll_problem.row_of_individual pll_cfg)

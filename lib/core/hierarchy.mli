@@ -144,9 +144,9 @@ val make_config :
 (** Validating constructor — prefer this over record literals.
     [optimiser] defaults to [Nsga2].
     @raise Invalid_argument when a count is non-positive, a population
-    is odd or < 4, [front_max < 2], the spec is inconsistent (see
-    {!Spec.validate}), or [circuit] has an empty tag, the wrong number
-    of bounds, or an empty bound. *)
+    is odd or < 4 (< 5 with [De]), [front_max < 2], the spec is
+    inconsistent (see {!Spec.validate}), or [circuit] has an empty tag,
+    the wrong number of bounds, or an empty bound. *)
 
 exception Degenerate_front of { stage : string; found : int; minimum : int }
 (** The named Pareto front has too few designs to build a model from. *)

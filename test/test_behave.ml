@@ -427,6 +427,59 @@ let test_pll_record_stride_rejected () =
           ignore (B.Pll.simulate cfg { opts with B.Pll.record_stride })))
     [ 0; -3 ]
 
+(* The bits of [evaluate]'s performance triple, or its error, for every
+   configuration of [simulate_golden] (the jittered one differs only in
+   the jitter sum: [evaluate] injects no noise). *)
+let evaluate_golden =
+  [
+    ("ideal from below", "3e90c6f7a0b5ed8d 0000000000000000 3f8a9fc7aae15e4f");
+    ("ideal from above", "3e9421f5f40d8376 0000000000000000 3f8a9fc7f01b206e");
+    ("mismatched pump", "3e901b2b29a4692c 0000000000000000 3f8a9fc42efa36a7");
+    ("leaky pump", "3e90c6f7a0b5ed8d 0000000000000000 3f8aa0c33ad8dc88");
+    ("out of band", "did not lock within the simulated window");
+    ("jittered", "3e90c6f7a0b5ed8d 3d88ae704a2709ac 3f8a9fc7aae15e4f");
+  ]
+
+let test_pll_evaluate_bits_golden () =
+  List.iter
+    (fun (name, c, _, _) ->
+      let got =
+        match B.Pll.evaluate c with
+        | Ok p ->
+          Printf.sprintf "%s %s %s" (bits p.B.Pll.lock_time)
+            (bits p.B.Pll.jitter_sum) (bits p.B.Pll.current)
+        | Error e -> e
+      in
+      Alcotest.(check string) name (List.assoc name evaluate_golden) got)
+    simulate_golden
+
+(* [evaluate] records no traces, so nothing of a call outlives it;
+   recording them promoted about 28,000 words a call. *)
+let test_pll_evaluate_promotes_nothing () =
+  ignore (B.Pll.evaluate cfg);
+  let calls = 50 in
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to calls do
+    ignore (B.Pll.evaluate cfg)
+  done;
+  let per_call =
+    ((Gc.quick_stat ()).Gc.major_words -. w0) /. float_of_int calls
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major words per call < 1000" per_call)
+    true (per_call < 1000.0)
+
+let test_vco_floor_bits () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "floor %h" x)
+        (bits (Float.floor x))
+        (bits (B.Vco_model.floor x)))
+    [ -0.0; 0.0; 5e-324; 0.5; Float.pred 1.0; 1.0; Float.pred 0x1p52;
+      0x1p52; Float.succ 0x1p53; Float.nan; Float.infinity; Float.neg_infinity;
+      -1.5 ]
+
 let suite =
   [
     Alcotest.test_case "filter validate" `Quick test_filter_validate;
@@ -464,4 +517,9 @@ let suite =
     Alcotest.test_case "PLL allocation bound" `Quick test_pll_allocation_bound;
     Alcotest.test_case "PLL record_stride rejected" `Quick
       test_pll_record_stride_rejected;
+    Alcotest.test_case "PLL evaluate bits golden" `Quick
+      test_pll_evaluate_bits_golden;
+    Alcotest.test_case "PLL evaluate promotes nothing" `Quick
+      test_pll_evaluate_promotes_nothing;
+    Alcotest.test_case "vco floor bits" `Quick test_vco_floor_bits;
   ]

@@ -376,7 +376,25 @@ let test_make_config_validation () =
          H.Hierarchy.make_config
            ~spec:{ H.Spec.default with H.Spec.f_out_high = 1e6 }
            ()));
-  ignore (H.Hierarchy.make_config ~optimiser:H.Hierarchy.De ())
+  ignore (H.Hierarchy.make_config ~optimiser:H.Hierarchy.De ());
+  (* DE/rand/1 needs five members, NSGA-II four *)
+  Alcotest.(check bool) "de circuit population of 4" true
+    (rejected (fun () ->
+         H.Hierarchy.make_config
+           ~scale:{ H.Hierarchy.tiny_scale with H.Hierarchy.vco_population = 4 }
+           ~optimiser:H.Hierarchy.De ()));
+  Alcotest.(check bool) "de system population of 4" true
+    (rejected (fun () ->
+         H.Hierarchy.make_config
+           ~scale:{ H.Hierarchy.tiny_scale with H.Hierarchy.pll_population = 4 }
+           ~optimiser:H.Hierarchy.De ()));
+  ignore
+    (H.Hierarchy.make_config
+       ~scale:
+         { H.Hierarchy.tiny_scale with
+           H.Hierarchy.vco_population = 4;
+           pll_population = 4 }
+       ~optimiser:H.Hierarchy.Nsga2 ())
 
 (* micro integration run: the full 5-step flow at a tiny scale —
    tiny_spec narrows the band to what random sizings reach in two

@@ -413,6 +413,59 @@ let test_export_verilog_a_shape () =
       "endmodule";
     ]
 
+(* Mutated example decks: the lexer, the parser and the elaborator
+   raise nothing but [Loc.Netlist_error], whatever the damage.  A
+   mutation deletes a span, inserts deck syntax or random bytes,
+   duplicates a span or truncates the text. *)
+let example_decks =
+  List.map
+    (fun name ->
+      In_channel.with_open_bin (Filename.concat examples_dir name)
+        In_channel.input_all)
+    [ "divider.sp"; "ota.sp"; "vco.sp" ]
+
+let mutated_deck_arb =
+  let syntax =
+    [ "{"; "}"; "("; ")"; "="; "+"; "-"; "*"; "/"; ","; "."; ";"; "\n";
+      "\n+"; "\n*"; " "; "e"; "1e-"; "0"; "9"; "1.5"; "meg"; "u"; "X";
+      "R"; "C"; "M"; "V"; "I"; ".param "; ".subckt "; ".ends"; ".model ";
+      ".end"; "{range "; "PULSE("; "nmos"; "gnd" ]
+  in
+  let mutate text =
+    QCheck.Gen.(
+      let n = String.length text in
+      let* i = int_bound n in
+      let* j = int_range i (min n (i + 40)) in
+      let before = String.sub text 0 i and after = String.sub text i (n - i) in
+      oneof
+        [
+          return (before ^ String.sub text j (n - j));
+          map (fun w -> before ^ w ^ after) (oneofl syntax);
+          map
+            (fun w -> before ^ w ^ after)
+            (string_size ~gen:char (int_range 1 4));
+          return (before ^ String.sub text i (j - i) ^ after);
+          return before;
+        ])
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      let* deck = oneofl example_decks in
+      let* k = int_range 1 8 in
+      let rec go k text =
+        if k = 0 then return text else mutate text >>= go (k - 1)
+      in
+      go k deck)
+
+let prop_mutated_decks_typed_errors =
+  QCheck.Test.make ~name:"mutated decks raise only netlist errors" ~count:300
+    mutated_deck_arb (fun text ->
+      let typed f = try ignore (f ()) with N.Loc.Netlist_error _ -> () in
+      typed (fun () -> N.Lexer.tokenize text);
+      typed (fun () -> N.Parse.deck text);
+      typed (fun () -> N.Elab.netlist_of_string text);
+      true)
+
 let suite =
   [
     Alcotest.test_case "error rendering" `Quick test_error_to_string;
@@ -443,4 +496,5 @@ let suite =
       test_export_spice_roundtrip;
     Alcotest.test_case "export determinism" `Quick test_export_determinism;
     Alcotest.test_case "verilog-a shape" `Quick test_export_verilog_a_shape;
+    QCheck_alcotest.to_alcotest prop_mutated_decks_typed_errors;
   ]

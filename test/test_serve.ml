@@ -694,6 +694,76 @@ let test_parse_endpoint () =
     [ "localhost"; "host:"; ":80"; "host:0"; "host:99999"; "host:80/";
       "host:80/vco_a" ]
 
+(* Untrusted bytes, cut at arbitrary points: [feed] never raises, and
+   once it has returned a [Protocol_error] the connection is broken and
+   every later feed returns nothing.  The pieces mix request fragments
+   with raw bytes so that the head, body and limit paths all run. *)
+let conn_input_arb =
+  let piece =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, string_size ~gen:char (int_range 0 48));
+          ( 4,
+            oneofl
+              [
+                "GET /v1/healthz HTTP/1.1\r\n\r\n";
+                "POST /v1/models/default/query HTTP/1.1\r\n";
+                "Content-Length: ";
+                "Transfer-Encoding: chunked\r\n";
+                "Connection: close\r\n";
+                "HTTP/1.0";
+                "\r\n";
+                "\r\n\r\n";
+                "\n";
+                ": ";
+                " ";
+              ] );
+          (1, map string_of_int (int_range (-3) 20_000_000));
+          (1, map (fun n -> String.make n 'a') (int_range 0 20_000));
+        ])
+  in
+  QCheck.make
+    ~print:(fun (data, cuts) ->
+      Printf.sprintf "%S cut every %s" data
+        (String.concat "," (List.map string_of_int cuts)))
+    QCheck.Gen.(
+      pair
+        (map (String.concat "") (list_size (int_range 0 24) piece))
+        (list_size (int_range 1 6) (int_range 1 300)))
+
+let prop_conn_feed_total =
+  QCheck.Test.make ~name:"conn feed never raises; broken after an error"
+    ~count:300 conn_input_arb (fun (data, cuts) ->
+      let conn = S.Conn.create () in
+      let n = String.length data in
+      let errored = ref false and ok = ref true in
+      let feed chunk =
+        (* at an offset into a larger buffer, as the reactor reads *)
+        let buf = Bytes.of_string ("##" ^ chunk ^ "##") in
+        let events = S.Conn.feed conn buf 2 (String.length chunk) in
+        if !errored && events <> [] then ok := false;
+        List.iteri
+          (fun i -> function
+            | S.Conn.Request _ -> ()
+            | S.Conn.Protocol_error _ ->
+              (* the last event of its feed, and the connection is inert *)
+              if i <> List.length events - 1 || not (S.Conn.broken conn)
+              then ok := false;
+              errored := true)
+          events
+      in
+      let rec go pos k =
+        if pos < n then begin
+          let len = min (List.nth cuts (k mod List.length cuts)) (n - pos) in
+          feed (String.sub data pos len);
+          go (pos + len) (k + 1)
+        end
+      in
+      go 0 0;
+      if !errored then feed "GET /v1/healthz HTTP/1.1\r\n\r\n";
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -731,4 +801,5 @@ let suite =
       test_remote_pll_bit_identical;
     Alcotest.test_case "remote fallback" `Quick test_remote_fallback;
     Alcotest.test_case "parse endpoint" `Quick test_parse_endpoint;
+    QCheck_alcotest.to_alcotest prop_conn_feed_total;
   ]
