@@ -114,49 +114,6 @@ let interp_ablation (result : H.Hierarchy.result) =
     Buffer.contents buf
   end
 
-(* NSGA-II vs SPEA2 vs random search on the (cheap) system-level PLL
-   problem at an identical evaluation budget, scored by Monte-Carlo
-   hypervolume of the feasible front. *)
-let optimiser_ablation (result : H.Hierarchy.result) =
-  let buf = Buffer.create 512 in
-  let problem = H.Pll_problem.problem result.H.Hierarchy.pll_config in
-  let pop = 24 and gens = 8 in
-  let budget = pop * (gens + 1) in
-  let reference = [| 2e-6; 5e-12; 20e-3 |] in
-  let ideal = [| 0.0; 0.0; 0.0 |] in
-  let hv front =
-    Repro_moo.Pareto.hypervolume_mc ~samples:20000
-      ~prng:(Repro_util.Prng.create 55)
-      ~reference ~ideal
-      (Repro_moo.Nsga2.evaluations front)
-  in
-  let score name front =
-    Printf.ksprintf (Buffer.add_string buf)
-      "  %-14s %2d feasible Pareto designs, hypervolume %.3e\n" name
-      (Array.length front) (hv front)
-  in
-  let nsga =
-    Repro_moo.Nsga2.optimise
-      ~options:{ Repro_moo.Nsga2.default_options with population = pop; generations = gens }
-      problem (Repro_util.Prng.create 41)
-  in
-  score "NSGA-II" (Repro_moo.Nsga2.pareto_front nsga);
-  let spea =
-    Repro_moo.Spea2.optimise
-      ~options:
-        { Repro_moo.Spea2.default_options with population = pop; archive = pop; generations = gens }
-      problem (Repro_util.Prng.create 42)
-  in
-  score "SPEA2" (Repro_moo.Nsga2.pareto_front spea);
-  let rs =
-    Repro_moo.Baselines.random_search ~evaluations:budget problem
-      (Repro_util.Prng.create 43)
-  in
-  score "random" (Repro_moo.Nsga2.pareto_front rs);
-  Printf.ksprintf (Buffer.add_string buf) "  (budget: %d evaluations each)\n"
-    budget;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* engine section: parallel + memoised evaluation on a real workload   *)
 (* ------------------------------------------------------------------ *)
@@ -385,21 +342,15 @@ let moo_bench () =
   (* surrogate leg: the reference flow's circuit-level problem (tiny
      spec), same seed with screening off then on.  A fresh cold cache
      per leg keeps the wall times comparable and the avoided/paid
-     split purely the surrogate's.  The screened member is DE: its
-     differential mutation keeps proposing trials in dominated or
-     infeasible territory deep into the run, so the screen has real
-     work (NSGA-II's tournament+SBX offspring hug the front and leave
-     it little to reject), and the tighter guard matches DE's
-     sentinel-free trial distribution. *)
+     split purely the surrogate's.  The screened run is DE behind
+     [Surrogate.create ()], exactly what [--optimiser de] runs, so the
+     gate measures the flow's own screen. *)
   let cfg =
     H.Hierarchy.make_config ~scale:H.Hierarchy.tiny_scale
       ~spec:H.Hierarchy.tiny_spec ()
   in
   let problem = H.Hierarchy.circuit_problem cfg in
   let ga_pop = 16 and ga_gens = 14 in
-  let sur_options =
-    { Repro_moo.Surrogate.default_options with Repro_moo.Surrogate.guard = 0.05 }
-  in
   let counter = E.Telemetry.counter in
   let leg ~surrogate =
     let evaluator =
@@ -407,9 +358,7 @@ let moo_bench () =
     in
     let evaluator =
       if surrogate then
-        Repro_moo.Surrogate.wrap
-          (Repro_moo.Surrogate.create ~options:sur_options ())
-          evaluator
+        Repro_moo.Surrogate.wrap (Repro_moo.Surrogate.create ()) evaluator
       else evaluator
     in
     let avoided0 = counter "eval.avoided" in
@@ -551,9 +500,6 @@ let run_experiments ~scale ~spec () =
   telemetry_line ();
   section "Ablation — table-model interpolation scheme (DESIGN.md §5)";
   print_string (interp_ablation result);
-  telemetry_line ();
-  section "Ablation — optimiser choice at the system level (equal budget)";
-  print_string (optimiser_ablation result);
   telemetry_line ();
   section "Moo — optimiser choice + surrogate pre-screen";
   moo_bench ();

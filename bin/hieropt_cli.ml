@@ -110,16 +110,34 @@ let resolve_scale scale =
   | Some `Paper -> (Hieropt.Hierarchy.paper_scale, None)
   | None -> (Hieropt.Hierarchy.scale_of_env (), None)
 
+(* The OCaml runtime runs at most 128 domains, and a pool of N workers
+   is the calling domain plus N - 1 spawned ones, so a larger count
+   would fail at the first parallel region. *)
+let max_jobs = 128
+
+let jobs_conv =
+  let parse s =
+    match Arg.conv_parser (positive Arg.int ~zero:0) s with
+    | Ok n when n > max_jobs ->
+      Error
+        (`Msg
+          (Printf.sprintf "%S exceeds the runtime's %d-domain limit" s
+             max_jobs))
+    | r -> r
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let jobs_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs_conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel evaluation engine.  Defaults \
-           to HIEROPT_JOBS, or the machine's recommended domain count.  \
-           Results are bit-identical for any worker count; -j 1 forces \
-           fully serial evaluation.")
+          "Worker domains for the parallel evaluation engine, 1 to 128 \
+           (the OCaml runtime's domain limit).  Defaults to HIEROPT_JOBS, \
+           or the machine's recommended domain count.  Results are \
+           bit-identical for any worker count; -j 1 forces fully serial \
+           evaluation.")
 
 let setup_jobs jobs = Option.iter Repro_engine.Config.set_jobs jobs
 
@@ -786,15 +804,6 @@ let loadgen_cmd =
       & info [ "warmup" ] ~docv:"SECONDS"
           ~doc:"Unrecorded lead-in before the measured window.")
   in
-  let target_qps_t =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "target-qps" ] ~docv:"QPS"
-          ~doc:
-            "Open-loop mode: fire on a fixed schedule at $(docv) instead \
-             of back-to-back (closed-loop, the default).")
-  in
   let batch_t =
     Arg.(
       value & opt int 16
@@ -822,8 +831,8 @@ let loadgen_cmd =
             "Do not fail on request errors (e.g. when the server is \
              deliberately drained mid-run).")
   in
-  let run model_dir host port connections duration warmup target_qps
-      batch assert_qps assert_p99 allow_errors verbose =
+  let run model_dir host port connections duration warmup batch assert_qps
+      assert_p99 allow_errors verbose =
     setup_logging verbose;
     (* sample points spanning the served model's own input ranges, so
        every request exercises real interpolation *)
@@ -844,13 +853,8 @@ let loadgen_cmd =
     let body =
       Json.to_string (Json.Obj [ ("points", Json.Arr (List.init n point)) ])
     in
-    let mode =
-      match target_qps with
-      | None -> Repro_serve.Loadgen.Closed
-      | Some q -> Repro_serve.Loadgen.Open_target q
-    in
     let r =
-      Repro_serve.Loadgen.run ~mode ~connections ~duration ~warmup ~host ~port
+      Repro_serve.Loadgen.run ~connections ~duration ~warmup ~host ~port
         ~target:
           (Printf.sprintf "/v1/models/%s/query" Repro_serve.Api.model_id)
         ~body ()
@@ -877,15 +881,15 @@ let loadgen_cmd =
   let info =
     Cmd.info "loadgen"
       ~doc:
-        "Drive a running $(b,hieropt serve) with a closed- or open-loop \
-         query load and report qps + latency quantiles (optionally \
-         asserting floors/ceilings, for CI)."
+        "Drive a running $(b,hieropt serve) with a closed-loop query \
+         load and report qps + latency quantiles (optionally asserting \
+         floors/ceilings, for CI)."
   in
   Cmd.v info
     Term.(
       const run $ model_dir_t $ host_t $ port_t $ connections_t
-      $ duration_t $ warmup_t $ target_qps_t $ batch_t $ assert_qps_t
-      $ assert_p99_t $ allow_errors_t $ verbose_t)
+      $ duration_t $ warmup_t $ batch_t $ assert_qps_t $ assert_p99_t
+      $ allow_errors_t $ verbose_t)
 
 (* ---- trace ---- *)
 

@@ -1,6 +1,5 @@
 (** Charge pump: converts the PFD state into a filter current, with
-    optional up/down mismatch and leakage (the non-idealities that set
-    reference spurs in a real CP-PLL). *)
+    optional up/down mismatch and a constant leakage drain. *)
 
 type t = {
   i_up : float;      (** A *)

@@ -270,21 +270,3 @@ let measured_output_jitter ~prng cfg ~cycles =
         t_hit -. (target_phi /. f_out))
   in
   Repro_util.Stats.stddev errors
-
-let reference_spur_dbc cfg =
-  let mismatch_current =
-    (* residual correction charge per cycle due to up/down imbalance,
-       spread over the reference period at a small locked duty *)
-    0.05 *. Float.abs (cfg.cp.Charge_pump.i_up -. cfg.cp.Charge_pump.i_down)
-  in
-  let i_err = Float.abs cfg.cp.Charge_pump.leakage +. mismatch_current in
-  if i_err <= 0.0 then neg_infinity
-  else begin
-    let z =
-      Complex.norm
-        (Loop_filter.impedance cfg.filter (2.0 *. Float.pi *. cfg.fref))
-    in
-    let v_ripple = i_err *. z in
-    let deviation = cfg.vco.Vco_model.kvco *. v_ripple in
-    20.0 *. log10 (deviation /. (2.0 *. cfg.fref))
-  end

@@ -74,13 +74,3 @@ val measured_output_jitter :
     locked loop with jitter injection for [cycles] VCO cycles and return
     the RMS edge-time deviation (tests compare this against
     [jitter_sum]). *)
-
-val reference_spur_dbc : config -> float
-(** Leakage/mismatch reference-spur estimate (Banerjee): the charge pump
-    corrects the control-node error once per reference cycle, producing
-    ripple v = i_err·|Z(j2πfref)| that frequency-modulates the VCO;
-    narrowband FM puts the spur at
-    20·log10(Kvco·v_ripple / (2·fref)) dBc.  [i_err] combines the pump
-    leakage with the up/down mismatch at the locked duty cycle.  More
-    negative is better; an ideal pump with zero leakage returns
-    [neg_infinity]. *)

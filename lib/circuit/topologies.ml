@@ -117,70 +117,3 @@ let common_source ?(vdd = 1.2) ~w ~l ~rload vbias =
   Netlist.mosfet net "m1" ~drain:"out" ~gate:"in" ~source:"0"
     ~model:Mosfet.nmos_012 ~w ~l;
   net
-
-type ota_params = {
-  w_diff : float;
-  w_load : float;
-  w_p2 : float;
-  l_ota : float;
-  cc : float;
-  ibias : float;
-}
-
-let ota_default =
-  {
-    w_diff = 20e-6;
-    w_load = 10e-6;
-    w_p2 = 40e-6;
-    l_ota = 0.5e-6;
-    cc = 1.5e-12;
-    ibias = 50e-6;
-  }
-
-let ota_bounds =
-  [| (5e-6, 80e-6); (4e-6, 40e-6); (10e-6, 120e-6); (0.24e-6, 1e-6);
-     (0.5e-12, 5e-12); (10e-6, 200e-6) |]
-
-let ota_params_of_vector v =
-  if Array.length v <> 6 then
-    invalid_arg "Topologies.ota_params_of_vector: need 6 parameters";
-  { w_diff = v.(0); w_load = v.(1); w_p2 = v.(2); l_ota = v.(3); cc = v.(4);
-    ibias = v.(5) }
-
-let ota_vector_of_params p =
-  [| p.w_diff; p.w_load; p.w_p2; p.l_ota; p.cc; p.ibias |]
-
-(* Classic two-stage Miller OTA:
-   - bias: Ibias into diode M8, mirrored by the tail M5 and the
-     second-stage sink M7;
-   - first stage: NMOS pair M1/M2 with PMOS mirror load M3/M4;
-   - second stage: PMOS common-source M6 compensated by Cc. *)
-let two_stage_ota ?(vdd = 1.2) ?(vcm = 0.7) ?(cload = 1e-12) p =
-  let net = Netlist.create () in
-  Netlist.vsource net "Vdd" "vdd" "0" (Source.Dc vdd);
-  Netlist.vsource net "Vinp" "inp" "0" (Source.Dc vcm);
-  Netlist.vsource net "Vinn" "inn" "0" (Source.Dc vcm);
-  (* bias chain: push ibias from the supply into the diode-connected M8
-     (SPICE convention: current flows n+ -> n- inside the source) *)
-  Netlist.isource net "Ibias" "vdd" "nbias" (Source.Dc p.ibias);
-  Netlist.mosfet net "m8" ~drain:"nbias" ~gate:"nbias" ~source:"0"
-    ~model:Mosfet.nmos_012 ~w:(p.w_diff /. 2.0) ~l:p.l_ota;
-  Netlist.mosfet net "m5" ~drain:"ntail" ~gate:"nbias" ~source:"0"
-    ~model:Mosfet.nmos_012 ~w:p.w_diff ~l:p.l_ota;
-  (* first stage *)
-  Netlist.mosfet net "m1" ~drain:"n1" ~gate:"inp" ~source:"ntail"
-    ~model:Mosfet.nmos_012 ~w:p.w_diff ~l:p.l_ota;
-  Netlist.mosfet net "m2" ~drain:"n2" ~gate:"inn" ~source:"ntail"
-    ~model:Mosfet.nmos_012 ~w:p.w_diff ~l:p.l_ota;
-  Netlist.mosfet net "m3" ~drain:"n1" ~gate:"n1" ~source:"vdd"
-    ~model:Mosfet.pmos_012 ~w:p.w_load ~l:p.l_ota;
-  Netlist.mosfet net "m4" ~drain:"n2" ~gate:"n1" ~source:"vdd"
-    ~model:Mosfet.pmos_012 ~w:p.w_load ~l:p.l_ota;
-  (* second stage with Miller compensation *)
-  Netlist.mosfet net "m6" ~drain:"out" ~gate:"n2" ~source:"vdd"
-    ~model:Mosfet.pmos_012 ~w:p.w_p2 ~l:p.l_ota;
-  Netlist.mosfet net "m7" ~drain:"out" ~gate:"nbias" ~source:"0"
-    ~model:Mosfet.nmos_012 ~w:(2.0 *. p.w_diff) ~l:p.l_ota;
-  Netlist.capacitor net "Cc" "n2" "out" p.cc;
-  Netlist.capacitor net "Cl" "out" "0" cload;
-  net

@@ -54,33 +54,3 @@ val common_source :
   ?vdd:float -> w:float -> l:float -> rload:float -> float -> Netlist.t
 (** [common_source ~w ~l ~rload vbias]: resistor-loaded common-source
     NMOS stage, output ["out"]. *)
-
-(** Two-stage Miller-compensated OTA — used by the {!Repro_spice.Ota_measure}
-    AC characterisation and the beyond-the-paper sizing example, showing
-    the flow generalises past the ring VCO. *)
-
-type ota_params = {
-  w_diff : float;  (** input differential pair width, m *)
-  w_load : float;  (** PMOS mirror load width, m *)
-  w_p2 : float;    (** second-stage PMOS width, m *)
-  l_ota : float;   (** shared channel length, m *)
-  cc : float;      (** Miller compensation capacitor, F *)
-  ibias : float;   (** reference bias current, A *)
-}
-
-val ota_default : ota_params
-(** A sizing with high gain and a modest phase margin — the sizing
-    example trades margin against bandwidth and power. *)
-
-val ota_bounds : (float * float) array
-(** Design box for the OTA sizing example (order:
-    w_diff, w_load, w_p2, l_ota, cc, ibias). *)
-
-val ota_params_of_vector : float array -> ota_params
-val ota_vector_of_params : ota_params -> float array
-
-val two_stage_ota :
-  ?vdd:float -> ?vcm:float -> ?cload:float -> ota_params -> Netlist.t
-(** Build the amplifier with single-ended AC stimulus on ["Vinp"], the
-    inverting input tied to the common mode, output node ["out"], load
-    [cload] (default 1 pF).  Supply is ["Vdd"]. *)

@@ -1,4 +1,5 @@
-(** Random search, the baseline the benches compare NSGA-II against.
+(** Random search, the baseline [examples/vco_sizing.ml] compares
+    NSGA-II against.
 
     The paper's background (§2, [11], [12]) frames NSGA-II against pure
     random exploration of the design space; it runs over the same

@@ -45,13 +45,13 @@ val pareto_front : individual array -> individual array
 
 val evaluations : individual array -> Problem.evaluation array
 
-(* ---- building blocks shared with DE and SPEA2 ---- *)
+(* ---- building blocks shared with DE ---- *)
 
 val eval_batch :
   Problem.evaluator -> Problem.t -> float array array -> individual array
 (** Batch-evaluate raw decision vectors into individuals through the
-    injected evaluation strategy — the one evaluation seam every
-    population-based optimiser ({!De}, {!Spea2}) shares. *)
+    injected evaluation strategy — the one evaluation seam NSGA-II and
+    {!De} share. *)
 
 val select_best : int -> individual array -> individual array
 (** NSGA-II environmental selection: the best [target] individuals by

@@ -1,6 +1,5 @@
-(** Real-coded variation operators shared by the evolutionary optimisers
-    (NSGA-II, SPEA2): simulated-binary crossover and polynomial mutation
-    (Deb & Agrawal). *)
+(** Real-coded variation operators of NSGA-II: simulated-binary
+    crossover and polynomial mutation (Deb & Agrawal). *)
 
 val sbx :
   Repro_util.Prng.t ->

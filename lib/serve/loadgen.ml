@@ -1,9 +1,6 @@
 module Histogram = Repro_obs.Histogram
 
-type mode = Closed | Open_target of float
-
 type result = {
-  mode : string;
   connections : int;
   window : float;
   requests : int;
@@ -15,11 +12,7 @@ type result = {
   max_ms : float;
 }
 
-let mode_label = function
-  | Closed -> "closed"
-  | Open_target q -> Printf.sprintf "open@%g" q
-
-let run ?(mode = Closed) ?(connections = 4) ?(duration = 2.0) ?(warmup = 0.25)
+let run ?(connections = 4) ?(duration = 2.0) ?(warmup = 0.25)
     ?(host = "127.0.0.1") ~port ~target ~body () =
   let connections = max 1 connections in
   let duration = max 0.05 duration in
@@ -31,58 +24,30 @@ let run ?(mode = Closed) ?(connections = 4) ?(duration = 2.0) ?(warmup = 0.25)
   let start = Unix.gettimeofday () in
   let warm_until = start +. warmup in
   let deadline = warm_until +. duration in
-  let worker slot () =
+  let worker () =
     (* no transparent retries: a failed request must count as an error,
        not be silently replayed into the latency distribution *)
     let client = Client.create ~host ~port ~retries:0 () in
-    (match mode with
-    | Closed ->
-      let rec loop () =
-        let t0 = Unix.gettimeofday () in
-        if t0 < deadline then begin
-          (match Client.post client target ~body with
-          | Ok { Http.status = 200; _ } ->
-            if t0 >= warm_until then
-              Histogram.observe hist (Unix.gettimeofday () -. t0)
-          | Ok _ | Error _ ->
-            if t0 >= warm_until then Atomic.incr errors);
-          loop ()
-        end
-      in
-      loop ()
-    | Open_target total_qps ->
-      (* each connection fires at its share of the target rate on a
-         fixed schedule; latency is measured from the scheduled send
-         slot, so server-side queueing delay is charged to the server
-         (the defining property of an open-loop generator) *)
-      let rate = Float.max 0.1 (total_qps /. float_of_int connections) in
-      let period = 1.0 /. rate in
-      (* stagger connections so the fleet doesn't fire in phase *)
-      let first = start +. (period *. float_of_int slot /. float_of_int connections) in
-      let rec loop k =
-        let slot_time = first +. (period *. float_of_int k) in
-        if slot_time < deadline then begin
-          let now = Unix.gettimeofday () in
-          if slot_time > now then Thread.delay (slot_time -. now);
-          (match Client.post client target ~body with
-          | Ok { Http.status = 200; _ } ->
-            if slot_time >= warm_until then
-              Histogram.observe hist (Unix.gettimeofday () -. slot_time)
-          | Ok _ | Error _ ->
-            if slot_time >= warm_until then Atomic.incr errors);
-          loop (k + 1)
-        end
-      in
-      loop 0);
+    let rec loop () =
+      let t0 = Unix.gettimeofday () in
+      if t0 < deadline then begin
+        (match Client.post client target ~body with
+        | Ok { Http.status = 200; _ } ->
+          if t0 >= warm_until then
+            Histogram.observe hist (Unix.gettimeofday () -. t0)
+        | Ok _ | Error _ -> if t0 >= warm_until then Atomic.incr errors);
+        loop ()
+      end
+    in
+    loop ();
     Client.shutdown client
   in
-  let threads = List.init connections (fun i -> Thread.create (worker i) ()) in
+  let threads = List.init connections (fun _ -> Thread.create worker ()) in
   List.iter Thread.join threads;
   let finished = Unix.gettimeofday () in
   let window = finished -. Float.max warm_until start in
   let s = Histogram.stats hist in
   {
-    mode = mode_label mode;
     connections;
     window;
     requests = s.Histogram.count;
@@ -96,7 +61,7 @@ let run ?(mode = Closed) ?(connections = 4) ?(duration = 2.0) ?(warmup = 0.25)
 
 let pp out r =
   Printf.fprintf out
-    "%s, %d conn(s): %d req in %.2fs  %8.0f qps  p50 %6.2f ms  p99 %6.2f ms  \
+    "%d conn(s): %d req in %.2fs  %8.0f qps  p50 %6.2f ms  p99 %6.2f ms  \
      max %6.2f ms  errors %d"
-    r.mode r.connections r.requests r.window r.qps r.p50_ms r.p99_ms r.max_ms
+    r.connections r.requests r.window r.qps r.p50_ms r.p99_ms r.max_ms
     r.errors

@@ -124,9 +124,6 @@ let cap_voltage c i x =
 
 let cap_value c i = c.caps.(i).cval
 
-let capacitance_stamps c =
-  Array.map (fun { ca; cb; cval } -> (ca, cb, cval)) c.caps
-
 (* Transient-integration helpers: one checked pass over the compiled
    capacitor table instead of per-capacitor [cap_value]/[cap_voltage]
    calls in the per-step hot path. *)
@@ -658,11 +655,11 @@ let factorise_hist = Histogram.get "solver.factorise"
 let refactorise_hist = Histogram.get "solver.refactorise"
 
 (* Symbolic analysis runs once per matrix pattern: the registry shares
-   it across Newton calls, timesteps, Monte-Carlo samples of
-   structurally identical netlists and AC frequency points; every later
-   factorisation is a cheap numeric refactorisation along the frozen
-   pattern.  A frozen pivot gone stale raises Singular and falls back to
-   a fresh factorisation (new pivot order).
+   it across Newton calls, timesteps and Monte-Carlo samples of
+   structurally identical netlists; every later factorisation is a
+   cheap numeric refactorisation along the frozen pattern.  A frozen
+   pivot gone stale raises Singular and falls back to a fresh
+   factorisation (new pivot order).
 
    The refactorise counter/histogram updates are batched over the whole
    body: both sit behind global mutexes, and hitting them per iteration

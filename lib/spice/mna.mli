@@ -31,10 +31,6 @@ val cap_voltage : compiled -> int -> Repro_linalg.Vec.t -> float
 
 val cap_value : compiled -> int -> float
 
-val capacitance_stamps : compiled -> (int * int * float) array
-(** All linear capacitors as (unknown_a, unknown_b, value) triples with
-    -1 for a grounded terminal — the C matrix of the AC analysis. *)
-
 val companion_fill :
   compiled ->
   use_be:bool ->
@@ -104,22 +100,6 @@ val domain_workspace : unit -> workspace
     what the symbolic registry would provide, so results stay
     bit-identical to a fresh workspace. *)
 
-val with_factoriser :
-  ((Repro_linalg.Sparse_lu.numeric option ->
-   Repro_linalg.Sparse.t ->
-   Repro_linalg.Sparse_lu.numeric) ->
-  'a) ->
-  'a
-(** [with_factoriser body] runs [body factor].  [factor prev a]
-    returns numeric LU factors of [a] under the one factorisation policy
-    that {!newton} and the AC analysis share: refactorise [prev], or a
-    fresh numeric on the symbolic registry's entry for [a]'s pattern,
-    and fall back to a full factorisation when a frozen pivot has gone
-    stale.  The refactorisations are published when [body] returns, as
-    one [solver.refactorise] increment and one histogram observation of
-    their summed time.
-    @raise Repro_linalg.Sparse_lu.Singular when [a] is singular. *)
-
 val mos_stamp_paths :
   compiled ->
   x:Repro_linalg.Vec.t ->
@@ -169,9 +149,12 @@ val newton :
     scaling.  Convergence requires both the update norm below
     [vtol + rtol * |x|] and the KCL residual below [itol].
 
-    Each update solves the Jacobian with the sparse left-looking LU
-    under {!with_factoriser}: its symbolic analysis is computed once
-    per circuit topology and shared through a registry, so Newton
-    iterations, timesteps and Monte-Carlo samples only pay a numeric
-    refactorisation.  A singular Jacobian ends the iteration
+    Each update solves the Jacobian with the sparse left-looking LU:
+    its symbolic analysis is computed once per circuit topology and
+    shared through a registry, so Newton iterations, timesteps and
+    Monte-Carlo samples only pay a numeric refactorisation, and a
+    stale frozen pivot falls back to a full factorisation.  The
+    refactorisations of one call are published when it returns, as one
+    [solver.refactorise] increment and one histogram observation of
+    their summed time.  A singular Jacobian ends the iteration
     unconverged. *)

@@ -58,6 +58,24 @@ let test_pole_zero () =
   Alcotest.(check bool) "pole above zero" true (wp3 > wz);
   checkf 1e-15 "total C" 5.5e-12 ct
 
+let test_filter_impedance_midband () =
+  (* between the two limits, across the zero (8 MHz) and the third pole
+     (88 MHz): Z must be the circuit's own form, C2 in parallel with the
+     series R1-C1 branch *)
+  let { B.Loop_filter.c1; c2; r1 } = filter in
+  let open Complex in
+  for k = 0 to 16 do
+    let f = 1e5 *. (10.0 ** (float_of_int k /. 4.0)) in
+    let w = 2.0 *. Float.pi *. f in
+    let jw c = { re = 0.0; im = w *. c } in
+    let branch = add { re = r1; im = 0.0 } (inv (jw c1)) in
+    let expected = inv (add (jw c2) (inv branch)) in
+    let z = B.Loop_filter.impedance filter w in
+    let err = norm (sub z expected) /. norm expected in
+    if err > 1e-9 then
+      Alcotest.failf "impedance at %g Hz off by %g (relative)" f err
+  done
+
 (* ---- PFD ---- *)
 
 let test_pfd_sequence () =
@@ -522,4 +540,6 @@ let suite =
     Alcotest.test_case "PLL evaluate promotes nothing" `Quick
       test_pll_evaluate_promotes_nothing;
     Alcotest.test_case "vco floor bits" `Quick test_vco_floor_bits;
+    Alcotest.test_case "filter impedance mid-band" `Quick
+      test_filter_impedance_midband;
   ]

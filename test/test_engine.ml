@@ -557,26 +557,7 @@ let test_nsga2_deterministic_under_parallelism () =
   Alcotest.(check (list (float 0.0)))
     "serial = 4 workers"
     (population_fingerprint serial)
-    (population_fingerprint (run 4));
-  (* SPEA2 goes through the same injected-evaluator path *)
-  let spea evaluator =
-    Repro_moo.Spea2.optimise
-      ~options:
-        {
-          Repro_moo.Spea2.default_options with
-          population = 12;
-          archive = 8;
-          generations = 2;
-        }
-      ?evaluator zdt1 (Prng.create 17)
-  in
-  let spea_serial = spea None in
-  E.Pool.with_pool ~size:4 (fun pool ->
-      let ev = Repro_moo.Problem.parallel_evaluator ~pool () in
-      Alcotest.(check (list (float 0.0)))
-        "spea2 serial = 4 workers"
-        (population_fingerprint spea_serial)
-        (population_fingerprint (spea (Some ev))))
+    (population_fingerprint (run 4))
 
 let test_monte_carlo_deterministic_under_parallelism () =
   let net = T.ring_vco ~vctl:0.5 T.vco_default in
@@ -660,7 +641,7 @@ let suite =
       test_telemetry_concurrent_snapshot;
     Alcotest.test_case "telemetry sharded set semantics" `Quick
       test_telemetry_sharded_set;
-    Alcotest.test_case "nsga2/spea2 identical at 1 vs 4 workers" `Quick
+    Alcotest.test_case "nsga2 identical at 1 vs 4 workers" `Quick
       test_nsga2_deterministic_under_parallelism;
     Alcotest.test_case "monte-carlo identical at 1 vs 4 workers" `Quick
       test_monte_carlo_deterministic_under_parallelism;

@@ -12,7 +12,6 @@ let () =
       ("circuit", Test_circuit.suite);
       ("waveform", Test_waveform.suite);
       ("spice", Test_spice.suite);
-      ("ac", Test_ac.suite);
       ("moo", Test_moo.suite);
       ("moo-extra", Test_moo_extra.suite);
       ("portfolio", Test_portfolio.suite);

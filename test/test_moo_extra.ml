@@ -1,25 +1,7 @@
-(* SPEA2, the shared variation operators, LHS sampling and the spur
-   estimator *)
+(* NSGA-II's variation operators and LHS sampling *)
 module M = Repro_moo
 module Prng = Repro_util.Prng
 module Sampling = Repro_util.Sampling
-module B = Repro_behave
-
-let zdt1 n =
-  M.Problem.create ~name:"zdt1"
-    ~bounds:(Array.make n (0.0, 1.0))
-    ~objective_names:[| "f1"; "f2" |]
-    (fun x ->
-      let f1 = x.(0) in
-      let s = ref 0.0 in
-      for i = 1 to n - 1 do
-        s := !s +. x.(i)
-      done;
-      let g = 1.0 +. (9.0 *. !s /. float_of_int (n - 1)) in
-      {
-        M.Problem.objectives = [| f1; g *. (1.0 -. sqrt (f1 /. g)) |];
-        constraint_violation = 0.0;
-      })
 
 (* ---- variation operators ---- *)
 
@@ -58,82 +40,6 @@ let test_mutate_in_place_rate () =
     ~bounds:(Array.make 3 (0.0, 1.0))
     ~mutation_prob:0.0 ~eta_mutation:20.0 y;
   Alcotest.(check (array (float 0.0))) "no mutation at rate 0" x y
-
-(* ---- SPEA2 ---- *)
-
-let test_spea2_converges_zdt1 () =
-  let arch =
-    M.Spea2.optimise
-      ~options:
-        { M.Spea2.default_options with population = 40; archive = 40; generations = 50 }
-      (zdt1 8) (Prng.create 3)
-  in
-  let front = M.Nsga2.pareto_front arch in
-  Alcotest.(check bool) "large front" true (Array.length front > 15);
-  let errs =
-    Array.map
-      (fun ind ->
-        let o = ind.M.Nsga2.evaluation.M.Problem.objectives in
-        Float.abs (o.(1) -. (1.0 -. sqrt o.(0))))
-      front
-  in
-  Alcotest.(check bool) "near analytic front" true
-    (Repro_util.Stats.mean errs < 0.05)
-
-let test_spea2_archive_size () =
-  let arch =
-    M.Spea2.optimise
-      ~options:
-        { M.Spea2.default_options with population = 30; archive = 12; generations = 15 }
-      (zdt1 5) (Prng.create 7)
-  in
-  Alcotest.(check int) "archive bounded" 12 (Array.length arch)
-
-let test_spea2_deterministic () =
-  let run seed =
-    M.Spea2.optimise
-      ~options:
-        { M.Spea2.default_options with population = 16; archive = 8; generations = 5 }
-      (zdt1 4) (Prng.create seed)
-    |> Array.map (fun ind -> ind.M.Nsga2.evaluation.M.Problem.objectives)
-  in
-  Alcotest.(check bool) "same seed same archive" true (run 3 = run 3);
-  Alcotest.(check bool) "seeds differ" true (run 3 <> run 4)
-
-let test_spea2_respects_constraints () =
-  let problem =
-    M.Problem.create ~name:"c"
-      ~bounds:[| (0.0, 2.0); (0.0, 2.0) |]
-      ~objective_names:[| "x"; "y" |]
-      (fun x ->
-        {
-          M.Problem.objectives = [| x.(0); x.(1) |];
-          constraint_violation = Float.max 0.0 (1.0 -. (x.(0) +. x.(1)));
-        })
-  in
-  let arch =
-    M.Spea2.optimise
-      ~options:
-        { M.Spea2.default_options with population = 30; archive = 20; generations = 40 }
-      problem (Prng.create 9)
-  in
-  let front = M.Nsga2.pareto_front arch in
-  Alcotest.(check bool) "feasible front found" true (Array.length front > 0);
-  Array.iter
-    (fun ind ->
-      let o = ind.M.Nsga2.evaluation.M.Problem.objectives in
-      if o.(0) +. o.(1) < 0.999 then Alcotest.fail "constraint violated")
-    front
-
-let test_spea2_invalid_options () =
-  Alcotest.(check bool) "tiny archive rejected" true
-    (try
-       ignore
-         (M.Spea2.optimise
-            ~options:{ M.Spea2.default_options with archive = 1 }
-            (zdt1 3) (Prng.create 1));
-       false
-     with Invalid_argument _ -> true)
 
 (* ---- LHS ---- *)
 
@@ -205,61 +111,16 @@ let test_lhs_variance_reduction () =
     true
     (!err_lhs < 0.5 *. !err_mc)
 
-(* ---- reference spur ---- *)
-
-let spur_cfg leakage mismatch =
-  {
-    B.Pll.fref = 100e6;
-    n_div = 8;
-    cp =
-      {
-        (B.Charge_pump.with_mismatch ~icp:200e-6 ~mismatch) with
-        B.Charge_pump.leakage;
-      };
-    filter = { B.Loop_filter.c1 = 10e-12; c2 = 0.6e-12; r1 = 6e3 };
-    vco =
-      { B.Vco_model.f0 = 800e6; v0 = 0.85; kvco = 500e6; fmin = 300e6;
-        fmax = 1.5e9; jitter = 0.2e-12 };
-    ivco = 5e-3;
-    overhead_current = 8e-3;
-    vctl_init = 0.2;
-  }
-
-let test_spur_ideal_pump () =
-  Alcotest.(check bool) "ideal pump has no spur" true
-    (B.Pll.reference_spur_dbc (spur_cfg 0.0 0.0) = neg_infinity)
-
-let test_spur_grows_with_leakage () =
-  let s1 = B.Pll.reference_spur_dbc (spur_cfg 1e-9 0.0) in
-  let s2 = B.Pll.reference_spur_dbc (spur_cfg 1e-6 0.0) in
-  Alcotest.(check bool) "more leakage, bigger spur" true (s2 > s1);
-  (* 1000x leakage = +60 dB exactly in the leakage-dominated regime *)
-  Alcotest.(check (float 0.1)) "60 dB per 1000x" 60.0 (s2 -. s1);
-  Alcotest.(check bool) "realistic leakage spur below -40 dBc" true (s1 < -40.0)
-
-let test_spur_mismatch_contributes () =
-  let s = B.Pll.reference_spur_dbc (spur_cfg 0.0 0.1) in
-  Alcotest.(check bool) "mismatch alone produces a finite spur" true
-    (Float.is_finite s)
-
 let suite =
   [
     Alcotest.test_case "sbx bounds and mean" `Quick test_sbx_bounds_and_mean;
     Alcotest.test_case "sbx equal parents" `Quick test_sbx_equal_parents;
     Alcotest.test_case "polynomial mutation bounds" `Quick test_polynomial_mutation_bounds;
     Alcotest.test_case "mutation rate 0" `Quick test_mutate_in_place_rate;
-    Alcotest.test_case "SPEA2 converges on ZDT1" `Quick test_spea2_converges_zdt1;
-    Alcotest.test_case "SPEA2 archive size" `Quick test_spea2_archive_size;
-    Alcotest.test_case "SPEA2 deterministic" `Quick test_spea2_deterministic;
-    Alcotest.test_case "SPEA2 constraints" `Quick test_spea2_respects_constraints;
-    Alcotest.test_case "SPEA2 invalid options" `Quick test_spea2_invalid_options;
     Alcotest.test_case "LHS stratification" `Quick test_lhs_stratified;
     Alcotest.test_case "LHS invalid" `Quick test_lhs_invalid;
     Alcotest.test_case "scale to box" `Quick test_scale_to_box;
     Alcotest.test_case "inverse normal CDF" `Quick test_inverse_cdf;
     Alcotest.test_case "gaussian LHS moments" `Quick test_gaussian_lhs_moments;
     Alcotest.test_case "LHS variance reduction" `Quick test_lhs_variance_reduction;
-    Alcotest.test_case "spur: ideal pump" `Quick test_spur_ideal_pump;
-    Alcotest.test_case "spur: leakage scaling" `Quick test_spur_grows_with_leakage;
-    Alcotest.test_case "spur: mismatch" `Quick test_spur_mismatch_contributes;
   ]
