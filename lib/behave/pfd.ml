@@ -1,16 +1,3 @@
 type state = Up | Neutral | Down
 
-type t = { mutable s : state }
-
-let create () = { s = Neutral }
-let state t = t.s
-
-let ref_edge t =
-  t.s <- (match t.s with Down -> Neutral | Neutral -> Up | Up -> Up)
-
-let div_edge t =
-  t.s <- (match t.s with Up -> Neutral | Neutral -> Down | Down -> Down)
-
-let reset t = t.s <- Neutral
-
 let drive = function Up -> 1.0 | Neutral -> 0.0 | Down -> -1.0

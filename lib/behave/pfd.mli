@@ -5,22 +5,10 @@
     (pump current positive, speeding the VCO); rising edges on the
     divider feedback drive it toward [Down]; an edge in the opposite
     state resets to [Neutral] (the AND-reset of the classical
-    flip-flop PFD). *)
+    flip-flop PFD).  {!Pll} steps this state machine
+    ({!Pll.pfd_ref_edge}, {!Pll.pfd_div_edge}) from [Neutral]. *)
 
 type state = Up | Neutral | Down
-
-type t
-
-val create : unit -> t
-val state : t -> state
-
-val ref_edge : t -> unit
-(** Rising edge of the reference clock. *)
-
-val div_edge : t -> unit
-(** Rising edge of the divided VCO clock. *)
-
-val reset : t -> unit
 
 val drive : state -> float
 (** Charge-pump drive sign: [Up] -> +1, [Neutral] -> 0, [Down] -> -1. *)

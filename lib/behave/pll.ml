@@ -39,14 +39,79 @@ type sim_result = {
   cp_duty : float;
 }
 
+(* ---- The blocks' step laws ----
+   Each law is written once, here, and both [run] and
+   [measured_output_jitter] call it.  The dev profile compiles every
+   module with [-opaque], so a call into another module is never inlined
+   and boxes each float it passes or returns; inlined, these keep the
+   loop's whole state in local refs the compiler leaves unboxed.  Each
+   law returns one scalar. *)
+
 (* [Float.floor]'s exact bits without the libm call: on 0 < x < 2^52
    truncation is floor and both conversions are exact; -0.0, negatives,
-   nan and larger magnitudes go to [Float.floor].  A copy of
-   [Vco_model.floor], because a call across modules boxes the argument
-   and the result on every step. *)
+   nan and larger magnitudes go to [Float.floor]. *)
 let[@inline] floor x =
   if 0.0 < x && x < 0x1p52 then Float.of_int (Float.to_int x)
   else Float.floor x
+
+(* PFD: an edge in the opposite state resets to [Neutral] *)
+let[@inline] pfd_ref_edge = function
+  | Pfd.Down -> Pfd.Neutral
+  | Pfd.Neutral | Pfd.Up -> Pfd.Up
+
+let[@inline] pfd_div_edge = function
+  | Pfd.Up -> Pfd.Neutral
+  | Pfd.Neutral | Pfd.Down -> Pfd.Down
+
+(* ÷N divider: its output edge is the count's return to 0 *)
+let[@inline] divider_count ~n count =
+  let count = count + 1 in
+  if count >= n then 0 else count
+
+(* Loop filter: backward Euler on
+     C2 dvctl/dt = i_in - (vctl - vc1)/R1
+     C1 dvc1/dt  = (vctl - vc1)/R1
+   solving the 2x2 implicit system analytically.  With a = dt/(R1 C2)
+   and b = dt/(R1 C1) the unknowns v = vctl', u = vc1' satisfy
+     v (1 + a) - a u = vctl + dt i/C2
+     -b v + (1 + b) u = vc1 *)
+type filter_coeffs = {
+  a : float;
+  b : float;
+  one_a : float;
+  one_b : float;
+  det : float;
+}
+
+let filter_coeffs (p : Loop_filter.params) ~dt =
+  let a = dt /. (p.r1 *. p.c2) in
+  let b = dt /. (p.r1 *. p.c1) in
+  let one_a = 1.0 +. a and one_b = 1.0 +. b in
+  { a; b; one_a; one_b; det = (one_a *. one_b) -. (a *. b) }
+
+let[@inline] filter_vctl k ~vctl ~vc1 ~inj =
+  ((k.one_b *. (vctl +. inj)) +. (k.a *. vc1)) /. k.det
+
+let[@inline] filter_vc1 k ~vctl ~vc1 ~inj =
+  ((k.b *. (vctl +. inj)) +. (k.one_a *. vc1)) /. k.det
+
+(* VCO tuning law: [Vco_model.frequency]'s expression, which must stay
+   the same *)
+let[@inline] vco_frequency (p : Vco_model.params) vctl =
+  let f = p.f0 +. (p.kvco *. (vctl -. p.v0)) in
+  if f < p.fmin then p.fmin else if f > p.fmax then p.fmax else f
+
+(* Period jitter sigma per cycle means phase diffusion: over an interval
+   containing n = f dt cycles the accumulated time error has variance
+   n sigma^2, i.e. a phase error (in cycles) of sqrt(n) * sigma * f. *)
+let[@inline] vco_jitter prng (p : Vco_model.params) ~f ~dt =
+  if p.jitter <= 0.0 then 0.0
+  else
+    Repro_util.Prng.gaussian prng ~mean:0.0
+      ~sigma:(sqrt (Float.max (f *. dt) 0.0) *. p.jitter *. f)
+
+let[@inline] vco_phase ~f ~dt ~noise phi =
+  phi +. Float.max 0.0 ((f *. dt) +. noise)
 
 (* The one stepping loop behind [simulate] and [evaluate].  Without
    [record] it allocates, fills and converts no trace arrays: [evaluate]
@@ -59,18 +124,12 @@ let run ~record ?prng cfg opts =
     invalid_arg "Pll.simulate: bad time settings";
   if opts.record_stride <= 0 then
     invalid_arg "Pll.simulate: record_stride must be positive";
-  let dt = opts.dt in
-  let pfd = Pfd.create () in
-  let divider = Divider.create cfg.n_div in
-  let vco = Vco_model.create ?prng cfg.vco in
+  if cfg.n_div < 1 then invalid_arg "Pll.simulate: n_div must be >= 1";
+  let dt = opts.dt and vco = cfg.vco and n_div = cfg.n_div in
   (* What a step needs that stays fixed for the run is computed here,
      once: the filter matrix, the control-node step of each pump state and
-     the reference phase increment.  They are the expressions
-     [Loop_filter.step] and [Charge_pump.current] evaluate, so a result
-     does not depend on whether a step recomputes them.  The state lives
-     in all-float records and float refs, so a step allocates only the two
-     boxes of its [Vco_model.tune] call. *)
-  let coeffs = Loop_filter.coeffs cfg.filter ~dt in
+     the reference phase increment. *)
+  let k = filter_coeffs cfg.filter ~dt in
   let injection state =
     Loop_filter.injection cfg.filter
       ~i_in:(Charge_pump.current cfg.cp state)
@@ -80,7 +139,6 @@ let run ~record ?prng cfg opts =
   and inj_neutral = injection Pfd.Neutral
   and inj_down = injection Pfd.Down in
   let ref_increment = cfg.fref *. dt in
-  let node = Loop_filter.initial cfg.vctl_init in
   let f_target = target_frequency cfg in
   let n_steps = int_of_float (Float.ceil (opts.t_stop /. dt)) in
   let n_records =
@@ -88,8 +146,12 @@ let run ~record ?prng cfg opts =
   in
   let vctl_rec = Array.make n_records 0.0
   and freq_rec = Array.make n_records 0.0 in
+  (* the loop's state: reference, PFD, divider, filter, VCO *)
   let ref_phase = ref 0.0 and ref_floor = ref 0.0 in
-  ignore (Vco_model.tune vco ~vctl:node.Loop_filter.vctl);
+  let pfd = ref Pfd.Neutral and count = ref 0 in
+  let vctl = ref cfg.vctl_init and vc1 = ref cfg.vctl_init in
+  let f = ref (vco_frequency vco cfg.vctl_init) in
+  let phi = ref 0.0 and phi_floor = ref 0.0 in
   (* Lock detection runs on the frequency averaged over each reference
      cycle: the instantaneous frequency carries the Icp*R1 ripple step
      whenever the pump fires, which would bounce a sample-based detector
@@ -106,14 +168,22 @@ let run ~record ?prng cfg opts =
     let floor_now = floor !ref_phase in
     let ref_edge_now = floor_now > !ref_floor in
     ref_floor := floor_now;
-    if ref_edge_now then Pfd.ref_edge pfd;
-    (* VCO + divider *)
-    let edges = Vco_model.advance vco ~dt in
-    for _ = 1 to edges do
-      if Divider.clock_edge divider then Pfd.div_edge pfd
+    if ref_edge_now then pfd := pfd_ref_edge !pfd;
+    (* VCO phase, then the divider on each of its rising edges *)
+    let noise =
+      match prng with
+      | None -> 0.0
+      | Some prng -> vco_jitter prng vco ~f:!f ~dt
+    in
+    phi := vco_phase ~f:!f ~dt ~noise !phi;
+    let floor_now = floor !phi in
+    for _ = 1 to int_of_float floor_now - int_of_float !phi_floor do
+      count := divider_count ~n:n_div !count;
+      if !count = 0 then pfd := pfd_div_edge !pfd
     done;
-    (* charge pump into the filter *)
-    let state = Pfd.state pfd in
+    phi_floor := floor_now;
+    (* charge pump into the filter, then the VCO's new tuning *)
+    let state = !pfd in
     if state <> Pfd.Neutral then begin
       incr active_steps;
       if !locked then incr post_lock_steps
@@ -124,9 +194,11 @@ let run ~record ?prng cfg opts =
       | Pfd.Neutral -> inj_neutral
       | Pfd.Down -> inj_down
     in
-    Loop_filter.advance coeffs node ~inj;
-    let f = Vco_model.tune vco ~vctl:node.Loop_filter.vctl in
-    freq_acc := !freq_acc +. (f *. dt);
+    let vctl_next = filter_vctl k ~vctl:!vctl ~vc1:!vc1 ~inj in
+    vc1 := filter_vc1 k ~vctl:!vctl ~vc1:!vc1 ~inj;
+    vctl := vctl_next;
+    f := vco_frequency vco vctl_next;
+    freq_acc := !freq_acc +. (!f *. dt);
     if ref_edge_now && t > !cycle_start then begin
       let f_avg = !freq_acc /. (t -. !cycle_start) in
       have_cycle_avg := true;
@@ -151,14 +223,14 @@ let run ~record ?prng cfg opts =
     end;
     if record && step mod opts.record_stride = 0 then begin
       let i = step / opts.record_stride in
-      vctl_rec.(i) <- node.Loop_filter.vctl;
-      freq_rec.(i) <- (if !have_cycle_avg then !f_cycle_avg else f)
+      vctl_rec.(i) <- !vctl;
+      freq_rec.(i) <- (if !have_cycle_avg then !f_cycle_avg else !f)
     end
   done;
   Repro_engine.Telemetry.incr "pll.sims";
   Repro_engine.Telemetry.incr "pll.steps" ~by:n_steps;
   let lock_time = if !locked then Some !lock_time else None in
-  let final_vctl = node.Loop_filter.vctl in
+  let final_vctl = !vctl in
   let final_freq = Vco_model.frequency cfg.vco final_vctl in
   let cp_duty =
     (* activity after lock (near zero for a clean loop); falls back to the
@@ -243,6 +315,7 @@ let evaluate cfg =
    sum when cycles ~ 2 fout tau_loop *)
 let measured_output_jitter ~prng cfg ~cycles =
   if cycles <= 0 then invalid_arg "Pll.measured_output_jitter: cycles";
+  Vco_model.validate cfg.vco;
   let f_out = target_frequency cfg in
   let vctl_lock =
     cfg.vco.Vco_model.v0
@@ -251,22 +324,19 @@ let measured_output_jitter ~prng cfg ~cycles =
   let trials = 32 in
   let errors =
     Array.init trials (fun _ ->
-        let vco = Vco_model.create ~prng:(Repro_util.Prng.split prng) cfg.vco in
-        let f_lock = Vco_model.tune vco ~vctl:vctl_lock in
+        let prng = Repro_util.Prng.split prng in
+        let f_lock = vco_frequency cfg.vco vctl_lock in
         let dt = 1.0 /. (4.0 *. f_out) in
         let target_phi = float_of_int cycles in
-        let rec spin t =
-          if Vco_model.phase vco >= target_phi then begin
+        let rec spin t phi =
+          if phi >= target_phi then
             (* interpolate the time at which phase hit the target *)
-            let overshoot = (Vco_model.phase vco -. target_phi) /. f_lock in
-            t -. overshoot
-          end
-          else begin
-            ignore (Vco_model.advance vco ~dt);
-            spin (t +. dt)
-          end
+            t -. ((phi -. target_phi) /. f_lock)
+          else
+            let noise = vco_jitter prng cfg.vco ~f:f_lock ~dt in
+            spin (t +. dt) (vco_phase ~f:f_lock ~dt ~noise phi)
         in
-        let t_hit = spin 0.0 in
+        let t_hit = spin 0.0 0.0 in
         t_hit -. (target_phi /. f_out))
   in
   Repro_util.Stats.stddev errors

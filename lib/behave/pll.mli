@@ -1,6 +1,8 @@
 (** Behavioural charge-pump PLL (the paper's Figure 5 system): PFD +
     charge pump + passive loop filter + ÷N divider + behavioural VCO,
-    co-simulated at a fixed time step.
+    co-simulated at a fixed time step.  The blocks' modules hold their
+    parameters and laws that need no state; the step laws below are
+    this module's, and its one loop carries the whole state.
 
     [evaluate] produces the three system performances of Table 2 —
     lock time (from the time-domain transient), jitter sum (Kundert's
@@ -49,7 +51,60 @@ val simulate : ?prng:Repro_util.Prng.t -> config -> sim_options -> sim_result
     injection (Listing 2's [$rdist_normal]).  Each call adds 1 to the
     [pll.sims] telemetry counter and its step count to [pll.steps].
     @raise Invalid_argument on invalid filter or VCO parameters, or when
-    [dt <= 0], [t_stop <= dt] or [record_stride <= 0]. *)
+    [n_div < 1], [dt <= 0], [t_stop <= dt] or [record_stride <= 0]. *)
+
+(** {1 Step laws}
+
+    One time step applies, in order: the reference edge, the VCO phase
+    and a divider step per VCO edge, the pump's state, the backward-Euler
+    filter, then the tuning law ({!Vco_model.frequency}, whose expression
+    the loop inlines).  {!simulate}, {!evaluate} and
+    {!measured_output_jitter} step through these laws and call no other
+    module, except [Repro_util.Prng.gaussian] on the jittered path, so an
+    unjittered step allocates nothing. *)
+
+val floor : float -> float
+(** [Float.floor], bit for bit, computed without a libm call where
+    0 < x < 2{^52}.  A step takes the floor of the reference and VCO
+    phases; an edge is a rise of the floor since the previous step. *)
+
+val pfd_ref_edge : Pfd.state -> Pfd.state
+(** The detector after a rising reference edge: [Down] resets to
+    [Neutral], otherwise [Up].  The loop starts at [Neutral]. *)
+
+val pfd_div_edge : Pfd.state -> Pfd.state
+(** The detector after a rising divided-clock edge: [Up] resets to
+    [Neutral], otherwise [Down]. *)
+
+val divider_count : n:int -> int -> int
+(** The ÷[n] divider's count after one more VCO edge, from 0; its
+    output edge is the count's return to 0, every [n] VCO edges. *)
+
+type filter_coeffs
+(** The loop filter's backward-Euler matrix for one [(params, dt)]
+    pair. *)
+
+val filter_coeffs : Loop_filter.params -> dt:float -> filter_coeffs
+
+val filter_vctl :
+  filter_coeffs -> vctl:float -> vc1:float -> inj:float -> float
+(** The control-node voltage (across C2) one step after [vctl] and
+    [vc1] (across C1), with [inj] from {!Loop_filter.injection}. *)
+
+val filter_vc1 :
+  filter_coeffs -> vctl:float -> vc1:float -> inj:float -> float
+(** The voltage across C1 after the same step. *)
+
+val vco_jitter :
+  Repro_util.Prng.t -> Vco_model.params -> f:float -> dt:float -> float
+(** The phase noise, in cycles, of one step of [dt] at frequency [f]: a
+    Gaussian draw whose variance is the per-cycle [jitter]'s over the
+    f·dt cycles of the step, so the phase is a random walk.  0 without
+    a draw when [jitter] is 0. *)
+
+val vco_phase : f:float -> dt:float -> noise:float -> float -> float
+(** The VCO phase, in cycles, one step of [dt] at frequency [f] after
+    the given phase; the step plus [noise] never runs it backwards. *)
 
 type performance = {
   lock_time : float;    (** s *)

@@ -5,7 +5,7 @@
    multiply each slab's thickness by the (d-1)-dimensional hypervolume
    of the points entering it.  Fully deterministic — no sampling, no
    PRNG — so it is safe to compute inside an observed run without
-   perturbing anything (unlike {!Pareto.hypervolume_mc}).
+   perturbing anything.
 
    Cost is O(n log n) at d = 2 and O(n^(d-1) log n) in the worst case
    above, fine for the front sizes here (tens of points, d <= 5). *)

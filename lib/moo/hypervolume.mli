@@ -7,10 +7,9 @@
     generation against one fixed reference tracks convergence (the
     journal's [ga.generation] events).
 
-    Unlike {!Pareto.hypervolume_mc} this is exact and deterministic —
-    no PRNG involved — so computing it mid-run cannot perturb results.
-    Points that do not strictly dominate the reference in every
-    coordinate contribute nothing. *)
+    It is exact and deterministic — no PRNG involved — so computing it
+    mid-run cannot perturb results.  Points that do not strictly
+    dominate the reference in every coordinate contribute nothing. *)
 
 val exact : reference:float array -> float array array -> float
 (** [exact ~reference points] for raw objective vectors; every point

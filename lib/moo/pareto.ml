@@ -126,43 +126,6 @@ let hypervolume_2d ~reference evals =
   in
   sweep reference.(1) 0.0 sorted
 
-let hypervolume_mc ?(samples = 20000) ~prng ~reference ~ideal evals =
-  let d = Array.length reference in
-  if Array.length ideal <> d then
-    invalid_arg "Pareto.hypervolume_mc: ideal/reference mismatch";
-  let pts =
-    Array.to_list evals
-    |> List.filter (fun (e : Problem.evaluation) ->
-           Array.length e.objectives = d)
-    |> List.map (fun (e : Problem.evaluation) -> e.objectives)
-  in
-  if pts = [] then 0.0
-  else begin
-    let hits = ref 0 in
-    let probe = Array.make d 0.0 in
-    for _ = 1 to samples do
-      for k = 0 to d - 1 do
-        probe.(k) <- Repro_util.Prng.range prng ideal.(k) reference.(k)
-      done;
-      let dominated =
-        List.exists
-          (fun p ->
-            let ok = ref true in
-            for k = 0 to d - 1 do
-              if p.(k) > probe.(k) then ok := false
-            done;
-            !ok)
-          pts
-      in
-      if dominated then incr hits
-    done;
-    let volume_box =
-      Array.to_list (Array.init d (fun k -> reference.(k) -. ideal.(k)))
-      |> List.fold_left ( *. ) 1.0
-    in
-    volume_box *. float_of_int !hits /. float_of_int samples
-  end
-
 let spread_2d evals =
   let pts =
     Array.to_list evals

@@ -29,16 +29,6 @@ val hypervolume_2d :
     (points not strictly dominating the reference are ignored).
     @raise Invalid_argument unless all points have 2 objectives. *)
 
-val hypervolume_mc :
-  ?samples:int ->
-  prng:Repro_util.Prng.t ->
-  reference:float array ->
-  ideal:float array ->
-  Problem.evaluation array ->
-  float
-(** Monte-Carlo hypervolume estimate for any dimension (used by tests
-    and ablation benches on 3+ objective fronts). *)
-
 val spread_2d : Problem.evaluation array -> float
 (** Deb's ∆ spread/diversity metric on a 2-objective front (lower is
     better). Returns 0 for fronts with < 3 points. *)

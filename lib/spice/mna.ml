@@ -122,11 +122,9 @@ let cap_voltage c i x =
   let cap = c.caps.(i) in
   volt x cap.ca -. volt x cap.cb
 
-let cap_value c i = c.caps.(i).cval
-
 (* Transient-integration helpers: one checked pass over the compiled
-   capacitor table instead of per-capacitor [cap_value]/[cap_voltage]
-   calls in the per-step hot path. *)
+   capacitor table instead of a call per capacitor in the per-step hot
+   path. *)
 
 let check_cap_arrays c name ~v_prev ~i_prev ~geq ~ieq =
   let ncaps = Array.length c.caps in

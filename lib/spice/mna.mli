@@ -29,8 +29,6 @@ val cap_count : compiled -> int
 val cap_voltage : compiled -> int -> Repro_linalg.Vec.t -> float
 (** Terminal voltage of capacitor [i] under solution [x]. *)
 
-val cap_value : compiled -> int -> float
-
 val companion_fill :
   compiled ->
   use_be:bool ->

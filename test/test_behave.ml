@@ -6,6 +6,21 @@ let checkf tol msg = Alcotest.(check (float tol)) msg
 
 let filter = { B.Loop_filter.c1 = 5e-12; c2 = 0.5e-12; r1 = 4e3 }
 
+let vco =
+  { B.Vco_model.f0 = 700e6; v0 = 0.6; kvco = 800e6; fmin = 300e6;
+    fmax = 1.4e9; jitter = 0.0 }
+
+let cfg =
+  { B.Pll.fref = 100e6; n_div = 8; cp = B.Charge_pump.ideal 100e-6; filter;
+    vco; ivco = 5e-3; overhead_current = 8e-3; vctl_init = 0.2 }
+
+(* one backward-Euler step of [Pll]'s loop from [(vctl, vc1)] with
+   current [i_in] into the control node *)
+let filter_step ~i_in ~dt (vctl, vc1) =
+  let k = B.Pll.filter_coeffs filter ~dt in
+  let inj = B.Loop_filter.injection filter ~i_in ~dt in
+  (B.Pll.filter_vctl k ~vctl ~vc1 ~inj, B.Pll.filter_vc1 k ~vctl ~vc1 ~inj)
+
 let test_filter_validate () =
   B.Loop_filter.validate filter;
   Alcotest.(check bool) "negative C rejected" true
@@ -15,29 +30,26 @@ let test_filter_validate () =
 let test_filter_charge_integration () =
   (* constant current into the caps: final slope = i / (C1 + C2) *)
   let dt = 1e-10 and i = 1e-6 in
-  let state = ref (B.Loop_filter.initial 0.0) in
+  let state = ref (0.0, 0.0) in
   for _ = 1 to 10000 do
-    state := B.Loop_filter.step filter !state ~i_in:i ~dt
+    state := filter_step ~i_in:i ~dt !state
   done;
   let t = 10000.0 *. dt in
   let expected = i *. t /. (filter.B.Loop_filter.c1 +. filter.B.Loop_filter.c2) in
   (* after initial transient both caps integrate the same current *)
   Alcotest.(check bool) "integrator slope" true
-    (Float.abs (!state.B.Loop_filter.vctl -. expected) < 0.05 *. expected)
+    (Float.abs (fst !state -. expected) < 0.05 *. expected)
 
 let test_filter_zero_input_holds () =
-  let s0 = B.Loop_filter.initial 0.7 in
-  let s = B.Loop_filter.step filter s0 ~i_in:0.0 ~dt:1e-9 in
-  checkf 1e-12 "vctl holds" 0.7 s.B.Loop_filter.vctl;
-  checkf 1e-12 "vc1 holds" 0.7 s.B.Loop_filter.vc1
+  let vctl, vc1 = filter_step ~i_in:0.0 ~dt:1e-9 (0.7, 0.7) in
+  checkf 1e-12 "vctl holds" 0.7 vctl;
+  checkf 1e-12 "vc1 holds" 0.7 vc1
 
 let test_filter_ir_step () =
   (* an instantaneous current step initially drops across R1 + C2 path:
      vctl jumps faster than vc1 *)
-  let s0 = B.Loop_filter.initial 0.0 in
-  let s = B.Loop_filter.step filter s0 ~i_in:100e-6 ~dt:1e-10 in
-  Alcotest.(check bool) "vctl leads vc1" true
-    (s.B.Loop_filter.vctl > s.B.Loop_filter.vc1)
+  let vctl, vc1 = filter_step ~i_in:100e-6 ~dt:1e-10 (0.0, 0.0) in
+  Alcotest.(check bool) "vctl leads vc1" true (vctl > vc1)
 
 let test_filter_impedance_limits () =
   (* low frequency: |Z| ~ 1/(w (C1+C2)); high frequency: |Z| ~ 1/(w C2) *)
@@ -79,22 +91,23 @@ let test_filter_impedance_midband () =
 (* ---- PFD ---- *)
 
 let test_pfd_sequence () =
-  let pfd = B.Pfd.create () in
-  Alcotest.(check bool) "starts neutral" true (B.Pfd.state pfd = B.Pfd.Neutral);
-  B.Pfd.ref_edge pfd;
-  Alcotest.(check bool) "ref -> up" true (B.Pfd.state pfd = B.Pfd.Up);
-  B.Pfd.ref_edge pfd;
-  Alcotest.(check bool) "up saturates" true (B.Pfd.state pfd = B.Pfd.Up);
-  B.Pfd.div_edge pfd;
-  Alcotest.(check bool) "div resets" true (B.Pfd.state pfd = B.Pfd.Neutral);
-  B.Pfd.div_edge pfd;
-  Alcotest.(check bool) "div -> down" true (B.Pfd.state pfd = B.Pfd.Down);
-  B.Pfd.ref_edge pfd;
+  (* the first two steps see no clock edge, so the pump stays off only
+     if the loop starts the detector at [Neutral] *)
+  let opts = B.Pll.default_sim_options cfg in
+  let first_steps =
+    B.Pll.simulate cfg { opts with B.Pll.t_stop = 2.0 *. opts.B.Pll.dt }
+  in
+  checkf 0.0 "starts neutral" 0.0 first_steps.B.Pll.cp_duty;
+  let s = B.Pll.pfd_ref_edge B.Pfd.Neutral in
+  Alcotest.(check bool) "ref -> up" true (s = B.Pfd.Up);
+  let s = B.Pll.pfd_ref_edge s in
+  Alcotest.(check bool) "up saturates" true (s = B.Pfd.Up);
+  let s = B.Pll.pfd_div_edge s in
+  Alcotest.(check bool) "div resets" true (s = B.Pfd.Neutral);
+  let s = B.Pll.pfd_div_edge s in
+  Alcotest.(check bool) "div -> down" true (s = B.Pfd.Down);
   Alcotest.(check bool) "ref resets from down" true
-    (B.Pfd.state pfd = B.Pfd.Neutral);
-  B.Pfd.div_edge pfd;
-  B.Pfd.reset pfd;
-  Alcotest.(check bool) "explicit reset" true (B.Pfd.state pfd = B.Pfd.Neutral)
+    (B.Pll.pfd_ref_edge s = B.Pfd.Neutral)
 
 let test_pfd_drive () =
   checkf 0.0 "up" 1.0 (B.Pfd.drive B.Pfd.Up);
@@ -122,31 +135,29 @@ let test_cp_average () =
 
 (* ---- divider ---- *)
 
+(* the divider's count after each of [edges] VCO edges, from 0 *)
+let divider_counts ~n edges =
+  let count = ref 0 in
+  List.init edges (fun _ ->
+      count := B.Pll.divider_count ~n !count;
+      !count)
+
 let test_divider () =
-  let d = B.Divider.create 4 in
-  Alcotest.(check int) "modulus" 4 (B.Divider.modulus d);
-  let outs = List.init 12 (fun _ -> B.Divider.clock_edge d) in
+  let counts = divider_counts ~n:4 12 in
+  Alcotest.(check (list int)) "modulus" [ 1; 2; 3; 0 ]
+    (List.filteri (fun i _ -> i < 4) counts);
+  let outs = List.map (fun c -> c = 0) counts in
   let expected =
     [ false; false; false; true; false; false; false; true; false; false;
       false; true ]
   in
-  Alcotest.(check (list bool)) "divide by 4" expected outs;
-  B.Divider.reset d;
-  Alcotest.(check bool) "reset restarts count" true
-    (not (B.Divider.clock_edge d));
-  Alcotest.(check bool) "bad modulus" true
-    (try ignore (B.Divider.create 0); false with Invalid_argument _ -> true)
+  Alcotest.(check (list bool)) "divide by 4" expected outs
 
 let test_divider_by_one () =
-  let d = B.Divider.create 1 in
   Alcotest.(check bool) "every edge passes" true
-    (List.for_all Fun.id (List.init 5 (fun _ -> B.Divider.clock_edge d)))
+    (List.for_all (fun c -> c = 0) (divider_counts ~n:1 5))
 
 (* ---- VCO model ---- *)
-
-let vco =
-  { B.Vco_model.f0 = 700e6; v0 = 0.6; kvco = 800e6; fmin = 300e6;
-    fmax = 1.4e9; jitter = 0.0 }
 
 let test_vco_tuning_law () =
   checkf 1.0 "at v0" 700e6 (B.Vco_model.frequency vco 0.6);
@@ -163,18 +174,19 @@ let test_vco_validate () =
      with Invalid_argument _ -> true)
 
 let test_vco_edge_counting () =
-  let t = B.Vco_model.create vco in
-  (* 700 MHz for 10 ns = 7 cycles *)
-  ignore (B.Vco_model.tune t ~vctl:0.6);
-  let edges = ref 0 in
+  (* 700 MHz for 10 ns = 7 cycles; an edge is a rise of the phase's
+     floor over a step *)
+  let f = B.Vco_model.frequency vco 0.6 in
+  let phi = ref 0.0 and phi_floor = ref 0.0 and edges = ref 0 in
   for _ = 1 to 1000 do
-    edges := !edges + B.Vco_model.advance t ~dt:1e-11
+    phi := B.Pll.vco_phase ~f ~dt:1e-11 ~noise:0.0 !phi;
+    let floor_now = B.Pll.floor !phi in
+    edges := !edges + (int_of_float floor_now - int_of_float !phi_floor);
+    phi_floor := floor_now
   done;
   Alcotest.(check bool) "edge count (float-accumulation boundary)" true
     (!edges = 6 || !edges = 7);
-  Alcotest.(check (float 1e-3)) "phase" 7.0 (B.Vco_model.phase t);
-  B.Vco_model.reset t;
-  checkf 0.0 "reset phase" 0.0 (B.Vco_model.phase t)
+  Alcotest.(check (float 1e-3)) "phase" 7.0 !phi
 
 let test_vco_jitter_is_random_walk () =
   (* accumulated timing error over n cycles ~ jitter * sqrt n *)
@@ -185,16 +197,17 @@ let test_vco_jitter_is_random_walk () =
   let prng = Repro_util.Prng.create 5 in
   let errors =
     Array.init trials (fun _ ->
-        let t = B.Vco_model.create ~prng:(Repro_util.Prng.split prng) vco_j in
+        let prng = Repro_util.Prng.split prng in
         let dt = 1e-11 in
-        let f = B.Vco_model.tune t ~vctl:0.6 in
-        let steps = ref 0 in
-        while B.Vco_model.phase t < float_of_int n_cycles do
-          ignore (B.Vco_model.advance t ~dt);
+        let f = B.Vco_model.frequency vco_j 0.6 in
+        let phi = ref 0.0 and steps = ref 0 in
+        while !phi < float_of_int n_cycles do
+          let noise = B.Pll.vco_jitter prng vco_j ~f ~dt in
+          phi := B.Pll.vco_phase ~f ~dt ~noise !phi;
           incr steps
         done;
         (* time at which the target phase was crossed, minus ideal *)
-        let overshoot = (B.Vco_model.phase t -. float_of_int n_cycles) /. f in
+        let overshoot = (!phi -. float_of_int n_cycles) /. f in
         (float_of_int !steps *. dt) -. overshoot
         -. (float_of_int n_cycles /. f))
   in
@@ -249,10 +262,6 @@ let test_settling_estimate () =
   | None -> Alcotest.fail "expected settling estimate"
 
 (* ---- PLL ---- *)
-
-let cfg =
-  { B.Pll.fref = 100e6; n_div = 8; cp = B.Charge_pump.ideal 100e-6; filter;
-    vco; ivco = 5e-3; overhead_current = 8e-3; vctl_init = 0.2 }
 
 let test_pll_locks () =
   let sim = B.Pll.simulate cfg (B.Pll.default_sim_options cfg) in
@@ -343,8 +352,9 @@ let test_measured_jitter_accumulation () =
 
 (* The bits of every scalar result and an MD5 of both traces, for a pump
    that is ideal, mismatched or leaky, a loop that locks from below, from
-   above or never, and a jittered run: a faster stepping loop must not
-   move a single bit. *)
+   above or never, a divider by one, a VCO held on its fmax clamp and
+   jittered runs on two seeds: a faster stepping loop must not move a
+   single bit. *)
 let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
 
 let trace_digest trace =
@@ -408,6 +418,24 @@ let simulate_golden =
       "true 3e90c6f7a0b5ed8d 3fe72f2846293d8d 41c7d480eb8b2abd \
        3f4588838a44ee09 2000 5dd15b79417a28006f5e8e1d7589e811 2000 \
        d0768e5d1a75c1406a3a7e84145d8379" );
+    ( "divide by one",
+      { cfg with B.Pll.n_div = 1; fref = 800e6 },
+      None,
+      "true 3e71c83c5fd0ccc1 3fe7333333336bca 41c7d78400002a2a \
+       3f30f1fc7a16aeb7 16000 738037e36baf837123336fd2c74ea8ea 16000 \
+       78646f1e03c9a2ccc1f0a5fb7d76b75a" );
+    ( "held on the fmax clamp",
+      { cfg with B.Pll.vco = { vco with B.Vco_model.fmax = 798e6 } },
+      None,
+      "true 3e6ad7f29abcaf49 402e07cdf5d48a08 41c7c841c0000000 \
+       3fd698cff3659cc0 2000 fcdc7796dbd7fd4af16e9260f9055ac3 2000 \
+       d3168affd1dbce8a552407e521335adc" );
+    ( "jittered, second seed",
+      { cfg with B.Pll.vco = { vco with B.Vco_model.jitter = 0.5e-12 } },
+      Some 7,
+      "true 3e90c6f7a0b5ed8d 3fe6e6ff2fd6de15 41c79ebd65c8809a \
+       3f4a36e2eb1c432d 2000 902cb8996d3b2653a37d52c08cfa29c5 2000 \
+       dc3d65bf02023156d21be1ae82725eb7" );
   ]
 
 let test_pll_simulate_bits_golden () =
@@ -418,9 +446,9 @@ let test_pll_simulate_bits_golden () =
       Alcotest.(check string) name expected (sim_bits sim))
     simulate_golden
 
-(* A step allocates only the boxes of the control voltage handed to the
-   VCO and of the frequency it returns (4 words); recording the traces
-   adds about 0.7 words a step. *)
+(* A step allocates nothing: its state lives in unboxed locals and it
+   calls no function in another module.  Recording the traces adds
+   about 0.7 words a step. *)
 let test_pll_allocation_bound () =
   let opts = B.Pll.default_sim_options cfg in
   let n_steps =
@@ -431,8 +459,8 @@ let test_pll_allocation_bound () =
   ignore (B.Pll.simulate cfg opts);
   let per_step = (Gc.minor_words () -. w0) /. float_of_int n_steps in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f minor words per step <= 6" per_step)
-    true (per_step <= 6.0)
+    (Printf.sprintf "%.2f minor words per step <= 1" per_step)
+    true (per_step <= 1.0)
 
 let test_pll_record_stride_rejected () =
   let opts = B.Pll.default_sim_options cfg in
@@ -446,7 +474,7 @@ let test_pll_record_stride_rejected () =
     [ 0; -3 ]
 
 (* The bits of [evaluate]'s performance triple, or its error, for every
-   configuration of [simulate_golden] (the jittered one differs only in
+   configuration of [simulate_golden] (the jittered ones differ only in
    the jitter sum: [evaluate] injects no noise). *)
 let evaluate_golden =
   [
@@ -456,6 +484,11 @@ let evaluate_golden =
     ("leaky pump", "3e90c6f7a0b5ed8d 0000000000000000 3f8aa0c33ad8dc88");
     ("out of band", "did not lock within the simulated window");
     ("jittered", "3e90c6f7a0b5ed8d 3d88ae704a2709ac 3f8a9fc7aae15e4f");
+    ("divide by one", "3e71c83c5fd0ccc1 0000000000000000 3f8a9fc1ef341dec");
+    ("held on the fmax clamp",
+     "3e6ad7f29abcaf49 0000000000000000 3f8ab24161daa458");
+    ("jittered, second seed",
+     "3e90c6f7a0b5ed8d 3d88ae704a2709ac 3f8a9fc7aae15e4f");
   ]
 
 let test_pll_evaluate_bits_golden () =
@@ -493,10 +526,31 @@ let test_vco_floor_bits () =
       Alcotest.(check string)
         (Printf.sprintf "floor %h" x)
         (bits (Float.floor x))
-        (bits (B.Vco_model.floor x)))
+        (bits (B.Pll.floor x)))
     [ -0.0; 0.0; 5e-324; 0.5; Float.pred 1.0; 1.0; Float.pred 0x1p52;
       0x1p52; Float.succ 0x1p53; Float.nan; Float.infinity; Float.neg_infinity;
       -1.5 ]
+
+(* [simulate] rejects a divider that could never produce an edge *)
+let test_pll_rejects_zero_modulus () =
+  Alcotest.(check bool) "n_div = 0 rejected" true
+    (try
+       ignore
+         (B.Pll.simulate { cfg with B.Pll.n_div = 0 }
+            (B.Pll.default_sim_options cfg));
+       false
+     with Invalid_argument _ -> true)
+
+(* [measured_output_jitter]'s result, bit for bit, on the [jitter
+   accumulation] configuration: it steps the VCO through the same laws as
+   [simulate], and its trials draw from split PRNG streams in order. *)
+let test_measured_jitter_bits_golden () =
+  let prng = Repro_util.Prng.create 3 in
+  let jcfg =
+    { cfg with B.Pll.vco = { vco with B.Vco_model.jitter = 0.15e-12 } }
+  in
+  Alcotest.(check string) "measured output jitter" "3d88ae697007534e"
+    (bits (B.Pll.measured_output_jitter ~prng jcfg ~cycles:400))
 
 let suite =
   [
@@ -542,4 +596,8 @@ let suite =
     Alcotest.test_case "vco floor bits" `Quick test_vco_floor_bits;
     Alcotest.test_case "filter impedance mid-band" `Quick
       test_filter_impedance_midband;
+    Alcotest.test_case "pll rejects n_div 0" `Quick
+      test_pll_rejects_zero_modulus;
+    Alcotest.test_case "jitter accumulation bits golden" `Quick
+      test_measured_jitter_bits_golden;
   ]

@@ -84,17 +84,6 @@ let test_hypervolume_2d () =
   Alcotest.(check (float 1e-12)) "outside ref ignored" 0.0
     (Pareto.hypervolume_2d ~reference:[| 1.0; 1.0 |] [| ev [| 2.0; 0.5 |] |])
 
-let test_hypervolume_mc_agrees () =
-  let evals = [| ev [| 1.0; 2.0 |]; ev [| 2.0; 1.0 |] |] in
-  let exact = Pareto.hypervolume_2d ~reference:[| 3.0; 3.0 |] evals in
-  let prng = Repro_util.Prng.create 17 in
-  let approx =
-    Pareto.hypervolume_mc ~samples:40000 ~prng ~reference:[| 3.0; 3.0 |]
-      ~ideal:[| 0.0; 0.0 |] evals
-  in
-  Alcotest.(check bool) "MC close to exact" true
-    (Float.abs (approx -. exact) < 0.15)
-
 (* ---- problems ---- *)
 
 let sphere n =
@@ -426,7 +415,6 @@ let suite =
     Alcotest.test_case "crowding distance" `Quick test_crowding;
     Alcotest.test_case "crowding small front" `Quick test_crowding_small_front;
     Alcotest.test_case "hypervolume 2d" `Quick test_hypervolume_2d;
-    Alcotest.test_case "hypervolume MC" `Quick test_hypervolume_mc_agrees;
     Alcotest.test_case "cache entry of the wrong arity is a miss" `Quick
       test_cache_wrong_arity_is_a_miss;
     Alcotest.test_case "problem validation" `Quick test_problem_validation;
