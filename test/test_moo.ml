@@ -84,6 +84,19 @@ let test_hypervolume_2d () =
   Alcotest.(check (float 1e-12)) "outside ref ignored" 0.0
     (Pareto.hypervolume_2d ~reference:[| 1.0; 1.0 |] [| ev [| 2.0; 0.5 |] |])
 
+let test_spread_2d () =
+  Alcotest.(check (float 0.0)) "two points" 0.0
+    (Pareto.spread_2d [| ev [| 0.0; 1.0 |]; ev [| 1.0; 0.0 |] |]);
+  (* equal gaps between neighbours: no spread *)
+  Alcotest.(check (float 1e-12)) "even" 0.0
+    (Pareto.spread_2d [| ev [| 0.0; 2.0 |]; ev [| 1.0; 1.0 |]; ev [| 2.0; 0.0 |] |]);
+  (* gaps sqrt 2 and 2 sqrt 2: each is sqrt 2 / 2 off the mean 1.5 sqrt 2 *)
+  let uneven = [| ev [| 3.0; 0.0 |]; ev [| 0.0; 3.0 |]; ev [| 1.0; 2.0 |] |] in
+  Alcotest.(check (float 1e-12)) "uneven, in any order" (1.0 /. 3.0)
+    (Pareto.spread_2d uneven);
+  Alcotest.(check (float 0.0)) "coincident" 0.0
+    (Pareto.spread_2d (Array.make 3 (ev [| 1.0; 1.0 |])))
+
 (* ---- problems ---- *)
 
 let sphere n =
@@ -415,6 +428,7 @@ let suite =
     Alcotest.test_case "crowding distance" `Quick test_crowding;
     Alcotest.test_case "crowding small front" `Quick test_crowding_small_front;
     Alcotest.test_case "hypervolume 2d" `Quick test_hypervolume_2d;
+    Alcotest.test_case "spread 2d" `Quick test_spread_2d;
     Alcotest.test_case "cache entry of the wrong arity is a miss" `Quick
       test_cache_wrong_arity_is_a_miss;
     Alcotest.test_case "problem validation" `Quick test_problem_validation;
