@@ -2,7 +2,20 @@
     charge pump + passive loop filter + ÷N divider + behavioural VCO,
     co-simulated at a fixed time step.  The blocks' modules hold their
     parameters and laws that need no state; the step laws below are
-    this module's, and its one loop carries the whole state.
+    this module's, and its one stepping loop carries the whole state.
+
+    That loop steps a batch of configurations sharing one reference
+    clock and one {!sim_options} in lockstep: each step computes the
+    reference phase and edge once, then advances every simulation by
+    the same expressions, in the same order, as it would alone, so a
+    batch's results are bit for bit its configurations' one by one.
+    One simulation's step is a serial chain (the filter's division,
+    the tuning law, the phase add); stepping independent simulations
+    side by side lets the core overlap their chains.  Each
+    simulation's state lives in a flat float record and a small int
+    record, allocated once per call.  {!evaluate_batch} is the batched
+    entry; {!evaluate} and {!simulate} are its one-configuration
+    cases.
 
     [evaluate] produces the three system performances of Table 2 —
     lock time (from the time-domain transient), jitter sum (Kundert's
@@ -47,7 +60,8 @@ type sim_result = {
 
 val simulate : ?prng:Repro_util.Prng.t -> config -> sim_options -> sim_result
 (** Time-domain transient from [vctl_init], recording both traces every
-    [record_stride] steps (Figure 8).  Passing [prng] enables VCO jitter
+    [record_stride] steps (Figure 8): the stepping loop's
+    one-configuration case.  Passing [prng] enables VCO jitter
     injection (Listing 2's [$rdist_normal]).  Each call adds 1 to the
     [pll.sims] telemetry counter and its step count to [pll.steps].
     @raise Invalid_argument on invalid filter or VCO parameters, or when
@@ -58,10 +72,10 @@ val simulate : ?prng:Repro_util.Prng.t -> config -> sim_options -> sim_result
     One time step applies, in order: the reference edge, the VCO phase
     and a divider step per VCO edge, the pump's state, the backward-Euler
     filter, then the tuning law ({!Vco_model.frequency}, whose expression
-    the loop inlines).  {!simulate}, {!evaluate} and
-    {!measured_output_jitter} step through these laws and call no other
-    module, except [Repro_util.Prng.gaussian] on the jittered path, so an
-    unjittered step allocates nothing. *)
+    the loop inlines).  The stepping loop and {!measured_output_jitter}
+    step through these laws and call no other module, except
+    [Repro_util.Prng.gaussian] on the jittered path, so an unjittered
+    step allocates nothing. *)
 
 val floor : float -> float
 (** [Float.floor], bit for bit, computed without a libm call where
@@ -117,11 +131,19 @@ val pp_performance : Format.formatter -> performance -> unit
 val evaluate : config -> (performance, string) result
 (** Full evaluation: linear stability screen, transient lock check, and
     the three Table-2 performances.  [Error] explains unstable /
-    unlocked configurations.  The transient is {!simulate}'s stepping
-    loop at {!default_sim_options}, bit for bit, without a [prng] and
-    without recording traces, so a call promotes next to nothing to the
-    major heap; it counts in [pll.sims] and [pll.steps] like
-    {!simulate}. *)
+    unlocked configurations.  [evaluate cfg] is {!evaluate_batch} of
+    [[| cfg |]]. *)
+
+val evaluate_batch : config array -> (performance, string) result array
+(** {!evaluate} of each config, in input order, bit for bit.  The
+    configs go in slices of at most 64.  In a slice every config first
+    takes the linear screen, and one that fails it is never simulated;
+    the others are simulated in lockstep, one group per reference
+    frequency, at its {!default_sim_options}, without a [prng] and
+    without recording traces.  Each simulated config counts in
+    [pll.sims] and [pll.steps] like {!simulate}.
+    @raise Invalid_argument as {!simulate} does, for any config that
+    passes the screen. *)
 
 val measured_output_jitter :
   prng:Repro_util.Prng.t -> config -> cycles:int -> float

@@ -538,8 +538,10 @@ let run_system_level_inner ~progress ~cache ?interrupt_after ?pll_query cfg
      one transistor-level characterisation takes about a tenth of the
      system level's wall time and a 500-sample yield about a fifth *)
   let rows =
-    Array.to_list pll_front
-    |> List.filter_map (Pll_problem.row_of_individual pll_cfg)
+    Pll_problem.evaluate_points pll_cfg
+      (Array.map (fun ind -> ind.Nsga2.x) pll_front)
+    |> Array.to_list
+    |> List.filter_map Result.to_option
     |> Array.of_list
   in
   let selected = Pll_problem.select_design pll_cfg rows in

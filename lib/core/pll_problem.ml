@@ -110,24 +110,38 @@ let variant_configs cfg points ~c1 ~c2 ~r1 =
 let variant_config cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
   (variant_configs cfg [| (kvco, ivco) |] ~c1 ~c2 ~r1).(0)
 
-(* Full nominal/min/max evaluation, also returning the nominal model
-   query so callers (the GA's constraint check) reuse its band edges
-   instead of re-querying.  Two oracle calls per candidate: the nominal
-   point, then the two worst-case variants as one batch — the shape the
-   served batch endpoint is sized for. *)
-let evaluate_point_full cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
+(* One candidate's nominal model query and its three behavioural PLLs *)
+type candidate = {
+  pe : Perf_table.point_eval;
+  nominal : B.Pll.config;
+  low : B.Pll.config;
+  high : B.Pll.config;
+}
+
+(* Two oracle calls per candidate: the nominal point, then the two
+   worst-case variants as one batch — the shape the served batch
+   endpoint is sized for. *)
+let candidate cfg x =
+  let kvco = x.(0) and ivco = x.(1) and c1 = x.(2) and c2 = x.(3)
+  and r1 = x.(4) in
   let pe = (run_query cfg [| (kvco, ivco) |]).(0) in
   let _, kv_min, kv_max = pe.Perf_table.q_kvco in
   let _, iv_min, iv_max = pe.Perf_table.q_ivco in
   let variants = run_query cfg [| (kv_min, iv_min); (kv_max, iv_max) |] in
-  let eval_variant pe ~kvco ~ivco =
+  let pll pe ~kvco ~ivco =
     let pll_cfg, _, _, _ = variant_of_eval cfg pe ~kvco ~ivco ~c1 ~c2 ~r1 in
-    B.Pll.evaluate pll_cfg
+    pll_cfg
   in
-  let ( let* ) = Result.bind in
-  let* nom = eval_variant pe ~kvco ~ivco in
-  let* low = eval_variant variants.(0) ~kvco:kv_min ~ivco:iv_min in
-  let* high = eval_variant variants.(1) ~kvco:kv_max ~ivco:iv_max in
+  {
+    pe;
+    nominal = pll pe ~kvco ~ivco;
+    low = pll variants.(0) ~kvco:kv_min ~ivco:iv_min;
+    high = pll variants.(1) ~kvco:kv_max ~ivco:iv_max;
+  }
+
+let row_of x pe (nom : B.Pll.performance) low high =
+  let _, kv_min, kv_max = pe.Perf_table.q_kvco in
+  let _, iv_min, iv_max = pe.Perf_table.q_ivco in
   let pick f = (f nom, f low, f high) in
   let minmax3 (a, b, c) = (Float.min a (Float.min b c), Float.max a (Float.max b c)) in
   let locks = pick (fun p -> p.B.Pll.lock_time) in
@@ -137,31 +151,76 @@ let evaluate_point_full cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
   let jit_min, jit_max = minmax3 jits in
   let curr_min, curr_max = minmax3 currs in
   let (lock, _, _), (jit, _, _), (curr, _, _) = (locks, jits, currs) in
-  Ok
-    ( {
-        kv = kvco;
-        kv_min;
-        kv_max;
-        iv = ivco;
-        iv_min;
-        iv_max;
-        c1;
-        c2;
-        r1;
-        lock;
-        lock_min;
-        lock_max;
-        jit;
-        jit_min;
-        jit_max;
-        curr;
-        curr_min;
-        curr_max;
-      },
-      pe )
+  {
+    kv = x.(0);
+    kv_min;
+    kv_max;
+    iv = x.(1);
+    iv_min;
+    iv_max;
+    c1 = x.(2);
+    c2 = x.(3);
+    r1 = x.(4);
+    lock;
+    lock_min;
+    lock_max;
+    jit;
+    jit_min;
+    jit_max;
+    curr;
+    curr_min;
+    curr_max;
+  }
+
+let timed busy f =
+  match busy with
+  | None -> f ()
+  | Some h -> Repro_obs.Histogram.time h f
+
+(* Full nominal/min/max evaluation of a batch of decision vectors, also
+   returning each candidate's nominal model query, which the GA's
+   constraint check reuses for its band edges.  Every candidate first
+   makes its two model queries, in input order, on the calling domain.
+   Then three lockstep phases run, each split into one chunk per pool
+   worker: the nominal variants, the low variants of the candidates
+   whose nominal evaluated, and the high variants of those whose low
+   variant evaluated.  So a candidate fails with its first error in
+   that order, and the batch runs as many simulations as its
+   candidates one by one. *)
+let evaluate_full ?pool ?busy cfg xs =
+  let queried = timed busy (fun () -> Array.map (candidate cfg) xs) in
+  let n = Array.length xs in
+  let phase stepped pll =
+    let idx = Array.of_list (List.filter stepped (List.init n Fun.id)) in
+    let perf =
+      Repro_engine.Parmap.map_chunks ?pool ?busy B.Pll.evaluate_batch
+        (Array.map (fun i -> pll queried.(i)) idx)
+    in
+    let out = Array.make n None in
+    Array.iteri (fun k i -> out.(i) <- Some perf.(k)) idx;
+    out
+  in
+  let evaluated results i =
+    match results.(i) with Some (Ok _) -> true | _ -> false
+  in
+  let nom = phase (fun _ -> true) (fun c -> c.nominal) in
+  let low = phase (evaluated nom) (fun c -> c.low) in
+  let high = phase (evaluated low) (fun c -> c.high) in
+  let ( let* ) = Result.bind in
+  Array.mapi
+    (fun i x ->
+      let* nom = Option.get nom.(i) in
+      let* low = Option.get low.(i) in
+      let* high = Option.get high.(i) in
+      let pe = queried.(i).pe in
+      Ok (row_of x pe nom low high, pe))
+    xs
+
+let evaluate_points ?pool cfg xs =
+  Array.map (Result.map fst) (evaluate_full ?pool cfg xs)
 
 let evaluate_point cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
-  Result.map fst (evaluate_point_full cfg ~kvco ~ivco ~c1 ~c2 ~r1)
+  (evaluate_points cfg [| [| kvco; ivco; c1; c2; r1 |] |]).(0)
 
 (* spec-violation amount for a row, in normalised units; [pe] is the
    nominal-point model query the row was built from *)
@@ -211,11 +270,7 @@ let infeasibility_grade cfg ~kvco ~c1 ~c2 ~r1 =
 
 let problem cfg =
   Spec.validate cfg.spec;
-  let evaluate x =
-    match
-      evaluate_point_full cfg ~kvco:x.(0) ~ivco:x.(1) ~c1:x.(2) ~c2:x.(3)
-        ~r1:x.(4)
-    with
+  let evaluation x = function
     | Ok (row, pe) ->
       {
         P.objectives = [| row.lock; row.jit; row.curr |];
@@ -228,16 +283,9 @@ let problem cfg =
           infeasibility_grade cfg ~kvco:x.(0) ~c1:x.(2) ~c2:x.(3) ~r1:x.(4);
       }
   in
-  P.create ~name:"pll-system" ~bounds:(bounds cfg)
-    ~objective_names evaluate
-
-let row_of_individual cfg (ind : Repro_moo.Nsga2.individual) =
-  let x = ind.Repro_moo.Nsga2.x in
-  match
-    evaluate_point cfg ~kvco:x.(0) ~ivco:x.(1) ~c1:x.(2) ~c2:x.(3) ~r1:x.(4)
-  with
-  | Ok row -> Some row
-  | Error _ -> None
+  P.create_batched ~name:"pll-system" ~bounds:(bounds cfg) ~objective_names
+    (fun ?pool ?busy xs ->
+      Array.map2 evaluation xs (evaluate_full ?pool ?busy cfg xs))
 
 (* Design selection (the paper's "shaded row").  Standard DFY practice:
    prefer the lowest-jitter row that clears the spec with comfortable

@@ -105,13 +105,32 @@ val evaluate_point :
   r1:float ->
   (table2_row, string) result
 (** One full nominal/min/max evaluation (also used to rebuild Table 2
-    rows outside the GA). *)
+    rows outside the GA): {!evaluate_points} of the one decision vector
+    [[| kvco; ivco; c1; c2; r1 |]]. *)
+
+val evaluate_points :
+  ?pool:Repro_engine.Pool.t ->
+  config ->
+  float array array ->
+  (table2_row, string) result array
+(** The full evaluation of each decision vector [[| kvco; ivco; c1; c2;
+    r1 |]], in input order, bit for bit as one by one.  Each candidate
+    makes its two model queries, the nominal point and then its two
+    variants, in input order on the calling domain.  Then the
+    behavioural PLLs run in three lockstep phases ({!Repro_behave.Pll.evaluate_batch}),
+    each split into one contiguous chunk per worker of [pool] (default:
+    the shared pool): every nominal variant, then the low variants of
+    the candidates whose nominal evaluated, then the high variants of
+    those whose low variant evaluated.  A candidate's [Error] is its
+    first failing variant's, and a failing variant stops its
+    candidate's simulations as it would alone.  The system level
+    rebuilds the front's Table 2 rows through this batch. *)
 
 val problem : config -> Repro_moo.Problem.t
-(** 5-variable, 3-objective NSGA-II problem. *)
-
-val row_of_individual : config -> Repro_moo.Nsga2.individual -> table2_row option
-(** Re-evaluate an individual into a full row ([None] when it fails). *)
+(** 5-variable, 3-objective NSGA-II problem.  Its batch evaluation
+    ({!Repro_moo.Problem.create_batched}) is {!evaluate_points}'s,
+    observing the query stage and each lockstep chunk into the
+    evaluator's busy histogram. *)
 
 val select_design : config -> table2_row array -> table2_row option
 (** The paper's "shaded row": the smallest-jitter row that clears the

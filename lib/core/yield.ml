@@ -8,8 +8,7 @@ type outcome = {
   detail : string;
 }
 
-let check_config (spec : Spec.t) pll_cfg =
-  match B.Pll.evaluate pll_cfg with
+let outcome (spec : Spec.t) = function
   | Error e -> { pass = false; lock_time = None; current = 0.0; detail = e }
   | Ok perf ->
     let lock_ok = perf.B.Pll.lock_time <= spec.Spec.lock_time_max in
@@ -28,7 +27,7 @@ let check_sample cfg ~kvco ~ivco ~c1 ~c2 ~r1 =
   let pll_cfg, _, _, _ =
     Pll_problem.variant_config cfg ~kvco ~ivco ~c1 ~c2 ~r1
   in
-  check_config cfg.Pll_problem.spec pll_cfg
+  outcome cfg.Pll_problem.spec (B.Pll.evaluate pll_cfg)
 
 let count_passes outcomes =
   Array.fold_left (fun acc pass -> if pass then acc + 1 else acc) 0 outcomes
@@ -41,8 +40,9 @@ let behavioural ?(n = 500) ?pool ~prng cfg
   let di = Perf_table.ivco_delta m row.Pll_problem.iv in
   (* the (Kvco, Ivco) perturbations are drawn serially, in the same
      order as the historical loop, and the model is queried once for all
-     of them; only the pure PLL re-evaluations run on the pool, so the
-     estimate is worker-count independent *)
+     of them; only the pure PLL re-evaluations run on the pool, in one
+     lockstep chunk per worker, so the estimate is worker-count
+     independent *)
   let draws = Array.make n (0.0, 0.0) in
   for i = 0 to n - 1 do
     let kvco =
@@ -61,9 +61,14 @@ let behavioural ?(n = 500) ?pool ~prng cfg
       (Pll_problem.variant_configs cfg draws ~c1:row.Pll_problem.c1
          ~c2:row.Pll_problem.c2 ~r1:row.Pll_problem.r1)
   in
-  let eval pll_cfg = (check_config cfg.Pll_problem.spec pll_cfg).pass in
+  let passes chunk =
+    Array.map
+      (fun perf -> (outcome cfg.Pll_problem.spec perf).pass)
+      (B.Pll.evaluate_batch chunk)
+  in
   let outcomes =
-    E.Telemetry.time "yield.wall" @@ fun () -> E.Parmap.map ?pool eval configs
+    E.Telemetry.time "yield.wall" @@ fun () ->
+    E.Parmap.map_chunks ?pool passes configs
   in
   E.Telemetry.incr "yield.samples" ~by:n;
   Repro_util.Stats.yield ~pass:(count_passes outcomes) ~total:n

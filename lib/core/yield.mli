@@ -32,8 +32,9 @@ val behavioural :
   Pll_problem.config ->
   Pll_problem.table2_row ->
   Repro_util.Stats.yield_estimate
-(** [n] defaults to 500 (the paper's count).  Samples are evaluated in
-    parallel over [pool] (default: the shared engine pool); all
-    perturbations are drawn before dispatch, and the table model is
-    queried once for all of them, so the estimate is bit-identical for
-    any worker count. *)
+(** [n] defaults to 500 (the paper's count).  All perturbations are
+    drawn before dispatch and the table model is queried once for all
+    of them; the samples' behavioural PLLs then run in lockstep
+    ({!Repro_behave.Pll.evaluate_batch}), one contiguous chunk per
+    worker of [pool] (default: the shared engine pool), so the estimate
+    is bit-identical for any worker count. *)

@@ -41,3 +41,30 @@ let map_seeded ?pool ?chunk ~prng f arr =
   let streams = Prng.split_n prng (Array.length arr) in
   let indexed = Array.mapi (fun i x -> (streams.(i), x)) arr in
   map ?pool ?chunk (fun (stream, x) -> f stream x) indexed
+
+let map_chunks ?pool ?busy f arr =
+  let n = Array.length arr in
+  let run chunk =
+    let out =
+      match busy with
+      | None -> f chunk
+      | Some h -> Repro_obs.Histogram.time h (fun () -> f chunk)
+    in
+    if Array.length out <> Array.length chunk then
+      invalid_arg "Parmap.map_chunks: one result per element";
+    out
+  in
+  if n = 0 then [||]
+  else if n = 1 || Pool.inside_worker () then run arr
+  else begin
+    let pool = resolve pool in
+    (* chunk [i] of [k] covers [i n / k, (i + 1) n / k): sizes differ by
+       at most one *)
+    let k = min n (Pool.size pool) in
+    let chunks =
+      Array.init k (fun i ->
+          let lo = i * n / k in
+          Array.sub arr lo (((i + 1) * n / k) - lo))
+    in
+    Array.concat (Array.to_list (map ~pool ~chunk:1 run chunks))
+  end

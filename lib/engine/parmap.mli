@@ -31,3 +31,23 @@ val map_seeded :
     element from [prng] (advancing it exactly [Array.length arr] times,
     same as the serial split-per-iteration idiom) and maps [f] in
     parallel.  Stream assignment depends only on the element index. *)
+
+val map_chunks :
+  ?pool:Pool.t ->
+  ?busy:Repro_obs.Histogram.t ->
+  ('a array -> 'b array) ->
+  'a array ->
+  'b array
+(** [map_chunks f arr] splits [arr] into one contiguous chunk per pool
+    worker (fewer when [arr] is shorter; sizes differ by at most one),
+    applies [f] to each chunk across the pool and concatenates the
+    results in order.  It is for work that runs faster in one call over
+    many elements than element by element, such as lockstep
+    simulations; [f] must return one result per element of its chunk,
+    and for an [f] that computes each element's result independently of
+    the chunk the output is the same for any worker count.  With
+    [busy], each chunk's duration is observed into it.  Fewer than two
+    elements, or a call from inside a pool task, run [f] once on the
+    calling domain, without resolving a pool.  The first exception is
+    re-raised as by {!map}.
+    @raise Invalid_argument when [f] returns a wrong-sized array. *)

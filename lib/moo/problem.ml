@@ -5,25 +5,45 @@ type evaluation = {
 
 let feasible e = e.constraint_violation <= 0.0
 
+type batch =
+  ?pool:Repro_engine.Pool.t ->
+  ?busy:Repro_obs.Histogram.t ->
+  float array array ->
+  evaluation array
+
 type t = {
   name : string;
   bounds : (float * float) array;
   objective_names : string array;
   evaluate : float array -> evaluation;
+  evaluate_batch : batch option;
 }
 
 let n_vars t = Array.length t.bounds
 let n_objectives t = Array.length t.objective_names
 
-let create ~name ~bounds ~objective_names evaluate =
+let validate ~bounds ~objective_names =
   if Array.length bounds = 0 then invalid_arg "Problem.create: no variables";
   if Array.length objective_names = 0 then
     invalid_arg "Problem.create: no objectives";
   Array.iter
     (fun (lo, hi) ->
       if not (lo < hi) then invalid_arg "Problem.create: inverted bounds")
+    bounds
+
+let create ~name ~bounds ~objective_names evaluate =
+  validate ~bounds ~objective_names;
+  { name; bounds; objective_names; evaluate; evaluate_batch = None }
+
+let create_batched ~name ~bounds ~objective_names (batch : batch) =
+  validate ~bounds ~objective_names;
+  {
+    name;
     bounds;
-  { name; bounds; objective_names; evaluate }
+    objective_names;
+    evaluate = (fun x -> (batch [| x |]).(0));
+    evaluate_batch = Some batch;
+  }
 
 let clamp t x =
   Array.mapi
@@ -70,12 +90,17 @@ let timed_evaluate t x =
 let cache_kind ~salt t =
   "eval:" ^ t.name ^ if salt = "" then "" else ":" ^ salt
 
-(* consult the cache on the calling domain, map only the misses over the
-   pool, then store and reassemble by index so output order and content
-   are independent of which domain computed what *)
+(* consult the cache on the calling domain, hand only the misses to the
+   problem's batch evaluation, or else map them over the pool, then
+   store and reassemble by index so output order and content are
+   independent of which domain computed what *)
 let parallel_evaluator ?pool ?cache ?(salt = "") () t xs =
   let module E = Repro_engine in
-  let evaluate xs = E.Parmap.map ?pool (timed_evaluate t) xs in
+  let evaluate xs =
+    match t.evaluate_batch with
+    | Some batch -> batch ?pool ~busy:eval_hist xs
+    | None -> E.Parmap.map ?pool (timed_evaluate t) xs
+  in
   let n = Array.length xs in
   Repro_obs.Trace.span "eval.batch"
     ~args:[ ("problem", t.name); ("points", string_of_int n) ]

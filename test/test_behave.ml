@@ -352,9 +352,9 @@ let test_measured_jitter_accumulation () =
 
 (* The bits of every scalar result and an MD5 of both traces, for a pump
    that is ideal, mismatched or leaky, a loop that locks from below, from
-   above or never, a divider by one, a VCO held on its fmax clamp and
-   jittered runs on two seeds: a faster stepping loop must not move a
-   single bit. *)
+   above or never, a divider by one, a VCO held on its fmax clamp,
+   jittered runs on two seeds and a loop that loses its lock and locks
+   again: a faster stepping loop must not move a single bit. *)
 let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
 
 let trace_digest trace =
@@ -365,6 +365,35 @@ let trace_digest trace =
       Buffer.add_int64_le b (Int64.bits_of_float v))
     trace;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A system-level candidate over the committed fixture model (100 MHz
+   reference, x8, 200 uA pump): its loop is declared locked, drops out
+   of band and is declared locked again, so its pump duty counts the
+   active steps of both lock episodes. *)
+let relock =
+  {
+    B.Pll.fref = 100e6;
+    n_div = 8;
+    cp = B.Charge_pump.ideal 200e-6;
+    filter =
+      {
+        B.Loop_filter.c1 = 0x1.6ebb2932ac08ep-37;
+        c2 = 0x1.140d4e8fe1fa1p-40;
+        r1 = 0x1.618be96ab4813p+12;
+      };
+    vco =
+      {
+        B.Vco_model.f0 = 0x1.7e0d3a0fe441dp+29;
+        v0 = 0.9;
+        kvco = 0x1.03fda2209a50ep+29;
+        fmin = 0x1.eeb8e66f7a9c6p+27;
+        fmax = 0x1.40361d41f4ee4p+30;
+        jitter = 0x1.213a7e4677acbp-42;
+      };
+    ivco = 0x1.39a5ce625be1ap-7;
+    overhead_current = 8e-3;
+    vctl_init = 0.2;
+  }
 
 let sim_bits (r : B.Pll.sim_result) =
   Printf.sprintf "%b %s %s %s %s %d %s %d %s" r.B.Pll.locked
@@ -436,6 +465,12 @@ let simulate_golden =
       "true 3e90c6f7a0b5ed8d 3fe6e6ff2fd6de15 41c79ebd65c8809a \
        3f4a36e2eb1c432d 2000 902cb8996d3b2653a37d52c08cfa29c5 2000 \
        dc3d65bf02023156d21be1ae82725eb7" );
+    ( "lock lost and regained",
+      relock,
+      None,
+      "true 3e9a2b4a3cac5c29 3fecbc7f38d216cb 41c7d88c4f23bc13 \
+       3f455ea9520965a0 2000 c0e9ba1f9b74f09d3272fd386e8c2a3a 2000 \
+       8da8d31463877250e8ba080cc3e2547b" );
   ]
 
 let test_pll_simulate_bits_golden () =
@@ -489,19 +524,21 @@ let evaluate_golden =
      "3e6ad7f29abcaf49 0000000000000000 3f8ab24161daa458");
     ("jittered, second seed",
      "3e90c6f7a0b5ed8d 3d88ae704a2709ac 3f8a9fc7aae15e4f");
+    ("lock lost and regained",
+     "3e9a2b4a3cac5c29 3d75d461153333e4 3f91fe5e1d542103");
   ]
+
+let perf_text = function
+  | Ok p ->
+    Printf.sprintf "%s %s %s" (bits p.B.Pll.lock_time)
+      (bits p.B.Pll.jitter_sum) (bits p.B.Pll.current)
+  | Error e -> e
 
 let test_pll_evaluate_bits_golden () =
   List.iter
     (fun (name, c, _, _) ->
-      let got =
-        match B.Pll.evaluate c with
-        | Ok p ->
-          Printf.sprintf "%s %s %s" (bits p.B.Pll.lock_time)
-            (bits p.B.Pll.jitter_sum) (bits p.B.Pll.current)
-        | Error e -> e
-      in
-      Alcotest.(check string) name (List.assoc name evaluate_golden) got)
+      Alcotest.(check string) name (List.assoc name evaluate_golden)
+        (perf_text (B.Pll.evaluate c)))
     simulate_golden
 
 (* [evaluate] records no traces, so nothing of a call outlives it;
@@ -552,6 +589,88 @@ let test_measured_jitter_bits_golden () =
   Alcotest.(check string) "measured output jitter" "3d88ae697007534e"
     (bits (B.Pll.measured_output_jitter ~prng jcfg ~cycles:400))
 
+let counted f =
+  let count = Repro_engine.Telemetry.counter in
+  let sims = count "pll.sims" and steps = count "pll.steps" in
+  let r = f () in
+  (r, count "pll.sims" - sims, count "pll.steps" - steps)
+
+(* [evaluate_batch] steps the configs that pass the linear screen in
+   lockstep, one group per reference frequency: at any batch size each
+   result, error strings included, and the pll.sims / pll.steps counts
+   equal those of one [evaluate] per config.  The 64 configs cycle
+   through every golden configuration (locking, non-locking, n_div = 1
+   at a second fref, the fmax clamp, the lock regained) plus an
+   unstable loop and one without a unity-gain crossing, each round with
+   a 1% larger C1. *)
+let test_pll_batch_against_single () =
+  let unstable =
+    { cfg with B.Pll.filter = { filter with B.Loop_filter.r1 = 10.0 } }
+  and no_crossing = { cfg with B.Pll.cp = B.Charge_pump.ideal 1e-20 } in
+  let bases =
+    Array.of_list
+      (List.map (fun (_, c, _, _) -> c) simulate_golden
+      @ [ unstable; no_crossing ])
+  in
+  let n = 64 and nb = Array.length bases in
+  let cfgs =
+    Array.init n (fun i ->
+        let c = bases.(i mod nb) in
+        let f = c.B.Pll.filter in
+        let scale = 1.0 +. (0.01 *. float_of_int (i / nb)) in
+        { c with
+          B.Pll.filter = { f with B.Loop_filter.c1 = f.B.Loop_filter.c1 *. scale } })
+  in
+  let single, sims, steps =
+    counted (fun () -> Array.map (fun c -> perf_text (B.Pll.evaluate c)) cfgs)
+  in
+  let has prefix =
+    Array.exists (fun s -> String.starts_with ~prefix s) single
+  in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) ("the mix has " ^ prefix) true (has prefix))
+    [ "3e"; "did not lock"; "unstable loop"; "loop has no unity-gain crossing" ];
+  List.iter
+    (fun size ->
+      let batched, b_sims, b_steps =
+        counted (fun () ->
+            Array.concat
+              (List.init ((n + size - 1) / size) (fun k ->
+                   let lo = k * size in
+                   Array.map perf_text
+                     (B.Pll.evaluate_batch
+                        (Array.sub cfgs lo (min size (n - lo)))))))
+      in
+      Array.iteri
+        (fun i expected ->
+          Alcotest.(check string)
+            (Printf.sprintf "batch %d, config %d" size i)
+            expected batched.(i))
+        single;
+      Alcotest.(check int) (Printf.sprintf "batch %d pll.sims" size) sims b_sims;
+      Alcotest.(check int)
+        (Printf.sprintf "batch %d pll.steps" size)
+        steps b_steps)
+    [ 1; 2; 3; 64 ]
+
+(* A lockstep step allocates nothing either: a batch's state is
+   allocated once per call, and what remains is the linear screens *)
+let test_pll_batch_allocation_bound () =
+  let n = 60 in
+  let cfgs =
+    Array.init n (fun i ->
+        { cfg with B.Pll.vctl_init = 0.2 +. (0.02 *. float_of_int i) })
+  in
+  ignore (B.Pll.evaluate_batch cfgs);
+  let w0 = Gc.minor_words () in
+  let (), _, steps = counted (fun () -> ignore (B.Pll.evaluate_batch cfgs)) in
+  let per_step = (Gc.minor_words () -. w0) /. float_of_int steps in
+  Alcotest.(check int) "every config stepped" (n * 40000) steps;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per simulation-step <= 1" per_step)
+    true (per_step <= 1.0)
+
 let suite =
   [
     Alcotest.test_case "filter validate" `Quick test_filter_validate;
@@ -600,4 +719,8 @@ let suite =
       test_pll_rejects_zero_modulus;
     Alcotest.test_case "jitter accumulation bits golden" `Quick
       test_measured_jitter_bits_golden;
+    Alcotest.test_case "PLL batch against single" `Quick
+      test_pll_batch_against_single;
+    Alcotest.test_case "PLL batch allocation bound" `Quick
+      test_pll_batch_allocation_bound;
   ]

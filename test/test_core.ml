@@ -470,7 +470,8 @@ let small_system_scale =
   }
 
 (* at the seed of the paper's runs, Table 2 and the yield must not move
-   a bit at any job count *)
+   a bit at any job count; 3 workers split the lockstep phases
+   unevenly *)
 let test_system_level_golden () =
   let model = fixture () in
   let cfg = H.Hierarchy.make_config ~seed:2009 ~scale:small_system_scale () in
@@ -487,7 +488,7 @@ let test_system_level_golden () =
       in
       Alcotest.(check string) (Printf.sprintf "-j %d" jobs) expected
         (table2_text r))
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
 
 let with_tmpdir f =
   let dir = Filename.temp_file "hieropt_core" "" in
@@ -543,6 +544,104 @@ let test_system_level_cache_per_model () =
   Alcotest.(check string) "Table 2 of a cold run" (table2_text cold)
     (table2_text warm)
 
+(* The PLL problem's batch evaluation (the queries, then three lockstep
+   phases of one chunk per worker) equals its one-point evaluation at
+   any pool size, error strings and simulation count included: 60
+   random candidates over the fixture, a mix of rows and failures.  The
+   one-point evaluation in turn runs the chain a candidate has always
+   run: its nominal, low and high variants, each one evaluated only
+   when the one before it evaluated. *)
+let test_pll_problem_batch_against_single () =
+  let cfg = H.Pll_problem.default_config ~model:(fixture ()) in
+  let problem = H.Pll_problem.problem cfg in
+  let prng = Repro_util.Prng.create 60 in
+  let xs = Array.init 60 (fun _ -> Repro_moo.Problem.random_point problem prng) in
+  let g = Repro_util.Json.shortest in
+  let row_text = function
+    | Ok (w : H.Pll_problem.table2_row) ->
+      String.concat " "
+        (List.map g
+           [ w.kv_min; w.kv_max; w.iv_min; w.iv_max; w.lock; w.lock_min;
+             w.lock_max; w.jit; w.jit_min; w.jit_max; w.curr; w.curr_min;
+             w.curr_max ])
+    | Error e -> e
+  in
+  let eval_text (e : Repro_moo.Problem.evaluation) =
+    String.concat " "
+      (List.map g (e.constraint_violation :: Array.to_list e.objectives))
+  in
+  let sims f =
+    let s0 = Repro_engine.Telemetry.counter "pll.sims" in
+    let r = f () in
+    (r, Repro_engine.Telemetry.counter "pll.sims" - s0)
+  in
+  let points, row_sims =
+    sims (fun () ->
+        Array.map
+          (fun x ->
+            H.Pll_problem.evaluate_point cfg ~kvco:x.(0) ~ivco:x.(1)
+              ~c1:x.(2) ~c2:x.(3) ~r1:x.(4))
+          xs)
+  in
+  let rows = Array.map row_text points in
+  let evals, eval_sims =
+    sims (fun () -> Array.map (fun x -> eval_text (problem.evaluate x)) xs)
+  in
+  let ok = List.length (List.filter Result.is_ok (Array.to_list points)) in
+  Alcotest.(check bool) "rows and failures" true (ok > 0 && ok < 60);
+  let chain x =
+    let pll kvco ivco =
+      let c, _, _, _ =
+        H.Pll_problem.variant_config cfg ~kvco ~ivco ~c1:x.(2) ~c2:x.(3)
+          ~r1:x.(4)
+      in
+      Repro_behave.Pll.evaluate c
+    in
+    let pe = (H.Perf_table.eval_points cfg.model [| (x.(0), x.(1)) |]).(0) in
+    let (_, kv_min, kv_max), (_, iv_min, iv_max) = (pe.q_kvco, pe.q_ivco) in
+    let ( let* ) = Result.bind in
+    let* _ = pll x.(0) x.(1) in
+    let* _ = pll kv_min iv_min in
+    let* _ = pll kv_max iv_max in
+    Ok ()
+  in
+  let chained, chain_sims = sims (fun () -> Array.map chain xs) in
+  Alcotest.(check int) "the chain's simulations" chain_sims row_sims;
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check string)
+        (Printf.sprintf "the chain's error %d" i)
+        (match r with Ok () -> "ok" | Error e -> e)
+        (match points.(i) with Ok _ -> "ok" | Error e -> e))
+    chained;
+  List.iter
+    (fun size ->
+      Repro_engine.Pool.with_pool ~size @@ fun pool ->
+      let batch_rows, batch_row_sims =
+        sims (fun () ->
+            Array.map row_text (H.Pll_problem.evaluate_points ~pool cfg xs))
+      in
+      let batch_evals, batch_eval_sims =
+        sims (fun () ->
+            Array.map eval_text
+              (Repro_moo.Problem.parallel_evaluator ~pool () problem xs))
+      in
+      Array.iteri
+        (fun i expected ->
+          Alcotest.(check string)
+            (Printf.sprintf "pool %d, row %d" size i)
+            expected batch_rows.(i);
+          Alcotest.(check string)
+            (Printf.sprintf "pool %d, evaluation %d" size i)
+            evals.(i) batch_evals.(i))
+        rows;
+      Alcotest.(check int) (Printf.sprintf "pool %d row sims" size) row_sims
+        batch_row_sims;
+      Alcotest.(check int)
+        (Printf.sprintf "pool %d evaluation sims" size)
+        eval_sims batch_eval_sims)
+    [ 1; 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "spec default valid" `Quick test_spec_default_valid;
@@ -574,4 +673,6 @@ let suite =
       test_system_level_golden;
     Alcotest.test_case "system level cache bound to its model" `Quick
       test_system_level_cache_per_model;
+    Alcotest.test_case "pll problem batch against single" `Quick
+      test_pll_problem_batch_against_single;
   ]
