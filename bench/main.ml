@@ -11,7 +11,6 @@ module H = Hieropt
 module V = Repro_spice.Vco_measure
 module T = Repro_circuit.Topologies
 module E = Repro_engine
-module Json = Repro_util.Json
 
 let section title =
   let bar = String.make 74 '=' in
@@ -195,96 +194,6 @@ let engine_bench (result : H.Hierarchy.result) =
     (t_cold /. Float.max t_warm 1e-9)
     (cold = warm);
   Printf.printf "  %s\n" (E.Cache.stats_line cache)
-
-(* loopback model server under saturation: queries/sec and latency
-   quantiles at 1/2/4 reactors (offered concurrency scaled with the
-   reactor count so every leg can saturate), plus the served-vs-local
-   bit-identity check that justifies offloading evaluation at all.
-   Each leg keeps the best of a few reps to shave scheduler noise. *)
-let serve_bench (result : H.Hierarchy.result) =
-  let module S = Repro_serve in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "hieropt_serve_bench"
-  in
-  rm_rf dir;
-  H.Perf_table.save ~dir result.H.Hierarchy.model;
-  let local = H.Perf_table.load ~dir in
-  let klo, khi = H.Perf_table.kvco_range local in
-  let ilo, ihi = H.Perf_table.ivco_range local in
-  let batch =
-    Array.init 16 (fun i ->
-        let f = float_of_int i /. 15.0 in
-        (klo +. (f *. (khi -. klo)), ilo +. (f *. (ihi -. ilo))))
-  in
-  let expected = H.Perf_table.eval_points local batch in
-  (* the load legs probe protocol throughput with single-point queries
-     (batched evaluation is compute-bound and would hide the serving
-     core's own ceiling behind spline math) *)
-  let body =
-    Json.to_string
-      (Json.Obj
-         [
-           ("kvco", Json.Num ((klo +. khi) /. 2.0));
-           ("ivco", Json.Num ((ilo +. ihi) /. 2.0));
-         ])
-  in
-  let duration = 1.5 and warmup = 0.3 and reps = 3 in
-  let bench_reactors (reactors, connections) =
-    let api = S.Api.create ~model:local () in
-    let server = S.Server.start ~port:0 ~reactors ~api () in
-    let port = S.Server.port server in
-    Fun.protect
-      ~finally:(fun () ->
-        S.Server.stop ~drain_timeout:2. server;
-        S.Server.wait server)
-    @@ fun () ->
-    (* the equivalence guarantee first: one served batch must come back
-       byte-for-byte the local evaluation (same floats, same order) *)
-    let client = S.Client.create ~port () in
-    let identical =
-      match S.Client.query_points client ~model:"default" batch with
-      | Ok got -> got = expected
-      | Error _ -> false
-    in
-    S.Client.shutdown client;
-    let best = ref None in
-    for _ = 1 to reps do
-      let r =
-        S.Loadgen.run ~connections ~duration ~warmup ~port
-          ~target:"/v1/models/default/query" ~body ()
-      in
-      match !best with
-      | Some b when b.S.Loadgen.qps >= r.S.Loadgen.qps -> ()
-      | _ -> best := Some r
-    done;
-    let r = Option.get !best in
-    let tag key v = metric "serve" (Printf.sprintf "%s_r%d" key reactors) v in
-    tag "qps" r.S.Loadgen.qps;
-    tag "p50_ms" r.S.Loadgen.p50_ms;
-    tag "p99_ms" r.S.Loadgen.p99_ms;
-    Printf.printf
-      "  %d reactor(s) %2d conns  %8.0f queries/s   p50 %6.2f ms   p99 \
-       %6.2f ms   errors %d   bit-identical: %b\n%!"
-      reactors connections r.S.Loadgen.qps r.S.Loadgen.p50_ms
-      r.S.Loadgen.p99_ms r.S.Loadgen.errors identical
-  in
-  Printf.printf
-    "loopback HTTP saturation: closed-loop keep-alive clients, \
-     single-point queries (identity checked on a %d-point batch):\n"
-    (Array.length batch);
-  (* offered load is fixed across legs: scaling connections with
-     reactors would conflate accept-sharding gains with queueing delay
-     on hosts with fewer cores than reactors *)
-  List.iter bench_reactors [ (1, 4); (2, 4); (4, 4) ];
-  rm_rf dir
 
 (* ------------------------------------------------------------------ *)
 (* moo section: optimiser choice + surrogate pre-screen                *)
@@ -509,9 +418,6 @@ let run_experiments ~scale ~spec () =
   telemetry_line ();
   section "Engine — deterministic parallel evaluation + cache";
   engine_bench result;
-  telemetry_line ();
-  section "Serve — model server throughput and latency";
-  serve_bench result;
   telemetry_line ();
   section "Engine — full telemetry";
   print_string (E.Telemetry.report ());

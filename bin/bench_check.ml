@@ -26,15 +26,6 @@ let watched =
     ("solver/dcop_sparse_ms", Lower_is_better);
     ("engine/cache_speedup", Higher_is_better);
     ("engine/mc_speedup", Higher_is_better);
-    ("serve/qps_r1", Higher_is_better);
-    ("serve/qps_r2", Higher_is_better);
-    ("serve/qps_r4", Higher_is_better);
-    (* latency quantiles on a loaded shared host are dominated by
-       scheduler time-slicing, so they gate on absolute ceilings
-       rather than run-to-run ratios *)
-    ("serve/p50_ms_r1", Bound 5.0);
-    ("serve/p99_ms_r1", Bound 25.0);
-    ("serve/p99_ms_r4", Bound 50.0);
     ("timings/substrate/mna-assemble_ns", Lower_is_better);
     ("timings/substrate/lu-solve_ns", Lower_is_better);
     (* optimiser portfolio: front quality at a fixed ZDT1 eval budget

@@ -650,20 +650,35 @@ let serve_cmd =
       value & opt int 8190
       & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (0 picks a free one).")
   in
+  (* Kept only because [perfbench/main.ml] starts the server with
+     [--reactors 1]; the server runs one event loop, so any other value
+     is a usage error.  Remove the flag together with that argument. *)
   let reactors_t =
+    let one =
+      let parse s =
+        match Arg.conv_parser Arg.int s with
+        | Ok 1 -> Ok ()
+        | Ok _ ->
+          Error
+            (`Msg
+              (Printf.sprintf "%S: only 1 is accepted (one event loop)" s))
+        | Error e -> Error e
+      in
+      Arg.conv ~docv:"N" (parse, fun ppf () -> Fmt.int ppf 1)
+    in
     Arg.(
-      value & opt int 2
+      value & opt one ()
       & info [ "reactors" ] ~docv:"N"
-          ~doc:"Reactor domains (event loops) handling connections.")
+          ~doc:"Event loops handling connections; only 1 is accepted.")
   in
-  let run model_dir addr port reactors trace verbose =
+  let run model_dir addr port () trace verbose =
     setup_logging verbose;
     (* loaded before the bind, so the "serving" line means ready *)
     let model = load_model model_dir in
     let api = Repro_serve.Api.create ~version ~model () in
     with_trace ~label:"serve" trace @@ fun () ->
     let server =
-      match Repro_serve.Server.start ~addr ~port ~reactors ~api () with
+      match Repro_serve.Server.start ~addr ~port ~api () with
       | server -> server
       | exception Unix.Unix_error (code, _, _) ->
         die exit_serve "cannot bind %s:%d: %s" addr port
@@ -671,9 +686,8 @@ let serve_cmd =
       | exception Failure msg -> die exit_serve "cannot start server: %s" msg
     in
     Repro_serve.Server.install_signal_handlers server;
-    Fmt.pr "serving %s on http://%s:%d (%d reactors)@." model_dir addr
-      (Repro_serve.Server.port server)
-      reactors;
+    Fmt.pr "serving %s on http://%s:%d@." model_dir addr
+      (Repro_serve.Server.port server);
     Repro_serve.Server.wait server;
     Fmt.pr "%s@." (Repro_engine.Telemetry.line ())
   in
@@ -773,123 +787,6 @@ let query_cmd =
     Term.(
       const run $ model_dir_t $ remote_t $ point_t $ metrics_t $ wait_t
       $ verbose_t)
-
-(* ---- loadgen ---- *)
-
-let loadgen_cmd =
-  let host_t =
-    Arg.(
-      value
-      & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST" ~doc:"Server host.")
-  in
-  let port_t =
-    Arg.(
-      value & opt int 8190 & info [ "port" ] ~docv:"PORT" ~doc:"Server port.")
-  in
-  let connections_t =
-    Arg.(
-      value & opt int 4
-      & info [ "connections" ] ~docv:"N"
-          ~doc:"Concurrent keep-alive connections.")
-  in
-  let duration_t =
-    Arg.(
-      value & opt float 2.
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Measured window length.")
-  in
-  let warmup_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "warmup" ] ~docv:"SECONDS"
-          ~doc:"Unrecorded lead-in before the measured window.")
-  in
-  let batch_t =
-    Arg.(
-      value & opt int 16
-      & info [ "batch" ] ~docv:"N" ~doc:"Points per query request.")
-  in
-  let assert_qps_t =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "assert-qps-min" ] ~docv:"QPS"
-          ~doc:"Exit non-zero when measured qps falls below $(docv).")
-  in
-  let assert_p99_t =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "assert-p99-max" ] ~docv:"MS"
-          ~doc:"Exit non-zero when p99 latency exceeds $(docv) ms.")
-  in
-  let allow_errors_t =
-    Arg.(
-      value & flag
-      & info [ "allow-errors" ]
-          ~doc:
-            "Do not fail on request errors (e.g. when the server is \
-             deliberately drained mid-run).")
-  in
-  let run model_dir host port connections duration warmup batch assert_qps
-      assert_p99 allow_errors verbose =
-    setup_logging verbose;
-    (* sample points spanning the served model's own input ranges, so
-       every request exercises real interpolation *)
-    let table = load_model model_dir in
-    let klo, khi = Hieropt.Perf_table.kvco_range table in
-    let ilo, ihi = Hieropt.Perf_table.ivco_range table in
-    let n = max 1 batch in
-    let point i =
-      let f =
-        if n = 1 then 0.5 else float_of_int i /. float_of_int (n - 1)
-      in
-      Json.Obj
-        [
-          ("kvco", Json.Num (klo +. (f *. (khi -. klo))));
-          ("ivco", Json.Num (ilo +. (f *. (ihi -. ilo))));
-        ]
-    in
-    let body =
-      Json.to_string (Json.Obj [ ("points", Json.Arr (List.init n point)) ])
-    in
-    let r =
-      Repro_serve.Loadgen.run ~connections ~duration ~warmup ~host ~port
-        ~target:
-          (Printf.sprintf "/v1/models/%s/query" Repro_serve.Api.model_id)
-        ~body ()
-    in
-    Repro_serve.Loadgen.pp stdout r;
-    print_newline ();
-    let failures = ref [] in
-    let fail fmt = Fmt.kstr (fun m -> failures := m :: !failures) fmt in
-    if (not allow_errors) && r.Repro_serve.Loadgen.errors > 0 then
-      fail "%d request(s) failed" r.Repro_serve.Loadgen.errors;
-    (match assert_qps with
-    | Some floor when r.Repro_serve.Loadgen.qps < floor ->
-      fail "qps %.0f below floor %.0f" r.Repro_serve.Loadgen.qps floor
-    | _ -> ());
-    (match assert_p99 with
-    | Some ceiling when r.Repro_serve.Loadgen.p99_ms > ceiling ->
-      fail "p99 %.2f ms above ceiling %.2f ms" r.Repro_serve.Loadgen.p99_ms
-        ceiling
-    | _ -> ());
-    match !failures with
-    | [] -> ()
-    | fs -> die exit_serve "load test failed: %s" (String.concat "; " fs)
-  in
-  let info =
-    Cmd.info "loadgen"
-      ~doc:
-        "Drive a running $(b,hieropt serve) with a closed-loop query \
-         load and report qps + latency quantiles (optionally asserting \
-         floors/ceilings, for CI)."
-  in
-  Cmd.v info
-    Term.(
-      const run $ model_dir_t $ host_t $ port_t $ connections_t
-      $ duration_t $ warmup_t $ batch_t $ assert_qps_t $ assert_p99_t
-      $ allow_errors_t $ verbose_t)
 
 (* ---- trace ---- *)
 
@@ -1072,7 +969,6 @@ let main_cmd =
       export_cmd;
       serve_cmd;
       query_cmd;
-      loadgen_cmd;
       trace_cmd;
       report_cmd;
     ]

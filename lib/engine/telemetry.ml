@@ -58,15 +58,6 @@ let incr ?(by = 1) name =
       let cur = Option.value ~default:0 (Hashtbl.find_opt s.counters name) in
       Hashtbl.replace s.counters name (cur + by))
 
-(* [set] is absolute, not additive: clear the key in every shard and
-   store the value in exactly one, under all locks so a concurrent
-   snapshot never sees the key double-counted or missing *)
-let set name v =
-  let own = Domain.DLS.get shard_key in
-  locked_all (fun all ->
-      List.iter (fun s -> Hashtbl.remove s.counters name) all;
-      Hashtbl.replace own.counters name v)
-
 let counter name =
   locked_all (fun all ->
       List.fold_left

@@ -6,7 +6,6 @@
     ["eval.runs"], ["mc.failures"], ["phase.circuit"]. *)
 
 val incr : ?by:int -> string -> unit
-val set : string -> int -> unit
 val counter : string -> int
 (** Unknown counters read as 0. *)
 

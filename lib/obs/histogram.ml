@@ -10,10 +10,8 @@ type t = {
   mutable vmax : float;
 }
 
-let create ?(buckets = 72) ?(lo = 1e-6) ?(hi = 1e3) () =
-  if buckets < 1 then invalid_arg "Histogram.create: buckets must be >= 1";
-  if not (lo > 0.0 && hi > lo) then
-    invalid_arg "Histogram.create: need 0 < lo < hi";
+let create () =
+  let buckets = 72 and lo = 1e-6 and hi = 1e3 in
   {
     lo;
     log_lo = log lo;
@@ -118,13 +116,13 @@ let count t =
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 let registry_mutex = Mutex.create ()
 
-let get ?buckets ?lo ?hi name =
+let get name =
   Mutex.lock registry_mutex;
   let h =
     match Hashtbl.find_opt registry name with
     | Some h -> h
     | None ->
-      let h = create ?buckets ?lo ?hi () in
+      let h = create () in
       Hashtbl.add registry name h;
       h
   in

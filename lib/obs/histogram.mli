@@ -1,8 +1,8 @@
 (** Fixed log-bucket histograms for latencies and other positive-ish
     values, with quantile estimates.
 
-    Buckets are geometric between [lo] and [hi] (defaults cover 1 µs to
-    ~17 min in 72 buckets, a constant ~21% relative width).  Values
+    Buckets are geometric from 1 µs to ~17 min, 72 of them, a constant
+    ~21% relative width.  Values
     outside the range land in the edge buckets.  Quantiles interpolate
     geometrically within a bucket and clamp to the observed min/max, so
     they are monotone in [q], always bounded by the true extremes, and
@@ -13,7 +13,7 @@
 
 type t
 
-val create : ?buckets:int -> ?lo:float -> ?hi:float -> unit -> t
+val create : unit -> t
 val observe : t -> float -> unit
 (** Record one value; non-finite values are dropped. *)
 
@@ -41,8 +41,8 @@ val stats : t -> stats
 
 (** {2 Named registry} *)
 
-val get : ?buckets:int -> ?lo:float -> ?hi:float -> string -> t
-(** Find-or-create by name; size parameters apply only on creation. *)
+val get : string -> t
+(** Find-or-create by name. *)
 
 val all : unit -> (string * t) list
 (** Every registered histogram, name-sorted. *)

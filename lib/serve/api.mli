@@ -30,8 +30,8 @@
     A model id other than ["default"] answers 404 without touching the
     filesystem.  Unknown paths map to 404, wrong verbs on known paths
     to 405, malformed bodies to 400, handler exceptions to 500.
-    [handle] never raises; it is called concurrently from every reactor
-    domain, which share the (immutable) table. *)
+    [handle] never raises; the server calls it on its event-loop
+    domain, and it only reads the (immutable) table. *)
 
 type t
 

@@ -121,33 +121,17 @@ let round_trip t ~headers ~meth ~target ~body =
     settle (once ())
   | outcome -> settle outcome
 
-(* ECONNREFUSED is deliberately transient: during worker/server startup
-   the listener may not be bound yet, and the retry loop doubles as the
-   readiness wait. *)
+(* ECONNREFUSED is transient like a reset: a server restarted on the
+   same port refuses connections for a moment *)
 let transient = function
   | Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EPIPE | Unix.ETIMEDOUT
   | Unix.EHOSTUNREACH | Unix.ENETUNREACH | Unix.EAGAIN | Unix.EWOULDBLOCK ->
     true
   | _ -> false
 
-(* Full-jitter exponential backoff (delay uniform in [0, base·2^n],
-   capped).  A deterministic schedule synchronises retry storms: when a
-   server restarts, every in-flight client would otherwise retry it in
-   lockstep.  The jitter PRNG is self-seeded and
-   mutex-protected — it only shapes timing, never results. *)
-let backoff_base = 0.05
-let backoff_cap = 2.0
-let jitter_mutex = Mutex.create ()
-let jitter_state = lazy (Random.State.make_self_init ())
-
-let backoff_delay n =
-  let ceiling =
-    Float.min backoff_cap (backoff_base *. float_of_int (1 lsl min n 16))
-  in
-  Mutex.lock jitter_mutex;
-  let d = Random.State.float (Lazy.force jitter_state) ceiling in
-  Mutex.unlock jitter_mutex;
-  d
+(* exponential backoff: 50 ms before the first retry, doubling, at
+   most 2 s *)
+let backoff_delay n = Float.min 2.0 (Float.ldexp 0.05 n)
 
 (* When this process is tracing, every outgoing request carries the
    trace id and the innermost open span, so a traced server can tag its

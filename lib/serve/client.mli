@@ -4,13 +4,13 @@
     client per thread for parallel traffic).  A reused socket the
     server idled out in the meantime is replaced transparently.  The
     typed helpers target the [/v1] API.  Transient failures (connection
-    refused, reset, timeout) are retried with full-jitter exponential
-    backoff (uniform in [0, 50ms·2^n], capped at 2s), so a fleet of
-    clients losing one endpoint never retries in lockstep;
-    protocol-level errors (4xx/5xx, malformed JSON) are not retried.
-    Connection refused counts as transient on purpose — the retry loop
-    doubles as the startup-readiness wait against a worker that is
-    still binding.
+    refused, reset, timeout) are retried after a fixed exponential
+    backoff, min(2s, 50ms·2^n) before retry n+1; protocol-level errors
+    (4xx/5xx, malformed JSON) are not retried.  Connection refused is
+    transient like a reset: a server restarted on the same port
+    refuses connections for a moment.  A server binds only once its
+    model is loaded, so a script that just started one waits with
+    {!wait_ready}.
 
     Because both ends use {!Repro_util.Json}'s lossless float encoding,
     {!query_points} returns floats bit-identical to calling

@@ -1,9 +1,9 @@
-(* Pull-based HTTP/1.1 connection state machine.  The reactor owns the
-   sockets and the syscalls; this module owns the bytes: [feed] absorbs
-   whatever arrived and returns the complete requests found (several at
-   once for pipelined clients, none while a message is still partial),
-   [push_response] appends wire bytes to the output buffer for the
-   reactor to drain as the socket allows. *)
+(* Pull-based HTTP/1.1 connection state machine.  The server's event
+   loop owns the sockets and the syscalls; this module owns the bytes:
+   [feed] absorbs whatever arrived and returns the complete requests
+   found (several at once for pipelined clients, none while a message
+   is still partial), [push_response] appends wire bytes to the output
+   buffer for the loop to drain as the socket allows. *)
 
 type event = Request of Http.request | Protocol_error of Http.error
 

@@ -1,6 +1,6 @@
 (** Pull-based HTTP/1.1 connection state machine for the event-loop
     server: no file descriptors, no syscalls, no blocking — just bytes
-    in, parsed requests out, response bytes queued for the reactor to
+    in, parsed requests out, response bytes queued for the loop to
     drain.
 
     Reads: {!feed} absorbs a chunk and returns every complete request
@@ -12,7 +12,7 @@
     nothing more ({!broken}).
 
     Writes: {!push_response} serialises through {!Http.render_response}
-    into a growable output buffer; the reactor drains it via {!output} /
+    into a growable output buffer; the loop drains it via {!output} /
     {!output_consumed} as the socket accepts bytes, and applies
     backpressure (stops reading) when {!output_pending} is high. *)
 
@@ -48,7 +48,7 @@ val output : t -> Bytes.t * int * int
     next call that mutates [t]. *)
 
 val output_consumed : t -> int -> unit
-(** The reactor wrote [n] bytes; drop them from the buffer. *)
+(** The loop wrote [n] bytes; drop them from the buffer. *)
 
 val close_after_flush : t -> bool
 val set_close_after_flush : t -> unit

@@ -1,7 +1,7 @@
 module Json = Repro_util.Json
 module Telemetry = Repro_engine.Telemetry
 
-(* one accepted socket owned by exactly one reactor *)
+(* one accepted socket *)
 type conn = {
   fd : Unix.file_descr;
   machine : Conn.t;
@@ -9,26 +9,19 @@ type conn = {
   mutable read_closed : bool;  (* peer sent EOF; output may still drain *)
 }
 
-type reactor = {
+type t = {
+  api : Api.t;
   listener : Unix.file_descr;
-  owns_listener : bool;
-      (* false when SO_REUSEPORT was unavailable and this reactor
-         shares reactor 0's listener — only the owner closes it *)
+  bound_port : int;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   rbuf : Bytes.t;
-}
-
-type t = {
-  api : Api.t;
-  reactors : reactor array;
-  bound_port : int;
   request_timeout : float;
   stopping : bool Atomic.t;
   stop_called : bool Atomic.t;
   drain_deadline : float Atomic.t;  (* meaningful once [stopping] *)
-  mutable domains : unit Domain.t list;
+  mutable domain : unit Domain.t option;
 }
 
 let port t = t.bound_port
@@ -39,13 +32,13 @@ let safe_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
    a slow consumer pipelining requests cannot balloon our buffers *)
 let high_watermark = 256 * 1024
 
-let close_conn r c =
-  Hashtbl.remove r.conns c.fd;
+let close_conn t c =
+  Hashtbl.remove t.conns c.fd;
   safe_close c.fd
 
 (* opportunistic non-blocking drain of the output buffer; closes the
    connection once a [Connection: close] response is fully flushed *)
-let try_write r c =
+let try_write t c =
   let buf, off, len = Conn.output c.machine in
   if len > 0 then begin
     match Unix.write c.fd buf off len with
@@ -53,14 +46,14 @@ let try_write r c =
       Conn.output_consumed c.machine n;
       c.last_activity <- Unix.gettimeofday ();
       if Conn.output_pending c.machine = 0 && Conn.close_after_flush c.machine
-      then close_conn r c
+      then close_conn t c
     | exception
         Unix.Unix_error
           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
-    | exception Unix.Unix_error _ -> close_conn r c
+    | exception Unix.Unix_error _ -> close_conn t c
   end
-  else if Conn.close_after_flush c.machine then close_conn r c
+  else if Conn.close_after_flush c.machine then close_conn t c
 
 let handle_events t c events =
   let rec go = function
@@ -99,38 +92,38 @@ let handle_events t c events =
   in
   go events
 
-let handle_readable t r c =
-  match Unix.read c.fd r.rbuf 0 (Bytes.length r.rbuf) with
+let handle_readable t c =
+  match Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 ->
     c.read_closed <- true;
     if Conn.output_pending c.machine > 0 then
       (* half-closed client still waiting for its responses *)
       Conn.set_close_after_flush c.machine
-    else close_conn r c
+    else close_conn t c
   | n ->
     c.last_activity <- Unix.gettimeofday ();
-    handle_events t c (Conn.feed c.machine r.rbuf 0 n);
-    try_write r c
+    handle_events t c (Conn.feed c.machine t.rbuf 0 n);
+    try_write t c
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
     ()
-  | exception Unix.Unix_error _ -> close_conn r c
+  | exception Unix.Unix_error _ -> close_conn t c
 
-let rec accept_ready r =
-  match Unix.accept ~cloexec:true r.listener with
+let rec accept_ready t =
+  match Unix.accept ~cloexec:true t.listener with
   | fd, _ ->
     Unix.set_nonblock fd;
     (try Unix.setsockopt fd Unix.TCP_NODELAY true
      with Unix.Unix_error _ -> ());
     Telemetry.incr "serve.connections";
-    Hashtbl.replace r.conns fd
+    Hashtbl.replace t.conns fd
       {
         fd;
         machine = Conn.create ();
         last_activity = Unix.gettimeofday ();
         read_closed = false;
       };
-    accept_ready r
+    accept_ready t
   | exception
       Unix.Unix_error
         ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED
@@ -140,37 +133,37 @@ let rec accept_ready r =
     ()
   | exception Unix.Unix_error _ -> ()
 
-let drain_wake r =
+let drain_wake t =
   let scratch = Bytes.create 64 in
   let rec go () =
-    match Unix.read r.wake_r scratch 0 64 with
+    match Unix.read t.wake_r scratch 0 64 with
     | 0 -> ()
     | _ -> go ()
     | exception Unix.Unix_error _ -> ()
   in
   go ()
 
-(* a reactor that somehow holds a dead descriptor (select → EBADF)
+(* a loop that somehow holds a dead descriptor (select → EBADF)
    must shed it rather than spin *)
-let sweep_dead r =
+let sweep_dead t =
   let dead =
     Hashtbl.fold
       (fun _ c acc ->
         match Unix.fstat c.fd with
         | _ -> acc
         | exception Unix.Unix_error _ -> c :: acc)
-      r.conns []
+      t.conns []
   in
-  List.iter (close_conn r) dead
+  List.iter (close_conn t) dead
 
-let reactor_loop t r =
+let run_loop t =
   let listener_open = ref true in
   let finished = ref false in
   while not !finished do
     let now = Unix.gettimeofday () in
     let stopping = Atomic.get t.stopping in
     if stopping && !listener_open then begin
-      if r.owns_listener then safe_close r.listener;
+      safe_close t.listener;
       listener_open := false
     end;
     if stopping then begin
@@ -183,29 +176,29 @@ let reactor_loop t r =
               && not (Conn.mid_request c.machine)
             then c :: acc
             else acc)
-          r.conns []
+          t.conns []
       in
-      List.iter (close_conn r) idle
+      List.iter (close_conn t) idle
     end;
-    if stopping && Hashtbl.length r.conns = 0 then finished := true
+    if stopping && Hashtbl.length t.conns = 0 then finished := true
     else begin
       let deadline =
         if stopping then Atomic.get t.drain_deadline else infinity
       in
       if stopping && now >= deadline then begin
-        Telemetry.incr ~by:(Hashtbl.length r.conns) "serve.forced_closes";
+        Telemetry.incr ~by:(Hashtbl.length t.conns) "serve.forced_closes";
         Hashtbl.iter
           (fun _ c ->
             (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL
              with Unix.Unix_error _ -> ());
             safe_close c.fd)
-          r.conns;
-        Hashtbl.reset r.conns;
+          t.conns;
+        Hashtbl.reset t.conns;
         finished := true
       end
       else begin
         let reads =
-          ref (r.wake_r :: (if !listener_open then [ r.listener ] else []))
+          ref (t.wake_r :: (if !listener_open then [ t.listener ] else []))
         in
         let writes = ref [] in
         let next_tick = ref (min deadline (now +. 0.5)) in
@@ -220,30 +213,30 @@ let reactor_loop t r =
             if Conn.output_pending c.machine > 0 then writes := fd :: !writes;
             next_tick :=
               min !next_tick (c.last_activity +. t.request_timeout))
-          r.conns;
+          t.conns;
         let timeout = max 0.0 (min 0.5 (!next_tick -. now)) in
         match Unix.select !reads !writes [] timeout with
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
-        | exception Unix.Unix_error (Unix.EBADF, _, _) -> sweep_dead r
+        | exception Unix.Unix_error (Unix.EBADF, _, _) -> sweep_dead t
         | rs, ws, _ ->
-          if List.memq r.wake_r rs then drain_wake r;
+          if List.memq t.wake_r rs then drain_wake t;
           if
             !listener_open
-            && List.memq r.listener rs
+            && List.memq t.listener rs
             && not (Atomic.get t.stopping)
-          then accept_ready r;
+          then accept_ready t;
           List.iter
             (fun fd ->
-              match Hashtbl.find_opt r.conns fd with
-              | Some c -> try_write r c
+              match Hashtbl.find_opt t.conns fd with
+              | Some c -> try_write t c
               | None -> ())
             ws;
           List.iter
             (fun fd ->
-              if fd != r.wake_r && not (!listener_open && fd == r.listener)
+              if fd != t.wake_r && not (!listener_open && fd == t.listener)
               then
-                match Hashtbl.find_opt r.conns fd with
-                | Some c -> handle_readable t r c
+                match Hashtbl.find_opt t.conns fd with
+                | Some c -> handle_readable t c
                 | None -> ())
             rs;
           let now = Unix.gettimeofday () in
@@ -252,24 +245,23 @@ let reactor_loop t r =
               (fun _ c acc ->
                 if now -. c.last_activity > t.request_timeout then c :: acc
                 else acc)
-              r.conns []
+              t.conns []
           in
           List.iter
             (fun c ->
               if Conn.mid_request c.machine then
                 Telemetry.incr "serve.request_timeouts";
-              close_conn r c)
+              close_conn t c)
             expired
       end
     end
   done;
-  if !listener_open && r.owns_listener then safe_close r.listener
+  if !listener_open then safe_close t.listener
 
-let make_listener ~addr ~port ~reuseport =
+let make_listener ~addr ~port =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    if reuseport then Unix.setsockopt fd Unix.SO_REUSEPORT true;
     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string addr, port));
     Unix.listen fd 256;
     Unix.set_nonblock fd
@@ -279,72 +271,44 @@ let make_listener ~addr ~port ~reuseport =
     safe_close fd;
     raise exn
 
-let start ?(addr = "127.0.0.1") ?(port = 8190) ?(reactors = 2)
-    ?(request_timeout = 10.) ~api () =
+let start ?(addr = "127.0.0.1") ?(port = 8190) ?(request_timeout = 10.) ~api
+    () =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  let n = max 1 reactors in
-  (* shard accepts across reactors kernel-side: every reactor gets its
-     own SO_REUSEPORT listener on the same address.  When the kernel
-     refuses (no reuseport), all reactors share listener 0 and race
-     non-blocking accepts instead. *)
-  let first =
-    match make_listener ~addr ~port ~reuseport:true with
-    | fd -> fd
-    | exception Unix.Unix_error _ -> make_listener ~addr ~port ~reuseport:false
-  in
+  let listener = make_listener ~addr ~port in
   let bound_port =
-    match Unix.getsockname first with
+    match Unix.getsockname listener with
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> port
   in
-  let make_reactor i =
-    let listener, owns_listener =
-      if i = 0 then (first, true)
-      else
-        match make_listener ~addr ~port:bound_port ~reuseport:true with
-        | fd -> (fd, true)
-        | exception Unix.Unix_error _ -> (first, false)
-    in
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock wake_r;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  let t =
     {
+      api;
       listener;
-      owns_listener;
+      bound_port;
       wake_r;
       wake_w;
       conns = Hashtbl.create 64;
       rbuf = Bytes.create 65536;
-    }
-  in
-  let t =
-    {
-      api;
-      reactors = Array.init n make_reactor;
-      bound_port;
       request_timeout = (if request_timeout <= 0. then 10. else request_timeout);
       stopping = Atomic.make false;
       stop_called = Atomic.make false;
       drain_deadline = Atomic.make infinity;
-      domains = [];
+      domain = None;
     }
   in
-  t.domains <-
-    Array.to_list
-      (Array.map (fun r -> Domain.spawn (fun () -> reactor_loop t r)) t.reactors);
-  Telemetry.set "serve.reactors" n;
+  t.domain <- Some (Domain.spawn (fun () -> run_loop t));
   t
-
-let wake r =
-  let b = Bytes.make 1 '\x00' in
-  try ignore (Unix.write r.wake_w b 0 1) with Unix.Unix_error _ -> ()
 
 let stop ?(drain_timeout = 5.0) t =
   if not (Atomic.exchange t.stop_called true) then begin
-    (* deadline first: a reactor must never observe [stopping] with a
+    (* deadline first: the loop must never observe [stopping] with a
        stale (zero) deadline and force-close immediately *)
     Atomic.set t.drain_deadline (Unix.gettimeofday () +. max 0. drain_timeout);
     Atomic.set t.stopping true;
-    Array.iter wake t.reactors
+    try ignore (Unix.write t.wake_w (Bytes.make 1 '\x00') 0 1)
+    with Unix.Unix_error _ -> ()
   end
 
 let wait t =
@@ -356,13 +320,13 @@ let wait t =
   while not (Atomic.get t.stopping) do
     Thread.delay 0.1
   done;
-  List.iter Domain.join t.domains;
-  t.domains <- [];
-  Array.iter
-    (fun r ->
-      safe_close r.wake_r;
-      safe_close r.wake_w)
-    t.reactors
+  match t.domain with
+  | None -> ()
+  | Some d ->
+    Domain.join d;
+    t.domain <- None;
+    safe_close t.wake_r;
+    safe_close t.wake_w
 
 let install_signal_handlers t =
   let handler _ = stop t in

@@ -382,9 +382,7 @@ let test_telemetry () =
   E.Telemetry.reset ();
   E.Telemetry.incr "a";
   E.Telemetry.incr ~by:4 "a";
-  E.Telemetry.set "b" 9;
   Alcotest.(check int) "incr" 5 (E.Telemetry.counter "a");
-  Alcotest.(check int) "set" 9 (E.Telemetry.counter "b");
   Alcotest.(check int) "unknown reads 0" 0 (E.Telemetry.counter "nope");
   let x = E.Telemetry.time "t" (fun () -> 41 + 1) in
   Alcotest.(check int) "time passes result through" 42 x;
@@ -487,23 +485,25 @@ let test_telemetry_concurrent_snapshot () =
   | _ -> Alcotest.fail "snapshot disagrees with counter accessor");
   E.Telemetry.reset ()
 
-let test_telemetry_sharded_set () =
-  (* counters shard per domain; [set] is absolute, so increments that
-     landed in other domains' shards must not resurface after it *)
+let test_telemetry_reset_every_shard () =
+  (* counters shard per domain; [reset] must clear the shards of other
+     domains too, or their increments would resurface after it *)
   E.Telemetry.reset ();
   let writers =
     List.init 4 (fun _ ->
-        Domain.spawn (fun () -> E.Telemetry.incr "shard.set" ~by:100))
+        Domain.spawn (fun () -> E.Telemetry.incr "shard.reset" ~by:100))
   in
   List.iter Domain.join writers;
   Alcotest.(check int) "incrs merged across shards" 400
-    (E.Telemetry.counter "shard.set");
-  E.Telemetry.set "shard.set" 7;
-  Alcotest.(check int) "set is absolute" 7 (E.Telemetry.counter "shard.set");
-  let d = Domain.spawn (fun () -> E.Telemetry.incr "shard.set") in
+    (E.Telemetry.counter "shard.reset");
+  E.Telemetry.reset ();
+  Alcotest.(check int) "reset reads 0" 0 (E.Telemetry.counter "shard.reset");
+  check "absent from snapshot" false
+    (List.mem_assoc "shard.reset" (E.Telemetry.snapshot ()));
+  let d = Domain.spawn (fun () -> E.Telemetry.incr "shard.reset") in
   Domain.join d;
-  Alcotest.(check int) "accumulation resumes after set" 8
-    (E.Telemetry.counter "shard.set");
+  Alcotest.(check int) "counting restarts from 0" 1
+    (E.Telemetry.counter "shard.reset");
   E.Telemetry.reset ()
 
 (* ---- cross-stack determinism: 1 worker vs 4 workers -------------- *)
@@ -639,8 +639,8 @@ let suite =
       test_telemetry_warn_atomic_lines;
     Alcotest.test_case "telemetry snapshot under concurrency" `Quick
       test_telemetry_concurrent_snapshot;
-    Alcotest.test_case "telemetry sharded set semantics" `Quick
-      test_telemetry_sharded_set;
+    Alcotest.test_case "telemetry reset clears every shard" `Quick
+      test_telemetry_reset_every_shard;
     Alcotest.test_case "nsga2 identical at 1 vs 4 workers" `Quick
       test_nsga2_deterministic_under_parallelism;
     Alcotest.test_case "monte-carlo identical at 1 vs 4 workers" `Quick

@@ -219,10 +219,10 @@ let with_root f =
    10 significant digits (%.9e) — so by default the server gets
    [Test_core.model] through a save and a load, and bit-identity claims
    compare against that loaded table, exactly as a real run would *)
-let with_server ?(reactors = 2) ?request_timeout ?model f =
+let with_server ?request_timeout ?model f =
   let serve loaded =
     let api = S.Api.create ~version:"test" ~model:loaded () in
-    let server = S.Server.start ~port:0 ~reactors ?request_timeout ~api () in
+    let server = S.Server.start ~port:0 ?request_timeout ~api () in
     Fun.protect
       ~finally:(fun () ->
         S.Server.stop ~drain_timeout:2. server;
@@ -508,7 +508,7 @@ let test_serve_graceful_drain () =
   @@ fun () ->
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let body = "{\"kvco\":400000000,\"ivco\":0.003}" in
-  (* half a request: the server is now mid-read on a worker *)
+  (* half a request: the server is now mid-read *)
   write_all fd
     (Printf.sprintf
        "POST /v1/models/default/query HTTP/1.1\r\nContent-Length: %d\r\n"
@@ -573,9 +573,8 @@ let test_serve_pipelined_keepalive () =
 
 let test_serve_slowloris () =
   (* a client trickling a request slower than request_timeout must be
-     reaped, not allowed to pin a reactor *)
-  with_server ~reactors:1 ~request_timeout:0.4
-  @@ fun ~loaded:_ server client ->
+     reaped, not allowed to pin the server *)
+  with_server ~request_timeout:0.4 @@ fun ~loaded:_ server client ->
   with_raw (S.Server.port server) @@ fun fd ->
   write_all fd "GET /v1/health";
   (* server should cut us off while we stall mid-head *)
@@ -638,6 +637,57 @@ let test_serve_mid_request_disconnect () =
   (* and real work still round-trips bit-identically *)
   ignore
     (check_client (S.Client.query_points client ~model:"default" query_batch))
+
+let test_serve_drain_under_load () =
+  (* four closed-loop clients keep querying while the server drains:
+     the drain must finish well inside its deadline without
+     force-closing anyone, and every reply is an answer or a
+     [Connect_failure] (refused or cut connection) *)
+  with_server @@ fun ~loaded:_ server _client ->
+  let port = S.Server.port server in
+  let forced = Repro_engine.Telemetry.counter "serve.forced_closes" in
+  let body = "{\"kvco\":400000000,\"ivco\":0.003}" in
+  let running = Atomic.make true in
+  let answered = Array.init 4 (fun _ -> Atomic.make 0) in
+  (* per client, the first reply that is neither a 200 nor a
+     [Connect_failure] *)
+  let unexpected = Array.make 4 None in
+  let load i () =
+    let client = S.Client.create ~port ~retries:0 () in
+    let note why =
+      if unexpected.(i) = None then unexpected.(i) <- Some why
+    in
+    while Atomic.get running do
+      match S.Client.post client "/v1/models/default/query" ~body with
+      | Ok { Http.status = 200; _ } -> Atomic.incr answered.(i)
+      | Error (S.Client.Connect_failure _) -> ()
+      | Ok { Http.status; _ } -> note (Printf.sprintf "status %d" status)
+      | Error e -> note (S.Client.error_to_string e)
+    done;
+    S.Client.shutdown client
+  in
+  let threads = List.init 4 (fun i -> Thread.create (load i) ()) in
+  let give_up = Unix.gettimeofday () +. 5. in
+  while
+    Array.exists (fun n -> Atomic.get n = 0) answered
+    && Unix.gettimeofday () < give_up
+  do
+    Thread.delay 0.01
+  done;
+  let t0 = Unix.gettimeofday () in
+  S.Server.stop ~drain_timeout:5. server;
+  S.Server.wait server;
+  let drain_s = Unix.gettimeofday () -. t0 in
+  Atomic.set running false;
+  List.iter Thread.join threads;
+  if drain_s > 2.5 then Alcotest.failf "drain took %.2f s of its 5 s" drain_s;
+  Alcotest.(check int) "no forced closes" forced
+    (Repro_engine.Telemetry.counter "serve.forced_closes");
+  Array.iteri
+    (fun i n ->
+      if Atomic.get n = 0 then Alcotest.failf "client %d got no answer" i;
+      Option.iter (Alcotest.failf "client %d: %s" i) unexpected.(i))
+    answered
 
 (* ---- remote evaluation ---- *)
 
@@ -802,4 +852,6 @@ let suite =
     Alcotest.test_case "remote fallback" `Quick test_remote_fallback;
     Alcotest.test_case "parse endpoint" `Quick test_parse_endpoint;
     QCheck_alcotest.to_alcotest prop_conn_feed_total;
+    Alcotest.test_case "serve drain under load" `Quick
+      test_serve_drain_under_load;
   ]
