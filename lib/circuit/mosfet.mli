@@ -8,9 +8,16 @@
     strength scales inversely with channel length.  Gate/junction
     capacitances are bias-independent, which keeps transient stamps linear.
 
-    Sign convention: [eval] works in source-referenced NMOS polarity
-    ([vgs], [vds] both normally positive); the MNA stamping code flips
-    polarities for PMOS devices and swaps drain/source when [vds < 0]. *)
+    This module holds the model's parameters and its bias-independent
+    quantities.  The device equations themselves live in
+    {!Repro_spice.Mna}, the only place that evaluates them: the Newton
+    iteration expands them in place there, and [Mna.mos_eval] evaluates
+    one device.
+
+    Sign convention: the equations work in source-referenced NMOS
+    polarity ([vgs], [vds] both normally positive); the MNA stamping
+    code flips polarities for PMOS devices and swaps drain/source when
+    [vds < 0]. *)
 
 type polarity = Nmos | Pmos
 
@@ -40,35 +47,8 @@ type eval_result = {
   gm : float;   (** ∂ids/∂vgs, S *)
   gds : float;  (** ∂ids/∂vds, S *)
 }
-
-val eval :
-  model ->
-  w:float ->
-  l:float ->
-  vth_shift:float ->
-  kp_scale:float ->
-  vgs:float ->
-  vds:float ->
-  eval_result
-(** Current and small-signal derivatives at the given bias.  [vth_shift]
-    and [kp_scale] carry the sampled process/mismatch perturbation
-    (0.0 / 1.0 nominally).  Requires [vds >= 0]; negative [vds] is the
-    caller's terminal-swap case.  [w] and [l] in metres. *)
-
-val eval_into :
-  model ->
-  w:float ->
-  l:float ->
-  vth_shift:float ->
-  kp_scale:float ->
-  vgs:float ->
-  vds:float ->
-  float array ->
-  unit
-(** [eval_into ... out] writes [ids], [gm] and [gds] into [out.(0)],
-    [out.(1)] and [out.(2)], bit for bit what {!eval} returns.  It
-    allocates no result, which is what the Newton iteration calls once
-    per device per iteration.  [eval] is a wrapper over it. *)
+(** One device's current and small-signal derivatives at a bias, as
+    [Repro_spice.Mna.mos_eval] returns them. *)
 
 type caps = {
   cgs : float;

@@ -253,11 +253,17 @@ let journal_counters =
     ("pll_steps", "pll.steps");
   ]
 
+(* ... and the timer that gives the transistor-level layer's unit cost
+   beside its counts: the transients' wall seconds, summed over the
+   domains that ran them *)
+let journal_timers = [ ("tran_seconds", "tran.seconds") ]
+
 (* the baseline taken at run start *)
 let counter_baseline () =
-  List.map (fun (_, name) -> E.Telemetry.counter name) journal_counters
+  ( List.map (fun (_, name) -> E.Telemetry.counter name) journal_counters,
+    List.map (fun (_, name) -> E.Telemetry.timer name) journal_timers )
 
-let close_journal t0 c0 = function
+let close_journal t0 (c0, s0) = function
   | None -> ()
   | Some j ->
     Obs.Journal.run_finish j
@@ -265,7 +271,11 @@ let close_journal t0 c0 = function
       (List.map2
          (fun (field, name) n0 ->
            (field, Json.Num (float_of_int (E.Telemetry.counter name - n0))))
-         journal_counters c0);
+         journal_counters c0
+      @ List.map2
+          (fun (field, name) s ->
+            (field, Json.Num (E.Telemetry.timer name -. s)))
+          journal_timers s0);
     Obs.Journal.clear_current ();
     Obs.Journal.close j
 

@@ -256,6 +256,9 @@ let refactorise num a =
     num.checked_row_ptr <- row_ptr;
     num.checked_col_idx <- col_idx
   end;
+  (* Every index below comes from the symbolic analysis, which built
+     these arrays for this pattern, and the pattern check above ties
+     [a]'s values to it, so the reads are unchecked. *)
   let n = sym.n in
   let vals = Sparse.values a in
   let x = num.x in
@@ -266,38 +269,43 @@ let refactorise num a =
   and u_rows = sym.u_rows
   and l_ptr = sym.l_ptr
   and l_rows = sym.l_rows in
-  let u_vals = num.u_vals and l_vals = num.l_vals in
+  let u_vals = num.u_vals and l_vals = num.l_vals and udiag = num.udiag in
   for j = 0 to n - 1 do
     let col_max = ref 0.0 in
-    for p = a_ptr.(j) to a_ptr.(j + 1) - 1 do
-      let v = Array.unsafe_get vals a_src.(p) in
-      let r = a_prow.(p) in
+    for p = Array.unsafe_get a_ptr j to Array.unsafe_get a_ptr (j + 1) - 1 do
+      let v = Array.unsafe_get vals (Array.unsafe_get a_src p) in
+      let r = Array.unsafe_get a_prow p in
       Array.unsafe_set x r (Array.unsafe_get x r +. v);
       let av = Float.abs v in
       if av > !col_max then col_max := av
     done;
     (* left-looking update along the frozen U pattern; ascending order
        is topological because the symbolic reach sets are closed *)
-    for q = u_ptr.(j) to u_ptr.(j + 1) - 1 do
+    for q = Array.unsafe_get u_ptr j to Array.unsafe_get u_ptr (j + 1) - 1 do
       let k = Array.unsafe_get u_rows q in
       let xk = Array.unsafe_get x k in
       Array.unsafe_set u_vals q xk;
       Array.unsafe_set x k 0.0;
       if xk <> 0.0 then
-        for p = l_ptr.(k) to l_ptr.(k + 1) - 1 do
+        for
+          p = Array.unsafe_get l_ptr k to Array.unsafe_get l_ptr (k + 1) - 1
+        do
           let i = Array.unsafe_get l_rows p in
           Array.unsafe_set x i
             (Array.unsafe_get x i -. (xk *. Array.unsafe_get l_vals p))
         done
     done;
-    let pivot = x.(j) in
-    x.(j) <- 0.0;
-    (* Lu.pivot_threshold's expression, inline: a call across modules
-       would box its argument and result for every column *)
-    if
-      Float.abs pivot
-      < Float.max Lu.pivot_abs_floor (Lu.pivot_rel_tol *. !col_max)
-    then begin
+    let pivot = Array.unsafe_get x j in
+    Array.unsafe_set x j 0.0;
+    (* Lu.pivot_threshold's [Float.max Lu.pivot_abs_floor rel], inline
+       and without [Float.max]: a call across modules would box its
+       argument and result for every column, and [Float.max]'s sign-bit
+       tests are C calls.  [rel] is never nan or negative, so it is the
+       larger of the two when it compares greater. *)
+    let rel = Lu.pivot_rel_tol *. !col_max in
+    let threshold = ref Lu.pivot_abs_floor in
+    if rel > !threshold then threshold := rel;
+    if Float.abs pivot < !threshold then begin
       (* scrub so the workspace stays reusable after the caller's
          full-factorisation fallback *)
       for p = l_ptr.(j) to l_ptr.(j + 1) - 1 do
@@ -305,8 +313,8 @@ let refactorise num a =
       done;
       raise (Singular j)
     end;
-    num.udiag.(j) <- pivot;
-    for p = l_ptr.(j) to l_ptr.(j + 1) - 1 do
+    Array.unsafe_set udiag j pivot;
+    for p = Array.unsafe_get l_ptr j to Array.unsafe_get l_ptr (j + 1) - 1 do
       let i = Array.unsafe_get l_rows p in
       Array.unsafe_set l_vals p (Array.unsafe_get x i /. pivot);
       Array.unsafe_set x i 0.0
@@ -319,28 +327,36 @@ let solve_into num ~b ~x =
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Sparse_lu.solve_into: size mismatch";
   if b == x then invalid_arg "Sparse_lu.solve_into: b and x must be distinct";
+  (* the symbolic analysis built every index array read here, for
+     vectors of size n, so the reads are unchecked *)
+  let perm = sym.perm
+  and l_ptr = sym.l_ptr
+  and l_rows = sym.l_rows
+  and u_ptr = sym.u_ptr
+  and u_rows = sym.u_rows in
+  let l_vals = num.l_vals and u_vals = num.u_vals and udiag = num.udiag in
   (* forward: L y = P b (unit diagonal), column-oriented *)
   for j = 0 to n - 1 do
-    x.(j) <- b.(sym.perm.(j))
+    Array.unsafe_set x j (Array.unsafe_get b (Array.unsafe_get perm j))
   done;
   for j = 0 to n - 1 do
     let xj = Array.unsafe_get x j in
     if xj <> 0.0 then
-      for p = sym.l_ptr.(j) to sym.l_ptr.(j + 1) - 1 do
-        let i = Array.unsafe_get sym.l_rows p in
+      for p = Array.unsafe_get l_ptr j to Array.unsafe_get l_ptr (j + 1) - 1 do
+        let i = Array.unsafe_get l_rows p in
         Array.unsafe_set x i
-          (Array.unsafe_get x i -. (xj *. Array.unsafe_get num.l_vals p))
+          (Array.unsafe_get x i -. (xj *. Array.unsafe_get l_vals p))
       done
   done;
   (* backward: U x = y, column-oriented *)
   for j = n - 1 downto 0 do
-    let xj = Array.unsafe_get x j /. num.udiag.(j) in
+    let xj = Array.unsafe_get x j /. Array.unsafe_get udiag j in
     Array.unsafe_set x j xj;
     if xj <> 0.0 then
-      for q = sym.u_ptr.(j) to sym.u_ptr.(j + 1) - 1 do
-        let r = Array.unsafe_get sym.u_rows q in
+      for q = Array.unsafe_get u_ptr j to Array.unsafe_get u_ptr (j + 1) - 1 do
+        let r = Array.unsafe_get u_rows q in
         Array.unsafe_set x r
-          (Array.unsafe_get x r -. (xj *. Array.unsafe_get num.u_vals q))
+          (Array.unsafe_get x r -. (xj *. Array.unsafe_get u_vals q))
       done
   done
 

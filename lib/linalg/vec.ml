@@ -4,13 +4,6 @@ let create n = Array.make n 0.0
 let copy = Array.copy
 let fill v x = Array.fill v 0 (Array.length v) x
 
-let axpy ~alpha x y =
-  let n = Array.length x in
-  assert (Array.length y = n);
-  for i = 0 to n - 1 do
-    y.(i) <- y.(i) +. (alpha *. x.(i))
-  done
-
 let dot x y =
   let n = Array.length x in
   assert (Array.length y = n);
@@ -23,7 +16,7 @@ let dot x y =
 let norm2 x = sqrt (dot x x)
 
 (* a plain loop: [Array.fold_left] would box its accumulator per
-   element, and this runs twice per Newton iteration *)
+   element *)
 let norm_inf x =
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do

@@ -9,9 +9,6 @@ val create : int -> t
 val copy : t -> t
 val fill : t -> float -> unit
 
-val axpy : alpha:float -> t -> t -> unit
-(** [axpy ~alpha x y] performs [y <- alpha * x + y] in place. *)
-
 val dot : t -> t -> float
 val norm2 : t -> float
 val norm_inf : t -> float

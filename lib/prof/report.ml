@@ -147,6 +147,15 @@ let journal ppf events =
         Format.fprintf ppf "  %-18s %10.0f  (%.2f per step)@."
           "Newton iterations" newton
           (if steps > 0.0 then newton /. steps else 0.0);
+        (* the transients' domain-seconds, which journals written before
+           the timer existed lack *)
+        (match jnum "tran_seconds" finish with
+        | None -> ()
+        | Some seconds ->
+          Format.fprintf ppf
+            "  %-18s %10.2f  (%.2f us per Newton iteration)@."
+            "transient seconds" seconds
+            (if newton > 0.0 then 1e6 *. seconds /. newton else 0.0));
         (* journals written before the PLL counters existed lack them *)
         match jnum "pll_sims" finish with
         | None -> ()

@@ -146,11 +146,12 @@ let trace_headers () =
     | Some s -> ("X-Parent-Span", string_of_int s) :: base
     | None -> base
 
-let request ?(headers = []) t ~meth ~target ~body =
+let request ?(headers = []) ?retries t ~meth ~target ~body =
+  let retries = Option.value retries ~default:t.retries in
   let headers = headers @ trace_headers () in
   let rec attempt n =
     let retry msg =
-      if n < t.retries then begin
+      if n < retries then begin
         Repro_engine.Telemetry.incr "serve.client_retries";
         Thread.delay (backoff_delay n);
         attempt (n + 1)
@@ -176,7 +177,8 @@ let shutdown t =
   Mutex.unlock t.mutex
 
 let get ?headers t target = request ?headers t ~meth:"GET" ~target ~body:""
-let post ?headers t target ~body = request ?headers t ~meth:"POST" ~target ~body
+let post ?headers ?retries t target ~body =
+  request ?headers ?retries t ~meth:"POST" ~target ~body
 
 let expect_json resp =
   match resp with
@@ -190,19 +192,22 @@ let expect_json resp =
 
 let get_json t target = expect_json (get t target)
 
-let post_json t target ~body = expect_json (post t target ~body)
+let post_json ?retries t target ~body =
+  expect_json (post ?retries t target ~body)
 
 let point_to_json (kvco, ivco) =
   Json.Obj [ ("kvco", Json.Num kvco); ("ivco", Json.Num ivco) ]
 
-let query_points t ~model points =
+let query_points ?retries t ~model points =
   let body =
     Json.to_string
       (Json.Obj
          [ ("points",
             Json.Arr (Array.to_list (Array.map point_to_json points))) ])
   in
-  match post_json t (Printf.sprintf "/v1/models/%s/query" model) ~body with
+  match
+    post_json ?retries t (Printf.sprintf "/v1/models/%s/query" model) ~body
+  with
   | Error _ as e -> e
   | Ok j -> (
     match Json.member "results" j with

@@ -43,24 +43,28 @@ val get :
   (Http.response, error) result
 
 val post :
-  ?headers:(string * string) list -> t -> string -> body:string ->
-  (Http.response, error) result
+  ?headers:(string * string) list -> ?retries:int -> t -> string ->
+  body:string -> (Http.response, error) result
 (** Extra request headers ride alongside Host.  When this process is
     tracing, every call additionally carries [X-Trace-Id] and
     [X-Parent-Span] (the innermost open span) so traced servers can tag
-    their handler spans with the caller's context. *)
+    their handler spans with the caller's context.  [retries] overrides
+    the client's transient-failure retries for this call; 0 makes one
+    attempt, with no backoff. *)
 
 val get_json : t -> string -> (Repro_util.Json.t, error) result
 (** GET expecting a 200 with a JSON body. *)
 
 val query_points :
+  ?retries:int ->
   t ->
   model:string ->
   (float * float) array ->
   (Hieropt.Perf_table.point_eval array, error) result
 (** POST the (kvco, ivco) batch to [/v1/models/:model/query] and decode
     the results, checking count and order.  A server answers only
-    [~model:]{!Api.model_id}; any other id is an [Http_error] 404. *)
+    [~model:]{!Api.model_id}; any other id is an [Http_error] 404.
+    [retries] is as for {!post}. *)
 
 val wait_ready : ?deadline:float -> t -> bool
 (** Poll [/v1/healthz] until it answers 200 or [deadline] seconds

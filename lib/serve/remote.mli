@@ -10,7 +10,9 @@
     [fallback] (a locally-loaded table) makes the adapter degrade
     gracefully: if the server stays unreachable after the client's
     retries, the batch is evaluated locally and a telemetry counter
-    ([serve.remote_fallbacks]) records the downgrade.  Without a
+    ([serve.remote_fallbacks]) records the downgrade.  Until a query
+    is answered again, each later query tries the server once, with no
+    retry or backoff, and the outage is warned about once.  Without a
     fallback, server failure raises {!Remote_unavailable}. *)
 
 exception Remote_unavailable of string

@@ -13,6 +13,120 @@ type cap = { ca : int; cb : int; cval : float }
 type vsrc = { vpos : int; vneg : int; vwave : Source.t; branch : int }
 type isrc = { ipos : int; ineg : int; iwave : Source.t }
 
+(* ---- the MOSFET law ----------------------------------------------- *)
+
+let thermal_voltage = 0.02585 (* kT/q at 300 K *)
+
+(* The device equations, the one copy of them: [Mosfet]'s model
+   parameters at bias [vgs], [vds] in source-referenced NMOS polarity,
+   written into [out] at [o], [o + 1] and [o + 2] as ids, gm = ∂ids/∂vgs
+   and gds = ∂ids/∂vds.  The dev profile compiles each module with
+   [-opaque] and no flambda, so a call into another module is never
+   inlined and boxes every float it passes; [@inline] and a function of
+   scalars let the Newton loop expand the law in place, unboxed.
+
+   Four arguments are per-device values {!compile} computes once, each
+   the expression the law would otherwise evaluate on every call:
+   [vth] = vth0 + vth_shift, [s] = 2 n_slope vt, [lambda] = clm / l and
+   [kp] = kp kp_scale ([kp *. kp_scale /. mob] parses as
+   [(kp *. kp_scale) /. mob], so the quotient is unchanged).
+
+   Overdrive is a softplus: vov = 2 n vt ln(1 + exp u) with
+   u = (vgs - vth)/(2 n vt), and sigma = d vov / d vgs is the logistic
+   function of u. *)
+let[@inline] mos_law ~vth ~s ~theta ~kp ~w ~l ~lambda ~vgs ~vds out o =
+  assert (vds >= 0.0);
+  let u = (vgs -. vth) /. s in
+  let strong = u > 30.0 in
+  let e = if strong then 0.0 else exp u in
+  let vov =
+    if strong then s *. u
+    else if u < -30.0 then s *. e
+    else s *. log (1.0 +. e)
+  in
+  let sigma = if strong then 1.0 else e /. (1.0 +. e) in
+  (* [Float.max vov 1e-12], whose sign-bit tests are C calls: a nan
+     stays nan *)
+  let vov = if vov < 1e-12 then 1e-12 else vov in
+  (* mobility reduction: kp_eff = kp / (1 + theta vov) *)
+  let mob = 1.0 +. (theta *. vov) in
+  let kp_eff = kp /. mob in
+  let dkp_dvgs = -.kp_eff *. theta *. sigma /. mob in
+  let beta = kp_eff *. w /. l in
+  let dbeta_dvgs = dkp_dvgs *. w /. l in
+  (* C1 triode/saturation blend: g(x) = x(2-x) below vdsat, 1 above *)
+  let x = vds /. vov in
+  let triode = x < 1.0 in
+  let g = if triode then x *. (2.0 -. x) else 1.0 in
+  let g' = if triode then 2.0 -. (2.0 *. x) else 0.0 in
+  let clm_f = 1.0 +. (lambda *. vds) in
+  let half_bv2 = 0.5 *. beta *. vov *. vov in
+  Array.unsafe_set out o (half_bv2 *. g *. clm_f);
+  (* dx/dvgs = -vds sigma / vov^2 *)
+  Array.unsafe_set out (o + 1)
+    (clm_f
+    *. ((0.5 *. dbeta_dvgs *. vov *. vov *. g)
+       +. (beta *. vov *. sigma *. g)
+       -. (0.5 *. beta *. g' *. vds *. sigma)));
+  Array.unsafe_set out (o + 2)
+    ((half_bv2 *. g' /. vov *. clm_f) +. (half_bv2 *. g *. lambda))
+
+let mos_eval (m : Mosfet.model) ~w ~l ~vth_shift ~kp_scale ~vgs ~vds =
+  assert (w > 0.0 && l > 0.0);
+  let out = Array.make 3 0.0 in
+  mos_law ~vth:(m.vth0 +. vth_shift)
+    ~s:(2.0 *. m.n_slope *. thermal_voltage)
+    ~theta:m.theta ~kp:(m.kp *. kp_scale) ~w ~l ~lambda:(m.clm /. l) ~vgs ~vds
+    out 0;
+  { Mosfet.ids = out.(0); gm = out.(1); gds = out.(2) }
+
+(* sparse stamping context: the structural pattern of the Jacobian
+   (shared with the symbolic registry via its fingerprint), a dense
+   (i,j) -> value-slot map for O(1) stamps, and each MOSFET's six stamp
+   slots in both channel orientations (-1 for a ground row or column):
+   device k's slots for the orientation [flip] start at
+   12 k + (6 if flip), in {!stamp_jacobian}'s order (hi,hi), (hi,lo),
+   (hi,g), (lo,hi), (lo,lo), (lo,g).  Immutable once built. *)
+type sp_ctx = { pattern : Sparse.t; slot : int array; mos_slots : int array }
+
+(* Capacitors (the explicit ones and each MOSFET's four parasitics) and
+   MOSFETs are stored as parallel arrays, one index per element, so the
+   hot loops read flat int and float arrays rather than a boxed record
+   per element. *)
+type compiled = {
+  net : Netlist.t;
+  n_nodes : int;
+  n_branches : int;
+  size : int;
+  resistors : res array;
+  n_caps : int;
+  cap_a : int array;
+  cap_b : int array;
+  cap_c : float array;
+  vsources : vsrc array;
+  isources : isrc array;
+  n_mos : int;
+  mos_d : int array;
+  mos_g : int array;
+  mos_s : int array;
+  mos_pmos : bool array;
+  (* the law's per-device values; see {!mos_law} *)
+  mos_vth : float array;
+  mos_slope : float array;
+  mos_theta : float array;
+  mos_kp : float array;
+  mos_w : float array;
+  mos_l : float array;
+  mos_lambda : float array;
+  branch_of_name : (string, int) Hashtbl.t;
+  mutable sp : sp_ctx option;
+      (* lazily discovered; a racing rebuild is benign — every build
+         yields an equivalent immutable context *)
+}
+
+(* unknown index of a node id; ground (0) maps to -1 meaning "eliminated" *)
+let ui node = node - 1
+
 type mos = {
   md : int;
   mg : int;
@@ -23,30 +137,6 @@ type mos = {
   vth_shift : float;
   kp_scale : float;
 }
-
-(* sparse stamping context: the structural pattern of the Jacobian
-   (shared with the symbolic registry via its fingerprint) plus a dense
-   (i,j) -> value-slot map for O(1) stamps.  Immutable once built. *)
-type sp_ctx = { pattern : Sparse.t; slot : int array }
-
-type compiled = {
-  net : Netlist.t;
-  n_nodes : int;
-  n_branches : int;
-  size : int;
-  resistors : res array;
-  caps : cap array;
-  vsources : vsrc array;
-  isources : isrc array;
-  mosfets : mos array;
-  branch_of_name : (string, int) Hashtbl.t;
-  mutable sp : sp_ctx option;
-      (* lazily discovered; a racing rebuild is benign — every build
-         yields an equivalent immutable context *)
-}
-
-(* unknown index of a node id; ground (0) maps to -1 meaning "eliminated" *)
-let ui node = node - 1
 
 let compile net =
   let resistors = ref [] and caps = ref [] in
@@ -83,16 +173,35 @@ let compile net =
           :: !caps)
     (Netlist.elements net);
   let n_nodes = Netlist.node_count net in
+  let caps = Array.of_list (List.rev !caps) in
+  let mosfets = Array.of_list (List.rev !mosfets) in
+  let per_mos f = Array.map f mosfets in
+  Array.iter (fun m -> assert (m.w > 0.0 && m.l > 0.0)) mosfets;
   {
     net;
     n_nodes;
     n_branches = !n_branches;
     size = n_nodes - 1 + !n_branches;
     resistors = Array.of_list (List.rev !resistors);
-    caps = Array.of_list (List.rev !caps);
+    n_caps = Array.length caps;
+    cap_a = Array.map (fun c -> c.ca) caps;
+    cap_b = Array.map (fun c -> c.cb) caps;
+    cap_c = Array.map (fun c -> c.cval) caps;
     vsources = Array.of_list (List.rev !vsources);
     isources = Array.of_list (List.rev !isources);
-    mosfets = Array.of_list (List.rev !mosfets);
+    n_mos = Array.length mosfets;
+    mos_d = per_mos (fun m -> m.md);
+    mos_g = per_mos (fun m -> m.mg);
+    mos_s = per_mos (fun m -> m.ms);
+    mos_pmos = per_mos (fun m -> m.model.Mosfet.polarity = Mosfet.Pmos);
+    mos_vth = per_mos (fun m -> m.model.Mosfet.vth0 +. m.vth_shift);
+    mos_slope =
+      per_mos (fun m -> 2.0 *. m.model.Mosfet.n_slope *. thermal_voltage);
+    mos_theta = per_mos (fun m -> m.model.Mosfet.theta);
+    mos_kp = per_mos (fun m -> m.model.Mosfet.kp *. m.kp_scale);
+    mos_w = per_mos (fun m -> m.w);
+    mos_l = per_mos (fun m -> m.l);
+    mos_lambda = per_mos (fun m -> m.model.Mosfet.clm /. m.l);
     branch_of_name;
     sp = None;
   }
@@ -114,20 +223,18 @@ let branch_index c name =
   | Some b -> c.n_nodes - 1 + b
   | None -> raise Not_found
 
-let cap_count c = Array.length c.caps
+let cap_count c = c.n_caps
 
 let volt x i = if i < 0 then 0.0 else x.(i)
 
-let cap_voltage c i x =
-  let cap = c.caps.(i) in
-  volt x cap.ca -. volt x cap.cb
+let cap_voltage c i x = volt x c.cap_a.(i) -. volt x c.cap_b.(i)
 
 (* Transient-integration helpers: one checked pass over the compiled
    capacitor table instead of a call per capacitor in the per-step hot
    path. *)
 
 let check_cap_arrays c name ~v_prev ~i_prev ~geq ~ieq =
-  let ncaps = Array.length c.caps in
+  let ncaps = c.n_caps in
   if
     Array.length v_prev < ncaps
     || Array.length i_prev < ncaps
@@ -137,8 +244,8 @@ let check_cap_arrays c name ~v_prev ~i_prev ~geq ~ieq =
 
 let companion_fill c ~use_be ~h ~v_prev ~i_prev ~geq ~ieq =
   check_cap_arrays c "Mna.companion_fill" ~v_prev ~i_prev ~geq ~ieq;
-  for k = 0 to Array.length c.caps - 1 do
-    let cv = (Array.unsafe_get c.caps k).cval in
+  for k = 0 to c.n_caps - 1 do
+    let cv = Array.unsafe_get c.cap_c k in
     if use_be then begin
       let g = cv /. h in
       Array.unsafe_set geq k g;
@@ -152,15 +259,25 @@ let companion_fill c ~use_be ~h ~v_prev ~i_prev ~geq ~ieq =
     end
   done
 
+(* The unchecked read and accumulation of the assembly hot path, with
+   the same ground tests as {!volt} and {!addf}.  Top-level and
+   [@inline], so ocamlopt expands them in place without flambda: a
+   local closure would box every float that passes through it. *)
+let[@inline] volt_u x i = if i < 0 then 0.0 else Array.unsafe_get x i
+
+let[@inline] add_u residual i dv =
+  if i >= 0 then
+    Array.unsafe_set residual i (Array.unsafe_get residual i +. dv)
+
 let cap_history c ~x ~geq ~ieq ~v_prev ~i_prev =
   check_cap_arrays c "Mna.cap_history" ~v_prev ~i_prev ~geq ~ieq;
   if Array.length x < c.size then
     invalid_arg "Mna.cap_history: solution vector shorter than system size";
-  for k = 0 to Array.length c.caps - 1 do
-    let { ca; cb; _ } = Array.unsafe_get c.caps k in
-    let va = if ca < 0 then 0.0 else Array.unsafe_get x ca in
-    let vb = if cb < 0 then 0.0 else Array.unsafe_get x cb in
-    let v_new = va -. vb in
+  for k = 0 to c.n_caps - 1 do
+    let v_new =
+      volt_u x (Array.unsafe_get c.cap_a k)
+      -. volt_u x (Array.unsafe_get c.cap_b k)
+    in
     Array.unsafe_set v_prev k v_new;
     Array.unsafe_set i_prev k
       ((Array.unsafe_get geq k *. v_new) +. Array.unsafe_get ieq k)
@@ -173,16 +290,6 @@ type cap_mode =
 (* accumulate into row [i] only when it is a real unknown *)
 let addf residual i v = if i >= 0 then residual.(i) <- residual.(i) +. v
 
-(* The unchecked read and accumulation of the assembly hot path, with
-   the same ground tests as {!volt} and {!addf}.  Top-level and
-   [@inline], so ocamlopt expands them in place without flambda: a
-   local closure would box every float that passes through it. *)
-let[@inline] volt_u x i = if i < 0 then 0.0 else Array.unsafe_get x i
-
-let[@inline] add_u residual i dv =
-  if i >= 0 then
-    Array.unsafe_set residual i (Array.unsafe_get residual i +. dv)
-
 (* guard for the unchecked accesses in {!eval_residual}: every public
    path into the assembly passes through here first *)
 let check_stores c ~x ~residual ~cap_mode =
@@ -191,34 +298,130 @@ let check_stores c ~x ~residual ~cap_mode =
   match cap_mode with
   | Dc -> ()
   | Companion { geq; ieq } ->
-    if
-      Array.length geq < Array.length c.caps
-      || Array.length ieq < Array.length c.caps
-    then invalid_arg "Mna: companion arrays shorter than capacitor count"
+    if Array.length geq < c.n_caps || Array.length ieq < c.n_caps then
+      invalid_arg "Mna: companion arrays shorter than capacitor count"
 
 (* Per-MOSFET linearisation captured by the residual pass and replayed
    by the Jacobian pass, so each device is evaluated once per Newton
    iteration even though residual and Jacobian are built in separate
-   passes.  Parallel arrays keep the floats unboxed. *)
+   passes.  Parallel arrays keep the floats unboxed.
+
+   A device's linearisation depends on the node voltages alone, not on
+   time, gmin, source scale, capacitor companions or noise injections.
+   [ms_x] keeps the node voltages it was computed at: an evaluation at
+   the same voltages, bit for bit, replays [ms_iv] instead of running
+   the law again.  A transient step's first Newton iteration starts
+   from the previous step's converged solution, whose convergence check
+   has just filled the scratch. *)
 type mos_scratch = {
-  ms_hi : int array;      (* high channel terminal after orientation *)
-  ms_lo : int array;
+  ms_flip : bool array;   (* the source terminal is the channel's high side *)
+  ms_iv : float array;    (* device k's ids, gm, gds at 3k, 3k+1, 3k+2 *)
   ms_dhi : float array;   (* d ids / d v_hi *)
   ms_dlo : float array;
   ms_dg : float array;    (* d ids / d v_gate *)
-  ms_iv : float array;    (* [| ids; gm; gds |] of the device in hand *)
+  ms_x : float array;     (* node voltages of the linearisation held *)
+  mutable ms_valid : bool;
 }
 
 let make_mos_scratch c =
-  let nm = Array.length c.mosfets in
+  let nm = c.n_mos in
   {
-    ms_hi = Array.make nm 0;
-    ms_lo = Array.make nm 0;
+    ms_flip = Array.make nm false;
+    ms_iv = Array.make (3 * nm) 0.0;
     ms_dhi = Array.make nm 0.0;
     ms_dlo = Array.make nm 0.0;
     ms_dg = Array.make nm 0.0;
-    ms_iv = Array.make 3 0.0;
+    ms_x = Array.make (c.n_nodes - 1) 0.0;
+    ms_valid = false;
   }
+
+(* the scratch holds the linearisation at [x]'s node voltages, compared
+   by bit pattern: float [=] equates +0 and -0 and never matches a nan *)
+let holds_linearisation mos x =
+  mos.ms_valid
+  &&
+  let held = mos.ms_x in
+  let same = ref true and i = ref 0 in
+  while !same && !i < Array.length held do
+    same :=
+      Int64.bits_of_float (Array.unsafe_get x !i)
+      = Int64.bits_of_float (Array.unsafe_get held !i);
+    incr i
+  done;
+  !same
+
+(* high and low channel terminals of device [k] in orientation [flip] *)
+let[@inline] mos_hi c flip k =
+  if flip then Array.unsafe_get c.mos_s k else Array.unsafe_get c.mos_d k
+
+let[@inline] mos_lo c flip k =
+  if flip then Array.unsafe_get c.mos_d k else Array.unsafe_get c.mos_s k
+
+(* Evaluate every device at [x] into [mos] and add its channel current
+   to [residual], in device order. *)
+let mos_linearise c ~x ~mos ~residual =
+  (* invalid while the arrays are part-written *)
+  mos.ms_valid <- false;
+  let iv = mos.ms_iv in
+  for k = 0 to c.n_mos - 1 do
+    let md = Array.unsafe_get c.mos_d k and ms = Array.unsafe_get c.mos_s k in
+    let vd = volt_u x md
+    and vg = volt_u x (Array.unsafe_get c.mos_g k)
+    and vs = volt_u x ms in
+    (* orient so the internal "drain" is the high node of the channel *)
+    let pmos = Array.unsafe_get c.mos_pmos k in
+    let drain_high = if pmos then not (vs >= vd) else vd >= vs in
+    let vhi = if drain_high then vd else vs
+    and vlo = if drain_high then vs else vd in
+    let vds = vhi -. vlo in
+    let vgs = if pmos then vhi -. vg else vg -. vlo in
+    mos_law ~vth:(Array.unsafe_get c.mos_vth k)
+      ~s:(Array.unsafe_get c.mos_slope k)
+      ~theta:(Array.unsafe_get c.mos_theta k)
+      ~kp:(Array.unsafe_get c.mos_kp k) ~w:(Array.unsafe_get c.mos_w k)
+      ~l:(Array.unsafe_get c.mos_l k) ~lambda:(Array.unsafe_get c.mos_lambda k)
+      ~vgs ~vds iv (3 * k);
+    let ids = Array.unsafe_get iv (3 * k)
+    and gm = Array.unsafe_get iv ((3 * k) + 1)
+    and gds = Array.unsafe_get iv ((3 * k) + 2) in
+    (* current flows hi -> lo through the channel *)
+    let hi = if drain_high then md else ms
+    and lo = if drain_high then ms else md in
+    add_u residual hi ids;
+    add_u residual lo (-.ids);
+    Array.unsafe_set mos.ms_flip k (not drain_high);
+    (* d ids / d node voltages, per polarity-specific vgs definition *)
+    if pmos then begin
+      (* vgs = vhi - vg, vds = vhi - vlo *)
+      Array.unsafe_set mos.ms_dhi k (gm +. gds);
+      Array.unsafe_set mos.ms_dlo k (-.gds);
+      Array.unsafe_set mos.ms_dg k (-.gm)
+    end
+    else begin
+      (* vgs = vg - vlo, vds = vhi - vlo *)
+      Array.unsafe_set mos.ms_dhi k gds;
+      Array.unsafe_set mos.ms_dlo k (-.gm -. gds);
+      Array.unsafe_set mos.ms_dg k gm
+    end
+  done;
+  Array.blit x 0 mos.ms_x 0 (Array.length mos.ms_x);
+  mos.ms_valid <- true
+
+(* [mos_linearise]'s residual adds, from the linearisation held *)
+let mos_replay c ~mos ~residual =
+  let iv = mos.ms_iv in
+  for k = 0 to c.n_mos - 1 do
+    let flip = Array.unsafe_get mos.ms_flip k in
+    let ids = Array.unsafe_get iv (3 * k) in
+    add_u residual (mos_hi c flip k) ids;
+    add_u residual (mos_lo c flip k) (-.ids)
+  done
+
+(* [Source.value], with its [Dc v] case read here: every source of a
+   characterisation is DC, and this saves a call across modules per
+   source and residual *)
+let[@inline] source_value src time =
+  match src with Source.Dc v -> v | _ -> Source.value src time
 
 (* Residual at candidate [x], plus the per-MOSFET linearisation into
    [mos] for {!stamp_jacobian} to replay.  Kept separate from the
@@ -247,9 +450,9 @@ let eval_residual ?(injections = [||]) c ~x ~time ~gmin ~source_scale ~cap_mode
   (match cap_mode with
   | Dc -> ()
   | Companion { geq; ieq } ->
-    let caps = c.caps in
-    for k = 0 to Array.length caps - 1 do
-      let { ca; cb; _ } = Array.unsafe_get caps k in
+    let cap_a = c.cap_a and cap_b = c.cap_b in
+    for k = 0 to c.n_caps - 1 do
+      let ca = Array.unsafe_get cap_a k and cb = Array.unsafe_get cap_b k in
       let i =
         (Array.unsafe_get geq k *. (volt_u x ca -. volt_u x cb))
         +. Array.unsafe_get ieq k
@@ -265,61 +468,20 @@ let eval_residual ?(injections = [||]) c ~x ~time ~gmin ~source_scale ~cap_mode
     let ib = x.(bi) in
     add_u residual vpos ib;
     add_u residual vneg (-.ib);
-    let e = source_scale *. Source.value vwave time in
+    let e = source_scale *. source_value vwave time in
     residual.(bi) <- volt_u x vpos -. volt_u x vneg -. e
   done;
   (* current sources *)
   let isources = c.isources in
   for k = 0 to Array.length isources - 1 do
     let { ipos; ineg; iwave } = isources.(k) in
-    let i = source_scale *. Source.value iwave time in
+    let i = source_scale *. source_value iwave time in
     add_u residual ipos i;
     add_u residual ineg (-.i)
   done;
   (* MOSFETs *)
-  let mosfets = c.mosfets in
-  let iv = mos.ms_iv in
-  for k = 0 to Array.length mosfets - 1 do
-    let m = Array.unsafe_get mosfets k in
-    let vd = volt_u x m.md and vg = volt_u x m.mg and vs = volt_u x m.ms in
-    (* orient so the internal "drain" is the high node of the channel *)
-    let polarity = m.model.Mosfet.polarity in
-    let drain_high =
-      match polarity with
-      | Mosfet.Nmos -> vd >= vs
-      | Mosfet.Pmos -> not (vs >= vd)
-    in
-    let hi = if drain_high then m.md else m.ms
-    and lo = if drain_high then m.ms else m.md
-    and vhi = if drain_high then vd else vs
-    and vlo = if drain_high then vs else vd in
-    let vds = vhi -. vlo in
-    let vgs =
-      match polarity with
-      | Mosfet.Nmos -> vg -. vlo
-      | Mosfet.Pmos -> vhi -. vg
-    in
-    Mosfet.eval_into m.model ~w:m.w ~l:m.l ~vth_shift:m.vth_shift
-      ~kp_scale:m.kp_scale ~vgs ~vds iv;
-    let ids = iv.(0) and gm = iv.(1) and gds = iv.(2) in
-    (* current flows hi -> lo through the channel *)
-    add_u residual hi ids;
-    add_u residual lo (-.ids);
-    Array.unsafe_set mos.ms_hi k hi;
-    Array.unsafe_set mos.ms_lo k lo;
-    (* d ids / d node voltages, per polarity-specific vgs definition *)
-    match polarity with
-    | Mosfet.Nmos ->
-      (* vgs = vg - vlo, vds = vhi - vlo *)
-      Array.unsafe_set mos.ms_dhi k gds;
-      Array.unsafe_set mos.ms_dlo k (-.gm -. gds);
-      Array.unsafe_set mos.ms_dg k gm
-    | Mosfet.Pmos ->
-      (* vgs = vhi - vg, vds = vhi - vlo *)
-      Array.unsafe_set mos.ms_dhi k (gm +. gds);
-      Array.unsafe_set mos.ms_dlo k (-.gds);
-      Array.unsafe_set mos.ms_dg k (-.gm)
-  done;
+  if holds_linearisation mos x then mos_replay c ~mos ~residual
+  else mos_linearise c ~x ~mos ~residual;
   (* fixed extra currents (transient noise injection); indices are
      caller-supplied, so keep the checked accessor *)
   for k = 0 to Array.length injections - 1 do
@@ -359,14 +521,14 @@ let stamp_jacobian ?(statics = true) c ~gmin ~cap_mode ~mos ~addj_static
     (match cap_mode with
     | Dc -> ()
     | Companion { geq; _ } ->
-      Array.iteri
-        (fun k { ca; cb; _ } ->
-          let g = geq.(k) in
-          addj_static ca ca g;
-          addj_static cb cb g;
-          addj_static ca cb (-.g);
-          addj_static cb ca (-.g))
-        c.caps);
+      for k = 0 to c.n_caps - 1 do
+        let ca = c.cap_a.(k) and cb = c.cap_b.(k) in
+        let g = geq.(k) in
+        addj_static ca ca g;
+        addj_static cb cb g;
+        addj_static ca cb (-.g);
+        addj_static cb ca (-.g)
+      done);
     Array.iter
       (fun { vpos; vneg; branch; _ } ->
         let bi = nb_base + branch in
@@ -385,19 +547,17 @@ let stamp_jacobian ?(statics = true) c ~gmin ~cap_mode ~mos ~addj_static
         addj_static i i gmin
       done
   end;
-  Array.iteri
-    (fun k m ->
-      let hi = mos.ms_hi.(k) and lo = mos.ms_lo.(k) in
-      let dhi = mos.ms_dhi.(k)
-      and dlo = mos.ms_dlo.(k)
-      and dg = mos.ms_dg.(k) in
-      addj_dyn hi hi dhi;
-      addj_dyn hi lo dlo;
-      addj_dyn hi m.mg dg;
-      addj_dyn lo hi (-.dhi);
-      addj_dyn lo lo (-.dlo);
-      addj_dyn lo m.mg (-.dg))
-    c.mosfets
+  for k = 0 to c.n_mos - 1 do
+    let flip = mos.ms_flip.(k) in
+    let hi = mos_hi c flip k and lo = mos_lo c flip k and g = c.mos_g.(k) in
+    let dhi = mos.ms_dhi.(k) and dlo = mos.ms_dlo.(k) and dg = mos.ms_dg.(k) in
+    addj_dyn hi hi dhi;
+    addj_dyn hi lo dlo;
+    addj_dyn hi g dg;
+    addj_dyn lo hi (-.dhi);
+    addj_dyn lo lo (-.dlo);
+    addj_dyn lo g (-.dg)
+  done
 
 (* residual and Jacobian in one shot — the dense assembly and the
    pattern discovery use this combined form *)
@@ -429,9 +589,8 @@ let discover_pattern c =
   let b = Sparse.Builder.create ~n in
   let x = Vec.create n in
   let residual = Vec.create n in
-  let ncaps = Array.length c.caps in
   let cap_mode =
-    Companion { geq = Array.make ncaps 1.0; ieq = Array.make ncaps 0.0 }
+    Companion { geq = Array.make c.n_caps 1.0; ieq = Array.make c.n_caps 0.0 }
   in
   let addj i j _ = if i >= 0 && j >= 0 then Sparse.Builder.add b i j 0.0 in
   assemble_core c ~x ~time:0.0 ~gmin:1.0 ~source_scale:1.0 ~cap_mode
@@ -451,22 +610,36 @@ let sp_ctx c =
         slot.((i * n) + col_idx.(p)) <- p
       done
     done;
-    let ctx = { pattern; slot } in
+    let slot_of i j = if i >= 0 && j >= 0 then slot.((i * n) + j) else -1 in
+    let mos_slots = Array.make (12 * c.n_mos) (-1) in
+    for k = 0 to c.n_mos - 1 do
+      List.iter
+        (fun flip ->
+          let hi = mos_hi c flip k and lo = mos_lo c flip k in
+          let g = c.mos_g.(k) in
+          let base = (12 * k) + if flip then 6 else 0 in
+          List.iteri
+            (fun q (i, j) -> mos_slots.(base + q) <- slot_of i j)
+            [ (hi, hi); (hi, lo); (hi, g); (lo, hi); (lo, lo); (lo, g) ])
+        [ false; true ]
+    done;
+    let ctx = { pattern; slot; mos_slots } in
     c.sp <- Some ctx;
     ctx
 
 (* Stamp into the values array of a same-pattern sparse matrix.  An
    out-of-pattern stamp would index slot -1 and fail loudly — the
    pattern is a structural superset of every assembly mode by
-   construction, so that would be a discovery bug, not a user error.
-   [@inline] for the direct MOSFET loop of {!stamp_sparse}. *)
-let[@inline] add_slot slot ~n values i j v =
+   construction, so that would be a discovery bug, not a user error. *)
+let sparse_adder ctx ~n values i j v =
   if i >= 0 && j >= 0 then begin
-    let p = Array.unsafe_get slot ((i * n) + j) in
+    let p = Array.unsafe_get ctx.slot ((i * n) + j) in
     Array.unsafe_set values p (Array.unsafe_get values p +. v)
   end
 
-let sparse_adder ctx ~n values i j v = add_slot ctx.slot ~n values i j v
+(* add into a precomputed slot; -1 is a ground row or column *)
+let[@inline] add_at values p v =
+  if p >= 0 then Array.unsafe_set values p (Array.unsafe_get values p +. v)
 
 let ignore_stamp _ _ _ = ()
 
@@ -526,9 +699,12 @@ let build_solver_ws c =
     ws_static_valid = false;
     ws_static_gmin = 0.0;
     ws_static_dc = false;
-    ws_static_geq = Array.make (Array.length c.caps) 0.0;
+    ws_static_geq = Array.make c.n_caps 0.0;
   }
 
+(* Whether [ws_static] holds the static stamps of this gmin and
+   capacitor mode.  Both are fixed for one Newton call, so {!newton}
+   asks once per call, not once per iteration. *)
 let statics_current ws ~gmin ~cap_mode =
   ws.ws_static_valid
   && ws.ws_static_gmin = gmin
@@ -539,43 +715,47 @@ let statics_current ws ~gmin ~cap_mode =
     (not ws.ws_static_dc)
     &&
     let cached = ws.ws_static_geq in
-    let nc = Array.length cached in
-    let rec eq k =
-      k >= nc
-      || Array.unsafe_get geq k = Array.unsafe_get cached k && eq (k + 1)
-    in
-    eq 0
+    let same = ref true and k = ref 0 in
+    while !same && !k < Array.length cached do
+      same := Array.unsafe_get geq !k = Array.unsafe_get cached !k;
+      incr k
+    done;
+    !same
 
 (* Bring the sparse value store up to date with the linearisation
-   captured by the latest {!eval_residual}: restore the static stamps
-   with a blit when the cached copy is still current, re-stamp them
-   otherwise, then add the MOSFET stamps. *)
-let stamp_sparse c ws ~gmin ~cap_mode ~mos =
+   captured by the latest {!eval_residual}.  [current] is
+   {!statics_current} as the Newton call found it, or [true] once an
+   earlier iteration of the call has re-stamped: then the static stamps
+   are restored with a blit and the MOSFET stamps added directly;
+   otherwise everything is re-stamped and the statics cached. *)
+let stamp_sparse c ws ~current ~gmin ~cap_mode ~mos =
   let ctx = ws.ws_ctx in
   let values = Sparse.values ws.ws_a in
   let static_values = ws.ws_static in
   let nnz = Array.length values in
-  if statics_current ws ~gmin ~cap_mode then begin
+  if current then begin
     Array.blit static_values 0 values 0 nnz;
     (* The MOSFET stamps of [stamp_jacobian ~statics:false], written
-       out for the Newton hot path, where a partial application and six
-       indirect calls per device would box every value.  They must stay
-       in [stamp_jacobian]'s order: a device whose gate is one of its
+       out for the Newton hot path through each device's precomputed
+       slots, where a partial application and six indirect calls per
+       device would box every value.  They must stay in
+       [stamp_jacobian]'s order: a device whose gate is one of its
        channel terminals adds twice into one slot.  The "direct stamp
        equals stamp_jacobian" test holds the two equal, bit for bit. *)
-    let slot = ctx.slot and n = c.size in
-    let mosfets = c.mosfets in
-    for k = 0 to Array.length mosfets - 1 do
-      let hi = mos.ms_hi.(k) and lo = mos.ms_lo.(k) and g = mosfets.(k).mg in
-      let dhi = mos.ms_dhi.(k)
-      and dlo = mos.ms_dlo.(k)
-      and dg = mos.ms_dg.(k) in
-      add_slot slot ~n values hi hi dhi;
-      add_slot slot ~n values hi lo dlo;
-      add_slot slot ~n values hi g dg;
-      add_slot slot ~n values lo hi (-.dhi);
-      add_slot slot ~n values lo lo (-.dlo);
-      add_slot slot ~n values lo g (-.dg)
+    let slots = ctx.mos_slots in
+    for k = 0 to c.n_mos - 1 do
+      let base =
+        if Array.unsafe_get mos.ms_flip k then (12 * k) + 6 else 12 * k
+      in
+      let dhi = Array.unsafe_get mos.ms_dhi k
+      and dlo = Array.unsafe_get mos.ms_dlo k
+      and dg = Array.unsafe_get mos.ms_dg k in
+      add_at values (Array.unsafe_get slots base) dhi;
+      add_at values (Array.unsafe_get slots (base + 1)) dlo;
+      add_at values (Array.unsafe_get slots (base + 2)) dg;
+      add_at values (Array.unsafe_get slots (base + 3)) (-.dhi);
+      add_at values (Array.unsafe_get slots (base + 4)) (-.dlo);
+      add_at values (Array.unsafe_get slots (base + 5)) (-.dg)
     done
   end
   else begin
@@ -603,16 +783,41 @@ let mos_stamp_paths c ~x ~gmin ~cap_mode =
   check_stores c ~x ~residual:ws.ws_res ~cap_mode;
   eval_residual c ~x ~time:0.0 ~gmin ~source_scale:1.0 ~cap_mode ~mos
     ~residual:ws.ws_res;
-  (* the first call stamps and caches the statics; the second finds
-     them current and takes the direct MOSFET loop *)
-  stamp_sparse c ws ~gmin ~cap_mode ~mos;
-  stamp_sparse c ws ~gmin ~cap_mode ~mos;
+  (* Newton's stamping on a fresh workspace: a first call, which finds
+     the statics stale, re-stamps and caches them; a second call, which
+     finds them current, takes the direct MOSFET loop *)
+  let stamp () =
+    stamp_sparse c ws ~current:(statics_current ws ~gmin ~cap_mode) ~gmin
+      ~cap_mode ~mos
+  in
+  stamp ();
+  stamp ();
   let direct = Array.copy (Sparse.values ws.ws_a) in
   let reference = Array.copy ws.ws_static in
   stamp_jacobian ~statics:false c ~gmin ~cap_mode ~mos
     ~addj_static:ignore_stamp
     ~addj_dyn:(sparse_adder ws.ws_ctx ~n:c.size reference);
   (direct, reference)
+
+let replayed_residual c ~x ~first:(gmin1, scale1, mode1)
+    ~second:(gmin2, scale2, mode2) =
+  let residual_at mos ~gmin ~source_scale ~cap_mode =
+    let residual = Vec.create c.size in
+    check_stores c ~x ~residual ~cap_mode;
+    eval_residual c ~x ~time:0.0 ~gmin ~source_scale ~cap_mode ~mos ~residual;
+    residual
+  in
+  let held = make_mos_scratch c in
+  ignore (residual_at held ~gmin:gmin1 ~source_scale:scale1 ~cap_mode:mode1);
+  assert (holds_linearisation held x);
+  let replayed =
+    residual_at held ~gmin:gmin2 ~source_scale:scale2 ~cap_mode:mode2
+  in
+  let fresh =
+    residual_at (make_mos_scratch c) ~gmin:gmin2 ~source_scale:scale2
+      ~cap_mode:mode2
+  in
+  (replayed, fresh)
 
 let solver_ws workspace c =
   match workspace with
@@ -718,30 +923,27 @@ let boltzmann_t = 4.14e-21 (* kT at 300 K *)
 let gamma_noise = 2.0 (* short-channel excess noise factor *)
 
 let channel_noise_stamps c ~x =
-  Array.map
-    (fun m ->
-      let vd = volt x m.md and vg = volt x m.mg and vs = volt x m.ms in
-      let polarity = m.model.Mosfet.polarity in
-      let hi, lo, vhi, vlo =
-        match polarity with
-        | Mosfet.Nmos ->
-          if vd >= vs then (m.md, m.ms, vd, vs) else (m.ms, m.md, vs, vd)
-        | Mosfet.Pmos ->
-          if vs >= vd then (m.ms, m.md, vs, vd) else (m.md, m.ms, vd, vs)
-      in
-      let vds = vhi -. vlo in
-      let vgs =
-        match polarity with
-        | Mosfet.Nmos -> vg -. vlo
-        | Mosfet.Pmos -> vhi -. vg
-      in
-      let { Mosfet.gm; _ } =
-        Mosfet.eval m.model ~w:m.w ~l:m.l ~vth_shift:m.vth_shift
-          ~kp_scale:m.kp_scale ~vgs ~vds
-      in
-      (hi, lo, sqrt (4.0 *. boltzmann_t *. gamma_noise *. Float.max gm 0.0)))
-    c.mosfets
+  let iv = Array.make 3 0.0 in
+  Array.init c.n_mos (fun k ->
+      let md = c.mos_d.(k) and ms = c.mos_s.(k) in
+      let vd = volt x md and vg = volt x c.mos_g.(k) and vs = volt x ms in
+      let pmos = c.mos_pmos.(k) in
+      let drain_high = if pmos then not (vs >= vd) else vd >= vs in
+      let vhi = if drain_high then vd else vs
+      and vlo = if drain_high then vs else vd in
+      mos_law ~vth:c.mos_vth.(k) ~s:c.mos_slope.(k) ~theta:c.mos_theta.(k)
+        ~kp:c.mos_kp.(k) ~w:c.mos_w.(k) ~l:c.mos_l.(k) ~lambda:c.mos_lambda.(k)
+        ~vgs:(if pmos then vhi -. vg else vg -. vlo)
+        ~vds:(vhi -. vlo) iv 0;
+      let gm = iv.(1) in
+      ( (if drain_high then md else ms),
+        (if drain_high then ms else md),
+        sqrt (4.0 *. boltzmann_t *. gamma_noise *. Float.max gm 0.0) ))
 
+(* The damped Newton iteration.  Its norms and update are local loops
+   rather than {!Vec} calls or [Float.max], whose sign-bit tests are C
+   calls: an accumulator takes [v] when [v > acc || v <> v], which is
+   [Float.max acc v] for the non-negative values here, nan included. *)
 let newton ?(max_iter = 50) ?(vtol = 1e-6) ?(rtol = 1e-6) ?(itol = 1e-9)
     ?(dv_limit = 0.5) ?injections ?workspace c ~x ~time ~gmin ~source_scale
     ~cap_mode =
@@ -754,43 +956,75 @@ let newton ?(max_iter = 50) ?(vtol = 1e-6) ?(rtol = 1e-6) ?(itol = 1e-9)
     let a = ws.ws_a in
     let rhs = ws.ws_rhs and dx = ws.ws_dx in
     let mos = ws.ws_mos in
-    let rec loop iter last_dx =
+    let statics = ref (statics_current ws ~gmin ~cap_mode) in
+    let iter = ref 0 and last_dx = ref infinity and max_res = ref 0.0 in
+    let converged = ref false and finished = ref false in
+    while not !finished do
       eval_residual ?injections c ~x ~time ~gmin ~source_scale ~cap_mode ~mos
         ~residual;
-      let max_res =
-        let acc = ref 0.0 in
-        for i = 0 to nb_base - 1 do
-          acc := Float.max !acc (Float.abs residual.(i))
+      max_res := 0.0;
+      for i = 0 to nb_base - 1 do
+        let v = Float.abs (Array.unsafe_get residual i) in
+        if v > !max_res || v <> v then max_res := v
+      done;
+      if
+        !iter > 0
+        && !max_res < itol
+        &&
+        let x_norm = ref 0.0 in
+        for i = 0 to Array.length x - 1 do
+          let v = Float.abs (Array.unsafe_get x i) in
+          if v > !x_norm || v <> v then x_norm := v
         done;
-        !acc
-      in
-      if last_dx < vtol +. (rtol *. Vec.norm_inf x) && max_res < itol && iter > 0
-      then { converged = true; iterations = iter; max_dx = last_dx; max_residual = max_res }
-      else if iter >= max_iter then
-        { converged = false; iterations = iter; max_dx = last_dx; max_residual = max_res }
+        !last_dx < vtol +. (rtol *. !x_norm)
+      then begin
+        converged := true;
+        finished := true
+      end
+      else if !iter >= max_iter then finished := true
       else begin
         (* stamped only on iterations that solve, so a converged check
            pays no Jacobian work *)
-        stamp_sparse c ws ~gmin ~cap_mode ~mos;
+        stamp_sparse c ws ~current:!statics ~gmin ~cap_mode ~mos;
+        statics := true;
         match factor ws.ws_num a with
-        | exception Sparse_lu.Singular _ ->
-          { converged = false; iterations = iter; max_dx = last_dx; max_residual = max_res }
+        | exception Sparse_lu.Singular _ -> finished := true
         | nm ->
-          ws.ws_num <- Some nm;
+          (match ws.ws_num with
+          | Some held when held == nm -> ()
+          | _ -> ws.ws_num <- Some nm);
           for i = 0 to n - 1 do
-            rhs.(i) <- -.residual.(i)
+            Array.unsafe_set rhs i (-.Array.unsafe_get residual i)
           done;
           Sparse_lu.solve_into nm ~b:rhs ~x:dx;
           (* damp on node-voltage updates only *)
           let max_node_dx = ref 0.0 in
           for i = 0 to nb_base - 1 do
-            max_node_dx := Float.max !max_node_dx (Float.abs dx.(i))
+            let v = Float.abs (Array.unsafe_get dx i) in
+            if v > !max_node_dx || v <> v then max_node_dx := v
           done;
-          let alpha = if !max_node_dx > dv_limit then dv_limit /. !max_node_dx else 1.0 in
-          Vec.axpy ~alpha dx x;
-          loop (iter + 1) (alpha *. Float.max !max_node_dx (Vec.norm_inf dx))
+          let alpha =
+            if !max_node_dx > dv_limit then dv_limit /. !max_node_dx else 1.0
+          in
+          let dx_norm = ref 0.0 in
+          for i = 0 to n - 1 do
+            let d = Array.unsafe_get dx i in
+            Array.unsafe_set x i (Array.unsafe_get x i +. (alpha *. d));
+            let v = Float.abs d in
+            if v > !dx_norm || v <> v then dx_norm := v
+          done;
+          (* [Float.max max_node_dx dx_norm] *)
+          let step = ref !max_node_dx in
+          if !dx_norm > !step || !dx_norm <> !dx_norm then step := !dx_norm;
+          incr iter;
+          last_dx := alpha *. !step
       end
-    in
-    loop 0 infinity
+    done;
+    {
+      converged = !converged;
+      iterations = !iter;
+      max_dx = !last_dx;
+      max_residual = !max_res;
+    }
   in
   with_factoriser run

@@ -5,11 +5,35 @@
     Unknown vector layout: node voltages for nodes [1 .. n-1] (ground
     eliminated) followed by one branch current per voltage source.
     MOS devices contribute a nonlinear current element plus four linear
-    parasitic capacitors (Cgs, Cgd, Cdb, Csb) expanded at compile time. *)
+    parasitic capacitors (Cgs, Cgd, Cdb, Csb) expanded at compile time.
+
+    The MOSFET law ({!Repro_circuit.Mosfet}'s device equations) is
+    written once, in this module, where the Newton iteration expands it
+    in place; {!mos_eval} is its one-device entry point. *)
+
+val mos_eval :
+  Repro_circuit.Mosfet.model ->
+  w:float ->
+  l:float ->
+  vth_shift:float ->
+  kp_scale:float ->
+  vgs:float ->
+  vds:float ->
+  Repro_circuit.Mosfet.eval_result
+(** Current and small-signal derivatives of one device at the given
+    bias, bit for bit what the Newton iteration computes for it.
+    [vth_shift] and [kp_scale] carry the sampled process/mismatch
+    perturbation (0.0 / 1.0 nominally).  Works in source-referenced
+    NMOS polarity and requires [vds >= 0]; negative [vds] is the
+    caller's terminal-swap case.  [w] and [l] in metres, both
+    positive. *)
 
 type compiled
 
 val compile : Repro_circuit.Netlist.t -> compiled
+(** @raise Assert_failure on a MOSFET without a positive width and
+    length. *)
+
 val size : compiled -> int
 (** Number of MNA unknowns. *)
 
@@ -107,10 +131,24 @@ val mos_stamp_paths :
 (** For tests and diagnostics.  The sparse Jacobian values at [x], built
     the two ways the solver can add its MOSFET stamps over the same
     cached static stamps: [(direct, reference)], where [direct] comes
-    from the Newton hot path's direct loop and [reference] from the
-    generic Jacobian pass that pattern discovery and {!assemble} use.
-    The two are equal bit for bit while the hot path keeps the generic
-    pass's order. *)
+    from the stamping {!newton} runs once the call's static stamps are
+    current (the direct loop over each device's precomputed slots) and
+    [reference] from the generic Jacobian pass that pattern discovery
+    and {!assemble} use.  The two are equal bit for bit while the hot
+    path keeps the generic pass's order. *)
+
+val replayed_residual :
+  compiled ->
+  x:Repro_linalg.Vec.t ->
+  first:float * float * cap_mode ->
+  second:float * float * cap_mode ->
+  float array * float array
+(** For tests and diagnostics.  [(replayed, fresh)]: the residual at
+    [x] under the [second] (gmin, source scale, capacitor mode), once
+    from a device scratch that already holds [x]'s linearisation,
+    evaluated under [first] (the replay a transient step's first Newton
+    iteration takes), and once from a fresh scratch.  The two are equal
+    bit for bit. *)
 
 type newton_report = {
   converged : bool;
@@ -146,6 +184,13 @@ val newton :
     updates are limited to [dv_limit] volts (default 0.5) by step
     scaling.  Convergence requires both the update norm below
     [vtol + rtol * |x|] and the KCL residual below [itol].
+
+    The MOSFETs' linearisation depends on the node voltages alone, so
+    the workspace keeps the last one it computed with the voltages it
+    was computed at: a residual at the same voltages, bit for bit,
+    replays it instead of evaluating the devices again.  Each transient
+    step's first iteration starts where the previous step's
+    convergence check left off, so it takes that replay.
 
     Each update solves the Jacobian with the sparse left-looking LU:
     its symbolic analysis is computed once per circuit topology and

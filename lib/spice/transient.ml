@@ -15,17 +15,80 @@ let default_options ~t_stop ~dt =
   { t_stop; dt; dt_min = dt /. 1024.0; ic = []; skip_dcop = false;
     max_newton = 30; noise = None }
 
+(* The recording: a row of [size + 1] floats per recorded step, its
+   time and then its unknowns, [per_block] rows to a block.  A recorded
+   step costs its row's floats, not a copy of the unknowns plus two
+   list cells and a boxed time.  A block stays within 128 words, the
+   largest size the OCaml 5 major heap pools: it is allocated young and
+   promoted into the pools like any small value, never into a block of
+   its own from malloc, whose freed memory glibc's per-domain arenas
+   keep. *)
+type recorder = {
+  row : int;
+  per_block : int;
+  mutable full : float array list;  (* filled blocks, newest first *)
+  mutable block : float array;
+  mutable filled : int;  (* rows of [block] in use *)
+  mutable count : int;
+}
+
+let recorder n =
+  let row = n + 1 in
+  let per_block = max 1 (128 / row) in
+  {
+    row;
+    per_block;
+    full = [];
+    block = Array.create_float (per_block * row);
+    filled = 0;
+    count = 0;
+  }
+
+let[@inline] record rc ~time x n =
+  if rc.filled = rc.per_block then begin
+    rc.full <- rc.block :: rc.full;
+    rc.block <- Array.create_float (rc.per_block * rc.row);
+    rc.filled <- 0
+  end;
+  let o = rc.filled * rc.row in
+  Array.unsafe_set rc.block o time;
+  Array.blit x 0 rc.block (o + 1) n;
+  rc.filled <- rc.filled + 1;
+  rc.count <- rc.count + 1
+
 type result = {
   compiled : Mna.compiled;
   rtimes : float array;
-  states : float array array; (* per recorded step, full unknown vector *)
+  row : int;
+  per_block : int;
+  blocks : float array array;  (* the recorder's blocks, oldest first *)
   newton_total : int;
 }
+
+(* column [c] of the first [count] recorded rows: 0 is the time, 1 + i
+   unknown i *)
+let column ~row ~per_block blocks count c =
+  Array.init count (fun s ->
+      blocks.(s / per_block).(((s mod per_block) * row) + c))
+
+let result_of_recorder compiled rc ~newton_total =
+  let blocks = Array.of_list (List.rev (rc.block :: rc.full)) in
+  {
+    compiled;
+    rtimes =
+      column ~row:rc.row ~per_block:rc.per_block blocks rc.count 0;
+    row = rc.row;
+    per_block = rc.per_block;
+    blocks;
+    newton_total;
+  }
 
 let times r = r.rtimes
 
 let wave_of_index r idx =
-  Waveform.create r.rtimes (Array.map (fun st -> st.(idx)) r.states)
+  Waveform.create r.rtimes
+    (column ~row:r.row ~per_block:r.per_block r.blocks
+       (Array.length r.rtimes) (idx + 1))
 
 let node_wave r name =
   let node = Mna.node_of_name r.compiled name in
@@ -49,6 +112,7 @@ let run_result ?solver:_ ?workspace compiled opts =
   let workspace =
     match workspace with Some w -> w | None -> Mna.domain_workspace ()
   in
+  let t_start = Unix.gettimeofday () in
   let steps = ref 0 and halvings = ref 0 and newton_total = ref 0 in
   (* published once per transient, never per step: each update takes
      the domain's Telemetry lock *)
@@ -56,7 +120,8 @@ let run_result ?solver:_ ?workspace compiled opts =
     Telemetry.incr "tran.runs";
     Telemetry.incr "tran.steps" ~by:!steps;
     Telemetry.incr "tran.halvings" ~by:!halvings;
-    Telemetry.incr "tran.newton" ~by:!newton_total
+    Telemetry.incr "tran.newton" ~by:!newton_total;
+    Telemetry.add_time "tran.seconds" (Unix.gettimeofday () -. t_start)
   in
   (* one span per transient; [tran.newton] counts its Newton solves *)
   Repro_obs.Trace.span "tran.run" @@ fun () ->
@@ -83,14 +148,21 @@ let run_result ?solver:_ ?workspace compiled opts =
   let i_prev = Array.make ncaps 0.0 in
   let geq = Array.make ncaps 0.0 in
   let ieq = Array.make ncaps 0.0 in
-  let rec_times = ref [ 0.0 ] in
-  let rec_states = ref [ Vec.copy x ] in
+  let cap_mode = Mna.Companion { geq; ieq } in
+  (* every attempt starts from [x] in this one buffer *)
+  let x_try = Vec.create n in
+  let rc = recorder n in
+  record rc ~time:0.0 x n;
   (* first step uses BE (no cap-current history yet) *)
   let first = ref true in
   let t = ref 0.0 in
   let h = ref opts.dt in
   while !t < opts.t_stop -. (opts.dt /. 2.0) do
-    let step_ok h_try =
+    (* attempt the step, halving it until Newton converges *)
+    let h_try = ref !h and accepted = ref false in
+    while not !accepted do
+      if !h_try < opts.dt_min then
+        raise (Abort (Solver_error.Step_underflow { time = !t }));
       let use_be = !first in
       (* sample the thermal noise currents once per attempted step;
          white noise filled up to the step Nyquist bandwidth 1/(2 h) *)
@@ -99,54 +171,43 @@ let run_result ?solver:_ ?workspace compiled opts =
         | None -> [||]
         | Some prng ->
           let stamps = Mna.channel_noise_stamps compiled ~x in
+          let two_h = 2.0 *. !h_try in
           let out = ref [] in
           Array.iter
             (fun (hi, lo, density) ->
-              let sigma = density /. sqrt (2.0 *. h_try) in
+              let sigma = density /. sqrt two_h in
               let amps = Repro_util.Prng.gaussian prng ~mean:0.0 ~sigma in
               if hi >= 0 then out := (hi, amps) :: !out;
               if lo >= 0 then out := (lo, -.amps) :: !out)
             stamps;
           Array.of_list !out
       in
-      Mna.companion_fill compiled ~use_be ~h:h_try ~v_prev ~i_prev ~geq ~ieq;
-      let x_try = Vec.copy x in
+      Mna.companion_fill compiled ~use_be ~h:!h_try ~v_prev ~i_prev ~geq ~ieq;
+      Array.blit x 0 x_try 0 n;
       let report =
         Mna.newton ~max_iter:opts.max_newton ~injections ~workspace
-          compiled ~x:x_try
-          ~time:(!t +. h_try) ~gmin:1e-12 ~source_scale:1.0
-          ~cap_mode:(Mna.Companion { geq; ieq })
+          compiled ~x:x_try ~time:(!t +. !h_try) ~gmin:1e-12 ~source_scale:1.0
+          ~cap_mode
       in
       newton_total := !newton_total + report.Mna.iterations;
-      if report.Mna.converged then Some x_try else None
-    in
-    let rec attempt h_try =
-      if h_try < opts.dt_min then
-        raise (Abort (Solver_error.Step_underflow { time = !t }));
-      match step_ok h_try with
-      | Some x_new -> (h_try, x_new)
-      | None ->
+      if report.Mna.converged then accepted := true
+      else begin
         incr halvings;
-        attempt (h_try /. 2.0)
-    in
-    let h_used, x_new = attempt !h in
+        h_try := !h_try /. 2.0
+      end
+    done;
+    let h_used = !h_try in
     (* update capacitor history from the accepted step *)
-    Mna.cap_history compiled ~x:x_new ~geq ~ieq ~v_prev ~i_prev;
-    Array.blit x_new 0 x 0 n;
+    Mna.cap_history compiled ~x:x_try ~geq ~ieq ~v_prev ~i_prev;
+    Array.blit x_try 0 x 0 n;
     t := !t +. h_used;
     incr steps;
     first := false;
-    rec_times := !t :: !rec_times;
-    rec_states := Vec.copy x :: !rec_states;
+    record rc ~time:!t x n;
     (* recover the nominal step after a halving *)
     h := Float.min opts.dt (h_used *. 2.0)
   done;
-  {
-    compiled;
-    rtimes = Array.of_list (List.rev !rec_times);
-    states = Array.of_list (List.rev !rec_states);
-    newton_total = !newton_total;
-  }
+  result_of_recorder compiled rc ~newton_total:!newton_total
     end
   with
   | r ->

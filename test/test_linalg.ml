@@ -10,9 +10,6 @@ let test_vec_ops () =
   checkf "norm2" (sqrt 14.0) (Vec.norm2 x);
   checkf "norm_inf" 3.0 (Vec.norm_inf x);
   checkf "max_abs_diff" 3.0 (Vec.max_abs_diff x y);
-  let z = Vec.copy y in
-  Vec.axpy ~alpha:2.0 x z;
-  Alcotest.(check (array (float 1e-12))) "axpy" [| 6.0; 9.0; 12.0 |] z;
   Alcotest.(check (array (float 1e-12))) "add" [| 5.0; 7.0; 9.0 |] (Vec.add x y);
   Alcotest.(check (array (float 1e-12))) "sub" [| -3.0; -3.0; -3.0 |] (Vec.sub x y)
 

@@ -1,10 +1,13 @@
 module Mosfet = Repro_circuit.Mosfet
 
+(* the one copy of the device law, which the Newton iteration runs *)
+let eval = Repro_spice.Mna.mos_eval
+
 let nominal = (0.0, 1.0) (* vth_shift, kp_scale *)
 
 let eval_n ?(m = Mosfet.nmos_012) ?(w = 10e-6) ?(l = 0.5e-6) vgs vds =
   let vth_shift, kp_scale = nominal in
-  Mosfet.eval m ~w ~l ~vth_shift ~kp_scale ~vgs ~vds
+  eval m ~w ~l ~vth_shift ~kp_scale ~vgs ~vds
 
 let test_cutoff_current_small () =
   let r = eval_n 0.0 1.0 in
@@ -45,17 +48,17 @@ let test_width_scaling () =
     (2.0 *. r1.Mosfet.ids) r2.Mosfet.ids
 
 let test_vth_shift_slows_device () =
-  let fast = Mosfet.eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:(-0.05)
+  let fast = eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:(-0.05)
       ~kp_scale:1.0 ~vgs:0.8 ~vds:1.2 in
-  let slow = Mosfet.eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:0.05
+  let slow = eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:0.05
       ~kp_scale:1.0 ~vgs:0.8 ~vds:1.2 in
   Alcotest.(check bool) "vth shift ordering" true
     (fast.Mosfet.ids > slow.Mosfet.ids)
 
 let test_kp_scale_proportional () =
-  let a = Mosfet.eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:0.0
+  let a = eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:0.0
       ~kp_scale:1.0 ~vgs:1.0 ~vds:1.2 in
-  let b = Mosfet.eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:0.0
+  let b = eval Mosfet.nmos_012 ~w:10e-6 ~l:0.5e-6 ~vth_shift:0.0
       ~kp_scale:1.1 ~vgs:1.0 ~vds:1.2 in
   Alcotest.(check (float 1e-6)) "kp scaling" (1.1 *. a.Mosfet.ids) b.Mosfet.ids
 

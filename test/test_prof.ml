@@ -767,6 +767,48 @@ run finished in 4.500 s
 |}
     text
 
+(* a run.finish that also carries the transients' domain-seconds gets
+   their unit cost per Newton iteration; the two goldens above cover
+   journals without the field *)
+let test_report_journal_transient_seconds () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "run.journal" in
+  write_file path
+    (String.concat "\n"
+       [
+         {|{"ts":1,"run":"r4","event":"run.start","fingerprint":"ef"}|};
+         {|{"ts":2,"run":"r4","event":"run.finish","seconds":38.25,"eval_avoided":0,"eval_paid":0,"eval_cache_hits":0,"eval_runs":156,"vco_characterisations":156,"vco_extensions":298,"vco_extensions_failed":123,"tran_runs":706,"tran_steps":2409600,"tran_halvings":0,"tran_newton":6637343,"pll_sims":2126,"pll_steps":85040000,"tran_seconds":72.7}|};
+         "";
+       ]);
+  let events =
+    match Repro_obs.Journal.read path with
+    | Ok events -> events
+    | Error e -> Alcotest.fail e
+  in
+  let r, text = render (fun ppf -> Repro_prof.Report.journal ppf events) in
+  Alcotest.(check bool) "ok" true (r = Ok ());
+  Alcotest.(check string) "simulator block with the transient seconds"
+    {|run r4  (fingerprint ef, 2 events)
+
+evals:
+  requested       156
+  avoided           0    0.0%  (surrogate pre-screen)
+  cached            0    0.0%  (eval cache)
+  simulated       156  100.0%
+
+simulator:
+  characterisations         156
+  window extensions         298  (123 still unresolved)
+  transients                706
+  accepted steps        2409600  (0 rejected)
+  Newton iterations     6637343  (2.75 per step)
+  transient seconds       72.70  (10.95 us per Newton iteration)
+  behavioural PLL          2126  (85040000 steps)
+
+run finished in 38.250 s
+|}
+    text
+
 let test_report_trace () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "golden.trace.json" in
@@ -1077,4 +1119,6 @@ let suite =
       test_traced_flow_trace_and_journal;
     Alcotest.test_case "traced flow profile attribution" `Slow
       test_traced_flow_attribution;
+    Alcotest.test_case "report journal transient seconds" `Quick
+      test_report_journal_transient_seconds;
   ]

@@ -814,6 +814,46 @@ let prop_conn_feed_total =
       if !errored then feed "GET /v1/healthz HTTP/1.1\r\n\r\n";
       !ok)
 
+(* A server that stops under an adapter costs one retry cycle and one
+   warning: the later queries of the outage try it once each, without
+   retries, and every answer is the local table's *)
+let test_remote_outage_tries_once () =
+  with_server @@ fun ~loaded server _ ->
+  let client =
+    S.Client.create ~port:(S.Server.port server) ~timeout:1.0 ~retries:2 ()
+  in
+  let query =
+    S.Remote.model_query ~fallback:loaded ~client ~model:"default" ()
+  in
+  let local = H.Perf_table.eval_points loaded query_batch in
+  let bits results =
+    Array.map
+      (fun (pe : H.Perf_table.point_eval) -> Marshal.to_string pe [])
+      results
+  in
+  let counter = Repro_engine.Telemetry.counter in
+  Alcotest.(check (array string)) "served = local" (bits local)
+    (bits (query query_batch));
+  S.Server.stop ~drain_timeout:2. server;
+  S.Server.wait server;
+  let retries0 = counter "serve.client_retries"
+  and warnings0 = counter "serve.remote"
+  and fallbacks0 = counter "serve.remote_fallbacks" in
+  let first = query query_batch in
+  let retries1 = counter "serve.client_retries" in
+  let later = List.init 4 (fun _ -> query query_batch) in
+  List.iter
+    (fun got ->
+      Alcotest.(check (array string)) "fallback = local" (bits local) (bits got))
+    (first :: later);
+  Alcotest.(check int) "the first query retries" 2 (retries1 - retries0);
+  Alcotest.(check int) "the later ones do not" retries1
+    (counter "serve.client_retries");
+  Alcotest.(check int) "one warning" 1 (counter "serve.remote" - warnings0);
+  Alcotest.(check int) "every query fell back" 5
+    (counter "serve.remote_fallbacks" - fallbacks0);
+  S.Client.shutdown client
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -854,4 +894,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_conn_feed_total;
     Alcotest.test_case "serve drain under load" `Quick
       test_serve_drain_under_load;
+    Alcotest.test_case "remote outage tries the server once" `Quick
+      test_remote_outage_tries_once;
   ]

@@ -337,12 +337,15 @@ let test_characterise_bits_golden () =
     bits "fmin" "0x1.9d379ab66713p+27" p.S.Vco_measure.fmin;
     bits "fmax" "0x1.abf1942ce3784p+29" p.S.Vco_measure.fmax
 
-(* A warm ring-VCO transient allocates per step only what it records
-   (the state copy and its list cells) plus a few boxed floats per
-   device per Newton iteration, about 600 words.  The bound leaves room
-   for other compilers and fails once residual assembly, MOSFET
-   stamping or the device model box a float per element again (about
-   5,000 words). *)
+(* A warm ring-VCO transient allocates per step what it records (a
+   row of 21 floats) plus a Newton call's closures, options and report,
+   about 106 words in all on OCaml 5.1; nothing per device, capacitor
+   or iteration.  The bound leaves a
+   little room for other compilers and fails once residual assembly,
+   MOSFET stamping or the device law box a float per element again:
+   one boxed float per device and evaluation is about 165 words a
+   step, and the kernel before the device law moved into [Mna] read
+   about 600. *)
 let test_transient_allocation_bound () =
   let cm = ring_vco () in
   let run () =
@@ -357,8 +360,8 @@ let test_transient_allocation_bound () =
   let steps = Array.length (S.Transient.times r) - 1 in
   let per_step = words /. float_of_int steps in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words per step (at most 1500)" per_step)
-    true (per_step <= 1500.0)
+    (Printf.sprintf "%.0f minor words per step (at most 150)" per_step)
+    true (per_step <= 150.0)
 
 (* the direct MOSFET loop of the Newton hot path adds in the order of
    the generic Jacobian pass, so both give the same bits, in either
@@ -404,6 +407,86 @@ let test_transient_counters () =
       ]
       (List.map2 ( - ) (read ()) before)
 
+(* Every recorded time and unknown of a transient, as the hex digest of
+   their bit patterns: nodes in id order, then the voltage sources'
+   branch currents in netlist order.  A cleared registry lets the first
+   factorisation pick the pivot order from this run's own matrix. *)
+let transient_digest net opts =
+  Repro_linalg.Sparse_lu.clear_cache ();
+  let r = transient (S.Mna.compile net) opts in
+  let buf = Buffer.create 65536 in
+  let add v = Buffer.add_int64_le buf (Int64.bits_of_float v) in
+  Array.iter add (S.Transient.times r);
+  for node = 1 to Netlist.node_count net - 1 do
+    Array.iter add
+      (S.Transient.node_wave r (Netlist.node_name net node)).S.Waveform.values
+  done;
+  List.iter
+    (function
+      | Netlist.Vsource { name; _ } ->
+        Array.iter add (S.Transient.source_current_wave r name).S.Waveform.values
+      | _ -> ())
+    (Netlist.elements net);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The bits the Newton kernel can reach, recorded before the kernel was
+   last rewritten: the characterisation's base window at the three
+   control voltages it measures, the 48 ns / 10 ps shape of a window
+   extension, and a process-sampled instance whose devices carry
+   non-zero [vth_shift] and [kp_scale]. *)
+let test_transient_bits_golden () =
+  let ring vctl = C.Topologies.ring_vco ~vctl C.Topologies.vco_default in
+  let check name expected net opts =
+    Alcotest.(check string) name expected (transient_digest net opts)
+  in
+  check "vctl 0.5" "d35c1f82464bebcc9b08b1dc1d61b6e0" (ring 0.5) ring_opts;
+  check "vctl 0.85" "a4e75a44f04516db77335bcbe93af04a" (ring 0.85) ring_opts;
+  check "vctl 1.2" "800157923d215ad02c31fd9cbae8b58d" (ring 1.2) ring_opts;
+  check "48 ns / 10 ps window at vctl 0.5"
+    "a1fee5017e91aee3102cefbf2087c6bd" (ring 0.5)
+    { (S.Transient.default_options ~t_stop:48e-9 ~dt:10e-12) with
+      S.Transient.ic = ring_opts.S.Transient.ic };
+  let sampled =
+    C.Process.sample C.Process.default (Repro_util.Prng.create 2009) (ring 0.85)
+  in
+  check "process-sampled at vctl 0.85" "a034e42a502e310afcd414fb9ac8a0db"
+    sampled ring_opts
+
+(* A residual built from the device linearisation a scratch already
+   holds, the replay a transient step's first Newton iteration takes,
+   equals a fresh scratch's bit for bit, also when the gmin, the source
+   scale or the capacitor mode changed since the scratch was filled *)
+let prop_replayed_residual_equals_fresh =
+  let cm = ring_vco () in
+  let n = S.Mna.size cm and ncaps = S.Mna.cap_count cm in
+  let bits a = Array.map Int64.bits_of_float a in
+  let setting =
+    QCheck.Gen.(
+      triple
+        (oneofl [ 0.0; 1e-12; 1e-3 ])
+        (float_range 0.1 1.0)
+        (opt (pair (float_range 1e-6 1e-2) (float_range (-1e-3) 1e-3))))
+  in
+  let cap_mode = function
+    | None -> S.Mna.Dc
+    | Some (g, i) ->
+      S.Mna.Companion
+        {
+          geq = Array.init ncaps (fun k -> g *. float_of_int (k + 1));
+          ieq = Array.make ncaps i;
+        }
+  in
+  QCheck.Test.make ~count:100 ~name:"replayed residual equals a fresh one"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (array_size (return n) (float_range (-0.3) 1.5)) setting setting))
+    (fun (x, (g1, s1, c1), (g2, s2, c2)) ->
+      let replayed, fresh =
+        S.Mna.replayed_residual cm ~x ~first:(g1, s1, cap_mode c1)
+          ~second:(g2, s2, cap_mode c2)
+      in
+      bits replayed = bits fresh)
+
 let suite =
   [
     Alcotest.test_case "voltage divider" `Quick test_voltage_divider;
@@ -434,4 +517,6 @@ let suite =
       test_transient_allocation_bound;
     QCheck_alcotest.to_alcotest prop_direct_stamp_equals_stamp_jacobian;
     Alcotest.test_case "transient counters" `Quick test_transient_counters;
+    Alcotest.test_case "transient bits golden" `Quick test_transient_bits_golden;
+    QCheck_alcotest.to_alcotest prop_replayed_residual_equals_fresh;
   ]
