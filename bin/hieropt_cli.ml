@@ -240,13 +240,30 @@ let simulate_cmd =
     Arg.(
       value
       & opt_all string []
-      & info [ "probe" ] ~docv:"NODE" ~doc:"Node(s) to report (repeatable).")
+      & info [ "probe" ] ~docv:"NODE"
+          ~doc:
+            "Node(s) to report (repeatable); a name the deck does not \
+             define is a usage error.")
   in
   let run deck t_stop dt probes verbose =
     setup_logging verbose;
     let net =
       with_netlist_errors (fun () -> Repro_netlist.Elab.netlist_of_file deck)
     in
+    let probes =
+      if probes <> [] then probes
+      else
+        (* default: every named non-ground node *)
+        List.init (Repro_circuit.Netlist.node_count net - 1) (fun i ->
+            Repro_circuit.Netlist.node_name net (i + 1))
+    in
+    (* a probe the deck does not name is a usage error, found before
+       anything is simulated *)
+    List.iter
+      (fun node ->
+        if Repro_circuit.Netlist.find_node net node = None then
+          die 124 "hieropt: --probe %s: %s has no node of that name" node deck)
+      probes;
     let cm = Repro_spice.Mna.compile net in
     let dc =
       match Repro_spice.Dcop.solve_result cm with
@@ -267,13 +284,6 @@ let simulate_cmd =
       | Error e ->
         Fmt.epr "transient failed: %s@." (Repro_spice.Solver_error.to_string e);
         exit exit_solver
-    in
-    let probes =
-      if probes <> [] then probes
-      else
-        (* default: every named non-ground node *)
-        List.init (Repro_circuit.Netlist.node_count net - 1) (fun i ->
-            Repro_circuit.Netlist.node_name net (i + 1))
     in
     List.iter
       (fun node ->

@@ -258,12 +258,27 @@ let journal_counters =
    domains that ran them *)
 let journal_timers = [ ("tran_seconds", "tran.seconds") ]
 
+(* ... and what the run held in memory, from [Gc.quick_stat], which
+   sums over every domain: the words promoted and allocated in the major
+   heap and the major collections as run deltas, and the process's peak
+   major heap *)
+let gc_fields (g0 : Gc.stat) =
+  let g = Gc.quick_stat () in
+  let num x = Json.Num x and int n = Json.Num (float_of_int n) in
+  [
+    ("gc_promoted_words", num (g.promoted_words -. g0.promoted_words));
+    ("gc_major_words", num (g.major_words -. g0.major_words));
+    ("gc_major_collections", int (g.major_collections - g0.major_collections));
+    ("gc_top_heap_words", int g.top_heap_words);
+  ]
+
 (* the baseline taken at run start *)
 let counter_baseline () =
   ( List.map (fun (_, name) -> E.Telemetry.counter name) journal_counters,
-    List.map (fun (_, name) -> E.Telemetry.timer name) journal_timers )
+    List.map (fun (_, name) -> E.Telemetry.timer name) journal_timers,
+    Gc.quick_stat () )
 
-let close_journal t0 (c0, s0) = function
+let close_journal t0 (c0, s0, g0) = function
   | None -> ()
   | Some j ->
     Obs.Journal.run_finish j
@@ -275,7 +290,8 @@ let close_journal t0 (c0, s0) = function
       @ List.map2
           (fun (field, name) s ->
             (field, Json.Num (E.Telemetry.timer name -. s)))
-          journal_timers s0);
+          journal_timers s0
+      @ gc_fields g0);
     Obs.Journal.clear_current ();
     Obs.Journal.close j
 

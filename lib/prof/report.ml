@@ -162,6 +162,26 @@ let journal ppf events =
         | Some sims ->
           Format.fprintf ppf "  %-18s %10.0f  (%.0f steps)@."
             "behavioural PLL" sims (f "pll_steps"));
+      (* what the run held in memory, which journals written before the
+         GC fields existed lack: the peak major heap in MB of 2^20
+         bytes (perfbench's [peak_rss_mb] unit), and the words promoted
+         and allocated in the major heap, per transient too *)
+      (match jnum "gc_top_heap_words" finish with
+      | None -> ()
+      | Some top ->
+        let promoted = f "gc_promoted_words" in
+        Format.fprintf ppf
+          "@.memory: %.2f MB peak major heap, %.2f Mwords promoted, %.2f \
+           Mwords major (%.0f major collections)%s@."
+          (top *. float_of_int (Sys.word_size / 8) /. 1048576.0)
+          (promoted /. 1e6)
+          (f "gc_major_words" /. 1e6)
+          (f "gc_major_collections")
+          (match jnum "tran_runs" finish with
+          | Some transients when transients > 0.0 ->
+            Printf.sprintf ", %.0f promoted per transient"
+              (promoted /. transients)
+          | Some _ | None -> ""));
       Format.fprintf ppf "@.run finished in %.3f s@." (f "seconds")
     | [] ->
       Format.fprintf ppf

@@ -103,7 +103,7 @@ let total_newton_iterations r = r.newton_total
 (* internal control-flow escape for the result-based driver *)
 exception Abort of Solver_error.t
 
-let run_result ?solver:_ ?workspace compiled opts =
+let run ?workspace compiled opts ~observe =
   if opts.t_stop <= 0.0 || opts.dt <= 0.0 then
     invalid_arg "Transient.run: t_stop and dt must be positive";
   (* default to the domain's persistent workspace: the DC start and the
@@ -151,8 +151,7 @@ let run_result ?solver:_ ?workspace compiled opts =
   let cap_mode = Mna.Companion { geq; ieq } in
   (* every attempt starts from [x] in this one buffer *)
   let x_try = Vec.create n in
-  let rc = recorder n in
-  record rc ~time:0.0 x n;
+  observe 0.0 x;
   (* first step uses BE (no cap-current history yet) *)
   let first = ref true in
   let t = ref 0.0 in
@@ -203,16 +202,23 @@ let run_result ?solver:_ ?workspace compiled opts =
     t := !t +. h_used;
     incr steps;
     first := false;
-    record rc ~time:!t x n;
+    observe !t x;
     (* recover the nominal step after a halving *)
     h := Float.min opts.dt (h_used *. 2.0)
   done;
-  result_of_recorder compiled rc ~newton_total:!newton_total
+  !newton_total
     end
   with
-  | r ->
+  | newton_total ->
     publish ();
-    Ok r
+    Ok newton_total
   | exception Abort e ->
     publish ();
     Error e
+
+let run_result ?solver:_ ?workspace compiled opts =
+  let n = Mna.size compiled in
+  let rc = recorder n in
+  run ?workspace compiled opts ~observe:(fun time x -> record rc ~time x n)
+  |> Result.map (fun newton_total ->
+         result_of_recorder compiled rc ~newton_total)

@@ -84,10 +84,20 @@ let startup_ic opts =
       in
       (name, v))
 
+(* One attempt is one transient, measured as it steps: a window over
+   its second half watches every stage output's crossings of mid-rail
+   (s1 first, for the frequency and the swing) and averages the supply
+   current.  Nothing of the waveforms is recorded. *)
 let run_osc opts net vctl =
   let net = set_vctl net vctl in
   let compiled = Mna.compile net in
   let mid = opts.vdd /. 2.0 in
+  let edges =
+    Array.init opts.stages (fun i ->
+        let node = Mna.node_of_name compiled (Printf.sprintf "s%d" (i + 1)) in
+        Option.value ~default:(-1) (Mna.node_index compiled node))
+  in
+  let supply = Mna.branch_index compiled "Vdd" in
   let rec attempt ext =
     (* an extended window that still sees no measurable oscillation *)
     let unresolved f =
@@ -103,42 +113,28 @@ let run_osc opts net vctl =
         Transient.ic = startup_ic opts;
       }
     in
-    match Transient.run_result compiled tr_opts with
+    let w =
+      Waveform.Window.create ~t_start:(0.5 *. t_stop) ~t_end:t_stop
+        ~level:mid ~edges ~mean:supply
+    in
+    match
+      Transient.run compiled tr_opts ~observe:(Waveform.Window.observe w)
+    with
     | Error (Solver_error.No_convergence { detail; _ }) ->
       Error (Analysis_error detail)
     | Error (Solver_error.Step_underflow _ as e) ->
       Error (Analysis_error (Solver_error.to_string e))
-    | Ok res ->
-      let t_start = 0.5 *. t_stop in
-      let stage_wave i =
-        Waveform.window
-          (Transient.node_wave res (Printf.sprintf "s%d" i))
-          ~t_start ~t_end:t_stop
-      in
-      let w1 = stage_wave 1 in
-      let crossings = Waveform.crossings ~direction:Waveform.Rising w1 ~level:mid in
-      if Array.length crossings >= opts.min_cycles + 1 then begin
-        match Waveform.frequency ~direction:Waveform.Rising w1 ~level:mid with
+    | Ok _ ->
+      let lo, hi = Waveform.Window.extremes w in
+      if Waveform.Window.rising_crossings w >= opts.min_cycles + 1 then begin
+        match Waveform.Window.frequency w with
         | None -> unresolved No_oscillation
         | Some freq ->
-          let idd_w =
-            Waveform.window
-              (Transient.source_current_wave res "Vdd")
-              ~t_start ~t_end:t_stop
-          in
-          let idd = -.Waveform.mean idd_w in
+          let idd = -.Waveform.Window.mean w in
           let asyms, slews =
             let per_stage =
               Array.init opts.stages (fun i ->
-                  let w = stage_wave (i + 1) in
-                  let sr =
-                    Waveform.slew_at_crossings ~direction:Waveform.Rising w
-                      ~level:mid
-                  in
-                  let sf =
-                    Waveform.slew_at_crossings ~direction:Waveform.Falling w
-                      ~level:mid
-                  in
+                  let sr, sf = Waveform.Window.slews w i in
                   if sr +. sf <= 0.0 then (0.0, 0.0)
                   else (Float.abs (sr -. sf) /. (sr +. sf), 0.5 *. (sr +. sf)))
             in
@@ -148,19 +144,16 @@ let run_osc opts net vctl =
             Repro_util.Stats.mean asyms +. Repro_util.Stats.stddev asyms
           in
           let mean_slew = Repro_util.Stats.mean slews in
-          let swing_ok =
-            Waveform.amplitude_ok w1 ~lo:(0.25 *. opts.vdd) ~hi:(0.75 *. opts.vdd)
-          in
+          let swing_ok = lo <= 0.25 *. opts.vdd && hi >= 0.75 *. opts.vdd in
           Ok { freq; idd; slew_asym; mean_slew; swing_ok }
       end
       else if ext < opts.max_extensions then begin
         Telemetry.incr "vco.extensions";
         attempt (ext + 1)
       end
-      else begin
-        let ptp = Waveform.peak_to_peak w1 in
-        unresolved (if ptp < 0.2 *. opts.vdd then No_oscillation else Too_slow)
-      end
+      else
+        unresolved
+          (if hi -. lo < 0.2 *. opts.vdd then No_oscillation else Too_slow)
   in
   attempt 0
 

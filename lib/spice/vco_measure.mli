@@ -13,6 +13,13 @@
     - [ivco]: average supply current at mid control voltage, A;
     - [jvco]: RMS period jitter at mid control voltage, s.
 
+    Each control voltage is one transient, or two when its window is
+    extended, and each is measured as it steps: {!Transient.run} passes
+    every accepted step to a {!Waveform.Window} over the window's second
+    half, and no waveform is recorded.  The window reads what the array
+    functions of {!Waveform} read over a recording of the same steps,
+    bit for bit.
+
     Jitter substitutes SpectreRF's phase-noise analysis with a first-order
     estimator (DESIGN.md §2): a thermal term — noise voltage
     √(ξ·kT/C_node) referred through the measured crossing slew rate,

@@ -809,6 +809,66 @@ run finished in 38.250 s
 |}
     text
 
+(* a run.finish that also carries the GC fields gets the memory line,
+   with the promoted words per transient when the run ran any; the
+   goldens above cover journals without the fields *)
+let test_report_journal_memory () =
+  with_dir @@ fun dir ->
+  let report finish =
+    let path = Filename.concat dir "run.journal" in
+    write_file path
+      (String.concat "\n"
+         [ {|{"ts":1,"run":"r5","event":"run.start","fingerprint":"01"}|};
+           finish; "" ]);
+    let events =
+      match Repro_obs.Journal.read path with
+      | Ok events -> events
+      | Error e -> Alcotest.fail e
+    in
+    let r, text = render (fun ppf -> Repro_prof.Report.journal ppf events) in
+    Alcotest.(check bool) "ok" true (r = Ok ());
+    text
+  in
+  Alcotest.(check string) "memory line of a flow"
+    {|run r5  (fingerprint 01, 2 events)
+
+evals:
+  requested       156
+  avoided           0    0.0%  (surrogate pre-screen)
+  cached            0    0.0%  (eval cache)
+  simulated       156  100.0%
+
+simulator:
+  characterisations         156
+  window extensions         298  (123 still unresolved)
+  transients                706
+  accepted steps        2409600  (0 rejected)
+  Newton iterations     6637343  (2.75 per step)
+  transient seconds       72.70  (10.95 us per Newton iteration)
+  behavioural PLL          2126  (85040000 steps)
+
+memory: 11.25 MB peak major heap, 54.02 Mwords promoted, 79.71 Mwords major (360 major collections), 76517 promoted per transient
+
+run finished in 38.250 s
+|}
+    (report
+       {|{"ts":2,"run":"r5","event":"run.finish","seconds":38.25,"eval_avoided":0,"eval_paid":0,"eval_cache_hits":0,"eval_runs":156,"vco_characterisations":156,"vco_extensions":298,"vco_extensions_failed":123,"tran_runs":706,"tran_steps":2409600,"tran_halvings":0,"tran_newton":6637343,"pll_sims":2126,"pll_steps":85040000,"tran_seconds":72.7,"gc_promoted_words":54021093,"gc_major_words":79714591,"gc_major_collections":360,"gc_top_heap_words":1474204}|});
+  Alcotest.(check string) "memory line of a run without transients"
+    {|run r5  (fingerprint 01, 2 events)
+
+evals:
+  requested        42
+  avoided           0    0.0%  (surrogate pre-screen)
+  cached            0    0.0%  (eval cache)
+  simulated        42  100.0%
+
+memory: 3.13 MB peak major heap, 0.52 Mwords promoted, 0.61 Mwords major (12 major collections)
+
+run finished in 1.500 s
+|}
+    (report
+       {|{"ts":2,"run":"r5","event":"run.finish","seconds":1.5,"eval_avoided":0,"eval_paid":0,"eval_cache_hits":0,"eval_runs":42,"gc_promoted_words":520000,"gc_major_words":610000,"gc_major_collections":12,"gc_top_heap_words":410000}|})
+
 let test_report_trace () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "golden.trace.json" in
@@ -1059,7 +1119,15 @@ let test_traced_flow_trace_and_journal () =
     (List.exists
        (fun j ->
          event j = "ga.generation" && Json.member "hypervolume" j <> None)
-       journal)
+       journal);
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) ("run.finish records " ^ field) true
+        (List.exists
+           (fun j -> event j = "run.finish" && Json.member field j <> None)
+           journal))
+    [ "gc_promoted_words"; "gc_major_words"; "gc_major_collections";
+      "gc_top_heap_words" ]
 
 (* the share [report --profile] prints as "(NN.N%) attributed" *)
 let attributed_share text =
@@ -1121,4 +1189,6 @@ let suite =
       test_traced_flow_attribution;
     Alcotest.test_case "report journal transient seconds" `Quick
       test_report_journal_transient_seconds;
+    Alcotest.test_case "report journal memory line" `Quick
+      test_report_journal_memory;
   ]

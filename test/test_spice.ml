@@ -103,6 +103,43 @@ let test_dcop_seed_reuse () =
 
 (* ---- transient ---- *)
 
+(* The recorded-waveform post-processing the characterisation ran before
+   it measured each transient as it stepped, kept as the oracle of
+   [Waveform.Window]: the sub-waveform of [t_start, t_end], the mean
+   crossing slope (summed newest first) and the swing check. *)
+let window (w : S.Waveform.t) ~t_start ~t_end =
+  let keep = ref [] in
+  for i = S.Waveform.length w - 1 downto 0 do
+    if w.times.(i) >= t_start && w.times.(i) <= t_end then keep := i :: !keep
+  done;
+  let idx = Array.of_list !keep in
+  if Array.length idx = 0 then invalid_arg "window: empty window";
+  S.Waveform.create
+    (Array.map (fun i -> w.times.(i)) idx)
+    (Array.map (fun i -> w.values.(i)) idx)
+
+let slew_at_crossings ~direction (w : S.Waveform.t) ~level =
+  let slopes = ref [] in
+  for i = 0 to S.Waveform.length w - 2 do
+    let va = w.values.(i) -. level and vb = w.values.(i + 1) -. level in
+    let hit =
+      match direction with
+      | S.Waveform.Rising -> va < 0.0 && vb >= 0.0
+      | S.Waveform.Falling -> va > 0.0 && vb <= 0.0
+      | S.Waveform.Either -> (va < 0.0 && vb >= 0.0) || (va > 0.0 && vb <= 0.0)
+    in
+    if hit then begin
+      let dt = w.times.(i + 1) -. w.times.(i) in
+      if dt > 0.0 then
+        slopes :=
+          Float.abs ((w.values.(i + 1) -. w.values.(i)) /. dt) :: !slopes
+    end
+  done;
+  match !slopes with
+  | [] -> 0.0
+  | slopes -> Repro_util.Stats.mean (Array.of_list slopes)
+
+
 let step_source =
   Source.Pulse
     { v1 = 0.0; v2 = 1.0; delay = 0.0; rise = 1e-12; fall = 1e-12;
@@ -147,7 +184,7 @@ let test_rc_sine_attenuation () =
     transient cm (S.Transient.default_options ~t_stop:40e-6 ~dt:20e-9)
   in
   let w = S.Transient.node_wave res "out" in
-  let settled = S.Waveform.window w ~t_start:20e-6 ~t_end:40e-6 in
+  let settled = window w ~t_start:20e-6 ~t_end:40e-6 in
   let amplitude = S.Waveform.peak_to_peak settled /. 2.0 in
   Alcotest.(check (float 0.02)) "-3 dB point" (1.0 /. sqrt 2.0) amplitude
 
@@ -182,7 +219,7 @@ let test_ring_oscillator_oscillates () =
   in
   let res = transient cm opts in
   let w =
-    S.Waveform.window (S.Transient.node_wave res "s1") ~t_start:5e-9 ~t_end:10e-9
+    window (S.Transient.node_wave res "s1") ~t_start:5e-9 ~t_end:10e-9
   in
   match S.Waveform.frequency w ~level:0.6 with
   | Some f -> Alcotest.(check bool) "plausible frequency" true (f > 100e6 && f < 5e9)
@@ -218,8 +255,7 @@ let test_transient_noise_jitter () =
     in
     let res = transient cm opts in
     let w =
-      S.Waveform.window (S.Transient.node_wave res "s1") ~t_start:12e-9
-        ~t_end:40e-9
+      window (S.Transient.node_wave res "s1") ~t_start:12e-9 ~t_end:40e-9
     in
     S.Waveform.period_jitter_rms w ~level:0.6
   in
@@ -338,9 +374,9 @@ let test_characterise_bits_golden () =
     bits "fmax" "0x1.abf1942ce3784p+29" p.S.Vco_measure.fmax
 
 (* A warm ring-VCO transient allocates per step what it records (a
-   row of 21 floats) plus a Newton call's closures, options and report,
-   about 106 words in all on OCaml 5.1; nothing per device, capacitor
-   or iteration.  The bound leaves a
+   row of 21 floats), the boxed time it passes its observer and a
+   Newton call's closures, options and report, about 109 words in all
+   on OCaml 5.1; nothing per device, capacitor or iteration.  The bound leaves a
    little room for other compilers and fails once residual assembly,
    MOSFET stamping or the device law box a float per element again:
    one boxed float per device and evaluation is about 165 words a
@@ -487,6 +523,200 @@ let prop_replayed_residual_equals_fresh =
       in
       bits replayed = bits fresh)
 
+(* The characterisation's paths beyond the default sizing's, bit for
+   bit: the five floats of a sizing whose [vctl_lo] window resolves only
+   after its extension, of one whose extended [vctl_lo] window stays
+   unresolved (so [fmin] is the measurement floor), and of a
+   [Process.sample] instance (the Monte-Carlo trial path), plus the
+   failure of a sizing too slow to measure at [vctl_hi].  Recorded
+   before the measurement moved beside the stepping loop. *)
+let test_characterise_paths_bits_golden () =
+  let sizing hex =
+    C.Topologies.vco_params_of_vector
+      (Array.of_list (List.map float_of_string hex))
+  in
+  let check name expected r =
+    Repro_linalg.Sparse_lu.clear_cache ();
+    let got =
+      match r () with
+      | Ok p ->
+        String.concat " "
+          (List.map (Printf.sprintf "%h")
+             S.Vco_measure.[ p.kvco; p.ivco; p.jvco; p.fmin; p.fmax ])
+      | Error f -> S.Vco_measure.failure_to_string f
+    in
+    Alcotest.(check string) name expected got
+  in
+  let lo_extended =
+    sizing
+      [ "0x1.1aaea3c1b6cbp-16"; "0x1.3842c98bc29adp-22";
+        "0x1.e9985568a8d17p-15"; "0x1.b9d8c584d537cp-23";
+        "0x1.7a0608435255ep-16"; "0x1.38a1bfcdb557dp-15";
+        "0x1.921d2dd117fadp-23" ]
+  in
+  check "vctl_lo resolved after its extension"
+    "0x1.3ef86b8096608p+27 0x1.6e3a0692ac0fp-8 0x1.0c244ac6a1359p-42 \
+     0x1.0fa8b63d4c37ap+27 0x1.0ca5e4f6421a9p+29"
+    (fun () -> S.Vco_measure.characterise lo_extended);
+  check "vctl_lo unresolved: fmin at the floor"
+    "0x1.f06838c64590ep+24 0x1.e219130d17931p-10 0x1.a21cac1ecc5f4p-38 \
+     0x1.dcd65p+26 0x1.6e68f0dc28e2dp+27"
+    (fun () ->
+      S.Vco_measure.characterise
+        (sizing
+           [ "0x1.17f789f5980b3p-15"; "0x1.3c4637a32815ep-23";
+             "0x1.c9225829ad9f1p-17"; "0x1.c579fb1a20f3fp-21";
+             "0x1.72042fc4c0735p-16"; "0x1.8c719c8cc98cfp-17";
+             "0x1.2973f2ce5fc85p-22" ]));
+  check "vctl_hi too slow" "too slow to measure" (fun () ->
+      S.Vco_measure.characterise
+        (sizing
+           [ "0x1.0fd06c392083p-14"; "0x1.3a0cddb04661ep-21";
+             "0x1.a692739436825p-17"; "0x1.3975a9f6dad67p-21";
+             "0x1.00af0dd3a7d5dp-16"; "0x1.46b6fbfcf5ecp-15";
+             "0x1.05115a5758612p-20" ]));
+  let o = S.Vco_measure.default_options in
+  check "process-sampled"
+    "0x1.3987e8d0f9154p+27 0x1.6e6e6b5f83d2cp-8 0x1.22fd3a18c40cdp-42 \
+     0x1.18fa391ca89a9p+27 0x1.0c81fe86e3cbdp+29"
+    (fun () ->
+      S.Vco_measure.characterise_netlist
+        (C.Process.sample C.Process.default (Repro_util.Prng.create 2009)
+           (C.Topologies.ring_vco ~stages:o.stages ~vdd:o.vdd ~vctl:o.vctl_lo
+              lo_extended)))
+
+(* The characterisation measures each transient as it steps and
+   records none of it.  Warm, [characterise vco_default] (4 transients,
+   12,000 steps) allocates about 8,600 words in the major heap on
+   OCaml 5.1, promoted or allocated there directly; recording every
+   step and windowing copies of its columns read 479,207.  The bound
+   fails as soon as a waveform-sized allocation returns to this path;
+   [transient allocation bound] covers the recording path. *)
+let test_characterise_allocation_bound () =
+  let run () =
+    match S.Vco_measure.characterise C.Topologies.vco_default with
+    | Ok _ -> ()
+    | Error f ->
+      Alcotest.failf "characterise: %s" (S.Vco_measure.failure_to_string f)
+  in
+  run ();
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let w0 = major () in
+  run ();
+  let words = major () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major-heap words (at most 20000)" words)
+    true (words <= 20000.0)
+
+(* What a window reads of a transient as it steps equals, bit for bit,
+   what the recorded-waveform post-processing reads of [run_result]'s
+   recording of the same transient: the crossing count, the frequency,
+   the mean supply current, every stage's rising and falling slews and
+   s1's extremes.  Random sizings from the paper's design space, some
+   of them process-sampled, at each control voltage and over the base
+   window and the extended one. *)
+let prop_window_equals_recording =
+  let o = S.Vco_measure.default_options in
+  let mid = o.vdd /. 2.0 in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (array_size (return 7) (float_range 0.0 1.0))
+        (opt (int_bound 10_000))
+        (oneofl [ o.vctl_lo; 0.5 *. (o.vctl_lo +. o.vctl_hi); o.vctl_hi ])
+        bool)
+  in
+  let print (u, seed, vctl, extended) =
+    Printf.sprintf "sizing [%s], process seed %s, vctl %g, %s window"
+      (String.concat "; " (Array.to_list (Array.map string_of_float u)))
+      (match seed with None -> "none" | Some s -> string_of_int s)
+      vctl
+      (if extended then "extended" else "base")
+  in
+  let bits = Int64.bits_of_float in
+  let stage i = Printf.sprintf "s%d" (i + 1) in
+  QCheck.Test.make ~count:16
+    ~name:"window equals the recording's post-processing"
+    (QCheck.make ~print gen)
+    (fun (u, seed, vctl, extended) ->
+      let params =
+        C.Topologies.vco_params_of_vector
+          (Array.mapi
+             (fun i (lo, hi) -> lo +. (u.(i) *. (hi -. lo)))
+             C.Topologies.vco_bounds)
+      in
+      let net =
+        C.Topologies.ring_vco ~stages:o.stages ~vdd:o.vdd ~vctl params
+      in
+      let net =
+        match seed with
+        | None -> net
+        | Some s ->
+          C.Process.sample C.Process.default (Repro_util.Prng.create s) net
+      in
+      let cm = S.Mna.compile net in
+      let t_stop, dt =
+        if extended then (4.0 *. o.t_stop, 2.0 *. o.dt) else (o.t_stop, o.dt)
+      in
+      let opts =
+        { (S.Transient.default_options ~t_stop ~dt) with
+          S.Transient.ic = ring_opts.S.Transient.ic }
+      in
+      let t_start = 0.5 *. t_stop in
+      Repro_linalg.Sparse_lu.clear_cache ();
+      let recorded =
+        match S.Transient.run_result cm opts with
+        | Error e -> Error e
+        | Ok r ->
+          let w name =
+            window (S.Transient.node_wave r name) ~t_start ~t_end:t_stop
+          in
+          let w1 = w "s1" in
+          let lo, hi = Repro_util.Stats.min_max w1.S.Waveform.values in
+          Ok
+            ( Array.length
+                (S.Waveform.crossings ~direction:Rising w1 ~level:mid),
+              Option.map bits
+                (S.Waveform.frequency ~direction:Rising w1 ~level:mid),
+              bits
+                (S.Waveform.mean
+                   (window (S.Transient.source_current_wave r "Vdd") ~t_start
+                      ~t_end:t_stop)),
+              List.init o.stages (fun i ->
+                  let wi = w (stage i) in
+                  ( bits (slew_at_crossings ~direction:Rising wi ~level:mid),
+                    bits (slew_at_crossings ~direction:Falling wi ~level:mid)
+                  )),
+              (bits lo, bits hi) )
+      in
+      Repro_linalg.Sparse_lu.clear_cache ();
+      let index name =
+        Option.value ~default:(-1)
+          (S.Mna.node_index cm (S.Mna.node_of_name cm name))
+      in
+      let win =
+        S.Waveform.Window.create ~t_start ~t_end:t_stop ~level:mid
+          ~edges:(Array.init o.stages (fun i -> index (stage i)))
+          ~mean:(S.Mna.branch_index cm "Vdd")
+      in
+      let streamed =
+        match
+          S.Transient.run cm opts ~observe:(S.Waveform.Window.observe win)
+        with
+        | Error e -> Error e
+        | Ok _ ->
+          let lo, hi = S.Waveform.Window.extremes win in
+          Ok
+            ( S.Waveform.Window.rising_crossings win,
+              Option.map bits (S.Waveform.Window.frequency win),
+              bits (S.Waveform.Window.mean win),
+              List.init o.stages (fun i ->
+                  let sr, sf = S.Waveform.Window.slews win i in
+                  (bits sr, bits sf)),
+              (bits lo, bits hi) )
+      in
+      recorded = streamed)
+
 let suite =
   [
     Alcotest.test_case "voltage divider" `Quick test_voltage_divider;
@@ -519,4 +749,9 @@ let suite =
     Alcotest.test_case "transient counters" `Quick test_transient_counters;
     Alcotest.test_case "transient bits golden" `Quick test_transient_bits_golden;
     QCheck_alcotest.to_alcotest prop_replayed_residual_equals_fresh;
+    Alcotest.test_case "characterise paths bits golden" `Quick
+      test_characterise_paths_bits_golden;
+    Alcotest.test_case "characterise allocation bound" `Quick
+      test_characterise_allocation_bound;
+    QCheck_alcotest.to_alcotest prop_window_equals_recording;
   ]

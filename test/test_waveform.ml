@@ -27,12 +27,37 @@ let test_value_at () =
   checkf "clamped high" 2.0 (W.value_at ramp 5.0);
   checkf "exact sample" 1.0 (W.value_at ramp 1.0)
 
+(* feed a recorded waveform to a window, one sample vector per sample *)
+let windowed ?(level = 0.0) w ~t_start ~t_end =
+  let win = W.Window.create ~t_start ~t_end ~level ~edges:[| 0 |] ~mean:0 in
+  Array.iteri
+    (fun i t -> W.Window.observe win t [| w.W.values.(i) |])
+    w.W.times;
+  win
+
 let test_window () =
-  let w = W.window ramp ~t_start:0.5 ~t_end:1.5 in
-  Alcotest.(check int) "window size" 1 (W.length w);
+  let w = windowed ramp ~t_start:0.5 ~t_end:1.5 in
+  (* one sample in the window: its own mean and both extremes *)
+  checkf "one-sample mean" 1.0 (W.Window.mean w);
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "one-sample extremes"
+    (1.0, 1.0) (W.Window.extremes w);
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let empty = windowed ramp ~t_start:5.0 ~t_end:6.0 in
   Alcotest.(check bool) "empty window raises" true
-    (try ignore (W.window ramp ~t_start:5.0 ~t_end:6.0); false
-     with Invalid_argument _ -> true)
+    (raises (fun () -> W.Window.mean empty));
+  Alcotest.(check bool) "ends are inclusive" true
+    (W.Window.extremes (windowed ramp ~t_start:1.0 ~t_end:2.0) = (1.0, 2.0));
+  let w = windowed ramp ~t_start:0.0 ~t_end:2.0 in
+  Alcotest.(check bool) "time going backwards raises" true
+    (raises (fun () -> W.Window.observe w 1.5 [| 0.0 |]));
+  (* a negative channel is a grounded node *)
+  let g =
+    W.Window.create ~t_start:0.0 ~t_end:1.0 ~level:0.0 ~edges:[| -1 |]
+      ~mean:(-1)
+  in
+  W.Window.observe g 0.0 [||];
+  W.Window.observe g 1.0 [||];
+  checkf "ground mean" 0.0 (W.Window.mean g)
 
 let test_crossings_count () =
   let w = sine 2001 5.0 in
@@ -74,14 +99,21 @@ let test_period_jitter_deterministic () =
   | Some j -> Alcotest.(check bool) "clean sine tiny jitter" true (j < 1e-4)
   | None -> Alcotest.fail "expected jitter measurement"
 
-let test_mean_rms () =
+let test_mean_window () =
   checkf "ramp mean" 1.0 (W.mean ramp);
   let const = W.create [| 0.0; 2.0 |] [| 3.0; 3.0 |] in
   checkf "const mean" 3.0 (W.mean const);
-  checkf "const rms" 3.0 (W.rms const);
   let w = sine 20001 4.0 in
-  Alcotest.(check (float 0.01)) "sine rms" (1.0 /. sqrt 2.0) (W.rms w);
-  Alcotest.(check (float 0.01)) "sine mean ~0" 0.0 (W.mean w)
+  Alcotest.(check (float 0.01)) "sine mean ~0" 0.0 (W.mean w);
+  (* the window's mean is the array mean of the windowed samples *)
+  let bits = Int64.bits_of_float in
+  let inside = Array.map (fun t -> t >= 0.3 && t <= 0.8) w.W.times in
+  let pick a =
+    Array.of_list (List.filteri (fun i _ -> inside.(i)) (Array.to_list a))
+  in
+  let sub = W.create (pick w.W.times) (pick w.W.values) in
+  Alcotest.(check int64) "window mean, bit for bit" (bits (W.mean sub))
+    (bits (W.Window.mean (windowed w ~t_start:0.3 ~t_end:0.8)))
 
 let test_mean_nonuniform_sampling () =
   (* trapezoidal mean must honour unequal time steps *)
@@ -96,15 +128,18 @@ let test_peak_to_peak () =
 
 let test_slew () =
   let w = W.create [| 0.0; 1.0; 2.0 |] [| 0.0; 2.0; 0.0 |] in
-  checkf "rising slew" 2.0 (W.slew_at_crossings ~direction:W.Rising w ~level:1.0);
-  checkf "falling slew" 2.0 (W.slew_at_crossings ~direction:W.Falling w ~level:1.0);
-  checkf "no crossing" 0.0 (W.slew_at_crossings w ~level:5.0)
+  let win = windowed ~level:1.0 w ~t_start:0.0 ~t_end:2.0 in
+  Alcotest.(check (pair (float 1e-9) (float 1e-9))) "rising and falling slew"
+    (2.0, 2.0) (W.Window.slews win 0);
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "no crossing" (0.0, 0.0)
+    (W.Window.slews (windowed ~level:5.0 w ~t_start:0.0 ~t_end:2.0) 0);
+  Alcotest.(check int) "one rising crossing" 1 (W.Window.rising_crossings win)
 
 let test_amplitude_ok () =
-  Alcotest.(check bool) "ramp covers [0.5, 1.5]" true
-    (W.amplitude_ok ramp ~lo:0.5 ~hi:1.5);
-  Alcotest.(check bool) "ramp misses 3.0" false
-    (W.amplitude_ok ramp ~lo:0.5 ~hi:3.0)
+  let lo, hi = W.Window.extremes (windowed ramp ~t_start:0.0 ~t_end:2.0) in
+  Alcotest.(check bool) "ramp covers [0.5, 1.5]" true (lo <= 0.5 && hi >= 1.5);
+  Alcotest.(check bool) "ramp misses 3.0" false (lo <= 0.5 && hi >= 3.0);
+  checkf "swing is the peak to peak" (W.peak_to_peak ramp) (hi -. lo)
 
 let prop_crossings_sorted =
   QCheck.Test.make ~name:"crossing times increase" ~count:200
@@ -139,7 +174,7 @@ let suite =
     Alcotest.test_case "frequency" `Quick test_frequency;
     Alcotest.test_case "uniform periods" `Quick test_periods_uniform;
     Alcotest.test_case "deterministic jitter ~ 0" `Quick test_period_jitter_deterministic;
-    Alcotest.test_case "mean and rms" `Quick test_mean_rms;
+    Alcotest.test_case "mean over a window" `Quick test_mean_window;
     Alcotest.test_case "non-uniform mean" `Quick test_mean_nonuniform_sampling;
     Alcotest.test_case "peak to peak" `Quick test_peak_to_peak;
     Alcotest.test_case "slew at crossings" `Quick test_slew;
